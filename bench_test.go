@@ -73,7 +73,8 @@ func paperScaleProblem(b *testing.B) *core.Problem {
 	return p
 }
 
-// midScaleProblem is small enough for the quadratic eager greedy.
+// midScaleProblem is a 12-charger, 40-task field for benches that run
+// many full solves per iteration.
 func midScaleProblem(b *testing.B) *core.Problem {
 	b.Helper()
 	cfg := workload.Default()
@@ -173,32 +174,6 @@ func BenchmarkTabularGreedyC4(b *testing.B) {
 	}
 }
 
-// BenchmarkTabularGreedyWorkers sweeps the worker pool bound at the
-// Fig. 7 configuration (C = 4, §7.1 defaults) and at C = 1. Every worker
-// count produces a bit-identical schedule (internal/difftest enforces it);
-// this bench records what the fan-out buys in wall-clock time.
-// BENCH_core.json keeps the measured speedup table.
-func BenchmarkTabularGreedyWorkers(b *testing.B) {
-	p := paperScaleProblem(b)
-	for _, cfg := range []struct {
-		name    string
-		colors  int
-		workers int
-	}{
-		{"C4/W1", 4, 1}, {"C4/W2", 4, 2}, {"C4/W4", 4, 4}, {"C4/W8", 4, 8},
-		{"C1/W1", 1, 1}, {"C1/W4", 1, 4},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.TabularGreedy(p, core.Options{
-					Colors: cfg.colors, PreferStay: true, Workers: cfg.workers,
-				})
-			}
-		})
-	}
-}
-
 // BenchmarkTabularGreedyKernel compares the compiled flat kernel against
 // the generic interface-dispatch fallback on the full Fig. 7 greedy run
 // (C = 4, §7.1 defaults) — the end-to-end view of what the kernel buys.
@@ -225,29 +200,6 @@ func BenchmarkTabularGreedyKernel(b *testing.B) {
 			}
 			if cfg.stats && last.Offered > 0 {
 				b.ReportMetric(float64(last.Skipped())/float64(last.Offered), "skipped/offered")
-			}
-		})
-	}
-}
-
-// BenchmarkTabularGreedyLazy compares the eager full policy scan against
-// the lazy stale-bound selector (Options.Lazy) — the TabularGreedy-side
-// counterpart of BenchmarkAblationLazy. Both produce identical schedules;
-// the lazy path just skips the marginal evaluations that cannot win.
-func BenchmarkTabularGreedyLazy(b *testing.B) {
-	p := paperScaleProblem(b)
-	for _, cfg := range []struct {
-		name string
-		opt  core.Options
-	}{
-		{"C1/eager", core.Options{Colors: 1, PreferStay: true, Workers: 1}},
-		{"C1/lazy", core.Options{Colors: 1, PreferStay: true, Workers: 1, Lazy: true}},
-		{"C4/eager", core.Options{Colors: 4, PreferStay: true, Workers: 1}},
-		{"C4/lazy", core.Options{Colors: 4, PreferStay: true, Workers: 1, Lazy: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.TabularGreedy(p, cfg.opt)
 			}
 		})
 	}
@@ -367,23 +319,6 @@ func BenchmarkAblationColors(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationLazy compares the lazy (priority-queue) and eager
-// (quadratic rescan) global greedy implementations, which produce
-// identical schedules.
-func BenchmarkAblationLazy(b *testing.B) {
-	p := midScaleProblem(b)
-	b.Run("lazy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.GlobalGreedy(p, true)
-		}
-	})
-	b.Run("eager", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.GlobalGreedy(p, false)
-		}
-	})
 }
 
 // BenchmarkAblationAnisotropic measures the cost of the anisotropic

@@ -7,7 +7,7 @@
 //
 //	haste-online [--chargers N] [--tasks M] [--seed S] [--colors C] [--field F]
 //	             [--transport mem|tcp] [--drop P] [--dup P] [--delay P] [--crash P]
-//	             [--reliable] [--parallel]
+//	             [--reliable]
 //
 // The --drop/--dup/--delay/--crash flags inject seeded network failures
 // into the negotiation (see package netsim for the failure model);
@@ -48,7 +48,6 @@ func main() {
 	delay := flag.Float64("delay", 0, "per-delivery bounded-delay probability")
 	crash := flag.Float64("crash", 0, "per-node per-round crash probability")
 	reliable := flag.Bool("reliable", false, "enable the commit-reliability layer (acked, retransmitted UPDs)")
-	parallel := flag.Bool("parallel", false, "run negotiation rounds with one goroutine per charger")
 	transportName := flag.String("transport", "mem",
 		"negotiation substrate: mem (in-memory netsim) or tcp (loopback sockets, one TCP connection per charger)")
 	flag.Parse()
@@ -84,7 +83,6 @@ func main() {
 	opt := online.Options{
 		Colors:    *colors,
 		Seed:      *seed,
-		Parallel:  *parallel,
 		DropRate:  *drop,
 		DupRate:   *dup,
 		DelayRate: *delay,

@@ -68,7 +68,7 @@ func TestDemoChaosFlags(t *testing.T) {
 	cmd := exec.Command("go", "run", ".",
 		"--chargers", "6", "--tasks", "15", "--seed", "2",
 		"--drop", "0.1", "--dup", "0.05", "--delay", "0.1", "--crash", "0.01",
-		"--reliable", "--parallel")
+		"--reliable")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("chaos demo failed: %v\n%s", err, out)

@@ -61,7 +61,7 @@ func run(args []string, out *os.File) error {
 	queue := fs.Int("queue", 64, "request queue depth beyond the worker slots")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request wall-clock timeout")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
-	coreWorkers := fs.Int("core-workers", 1, "core.Options.Workers per scheduling run")
+	coreWorkers := fs.Int("core-workers", 1, "core.Options.Workers per scheduling run: the component-pool bound of sharded solves")
 	maxBody := fs.Int64("max-body", 8<<20, "request body limit, bytes")
 	maxSamples := fs.Int("max-samples", 1024, "Monte-Carlo sample cap per request")
 	maxSessions := fs.Int("max-sessions", 64, "concurrently open incremental sessions")

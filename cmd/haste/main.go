@@ -102,7 +102,7 @@ func runCmd(args []string) error {
 	reps := fs.Int("reps", 0, "topologies per data point (default 3; paper uses 100)")
 	seed := fs.Int64("seed", 1, "base RNG seed")
 	samples := fs.Int("samples", 0, "Monte-Carlo color samples for C>1 (0 = default)")
-	workers := fs.Int("workers", 0, "scheduler worker pool bound (0 = one per CPU, 1 = sequential; figures are identical either way)")
+	workers := fs.Int("workers", 0, "component-pool bound of sharded solves (0 = one per CPU, 1 = sequential; figures are identical either way)")
 	shard := fs.String("shard", "auto", "shard-and-stitch mode: auto, on, or off (figures are identical either way)")
 	transportName := fs.String("transport", "mem", "online negotiation substrate: mem or tcp (figures are identical either way)")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
@@ -251,8 +251,9 @@ flags for run:
   --reps N        topologies per data point (default 3, paper: 100)
   --seed S        base RNG seed (default 1)
   --samples N     Monte-Carlo color samples for C>1 (0 = algorithm default)
-  --workers N     scheduler worker pool bound (0 = one per CPU, 1 = sequential;
-                  every value regenerates bit-identical figures)
+  --workers N     component-pool bound of sharded solves (0 = one per CPU,
+                  1 = sequential; monolithic solves ignore it; every value
+                  regenerates bit-identical figures)
   --shard M       shard-and-stitch mode: auto (default), on, or off
                   (every mode regenerates bit-identical figures)
   --transport T   online negotiation substrate: mem (default) or tcp —

@@ -1,7 +1,8 @@
 // Differential tests: every execution strategy of TabularGreedy — the
-// pooled parallel fan at any worker count and the lazy stale-bound
-// selector — must reproduce the sequential reference byte-for-byte on the
-// seeded workload sweep. This file (with the internal/difftest harness) is
+// instrumented per-state scan, the generic kernel and sharded runs at any
+// component-pool size — must reproduce the flat-kernel reference
+// byte-for-byte (under the stitching contract, for sharded runs) on the
+// seeded workload sweeps. This file (with the internal/difftest harness) is
 // the determinism contract of DESIGN.md §3 "Parallel execution &
 // determinism"; CI additionally runs it under the race detector.
 package core_test
@@ -16,8 +17,8 @@ import (
 )
 
 // TestTabularGreedyDifferentialSweep is the acceptance-criteria suite: for
-// every seeded case, Workers ∈ {1, 2, 8, GOMAXPROCS} and the lazy variant
-// produce identical Schedule.Policy tables and equal RUtility.
+// every seeded case, the instrumented scan and the generic kernel produce
+// the batched flat-kernel run's Schedule.Policy table and RUtility.
 func TestTabularGreedyDifferentialSweep(t *testing.T) {
 	for _, c := range difftest.Sweep() {
 		c := c
@@ -32,8 +33,8 @@ func TestTabularGreedyDifferentialSweep(t *testing.T) {
 
 // TestShardedDifferentialSweep is the shard-and-stitch acceptance suite:
 // for every clustered multi-component and fully connected case, a
-// ShardOn run of every execution variant (workers, lazy, threshold,
-// generic kernel, instrumented scan) reproduces the monolithic Workers=1
+// ShardOn run of every execution variant (component-pool size, generic
+// kernel, instrumented scan) reproduces the monolithic Workers=1
 // reference under the stitching contract — bit-identical on connected
 // instances, exact utility equality plus per-component schedule identity
 // on multi-component ones. See difftest.RunSharded.
@@ -42,7 +43,7 @@ func TestShardedDifferentialSweep(t *testing.T) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
-			if err := difftest.RunSharded(c, difftest.Variants()); err != nil {
+			if err := difftest.RunSharded(c, difftest.ShardVariants()); err != nil {
 				t.Error(err)
 			}
 		})
@@ -53,10 +54,10 @@ func TestShardedDifferentialSweep(t *testing.T) {
 // acceptance suite: a ≥100-step random add/remove walk through the delta
 // operations, where after every step the patched problem must equal a
 // from-scratch compile, and periodic warm-started solves under every
-// execution variant (workers, lazy, generic kernel) must be bit-identical
-// to cold solves of freshly compiled problems. The clustered cases must
-// actually adopt untouched components across the walk, or the warm-start
-// machinery would be passing vacuously.
+// execution variant (component-pool size, generic kernel) must be
+// bit-identical to cold solves of freshly compiled problems. The clustered
+// cases must actually adopt untouched components across the walk, or the
+// warm-start machinery would be passing vacuously.
 func TestMutationWalkDifferentialSweep(t *testing.T) {
 	steps, solveEvery := 120, 6
 	if testing.Short() {
@@ -78,8 +79,9 @@ func TestMutationWalkDifferentialSweep(t *testing.T) {
 }
 
 // TestTabularGreedyWorkerCountIrrelevant drives one mid-size C > 1 case
-// through a denser worker-count grid than the standard variant set,
-// including counts far above both GOMAXPROCS and the sample count.
+// through a dense worker-count grid, including counts far above both
+// GOMAXPROCS and the sample count: Workers only sizes the component pool
+// of sharded runs, so a monolithic run must not see it at all.
 func TestTabularGreedyWorkerCountIrrelevant(t *testing.T) {
 	c := difftest.Case{Name: "worker-grid", Chargers: 6, Tasks: 24,
 		Duration: [2]int{4, 10}, Releases: 5, Colors: 3, Samples: 9, Seed: 42}
@@ -87,42 +89,11 @@ func TestTabularGreedyWorkerCountIrrelevant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := core.TabularGreedy(p, c.Options(1, false))
+	ref := core.TabularGreedy(p, c.Options(1))
 	for _, w := range []int{2, 3, 4, 5, 7, 16, 64} {
-		got := core.TabularGreedy(p, c.Options(w, false))
+		got := core.TabularGreedy(p, c.Options(w))
 		if err := difftest.CompareResults(ref, got); err != nil {
 			t.Errorf("workers=%d: %v", w, err)
-		}
-	}
-}
-
-// TestTabularGreedyLazyParallelComposition checks the remaining option
-// combinations: Lazy together with a Workers override (lazy selection is
-// sequential by design, but the options must still compose), and
-// PreferStay off under every strategy.
-func TestTabularGreedyLazyParallelComposition(t *testing.T) {
-	c := difftest.Case{Name: "compose", Chargers: 5, Tasks: 20,
-		Duration: [2]int{3, 9}, Releases: 4, Colors: 2, Seed: 77}
-	p, err := c.Problem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, preferStay := range []bool{true, false} {
-		mkOpts := func(workers int, lazy bool) core.Options {
-			o := c.Options(workers, lazy)
-			o.PreferStay = preferStay
-			return o
-		}
-		ref := core.TabularGreedy(p, mkOpts(1, false))
-		for _, v := range []struct {
-			name    string
-			workers int
-			lazy    bool
-		}{{"lazy+workers4", 4, true}, {"workers3", 3, false}, {"lazy", 1, true}} {
-			got := core.TabularGreedy(p, mkOpts(v.workers, v.lazy))
-			if err := difftest.CompareResults(ref, got); err != nil {
-				t.Errorf("preferStay=%v %s: %v", preferStay, v.name, err)
-			}
 		}
 	}
 }
@@ -135,7 +106,7 @@ func TestCompareResultsDetectsDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := core.TabularGreedy(p, c.Options(1, false))
+	ref := core.TabularGreedy(p, c.Options(1))
 	if err := difftest.CompareResults(ref, ref); err != nil {
 		t.Fatalf("self-comparison failed: %v", err)
 	}

@@ -17,7 +17,6 @@ func TestSchedulersProduceIndependentSets(t *testing.T) {
 		for name, s := range map[string]Schedule{
 			"tabular C1": TabularGreedy(p, DefaultOptions(1)).Schedule,
 			"tabular C3": TabularGreedy(p, Options{Colors: 3, PreferStay: true}).Schedule,
-			"global":     GlobalGreedy(p, true).Schedule,
 		} {
 			elems := s.Elements()
 			if !m.Independent(elems) {

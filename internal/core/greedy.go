@@ -32,49 +32,22 @@ type Options struct {
 	// true via DefaultOptions.
 	PreferStay bool
 
-	// Workers bounds the worker pool that fans the per-sample marginal
-	// accumulation and the per-sample state updates of each greedy step.
-	// 0 defaults to runtime.GOMAXPROCS(0); 1 runs the plain sequential
-	// path with no pool. Every worker count produces a bit-identical
-	// schedule: each (sample, policy) marginal is computed independently
-	// and the per-policy gains are reduced in a fixed canonical order
-	// (sample-major, exactly the sequential accumulation order), so the
-	// floating-point result cannot depend on goroutine scheduling. The
-	// differential suite in internal/difftest enforces this.
+	// Workers bounds the component pool of a sharded run (Shard and
+	// ScheduleSharded): at most Workers components are scheduled
+	// concurrently. 0 defaults to runtime.GOMAXPROCS(0). A monolithic run
+	// is one sequential sweep and ignores it. Every worker count produces
+	// a bit-identical result: each component runs sequentially on its own
+	// states and the stitch walks components in canonical order
+	// (internal/difftest's sharded and mutation-walk sweeps enforce this).
 	Workers int
-
-	// Lazy selects policies through the stale-bound selector: cached
-	// optimistic marginals (valid upper bounds under submodularity, see
-	// lazy.go) let a greedy step skip exactly those policies that cannot
-	// reach the running best gain. Schedules are bit-identical to the
-	// eager path; only the number of marginal evaluations changes.
-	Lazy bool
-
-	// ParallelThreshold is the minimum per-step work — affected samples ×
-	// policies of the partition's charger — worth fanning out to the
-	// worker pool; steps below it run the sequential scan, and if even
-	// Samples × maxPol (the largest possible step) falls short the pool
-	// is never started. Dispatching a step costs two channel operations
-	// per chunk plus a goroutine wake-up, so small batches run faster
-	// sequentially no matter how many cores are idle — BENCH_core.json
-	// records Workers=4 losing 1.4–3× to Workers=1 on paper-scale
-	// instances at the old always-fan behavior. 0 selects
-	// DefaultParallelThreshold. Purely a performance knob: both sides of
-	// the cutoff compute bit-identical gains.
-	ParallelThreshold int
 
 	// KernelStats collects evaluation-kernel work counters (calls, cover
 	// entries visited, entries skipped by windows and saturation pruning)
-	// into Result.Kernel, at any worker count. The counters live on the
-	// per-sample states; the sample-fanned parallel path touches disjoint
-	// states, and the policy fan (which evaluates one state concurrently)
-	// counts into per-chunk scratch collectors merged at the reduction
-	// barrier — so parallel counters equal the sequential run's exactly
-	// (the same set of marginals is evaluated either way; kernel_test.go
-	// pins the parity). Instrumented runs take the per-state scan instead
-	// of the batched one — same results, slightly slower, exact counts.
-	// Sharded runs aggregate per-component counters in canonical
-	// component order.
+	// into Result.Kernel. The counters live on the per-sample states.
+	// Instrumented runs take the per-state scan instead of the batched
+	// one — same results, slightly slower, exact counts. Sharded runs
+	// aggregate per-component counters in canonical component order, so
+	// the counts do not depend on Workers either.
 	KernelStats bool
 
 	// Shard selects the shard-and-stitch decomposition (shard.go): the
@@ -119,13 +92,6 @@ type Options struct {
 	Trace *obs.Trace
 }
 
-// DefaultParallelThreshold is the Options.ParallelThreshold used when the
-// caller leaves it zero. Measured on the paper-scale workload (sec. 7.1
-// defaults): below roughly this many (sample, policy) marginals per step,
-// pool dispatch overhead exceeds the scan work itself even with all
-// workers idle.
-const DefaultParallelThreshold = 512
-
 // DefaultOptions returns the options used by the paper's experiments for
 // a given color count.
 func DefaultOptions(colors int) Options {
@@ -151,9 +117,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.ParallelThreshold <= 0 {
-		o.ParallelThreshold = DefaultParallelThreshold
 	}
 	if o.ShardThreshold <= 0 {
 		o.ShardThreshold = DefaultShardThreshold
@@ -208,8 +171,8 @@ type Result struct {
 // 1−1/e (Lemma 5.1), and accounting for switching delay the overall
 // guarantee is (1−ρ)(1−1/e) (Theorem 5.1).
 //
-// Execution strategy (Workers, Lazy) never changes the output schedule —
-// only how fast it is found. See Options.Workers and Options.Lazy.
+// Workers never changes the output schedule — it only sizes the component
+// pool of a sharded run. See Options.Workers.
 func TabularGreedy(p *Problem, opt Options) Result {
 	res, _ := tabularGreedy(nil, p, opt)
 	return res
@@ -318,8 +281,18 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 		q[i] = row
 	}
 
-	sel := newSelector(p, opt)
-	defer sel.close()
+	// With the flat kernel a step whose partition several samples share
+	// runs through the entry-major batched scan and apply (kernel.go); the
+	// per-state scan remains for custom utilities and for instrumented
+	// runs, where KernelStats counts per-state work. Both compute
+	// bit-identical gains.
+	batchScan := p.kern.linear && !opt.KernelStats
+	maxPol := 0
+	for _, g := range p.Gamma {
+		maxPol = max(maxPol, len(g))
+	}
+	gains := make([]float64, maxPol)
+	acc := make([]float64, N) // per-sample accumulators of the batched kernels
 
 	gsp := parent.Start("greedy").
 		Int("chargers", int64(n)).Int("slots", int64(K)).
@@ -346,9 +319,22 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 				if opt.PreferStay && k > 0 {
 					prev = q[i][(k-1)*C+c]
 				}
-				best := sel.selectPolicy(states, affected, i, k, int(prev))
+				var best int
+				if batchScan && len(affected) > 1 {
+					nPol := len(p.Gamma[i])
+					gainsBatchFlat(p, states, affected, i, k, nPol, gains, acc)
+					best = argmaxPolicy(gains[:nPol], int(prev), opt.PreferStay)
+				} else {
+					best = selectPolicy(p, states, affected, i, k, int(prev), opt.PreferStay, gains)
+				}
 				q[i][k*C+c] = int32(best)
-				sel.apply(states, affected, i, k, best)
+				if p.kern.linear && len(affected) > 1 {
+					applyBatchFlat(p, states, affected, i, k, best, acc)
+				} else {
+					for _, s := range affected {
+						states[s].Apply(i, k, best)
+					}
+				}
 			}
 		}
 	}
@@ -377,10 +363,10 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 	return res, true
 }
 
-// selectPolicy is the sequential reference selection for partition (i,k):
+// selectPolicy is the per-state reference selection for partition (i,k):
 // it fills gains[pol] with the summed marginal over the affected sample
-// states (in affected order — the canonical reduction order every other
-// execution path reproduces) and reduces with argmaxPolicy.
+// states (in affected order — the canonical reduction order the batched
+// scan reproduces) and reduces with argmaxPolicy.
 func selectPolicy(p *Problem, states []*EnergyState, affected []int, i, k, prev int, preferStay bool, gains []float64) int {
 	nPol := len(p.Gamma[i])
 	for pol := 0; pol < nPol; pol++ {
@@ -394,10 +380,10 @@ func selectPolicy(p *Problem, states []*EnergyState, affected []int, i, k, prev 
 }
 
 // argmaxPolicy is the single reduction defining the selection's tie
-// semantics for every execution path (sequential, parallel and lazy): the
-// maximum gain wins; on exact float equality the previous slot's policy
-// prev wins when preferStay is set — regardless of where prev sits in the
-// scan order — and otherwise the lowest index wins.
+// semantics for both scans (per-state and batched): the maximum gain
+// wins; on exact float equality the previous slot's policy prev wins when
+// preferStay is set — regardless of where prev sits in the scan order —
+// and otherwise the lowest index wins.
 func argmaxPolicy(gains []float64, prev int, preferStay bool) int {
 	best := 0
 	for pol := 1; pol < len(gains); pol++ {

@@ -151,39 +151,8 @@ func TestTabularGreedyColorsSanity(t *testing.T) {
 	}
 }
 
-func TestGlobalGreedyMatchesLazyAndEager(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 15; trial++ {
-		in := randomFieldInstance(rng, 4, 15, 6, 30)
-		p := mustProblem(t, in)
-		eager := GlobalGreedy(p, false)
-		lazy := GlobalGreedy(p, true)
-		if math.Abs(eager.RUtility-lazy.RUtility) > 1e-6 {
-			t.Fatalf("trial %d: eager %v != lazy %v", trial, eager.RUtility, lazy.RUtility)
-		}
-		if got := Evaluate(p, lazy.Schedule); !almostEq(got, lazy.RUtility) {
-			t.Fatalf("lazy RUtility inconsistent: %v vs %v", lazy.RUtility, got)
-		}
-	}
-}
-
-// Global greedy and locally greedy are both valid ½-approximations and
-// should land in the same ballpark.
-func TestGlobalGreedyComparableToLocal(t *testing.T) {
-	rng := rand.New(rand.NewSource(56))
-	for trial := 0; trial < 10; trial++ {
-		in := randomFieldInstance(rng, 5, 20, 6, 35)
-		p := mustProblem(t, in)
-		local := TabularGreedy(p, DefaultOptions(1)).RUtility
-		global := GlobalGreedy(p, true).RUtility
-		if global < 0.5*local-1e-9 || local < 0.5*global-1e-9 {
-			t.Fatalf("trial %d: local %v vs global %v diverge beyond ½", trial, local, global)
-		}
-	}
-}
-
 // argmaxPolicy is the single reduction defining the selection's tie
-// semantics for the sequential, parallel and lazy paths. The table pins
+// semantics for the per-state and batched scans. The table pins
 // the rule: maximum gain wins; on exact equality prev wins under
 // preferStay no matter where prev sits in the scan order (the subtlety the
 // old selectPolicy structure made easy to break); otherwise lowest index.
@@ -219,8 +188,8 @@ func TestArgmaxPolicyTieSemantics(t *testing.T) {
 
 // The full selection must agree with argmaxPolicy's semantics end-to-end:
 // for C = 1 the schedule is exactly the sequence of reference selections,
-// so replaying selectPolicy slot by slot must reproduce every cell — under
-// every execution strategy, ties included.
+// so replaying selectPolicy slot by slot must reproduce every cell, ties
+// included.
 func TestSelectPolicyTieRegression(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	in := randomFieldInstance(rng, 3, 10, 6, 30)
@@ -231,27 +200,20 @@ func TestSelectPolicyTieRegression(t *testing.T) {
 			maxPol = len(g)
 		}
 	}
-	for _, opt := range []Options{
-		{Colors: 1, PreferStay: true, Workers: 1},
-		{Colors: 1, PreferStay: true, Workers: 4},
-		{Colors: 1, PreferStay: true, Workers: 1, Lazy: true},
-	} {
-		res := TabularGreedy(p, opt)
-		es := NewEnergyState(p)
-		gains := make([]float64, maxPol)
-		for k := 0; k < p.K; k++ {
-			for i := range p.Gamma {
-				prev := -1
-				if k > 0 {
-					prev = res.Schedule.Policy[i][k-1]
-				}
-				want := selectPolicy(p, []*EnergyState{es}, []int{0}, i, k, prev, true, gains)
-				if got := res.Schedule.Policy[i][k]; got != want {
-					t.Fatalf("workers=%d lazy=%v: charger %d slot %d chose %d, reference selection %d",
-						opt.Workers, opt.Lazy, i, k, got, want)
-				}
-				es.Apply(i, k, want)
+	res := TabularGreedy(p, Options{Colors: 1, PreferStay: true})
+	es := NewEnergyState(p)
+	gains := make([]float64, maxPol)
+	for k := 0; k < p.K; k++ {
+		for i := range p.Gamma {
+			prev := -1
+			if k > 0 {
+				prev = res.Schedule.Policy[i][k-1]
 			}
+			want := selectPolicy(p, []*EnergyState{es}, []int{0}, i, k, prev, true, gains)
+			if got := res.Schedule.Policy[i][k]; got != want {
+				t.Fatalf("charger %d slot %d chose %d, reference selection %d", i, k, got, want)
+			}
+			es.Apply(i, k, want)
 		}
 	}
 }

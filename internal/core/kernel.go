@@ -8,10 +8,10 @@ import (
 
 // This file is the flat marginal-evaluation kernel: the precompiled data
 // layout and the inlined inner loops behind EnergyState.Marginal,
-// MarginalUpper, MarginalScaled and ApplyScaled. The reference semantics
-// are the generic loops in problem.go (pointer-chased Gamma covers +
-// interface-dispatched Utility); the kernel must reproduce them bit for
-// bit, which internal/difftest's kernel sweep and the property tests in
+// MarginalScaled and ApplyScaled. The reference semantics are the generic
+// loops in problem.go (pointer-chased Gamma covers + interface-dispatched
+// Utility); the kernel must reproduce them bit for bit, which
+// internal/difftest's kernel sweep and the property tests in
 // kernel_test.go enforce. DESIGN.md §4 documents the layout and the
 // bit-identity argument.
 //
@@ -53,9 +53,7 @@ type CoverEntry struct {
 // KernelStats counts the work of the flat kernel on one EnergyState (or,
 // summed, on a scheduling run). Collection is opt-in per state (see
 // EnableKernelStats); TabularGreedy enables it on its sample states when
-// Options.KernelStats is set. The policy-fanned parallel path evaluates
-// one state concurrently, so there each chunk counts into a private
-// collector (selector.chunkStats) merged at the reduction barrier.
+// Options.KernelStats is set.
 type KernelStats struct {
 	Calls   int64 // flat marginal-kernel invocations
 	Visited int64 // cover entries actually scanned
@@ -319,11 +317,8 @@ func (p *Problem) StatesInUse() int64 {
 }
 
 // EnableKernelStats turns on work counting for this state and returns the
-// collector (idempotent). The single-sample parallel path evaluates
-// policies of one state concurrently; it bypasses this collector with
-// per-chunk scratch collectors (marginalInto) and merges them in at the
-// reduction barrier, so the counts stay exact at any worker count. Reset
-// and AcquireState disable collection again.
+// collector (idempotent). Reset and AcquireState disable collection
+// again.
 func (es *EnergyState) EnableKernelStats() *KernelStats {
 	if es.stats == nil {
 		es.stats = &KernelStats{}
@@ -355,14 +350,12 @@ func (es *EnergyState) scanList(fp int) []CoverEntry {
 // marginalFlat is Marginal/MarginalScaled on the flat kernel. frac scales
 // every per-slot contribution; scaled is false on the frac == 1 path,
 // which skips the multiply and the de == 0 re-check (compiled entries are
-// nonzero, and the reference only re-checks after scaling). st is the
-// kernel-stats collector to count into — es.stats for the sequential
-// callers, a per-chunk scratch collector under the parallel policy fan
-// (marginalInto), nil for none.
-func (es *EnergyState) marginalFlat(i, k, pol int, frac float64, scaled bool, st *KernelStats) float64 {
+// nonzero, and the reference only re-checks after scaling).
+func (es *EnergyState) marginalFlat(i, k, pol int, frac float64, scaled bool) float64 {
 	kn := &es.p.kern
 	fp := kn.flatPol(i, pol)
 	k32 := int32(k)
+	st := es.stats
 	if st != nil {
 		st.Calls++
 		st.Offered += int64(len(kn.entries[fp]))
@@ -400,37 +393,6 @@ func (es *EnergyState) marginalFlat(i, k, pol int, frac float64, scaled bool, st
 		gain += kn.weight[j] * (u2 - uval[j])
 	}
 	return gain
-}
-
-// marginalUpperFlat is MarginalUpper on the flat kernel. The optimistic
-// part sums every live entry regardless of slot, so the per-policy slot
-// window cannot short-circuit here — only saturation pruning applies
-// (pruned entries contribute exactly +0.0 to both sums).
-func (es *EnergyState) marginalUpperFlat(i, k, pol int) (gain, upper float64) {
-	kn := &es.p.kern
-	fp := kn.flatPol(i, pol)
-	k32 := int32(k)
-	list := es.scanList(fp)
-	if st := es.stats; st != nil {
-		st.Calls++
-		st.Offered += int64(len(kn.entries[fp]))
-		st.Visited += int64(len(list))
-	}
-	energy, uval := es.energy, es.uval
-	for _, e := range list {
-		j := e.Task
-		req := kn.req[j]
-		u2 := 1.0
-		if x := energy[j] + e.De; x < req {
-			u2 = x / req
-		}
-		d := kn.weight[j] * (u2 - uval[j])
-		upper += d
-		if k32 >= kn.release[j] && k32 < kn.end[j] {
-			gain += d
-		}
-	}
-	return gain, upper
 }
 
 // applyScaledFlat is ApplyScaled on the flat kernel. It walks the full
@@ -579,7 +541,7 @@ func searchEntry(row []CoverEntry, j int32) int {
 // exactly the order, of a live-list scan (live lists are order-preserving
 // filtrations of the shared list by the same bitmap). Each sample gets a
 // private accumulator in acc, and gains[pol] then reduces acc in affected
-// order — the canonical reduction order of every execution path.
+// order — the canonical reduction order of the per-state scan.
 func gainsBatchFlat(p *Problem, states []*EnergyState, affected []int, i, k, nPol int, gains, acc []float64) {
 	kn := &p.kern
 	base := int(kn.polOff[i])

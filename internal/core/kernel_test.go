@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
 	"haste/internal/geom"
 	"haste/internal/model"
+	"haste/internal/workload"
 )
 
 // kernelProneInstance is randomFieldInstance tilted toward the kernel's
@@ -106,14 +108,10 @@ func TestFlatKernelMatchesGenericQuick(t *testing.T) {
 			frac := float64(rng.Intn(4)) / 3.0
 			var a, b float64
 			switch rng.Intn(4) {
-			case 0:
+			case 0, 1:
 				a = flat.Marginal(i, k, pol)
 				p.SetFlatKernel(false)
 				b = gen.Marginal(i, k, pol)
-			case 1:
-				a, _ = flat.MarginalUpper(i, k, pol)
-				p.SetFlatKernel(false)
-				b, _ = gen.MarginalUpper(i, k, pol)
 			case 2:
 				a = flat.MarginalScaled(i, k, pol, frac)
 				p.SetFlatKernel(false)
@@ -273,7 +271,6 @@ func TestMarginalPathsAllocationFree(t *testing.T) {
 	acc := make([]float64, 1)
 	checks := map[string]func(){
 		"Marginal":       func() { es.Marginal(0, 1, 0) },
-		"MarginalUpper":  func() { es.MarginalUpper(0, 1, 0) },
 		"MarginalScaled": func() { es.MarginalScaled(0, 1, 0, 0.5) },
 		"gainsBatchFlat": func() { gainsBatchFlat(p, states, affected, 0, 1, len(p.Gamma[0]), gains, acc) },
 		"applyBatchFlat": func() { applyBatchFlat(p, states, affected, 0, 1, 0, acc) },
@@ -413,9 +410,8 @@ func TestRestoreUnsaturates(t *testing.T) {
 	}
 }
 
-// KernelStats must balance (Offered = Visited + Skipped), see pruning in a
-// saturating run, and survive the parallel fan with counts equal to the
-// sequential run's.
+// KernelStats must balance (Offered = Visited + Skipped) and see pruning
+// in a saturating run.
 func TestKernelStatsCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	in := kernelProneInstance(rng, 3, 12)
@@ -437,32 +433,20 @@ func TestKernelStatsCounters(t *testing.T) {
 	if ks.Skipped() == 0 {
 		t.Fatalf("saturating run skipped no evaluations: %+v", ks)
 	}
-
-	par := TabularGreedy(p, Options{Colors: 2, PreferStay: true, Workers: 2, KernelStats: true})
-	if par.Kernel != ks {
-		t.Fatalf("parallel stats diverge from sequential: %+v != %+v", par.Kernel, ks)
-	}
-	if err := compareSchedules(res.Schedule, par.Schedule); err != nil {
-		t.Fatalf("instrumented and parallel schedules diverge: %v", err)
-	}
 }
 
-// Regression for the Workers > 1 stats loss: counters used to be silently
-// zeroed whenever the pool could start. Both parallel fan shapes — the
-// sample fan (Colors > 1: disjoint states per chunk) and the policy fan
-// (Colors == 1: one state, per-chunk scratch collectors merged at the
-// barrier) — must now report exactly the sequential run's counts at any
-// worker count, with the schedule bit-identical throughout. The forced
-// ParallelThreshold guarantees the pool actually engages.
+// The component pool is the one parallel layer: a sharded run schedules
+// components concurrently, each counting into its own sample states, and
+// aggregates per-component counters in canonical component order. Its
+// kernel stats must therefore equal the Workers=1 sharded run's at any
+// pool size, with the schedule bit-identical throughout.
 func TestKernelStatsParallelParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	in := kernelProneInstance(rng, 4, 16)
-	for j := range in.Tasks {
-		in.Tasks[j].Energy = 1 + rng.Float64()*10
+	p := shardProblem(t, 48, 4, 8, 24)
+	if p.SchedulableComponents() < 2 {
+		t.Fatalf("only %d schedulable components; the pool would run nothing concurrently", p.SchedulableComponents())
 	}
-	p := mustProblem(t, in)
-	for _, colors := range []int{1, 3} { // 1 → policy fan, 3 → sample fan
-		base := Options{Colors: colors, PreferStay: true, KernelStats: true, ParallelThreshold: 1}
+	for _, colors := range []int{1, 3} {
+		base := Options{Colors: colors, PreferStay: true, KernelStats: true, Shard: ShardOn}
 		seq := base
 		seq.Workers = 1
 		ref := TabularGreedy(p, seq)
@@ -483,6 +467,9 @@ func TestKernelStatsParallelParity(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 func compareSchedules(a, b Schedule) error {
 	if len(a.Policy) != len(b.Policy) {
 		return fmt.Errorf("charger count %d != %d", len(b.Policy), len(a.Policy))
@@ -497,23 +484,27 @@ func compareSchedules(a, b Schedule) error {
 	return nil
 }
 
-// The pool must not start when even the largest possible step cannot reach
-// the work threshold, and must start when the threshold is forced down.
+// The worker pool is gated to sharded runs: Workers sizes the component
+// pool and nothing else, so a monolithic run — one sequential sweep —
+// must allocate exactly the same at Workers=8 as at Workers=1. The case
+// is a C = 8 run on a sec. 7.1 instance, where Samples × |Γ_i| is large
+// enough that a per-step pool would start. GC is off while measuring so
+// the problem's state pool cannot be emptied mid-run.
 func TestWorkerPoolGating(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	p := mustProblem(t, kernelProneInstance(rng, 3, 12))
-	small := Options{Colors: 2, Workers: 4, PreferStay: true}.normalize()
-	s := newSelector(p, small)
-	if s.pool != nil {
-		t.Errorf("pool started below the threshold (Samples=%d)", small.Samples)
+	if testing.Short() || raceEnabled {
+		t.Skip("C = 8 runs on a sec. 7.1 instance; alloc counts need a non-race build")
 	}
-	s.close()
-
-	forced := small
-	forced.ParallelThreshold = 1
-	s = newSelector(p, forced)
-	if s.pool == nil {
-		t.Error("pool not started with ParallelThreshold=1 and Workers=4")
+	p, err := NewProblem(workload.Default().Generate(rand.New(rand.NewSource(71))))
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.close()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(workers int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			TabularGreedy(p, Options{Colors: 8, PreferStay: true, Workers: workers, Shard: ShardOff})
+		})
+	}
+	if seq, wide := allocs(1), allocs(8); wide != seq {
+		t.Fatalf("monolithic run allocates %v times at Workers=8, %v at Workers=1", wide, seq)
+	}
 }

@@ -1,7 +1,6 @@
 // Package core implements the paper's primary contribution: the HASTE-R
 // objective (problem RP2) and the centralized offline scheduling algorithm
-// (Algorithm 2, a tailored TabularGreedy over S-C tuples) together with a
-// lazy global-greedy variant used for ablation.
+// (Algorithm 2, a tailored TabularGreedy over S-C tuples).
 //
 // A Problem bundles a model.Instance with the precomputed dominant task
 // sets Γ_i (Algorithm 1) and the per-pair power matrix P_r(s_i, o_j). A
@@ -346,27 +345,14 @@ func (es *EnergyState) Energy(j int) float64 { return es.energy[j] }
 // charger i at slot k on top of the current state: only tasks covered by
 // the policy AND active during slot k accrue energy.
 //
-// Marginal, MarginalUpper, MarginalScaled and ApplyScaled dispatch to the
-// flat kernel (kernel.go) when the instance uses the default
-// linear-and-bounded utility; the *Generic bodies below are the reference
-// semantics, kept verbatim as the fallback for custom utilities and as
-// the oracle of the differential kernel sweep. Both paths are
-// bit-identical by contract.
+// Marginal, MarginalScaled and ApplyScaled dispatch to the flat kernel
+// (kernel.go) when the instance uses the default linear-and-bounded
+// utility; the *Generic bodies below are the reference semantics, kept
+// verbatim as the fallback for custom utilities and as the oracle of the
+// differential kernel sweep. Both paths are bit-identical by contract.
 func (es *EnergyState) Marginal(i, k, pol int) float64 {
 	if es.p.kern.linear {
-		return es.marginalFlat(i, k, pol, 1, false, es.stats)
-	}
-	return es.marginalGeneric(i, k, pol)
-}
-
-// marginalInto is Marginal with the kernel-stats collector overridden:
-// the parallel policy fan evaluates many policies of one state
-// concurrently, so it hands each chunk a private collector (merged at
-// the reduction barrier) instead of racing on es.stats. A nil st counts
-// nothing; the gain is identical to Marginal's either way.
-func (es *EnergyState) marginalInto(i, k, pol int, st *KernelStats) float64 {
-	if es.p.kern.linear {
-		return es.marginalFlat(i, k, pol, 1, false, st)
+		return es.marginalFlat(i, k, pol, 1, false)
 	}
 	return es.marginalGeneric(i, k, pol)
 }
@@ -388,42 +374,12 @@ func (es *EnergyState) marginalGeneric(i, k, pol int) float64 {
 	return gain
 }
 
-// MarginalUpper returns Marginal(i, k, pol) together with an optimistic
-// variant that treats every covered task as active. The exact part is
-// accumulated over the same tasks in the same order as Marginal, so the
-// two agree bit-for-bit. The optimistic part upper-bounds the policy's
-// marginal in any slot and only shrinks as energy accumulates (concavity
-// of U) — the invariant the lazy selector's stale bounds rely on.
-func (es *EnergyState) MarginalUpper(i, k, pol int) (gain, upper float64) {
-	if es.p.kern.linear {
-		return es.marginalUpperFlat(i, k, pol)
-	}
-	return es.marginalUpperGeneric(i, k, pol)
-}
-
-func (es *EnergyState) marginalUpperGeneric(i, k, pol int) (gain, upper float64) {
-	u := es.p.In.U()
-	for _, j := range es.p.Gamma[i][pol].Covers {
-		t := &es.p.In.Tasks[j]
-		de := es.p.SlotEnergy(i, j)
-		if de == 0 {
-			continue
-		}
-		d := t.Weight * (u.Of(es.energy[j]+de, t.Energy) - u.Of(es.energy[j], t.Energy))
-		upper += d
-		if t.ActiveAt(k) {
-			gain += d
-		}
-	}
-	return gain, upper
-}
-
 // MarginalScaled is Marginal with the per-slot energy contribution scaled
 // by frac ∈ [0,1]; used by the switching-delay-aware simulation where a
 // rotating charger only radiates for the trailing 1−ρ of a slot.
 func (es *EnergyState) MarginalScaled(i, k, pol int, frac float64) float64 {
 	if es.p.kern.linear {
-		return es.marginalFlat(i, k, pol, frac, true, es.stats)
+		return es.marginalFlat(i, k, pol, frac, true)
 	}
 	return es.marginalScaledGeneric(i, k, pol, frac)
 }

@@ -428,10 +428,8 @@ func drawColorPlan(rng *rand.Rand, n, K, C, N int) colorPlan {
 
 // runComponent slices the global color plan (drawn for a K-slot horizon
 // over all global chargers) down to the component's chargers and runs the
-// monolithic greedy on its sub-Problem. The sub-run is sequential
-// (Workers = 1): sharding parallelizes across components, and nesting the
-// per-step policy fan inside component goroutines would oversubscribe the
-// pool.
+// monolithic greedy on its sub-Problem — one sequential sweep, so the
+// component pool is the run's only parallelism.
 func runComponent(done <-chan struct{}, sub *Problem, comp Component, K int, opt Options, plan *colorPlan, parent obs.SpanRef) (Result, bool) {
 	N := opt.Samples
 	Kc := sub.K
@@ -447,7 +445,6 @@ func runComponent(done <-chan struct{}, sub *Problem, comp Component, K int, opt
 		}
 	}
 	subOpt := opt
-	subOpt.Workers = 1
 	subOpt.Shard = ShardOff
 	subOpt.Rng = nil // every draw comes from the plan
 	return monolithicGreedy(done, sub, subOpt, subPlan, parent)

@@ -211,23 +211,24 @@ func TestTraceScheduleSharded(t *testing.T) {
 	}
 }
 
-// The disabled-trace marginal loop must stay allocation-free after the
-// kernel-stats parameter refactor: Marginal, MarginalScaled and the
-// policy fan's marginalInto (nil and non-nil collector) at 0 allocs/op.
+// The disabled-trace marginal loop must stay allocation-free: Marginal and
+// MarginalScaled, with and without a kernel-stats collector, at 0
+// allocs/op.
 func TestTraceDisabledMarginalAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	in := kernelProneInstance(rng, 3, 12)
 	p := mustProblem(t, in)
-	es := p.AcquireState()
+	es, counted := p.AcquireState(), p.AcquireState()
 	defer p.ReleaseState(es)
-	var st KernelStats
+	defer p.ReleaseState(counted)
+	counted.EnableKernelStats()
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := range p.Gamma {
 			for pol := range p.Gamma[i] {
-				_ = es.Marginal(i, 0, pol)
-				_ = es.MarginalScaled(i, 0, pol, 0.5)
-				_ = es.marginalInto(i, 0, pol, nil)
-				_ = es.marginalInto(i, 0, pol, &st)
+				for _, st := range []*EnergyState{es, counted} {
+					_ = st.Marginal(i, 0, pol)
+					_ = st.MarginalScaled(i, 0, pol, 0.5)
+				}
 			}
 		}
 	})

@@ -1,12 +1,13 @@
 // Package difftest is the differential-testing harness that pins every
 // execution strategy of the centralized offline scheduler to the
-// sequential reference. Determinism is a repo invariant (DESIGN.md §3):
-// TabularGreedy with any worker count, and the lazy stale-bound selector,
-// must produce byte-identical Schedule.Policy tables and equal utilities
-// on the same seeded input. The harness provides the seeded workload sweep
-// (varying n, m, horizon, C and N), runs a set of named variants against
-// the Workers=1 reference and reports the first divergent cell — both
-// internal/core's differential tests and the -race CI job drive it.
+// flat-kernel reference. Determinism is a repo invariant (DESIGN.md §3):
+// the instrumented scan, the generic kernel and — on sharded runs — any
+// component-pool size must produce byte-identical Schedule.Policy tables
+// and equal utilities on the same seeded input. The harness provides the
+// seeded workload sweep (varying n, m, horizon, C and N), runs a set of
+// named variants against the Workers=1 reference and reports the first
+// divergent cell — both internal/core's differential tests and the -race
+// CI job drive it.
 package difftest
 
 import (
@@ -76,34 +77,24 @@ func (c Case) Problem() (*core.Problem, error) {
 	return p, nil
 }
 
-// Options assembles the case's scheduler options for one variant. Each run
-// gets a fresh deterministic Rng from the case seed so color sampling is
-// identical across variants. ParallelThreshold is forced to 1 so that any
-// Workers > 1 run actually exercises the pooled fan-out — the sweep's
-// cases are far below the production cutoff, which would otherwise gate
-// every step onto the sequential path and silently stop testing the
-// parallel machinery.
-func (c Case) Options(workers int, lazy bool) core.Options {
-	o := core.Options{
+// Options assembles the case's scheduler options for one worker count.
+// Each run gets a fresh deterministic Rng from the case seed so color
+// sampling is identical across variants.
+func (c Case) Options(workers int) core.Options {
+	return core.Options{
 		Colors:     c.Colors,
 		Samples:    c.Samples,
 		PreferStay: true,
 		Rng:        rand.New(rand.NewSource(c.Seed)),
 		Workers:    workers,
-		Lazy:       lazy,
 	}
-	o.ParallelThreshold = 1
-	return o
 }
 
 // OptionsFor assembles the case's scheduler options for a Variant,
-// including its threshold and instrumentation axes (the kernel axis is
-// applied by Run, since it is a Problem-level switch).
+// including its instrumentation axis (the kernel axis is applied by the
+// runners, since it is a Problem-level switch).
 func (c Case) OptionsFor(v Variant) core.Options {
-	o := c.Options(v.Workers, v.Lazy)
-	if v.Threshold != 0 {
-		o.ParallelThreshold = v.Threshold
-	}
+	o := c.Options(v.Workers)
 	o.KernelStats = v.Stats
 	return o
 }
@@ -130,15 +121,11 @@ func Sweep() []Case {
 
 // Variant names one execution strategy compared against the reference.
 type Variant struct {
-	Name    string
-	Workers int
-	Lazy    bool
+	Name string
 
-	// Threshold overrides Options.ParallelThreshold (0 keeps the
-	// harness's forced 1; use core.DefaultParallelThreshold to test the
-	// production gating, under which small-case steps fall back to the
-	// sequential scan).
-	Threshold int
+	// Workers sizes the component pool of a sharded run; a monolithic
+	// run ignores it.
+	Workers int
 
 	// Generic routes the run through the interface-dispatch fallback
 	// kernel (Problem.SetFlatKernel(false)) — the pre-compilation
@@ -151,22 +138,30 @@ type Variant struct {
 	Stats bool
 }
 
-// Variants is the strategy set the acceptance criteria require: worker
-// counts {2, 8} with the pool forced on, the GOMAXPROCS default, the
-// production threshold gating, the lazy selector, the instrumented scan,
-// and the generic (pre-compilation) kernel both sequential and fanned.
+// Variants is the strategy set of a monolithic run: the instrumented
+// per-state scan and the generic (pre-compilation) kernel, each against
+// the batched flat-kernel reference. Worker counts are no axis here — a
+// monolithic run is one sequential sweep whatever Workers says.
 func Variants() []Variant {
 	return []Variant{
-		{Name: "workers=2", Workers: 2},
-		{Name: "workers=8", Workers: 8},
-		{Name: "workers=default", Workers: 0},
-		{Name: "workers=2/gated", Workers: 2, Threshold: core.DefaultParallelThreshold},
-		{Name: "lazy", Workers: 1, Lazy: true},
 		{Name: "stats", Workers: 1, Stats: true},
 		{Name: "generic", Workers: 1, Generic: true},
-		{Name: "generic/workers=2", Workers: 2, Generic: true},
-		{Name: "generic/lazy", Workers: 1, Lazy: true, Generic: true},
 	}
+}
+
+// ShardVariants is the strategy set of the sharded sweep: the monolithic
+// variants plus the component-pool sizes — sequential, {2, 8} and the
+// GOMAXPROCS default — crossed with both kernels and the instrumented
+// scan.
+func ShardVariants() []Variant {
+	return append(Variants(),
+		Variant{Name: "workers=1", Workers: 1},
+		Variant{Name: "workers=2", Workers: 2},
+		Variant{Name: "workers=8", Workers: 8},
+		Variant{Name: "workers=default", Workers: 0},
+		Variant{Name: "stats/workers=2", Workers: 2, Stats: true},
+		Variant{Name: "generic/workers=2", Workers: 2, Generic: true},
+	)
 }
 
 // CompareResults returns a descriptive error for the first cell where two
@@ -200,7 +195,7 @@ func Run(c Case, variants []Variant) error {
 	if err != nil {
 		return err
 	}
-	ref := core.TabularGreedy(p, c.Options(1, false))
+	ref := core.TabularGreedy(p, c.Options(1))
 	for _, v := range variants {
 		p.SetFlatKernel(!v.Generic)
 		got := core.TabularGreedy(p, c.OptionsFor(v))

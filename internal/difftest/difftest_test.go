@@ -85,20 +85,26 @@ func TestRunPassesOnTheFullSweep(t *testing.T) {
 }
 
 func TestVariantsCoverTheKernelAxes(t *testing.T) {
-	var generic, gated, stats, pooled, lazy bool
+	var generic, stats bool
 	for _, v := range Variants() {
 		generic = generic || v.Generic
-		gated = gated || v.Threshold >= core.DefaultParallelThreshold
 		stats = stats || v.Stats
-		pooled = pooled || (v.Workers > 1 && v.Threshold == 0 && !v.Generic)
-		lazy = lazy || v.Lazy
 	}
-	for name, ok := range map[string]bool{
-		"generic kernel": generic, "threshold gating": gated,
-		"instrumented scan": stats, "forced pool": pooled, "lazy": lazy,
-	} {
-		if !ok {
-			t.Errorf("variant set never exercises %s", name)
+	if !generic || !stats {
+		t.Errorf("monolithic variants miss an axis: generic kernel %v, instrumented scan %v", generic, stats)
+	}
+	// Workers only sizes the component pool, so the sharded and mutation
+	// sweeps must run it both sequentially and pooled, on both kernels.
+	for name, set := range map[string][]Variant{"shard": ShardVariants(), "mutation": MutationVariants()} {
+		var seq, pooled, genericPooled bool
+		for _, v := range set {
+			seq = seq || (v.Workers == 1 && !v.Generic)
+			pooled = pooled || (v.Workers > 1 && !v.Generic)
+			genericPooled = genericPooled || (v.Workers > 1 && v.Generic)
+		}
+		if !seq || !pooled || !genericPooled {
+			t.Errorf("%s variants miss a pool axis: sequential %v, pooled %v, generic pooled %v",
+				name, seq, pooled, genericPooled)
 		}
 	}
 }

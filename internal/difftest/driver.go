@@ -1,9 +1,9 @@
 // Cross-driver differential suite: the online negotiation must be
 // substrate-invariant. Every seeded scenario of DriverSweep — failure-free
 // and all four injected failure modes, reliability layer on and off — is
-// run on the sequential in-memory engine (the reference), the
-// goroutine-per-charger in-memory engine, and the loopback TCP engine
-// (package transport), and the three executions must agree bit for bit:
+// run on the sequential in-memory engine (the reference) and the loopback
+// TCP engine (package transport), and the two executions must agree bit
+// for bit:
 // identical committed orientation timelines, utilities and switch counts,
 // reflect.DeepEqual Stats, and a message balance that reconciles exactly,
 //
@@ -57,7 +57,7 @@ type DriverScenario struct {
 	Name string
 	Seed int64
 	// Opt carries the failure-injection knobs and Reliable; the harness
-	// fills Seed and the per-driver fields (Parallel, Driver).
+	// fills Seed and the per-driver field (Driver).
 	Opt online.Options
 }
 
@@ -99,11 +99,10 @@ type DriverVariant struct {
 	Apply func(*online.Options)
 }
 
-// DriverVariants returns the substrates under test: the in-memory
-// goroutine-per-charger stepping fan and the loopback TCP engine.
+// DriverVariants returns the substrates under test: the loopback TCP
+// engine, whose nodes step concurrently on their own connections.
 func DriverVariants() []DriverVariant {
 	return []DriverVariant{
-		{Name: "mem-parallel", Apply: func(o *online.Options) { o.Parallel = true }},
 		{Name: "tcp", Apply: func(o *online.Options) { o.Driver = transport.Factory }},
 	}
 }

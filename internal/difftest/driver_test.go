@@ -9,8 +9,8 @@ import (
 // TestDriverSweep is the headline cross-driver differential suite: every
 // seeded scenario (failure-free plus all four failure modes and the
 // combined storm, reliability layer off and on) runs on the sequential
-// in-memory engine, the goroutine-per-charger engine and the loopback TCP
-// engine, and the three executions must produce bit-identical committed
+// in-memory engine and the loopback TCP engine, and the two executions
+// must produce bit-identical committed
 // schedules, utilities and switch counts, reflect.DeepEqual Stats, and
 // exactly reconciled message balances. CI runs it under the race detector.
 func TestDriverSweep(t *testing.T) {

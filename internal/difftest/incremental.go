@@ -18,26 +18,25 @@ import (
 //     instance, sparse rows, compiled cover lists, policy windows, K — to
 //     NewProblem of the mutated instance (CompareProblems).
 //   - Solve identity: a warm-started sharded solve on the long-lived
-//     mutated clone, under every execution variant (worker counts, lazy
-//     selector, generic kernel), is bit-identical to a cold Workers=1
-//     solve of a freshly compiled problem — schedules cell for cell,
-//     utilities exactly equal.
+//     mutated clone, under every execution variant (component-pool sizes,
+//     generic kernel), is bit-identical to a cold Workers=1 solve of a
+//     freshly compiled problem — schedules cell for cell, utilities
+//     exactly equal.
 //
 // Each variant carries its own clone and its own warm chain across the
 // whole walk, so incumbent reuse is exercised against an ever-mutating
 // decomposition, not just a single mutation.
 
 // MutationVariants is the execution-strategy grid of the mutation walk:
-// the generic/flat kernel axis crossed with worker counts and the lazy
-// selector. Stats stays off — kernel-stats collection is part of the
-// warm-start fingerprint, so mixing it into one chain would just disable
-// reuse rather than test anything.
+// the generic/flat kernel axis crossed with component-pool sizes. Stats
+// stays off — kernel-stats collection is part of the warm-start
+// fingerprint, so mixing it into one chain would just disable reuse
+// rather than test anything.
 func MutationVariants() []Variant {
 	return []Variant{
 		{Name: "workers=1", Workers: 1},
 		{Name: "workers=2", Workers: 2},
 		{Name: "workers=default", Workers: 0},
-		{Name: "lazy", Workers: 1, Lazy: true},
 		{Name: "generic", Workers: 1, Generic: true},
 		{Name: "generic/workers=2", Workers: 2, Generic: true},
 	}
@@ -211,7 +210,7 @@ func RunMutationWalk(c Case, variants []Variant, steps, solveEvery int) (reused 
 		}
 		// Solve identity: cold Workers=1 reference on the fresh compile vs
 		// every chain's warm solve on its long-lived clone.
-		refOpt := c.Options(1, false)
+		refOpt := c.Options(1)
 		refOpt.Shard = core.ShardOn
 		ref := core.TabularGreedy(fresh, refOpt)
 		for ci := range chains {

@@ -50,24 +50,6 @@ func (ns *NaiveState) Marginal(i, k, pol int) float64 {
 	return gain
 }
 
-// MarginalUpper is the pre-PR EnergyState.MarginalUpper, verbatim.
-func (ns *NaiveState) MarginalUpper(i, k, pol int) (gain, upper float64) {
-	u := ns.p.In.U()
-	for _, j := range ns.p.Gamma[i][pol].Covers {
-		t := &ns.p.In.Tasks[j]
-		de := ns.p.SlotEnergy(i, j)
-		if de == 0 {
-			continue
-		}
-		d := t.Weight * (u.Of(ns.energy[j]+de, t.Energy) - u.Of(ns.energy[j], t.Energy))
-		upper += d
-		if t.ActiveAt(k) {
-			gain += d
-		}
-	}
-	return gain, upper
-}
-
 // MarginalScaled is the pre-PR EnergyState.MarginalScaled, verbatim.
 func (ns *NaiveState) MarginalScaled(i, k, pol int, frac float64) float64 {
 	u := ns.p.In.U()
@@ -118,7 +100,6 @@ func (ns *NaiveState) Restore(ids []int, vals []float64, total float64) {
 // core.EnergyState and NaiveState satisfy it.
 type kernelOps interface {
 	Marginal(i, k, pol int) float64
-	MarginalUpper(i, k, pol int) (gain, upper float64)
 	MarginalScaled(i, k, pol int, frac float64) float64
 	ApplyScaled(i, k, pol int, frac float64) float64
 	Restore(ids []int, vals []float64, total float64)
@@ -128,10 +109,10 @@ type kernelOps interface {
 
 // KernelSweep drives the flat kernel, the generic interface-dispatch
 // fallback and the naive pre-PR scan through the same seeded random walk
-// of kernel operations — Marginal, MarginalUpper, MarginalScaled,
-// ApplyScaled and snapshot/Restore cycles (including restores that
+// of kernel operations — Marginal, MarginalScaled, ApplyScaled and
+// snapshot/Restore cycles (including restores that
 // un-saturate tasks) — and returns an error on the first bitwise
-// disagreement in a returned gain or bound, a per-task energy, or the
+// disagreement in a returned gain, a per-task energy, or the
 // running total. Applies repeat on random partitions, so tasks cross
 // their requirement during the walk and the flat kernel's saturation
 // pruning and utility cache are live for the later operations.
@@ -189,23 +170,10 @@ func KernelSweep(p *core.Problem, seed int64, steps int) error {
 		var name string
 		var err error
 		switch op := rng.Intn(10); {
-		case op < 2:
+		case op < 4:
 			name = fmt.Sprintf("Marginal(i=%d,k=%d,pol=%d)", i, k, pol)
 			a, b, c := each(func(st kernelOps) float64 { return st.Marginal(i, k, pol) })
 			err = check(name, a, b, c)
-		case op < 4:
-			name = fmt.Sprintf("MarginalUpper(i=%d,k=%d,pol=%d)", i, k, pol)
-			var ups [3]float64
-			idx := 0
-			a, b, c := each(func(st kernelOps) float64 {
-				g, u := st.MarginalUpper(i, k, pol)
-				ups[idx] = u
-				idx++
-				return g
-			})
-			if err = check(name+" gain", a, b, c); err == nil {
-				err = check(name+" upper", ups[0], ups[1], ups[2])
-			}
 		case op < 5:
 			name = fmt.Sprintf("MarginalScaled(i=%d,k=%d,pol=%d,frac=%v)", i, k, pol, frac)
 			a, b, c := each(func(st kernelOps) float64 { return st.MarginalScaled(i, k, pol, frac) })

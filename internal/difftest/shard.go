@@ -48,7 +48,7 @@ func RunSharded(c Case, variants []Variant) error {
 	if err != nil {
 		return err
 	}
-	monoOpt := c.Options(1, false)
+	monoOpt := c.Options(1)
 	monoOpt.Shard = core.ShardOff
 	mono := core.TabularGreedy(p, monoOpt)
 

@@ -38,9 +38,10 @@ type Options struct {
 	// horizons) so the whole suite runs in seconds. Used by tests and
 	// smoke runs; the series shapes remain, absolute values differ.
 	Quick bool
-	// Workers bounds TabularGreedy's worker pool (core.Options.Workers):
-	// 0 = one worker per CPU, 1 = sequential. Any value produces the
-	// same figures bit-for-bit; only wall-clock time changes.
+	// Workers bounds the component pool of sharded solves
+	// (core.Options.Workers): 0 = one worker per CPU, 1 = sequential;
+	// monolithic solves ignore it. Any value produces the same figures
+	// bit-for-bit; only wall-clock time changes.
 	Workers int
 	// Shard selects the shard-and-stitch mode (core.Options.Shard). Like
 	// Workers, any value regenerates bit-identical figures — the paper's

@@ -37,12 +37,12 @@ func randomTopology(rng *rand.Rand, n int) [][]int {
 	return out
 }
 
-// TestDriverEquivalenceSeededTopologies pins the engine's determinism
-// contract on richer inputs than the line graph: on seeded random
-// topologies the goroutine-per-node driver and the sequential driver must
-// deliver identical node outcomes and identical message/round accounting.
-// CI runs this under the race detector, where the parallel driver's
-// barrier discipline is actually checked.
+// TestDriverEquivalenceSeededTopologies pins the StepFunc seam's
+// determinism contract on richer inputs than the line graph: on seeded
+// random topologies a concurrent stepping fan (concurrentStep) and the
+// in-memory engine's sequential one must deliver identical node outcomes
+// and identical message/round accounting. CI runs this under the race
+// detector, where the round loop's barrier discipline is actually checked.
 func TestDriverEquivalenceSeededTopologies(t *testing.T) {
 	for _, seed := range []int64{201, 202, 203} {
 		rng := rand.New(rand.NewSource(seed))
@@ -60,8 +60,7 @@ func TestDriverEquivalenceSeededTopologies(t *testing.T) {
 			for i := 0; i < n; i++ {
 				nodes[i] = &maxNode{val: vals[i]}
 			}
-			e := &Engine{Neighbors: topo, Opt: Options{Parallel: parallel}}
-			stats, err := e.Run(nodes)
+			stats, err := runSession(topo, Options{}, nodes, parallel)
 			if err != nil {
 				t.Fatalf("seed %d parallel=%v: %v", seed, parallel, err)
 			}
@@ -84,8 +83,8 @@ func TestDriverEquivalenceSeededTopologies(t *testing.T) {
 
 // TestDriverEquivalenceUnderFailureInjection pins the determinism contract
 // for every failure mode: all random draws happen outside the stepping
-// fan, so the sequential and goroutine-per-node drivers must consume the
-// RNG identically and produce bit-identical outcomes and counters.
+// fan, so the sequential and a concurrent fan must consume the RNG
+// identically and produce bit-identical outcomes and counters.
 func TestDriverEquivalenceUnderFailureInjection(t *testing.T) {
 	modes := map[string]Options{
 		"drop":  {DropRate: 0.3},
@@ -115,11 +114,9 @@ func TestDriverEquivalenceUnderFailureInjection(t *testing.T) {
 					nodes[i] = &maxNode{val: vals[i]}
 				}
 				o := opt
-				o.Parallel = parallel
 				o.MaxRounds = 500
 				o.Rng = rand.New(rand.NewSource(seed * 31))
-				e := &Engine{Neighbors: topo, Opt: o}
-				stats, err := e.Run(nodes)
+				stats, err := runSession(topo, o, nodes, parallel)
 				if err != nil && err != ErrNoQuiescence {
 					t.Fatalf("%s seed %d parallel=%v: %v", name, seed, parallel, err)
 				}

@@ -8,10 +8,11 @@
 // shows the asynchronous executions can be reordered into a global
 // sequence (the DAG/topological-sort argument), so a round-synchronized
 // engine reproduces the algorithm's behaviour exactly while keeping runs
-// reproducible. The engine supports a sequential and a goroutine-per-node
-// parallel driver — tests require both to produce identical outcomes — and
-// optional failure injection to exercise the negotiation protocol's
-// tolerance.
+// reproducible. The in-memory engine steps the nodes sequentially; the
+// StepFunc/RunRounds seam lets other substrates (the loopback TCP engine
+// of package transport) supply their own stepping fan, and the engine
+// supports optional failure injection to exercise the negotiation
+// protocol's tolerance.
 //
 // # Failure model
 //
@@ -28,15 +29,14 @@
 //     (the fault is the outage and the lost traffic, not amnesia).
 //
 // All random draws happen in the single-threaded delivery/bookkeeping
-// sections of the round loop, so the sequential and parallel drivers
-// consume the RNG identically and produce bit-identical outcomes.
+// sections of the round loop, so every driver consumes the RNG
+// identically and produces bit-identical outcomes.
 package netsim
 
 import (
 	"errors"
 	"math/rand"
 	"sort"
-	"sync"
 )
 
 // Payload is an opaque protocol message body.
@@ -106,11 +106,6 @@ type Options struct {
 	// Rng drives failure injection; required if any failure mode above is
 	// enabled (Run returns ErrRngRequired otherwise).
 	Rng *rand.Rand
-	// Parallel steps all nodes concurrently (one goroutine per node) with
-	// a barrier between rounds. Results are identical to the sequential
-	// driver because inboxes are assembled deterministically and every
-	// random draw happens outside the stepping fan.
-	Parallel bool
 	// MaxRounds caps a session (default 10000).
 	MaxRounds int
 }
@@ -179,11 +174,7 @@ type delayedMsg struct {
 // in-flight delayed messages (global quiescence) or MaxRounds is hit.
 // len(nodes) must equal len(Neighbors).
 func (e *Engine) Run(nodes []Node) (Stats, error) {
-	step := sequentialStep(nodes)
-	if e.Opt.Parallel {
-		step = parallelStep(nodes)
-	}
-	return RunRounds(e.Neighbors, e.Opt, step)
+	return RunRounds(e.Neighbors, e.Opt, sequentialStep(nodes))
 }
 
 // Close implements Driver. The in-memory engine holds no resources.
@@ -208,25 +199,6 @@ func sequentialStep(nodes []Node) StepFunc {
 	}
 }
 
-// parallelStep steps every up node on its own goroutine with a barrier.
-func parallelStep(nodes []Node) StepFunc {
-	return func(round int, down []bool, inboxes [][]Message, outs []Payload) error {
-		var wg sync.WaitGroup
-		for i := range nodes {
-			if down != nil && down[i] {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				outs[i], _ = nodes[i].Step(inboxes[i])
-			}(i)
-		}
-		wg.Wait()
-		return nil
-	}
-}
-
 // StepFunc executes one round's stepping fan for RunRounds: for every up
 // node i (down == nil, or down[i] == false) it must run Step on node i's
 // inbox and store the broadcast payload in outs[i]. outs is pre-cleared to
@@ -238,9 +210,9 @@ type StepFunc func(round int, down []bool, inboxes [][]Message, outs []Payload) 
 // crash draws, delivery bookkeeping and all failure-injection RNG draws
 // happen here, single-threaded, in a fixed order — before (crash) and
 // after (drop/dup/delay) the stepping fan. A driver only supplies the fan,
-// so the sequential, parallel and socket drivers consume the RNG
-// identically and produce bit-identical Stats and inbox orderings by
-// construction. It runs until a round passes with no broadcasts and no
+// so the sequential and socket drivers — and any fan that steps the up
+// nodes in any order or concurrently — consume the RNG identically and
+// produce bit-identical Stats and inbox orderings by construction. It runs until a round passes with no broadcasts and no
 // in-flight delayed messages (global quiescence), MaxRounds is hit
 // (ErrNoQuiescence), or the step fan fails.
 func RunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {

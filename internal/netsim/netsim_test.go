@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -44,34 +45,66 @@ func line(n int) [][]int {
 	return nb
 }
 
-func TestMaxConsensusOnLine(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		n := 8
-		nodes := make([]Node, n)
-		for i := 0; i < n; i++ {
-			nodes[i] = &maxNode{val: i * 3}
-		}
-		e := &Engine{Neighbors: line(n), Opt: Options{Parallel: parallel}}
-		stats, err := e.Run(nodes)
-		if err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
-		}
-		want := (n - 1) * 3
-		for i, nd := range nodes {
-			if got := nd.(*maxNode).best; got != want {
-				t.Errorf("parallel=%v node %d best = %d, want %d", parallel, i, got, want)
+// concurrentStep is a StepFunc that steps every up node on its own
+// goroutine with a barrier — the concurrency a socket substrate imposes,
+// without the sockets. RunRounds promises identical results under any
+// such fan; the driver-equivalence tests hold it to that under the race
+// detector.
+func concurrentStep(nodes []Node) StepFunc {
+	return func(_ int, down []bool, inboxes [][]Message, outs []Payload) error {
+		var wg sync.WaitGroup
+		for i := range nodes {
+			if down != nil && down[i] {
+				continue
 			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				outs[i], _ = nodes[i].Step(inboxes[i])
+			}(i)
 		}
-		// Information needs at least diameter rounds to cross the line.
-		if stats.Rounds < n-1 {
-			t.Errorf("parallel=%v rounds = %d, implausibly few", parallel, stats.Rounds)
-		}
-		if stats.Messages == 0 {
-			t.Error("no messages counted")
-		}
+		wg.Wait()
+		return nil
 	}
 }
 
+// runSession runs one session on the in-memory engine, or — concurrent —
+// through RunRounds with concurrentStep.
+func runSession(neighbors [][]int, opt Options, nodes []Node, concurrent bool) (Stats, error) {
+	if concurrent {
+		return RunRounds(neighbors, opt, concurrentStep(nodes))
+	}
+	return (&Engine{Neighbors: neighbors, Opt: opt}).Run(nodes)
+}
+
+func TestMaxConsensusOnLine(t *testing.T) {
+	n := 8
+	nodes := make([]Node, n)
+	for i := 0; i < n; i++ {
+		nodes[i] = &maxNode{val: i * 3}
+	}
+	e := &Engine{Neighbors: line(n)}
+	stats, err := e.Run(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := (n - 1) * 3
+	for i, nd := range nodes {
+		if got := nd.(*maxNode).best; got != want {
+			t.Errorf("node %d best = %d, want %d", i, got, want)
+		}
+	}
+	// Information needs at least diameter rounds to cross the line.
+	if stats.Rounds < n-1 {
+		t.Errorf("rounds = %d, implausibly few", stats.Rounds)
+	}
+	if stats.Messages == 0 {
+		t.Error("no messages counted")
+	}
+}
+
+// The in-memory engine's sequential fan and a concurrent fan through the
+// same round loop must agree on a line graph.
 func TestSequentialAndParallelAgree(t *testing.T) {
 	n := 10
 	run := func(parallel bool) ([]int, Stats) {
@@ -79,8 +112,7 @@ func TestSequentialAndParallelAgree(t *testing.T) {
 		for i := 0; i < n; i++ {
 			nodes[i] = &maxNode{val: (i * 7) % n}
 		}
-		e := &Engine{Neighbors: line(n), Opt: Options{Parallel: parallel}}
-		stats, err := e.Run(nodes)
+		stats, err := runSession(line(n), Options{}, nodes, parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,28 +314,26 @@ func (o *onceNode) Step(inbox []Message) (Payload, bool) {
 // delay into loss at the session tail. The session must run one more round
 // so the destination actually sees it.
 func TestDelayedMessageDueOnQuietRoundIsConsumed(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		// DelayRate=1 with MaxDelay=1 postpones every delivery by exactly
-		// one round: both broadcasts from round 0 become due on round 1,
-		// where nobody sends.
-		rng := rand.New(rand.NewSource(1))
-		nodes := []Node{&onceNode{}, &onceNode{}}
-		e := &Engine{Neighbors: line(2), Opt: Options{DelayRate: 1, MaxDelay: 1, Rng: rng, Parallel: parallel}}
-		st, err := e.Run(nodes)
-		if err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
-		}
-		reconcile(t, st)
-		if st.Delayed != 2 {
-			t.Fatalf("parallel=%v: Delayed = %d, scenario must delay both broadcasts", parallel, st.Delayed)
-		}
-		var consumed int
-		for _, nd := range nodes {
-			consumed += nd.(*onceNode).consumed
-		}
-		if consumed != int(st.Messages) {
-			t.Errorf("parallel=%v: nodes consumed %d of %d counted deliveries", parallel, consumed, st.Messages)
-		}
+	// DelayRate=1 with MaxDelay=1 postpones every delivery by exactly one
+	// round: both broadcasts from round 0 become due on round 1, where
+	// nobody sends.
+	rng := rand.New(rand.NewSource(1))
+	nodes := []Node{&onceNode{}, &onceNode{}}
+	e := &Engine{Neighbors: line(2), Opt: Options{DelayRate: 1, MaxDelay: 1, Rng: rng}}
+	st, err := e.Run(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reconcile(t, st)
+	if st.Delayed != 2 {
+		t.Fatalf("Delayed = %d, scenario must delay both broadcasts", st.Delayed)
+	}
+	var consumed int
+	for _, nd := range nodes {
+		consumed += nd.(*onceNode).consumed
+	}
+	if consumed != int(st.Messages) {
+		t.Errorf("nodes consumed %d of %d counted deliveries", consumed, st.Messages)
 	}
 }
 

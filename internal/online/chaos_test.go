@@ -190,9 +190,9 @@ func mustProblemChaos(t *testing.T, seed int64) *core.Problem {
 
 // TestChaosDriverEquivalence extends the driver-equivalence contract to
 // every failure mode: injection draws happen outside the stepping fan, so
-// the goroutine-per-charger driver must match the sequential one bit for
-// bit — schedules and every counter — under chaos too. CI runs this under
-// the race detector.
+// a goroutine-per-charger fan (concurrentFactory) must match the
+// sequential engine bit for bit — schedules and every counter — under
+// chaos too. CI runs this under the race detector.
 func TestChaosDriverEquivalence(t *testing.T) {
 	seed := chaosSeeds[0]
 	p := chaosWorkload(seed)
@@ -203,7 +203,7 @@ func TestChaosDriverEquivalence(t *testing.T) {
 			o.Seed = seed
 			o.Reliable = reliable
 			seq := mustRun(t, p, o)
-			o.Parallel = true
+			o.Driver = concurrentFactory
 			par := mustRun(t, p, o)
 			if seq.Outcome.Utility != par.Outcome.Utility {
 				t.Errorf("grid[%d] reliable=%v: utility diverges: %v vs %v",

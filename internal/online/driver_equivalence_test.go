@@ -3,18 +3,54 @@ package online
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"haste/internal/core"
+	"haste/internal/netsim"
 	"haste/internal/workload"
 )
 
+// concurrentDriver is an in-memory netsim.Driver whose stepping fan runs
+// every up agent on its own goroutine through netsim.RunRounds — the
+// concurrency the socket substrate imposes, without the sockets, so the
+// race detector can check that agents share no unsynchronized state.
+type concurrentDriver struct {
+	neighbors [][]int
+	opt       netsim.Options
+}
+
+func concurrentFactory(neighbors [][]int, opt netsim.Options) (netsim.Driver, error) {
+	return concurrentDriver{neighbors, opt}, nil
+}
+
+func (d concurrentDriver) Run(nodes []netsim.Node) (netsim.Stats, error) {
+	return netsim.RunRounds(d.neighbors, d.opt, func(_ int, down []bool, inboxes [][]netsim.Message, outs []netsim.Payload) error {
+		var wg sync.WaitGroup
+		for i := range nodes {
+			if down != nil && down[i] {
+				continue
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				outs[i], _ = nodes[i].Step(inboxes[i])
+			}(i)
+		}
+		wg.Wait()
+		return nil
+	})
+}
+
+func (concurrentDriver) Close() error { return nil }
+
 // TestDriverEquivalenceSeededTopologies is the netsim driver-equivalence
 // check at the full protocol level: on three seeded topologies the
-// goroutine-per-charger negotiation and the sequential one must produce
-// identical schedules (orientation timelines), message counts and round
-// counts. CI runs this suite under the race detector — the whole point is
-// catching an unsynchronized write in the parallel driver or the agents.
+// negotiation under a goroutine-per-charger fan (concurrentFactory) and
+// on the sequential in-memory engine must produce identical schedules
+// (orientation timelines), message counts and round counts. CI runs this
+// suite under the race detector — the whole point is catching an
+// unsynchronized write in the agents.
 func TestDriverEquivalenceSeededTopologies(t *testing.T) {
 	for _, seed := range []int64{301, 302, 303} {
 		cfg := workload.SmallScale()
@@ -29,7 +65,7 @@ func TestDriverEquivalenceSeededTopologies(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		seq := mustRun(t, p, Options{Seed: seed})
-		par := mustRun(t, p, Options{Seed: seed, Parallel: true})
+		par := mustRun(t, p, Options{Seed: seed, Driver: concurrentFactory})
 
 		for i := range seq.Orientations {
 			for k := range seq.Orientations[i] {

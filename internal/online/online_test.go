@@ -95,7 +95,7 @@ func TestRunDeterministicAndParallelAgrees(t *testing.T) {
 	p := mustProblem(t, in)
 	a := mustRun(t, p, Options{Seed: 7})
 	b := mustRun(t, p, Options{Seed: 7})
-	c := mustRun(t, p, Options{Seed: 7, Parallel: true})
+	c := mustRun(t, p, Options{Seed: 7, Driver: concurrentFactory})
 	if !almostEq(a.Outcome.Utility, b.Outcome.Utility) {
 		t.Fatalf("same seed diverged: %v vs %v", a.Outcome.Utility, b.Outcome.Utility)
 	}

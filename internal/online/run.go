@@ -22,11 +22,6 @@ type Options struct {
 	// Seed drives the shared color hash and the final per-agent color
 	// sampling; runs with equal seeds are identical.
 	Seed int64
-	// Parallel runs every negotiation round with one goroutine per
-	// charger (results are identical to the sequential driver). It only
-	// selects between the in-memory engine's two stepping fans; a socket
-	// Driver is inherently concurrent and ignores it.
-	Parallel bool
 	// DropRate / DupRate inject message loss and duplication into the
 	// negotiation (see package netsim). The protocol degrades gracefully:
 	// sessions still terminate, utility may drop.
@@ -215,9 +210,9 @@ func Run(p *core.Problem, opt Options) (Result, error) {
 type negotiation struct {
 	NegotiationStats
 	net            netsim.Stats
-	nonQuiescent   int   // sessions that hit MaxRounds
-	unackedCommits int   // commits whose ack ledger was non-empty at session end
-	retransmits    int64 // reliability-layer UPD re-broadcasts
+	nonQuiescent   int         // sessions that hit MaxRounds
+	unackedCommits int         // commits whose ack ledger was non-empty at session end
+	retransmits    int64       // reliability-layer UPD re-broadcasts
 	plans          [][]float64 // per charger, orientation commands for [lockUntil, maxEnd)
 	agents         []*agent    // retained for white-box consistency tests
 }
@@ -241,7 +236,6 @@ func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, no
 	}
 
 	nopt := netsim.Options{
-		Parallel:  opt.Parallel,
 		DropRate:  opt.DropRate,
 		DupRate:   opt.DupRate,
 		DelayRate: opt.DelayRate,

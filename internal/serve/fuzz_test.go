@@ -46,7 +46,7 @@ func FuzzScheduleHandler(f *testing.F) {
 	in := workload.SmallScale().Generate(rand.New(rand.NewSource(1)))
 	valid := string(bytes.TrimSpace(instanceJSON(f, in)))
 	f.Add(`{"instance":` + valid + `}`)
-	f.Add(`{"instance":` + valid + `,"colors":3,"samples":6,"seed":42,"lazy":true,"kernel_stats":true}`)
+	f.Add(`{"instance":` + valid + `,"colors":3,"samples":6,"seed":42,"kernel_stats":true}`)
 	f.Add(`{"instance":` + valid + `,"prefer_stay":false}`)
 
 	// A many-component clustered instance so the fuzzer exercises the
@@ -54,7 +54,7 @@ func FuzzScheduleHandler(f *testing.F) {
 	clustered := string(bytes.TrimSpace(instanceJSON(f, clusteredInstance(f, 1))))
 	f.Add(`{"instance":` + clustered + `,"shard":true}`)
 	f.Add(`{"instance":` + clustered + `,"shard":false,"colors":2,"samples":4}`)
-	f.Add(`{"instance":` + clustered + `,"shard":true,"colors":3,"samples":6,"lazy":true}`)
+	f.Add(`{"instance":` + clustered + `,"shard":true,"colors":3,"samples":6}`)
 
 	// The instio loader's own fuzz seeds, wrapped in the envelope — the
 	// handler must reject or accept them exactly as gracefully.

@@ -92,11 +92,12 @@ type Config struct {
 	// creation beyond it is refused with 429. Default 64.
 	MaxSessions int
 
-	// CoreWorkers is core.Options.Workers for every scheduling run.
-	// The default 1 keeps requests on the sequential path — the service
-	// gets its parallelism from concurrent requests, and Workers never
-	// changes results (bit-identical by the repo's determinism
-	// contract).
+	// CoreWorkers is core.Options.Workers for every scheduling run: the
+	// component-pool bound of sharded runs (sessions, and schedules that
+	// shard). Monolithic runs ignore it. The default 1 schedules one
+	// component at a time — the service gets its parallelism from
+	// concurrent requests, and Workers never changes results
+	// (bit-identical by the repo's determinism contract).
 	CoreWorkers int
 
 	// Logger receives the structured access log (one line per request,
@@ -214,7 +215,6 @@ type scheduleRequest struct {
 	// (the paper's default).
 	PreferStay *bool `json:"prefer_stay,omitempty"`
 
-	Lazy        bool `json:"lazy,omitempty"`         // core.Options.Lazy
 	KernelStats bool `json:"kernel_stats,omitempty"` // include kernel counters in the response
 
 	// Shard mirrors core.Options.Shard: omitted means ShardAuto (shard
@@ -388,11 +388,10 @@ func (s *Server) schedule(w http.ResponseWriter, r *http.Request, t0 time.Time) 
 	}
 
 	opt := core.Options{
-		Trace: tr,
+		Trace:       tr,
 		Colors:      req.Colors,
 		Samples:     req.Samples,
 		PreferStay:  req.PreferStay == nil || *req.PreferStay,
-		Lazy:        req.Lazy,
 		Workers:     s.cfg.CoreWorkers,
 		KernelStats: req.KernelStats,
 	}

@@ -141,6 +141,8 @@ func TestScheduleErrors(t *testing.T) {
 		{"missing instance", http.MethodPost, "/v1/schedule", `{"colors":1}`, http.StatusBadRequest},
 		{"unknown envelope field", http.MethodPost, "/v1/schedule",
 			`{"instance":{},"bogus":1}`, http.StatusBadRequest},
+		{"removed lazy field", http.MethodPost, "/v1/schedule",
+			string(requestBody(t, valid, map[string]any{"lazy": true})), http.StatusBadRequest},
 		{"trailing garbage", http.MethodPost, "/v1/schedule",
 			string(requestBody(t, valid, nil)) + "garbage", http.StatusBadRequest},
 		{"invalid instance", http.MethodPost, "/v1/schedule",
@@ -374,9 +376,9 @@ func TestCacheEvictionLRU(t *testing.T) {
 	}
 }
 
-// TestLazyAndPreferStayOptions: option plumbing reaches core — lazy must
-// be bit-identical to eager, prefer_stay=false must match the direct call.
-func TestLazyAndPreferStayOptions(t *testing.T) {
+// TestPreferStayOption: option plumbing reaches core — prefer_stay=false
+// must match the direct call.
+func TestPreferStayOption(t *testing.T) {
 	s := New(Config{})
 	in := testInstance(t, 9)
 	raw := instanceJSON(t, in)
@@ -385,14 +387,9 @@ func TestLazyAndPreferStayOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var eager, lazy, noStay scheduleResponse
-	decodeResponse(t, post(s, "/v1/schedule", requestBody(t, raw, map[string]any{"seed": 3})).Body.Bytes(), &eager)
-	decodeResponse(t, post(s, "/v1/schedule", requestBody(t, raw, map[string]any{"seed": 3, "lazy": true})).Body.Bytes(), &lazy)
+	var noStay scheduleResponse
 	decodeResponse(t, post(s, "/v1/schedule", requestBody(t, raw, map[string]any{"seed": 3, "prefer_stay": false})).Body.Bytes(), &noStay)
 
-	if err := schedulesEqual(eager.Schedule, lazy.Schedule); err != nil {
-		t.Fatalf("lazy diverged from eager: %v", err)
-	}
 	want := core.TabularGreedy(p, core.Options{
 		Colors: 1, PreferStay: false, Workers: 1, Rng: rand.New(rand.NewSource(3)),
 	})

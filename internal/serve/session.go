@@ -66,7 +66,6 @@ type sessionCreateRequest struct {
 	Samples    int   `json:"samples,omitempty"`
 	Seed       int64 `json:"seed,omitempty"`
 	PreferStay *bool `json:"prefer_stay,omitempty"`
-	Lazy       bool  `json:"lazy,omitempty"`
 
 	// Trace asks for the phase breakdown of this request (same contract
 	// as scheduleRequest.Trace).
@@ -126,7 +125,6 @@ type session struct {
 	// Scheduling options, fixed at creation (the warm fingerprint).
 	colors, samples int
 	preferStay      bool
-	lazy            bool
 	seed            int64
 
 	mu      sync.Mutex
@@ -239,7 +237,6 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request, t0 time.T
 		colors:     req.Colors,
 		samples:    req.Samples,
 		preferStay: req.PreferStay == nil || *req.PreferStay,
-		lazy:       req.Lazy,
 		seed:       seed,
 		p:          shared.CloneCompiled(),
 		denseOf:    make(map[int64]int, len(shared.In.Tasks)),
@@ -477,7 +474,6 @@ func (sess *session) solveLocked(ctx context.Context, s *Server, r *http.Request
 		Colors:     sess.colors,
 		Samples:    sess.samples,
 		PreferStay: sess.preferStay,
-		Lazy:       sess.lazy,
 		Workers:    s.cfg.CoreWorkers,
 		// Warm reuse is component-granular, so sessions always take the
 		// shard-and-stitch path — bit-identical utility by the stitching

@@ -444,6 +444,13 @@ func TestSessionValidation(t *testing.T) {
 		t.Fatalf("rejected batch mutated the session: rev %d tasks %d", view.Rev, view.Tasks)
 	}
 
+	// The strict create decoder answers an unknown option — the removed
+	// "lazy" field included — with 400, before the session limit.
+	lazyBody := `{"instance":` + strings.TrimSpace(string(raw)) + `,"lazy":true}`
+	if rec := do(s, http.MethodPost, "/v1/session", []byte(lazyBody)); rec.Code != http.StatusBadRequest {
+		t.Fatalf("create with lazy: status %d, want 400", rec.Code)
+	}
+
 	// Session limit: MaxSessions=1 refuses a second create with 429.
 	body := `{"instance":` + strings.TrimSpace(string(raw)) + `}`
 	if rec := do(s, http.MethodPost, "/v1/session", []byte(body)); rec.Code != http.StatusTooManyRequests {

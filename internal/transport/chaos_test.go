@@ -151,11 +151,4 @@ func benchmarkRounds(b *testing.B, factory netsim.Factory) {
 
 func BenchmarkRoundMem(b *testing.B) { benchmarkRounds(b, netsim.MemFactory) }
 
-func BenchmarkRoundMemParallel(b *testing.B) {
-	benchmarkRounds(b, func(neighbors [][]int, opt netsim.Options) (netsim.Driver, error) {
-		opt.Parallel = true
-		return netsim.MemFactory(neighbors, opt)
-	})
-}
-
 func BenchmarkRoundTCP(b *testing.B) { benchmarkRounds(b, transport.Factory) }

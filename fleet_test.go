@@ -42,7 +42,8 @@ func TestFleetScaleShardedEquivalence(t *testing.T) {
 // TestFleetScale100k is the sparse-compile smoke: the full monolithic
 // Problem at 10⁵ tasks must compile in a heap far below the ~10 GB the
 // dense n×m table used to take (n = 12,500 chargers ⇒ 1.25·10⁹ float64
-// cells), and the instance-direct sharded run must then schedule it. CI
+// cells), and the instance-direct sharded run must then schedule it with
+// exactly the utility Evaluate computes on the compiled problem. CI
 // runs this under GOMEMLIMIT as a regression tripwire against any dense
 // allocation sneaking back into the compile path.
 func TestFleetScale100k(t *testing.T) {
@@ -72,6 +73,9 @@ func TestFleetScale100k(t *testing.T) {
 	}
 	if res.RUtility <= 0 {
 		t.Fatalf("scheduled 10⁵-task fleet delivered utility %v", res.RUtility)
+	}
+	if got := core.Evaluate(p, res.Schedule); res.RUtility != got {
+		t.Fatalf("RUtility %.17g != Evaluate on the compiled problem %.17g", res.RUtility, got)
 	}
 	t.Logf("10⁵ tasks: compile %v (heap %d MiB), schedule %v, %d shards, utility %.2f",
 		compile.Round(time.Millisecond), ms.HeapAlloc>>20, time.Since(start).Round(time.Millisecond), res.Shards, res.RUtility)

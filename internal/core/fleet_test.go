@@ -1,69 +1,108 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"haste/internal/model"
+	"haste/internal/workload"
 )
 
-// TestDecomposeInstanceMatchesProblem: the instance-direct decomposition
-// (no Gamma, no kernel) yields exactly the components the compiled
-// Problem reports.
-func TestDecomposeInstanceMatchesProblem(t *testing.T) {
-	for seed := int64(901); seed < 905; seed++ {
-		p := shardProblem(t, seed, 6, 12, 40)
-		comps, err := DecomposeInstance(p.In)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !reflect.DeepEqual(comps, p.Components()) {
-			t.Fatalf("seed %d: DecomposeInstance diverges from Problem.Components", seed)
+// TestScheduleShardedMatchesParent pins the equivalence contract of the
+// instance-direct fleet path against the parent-Problem sharded path:
+// identical seeds must produce bit-identical schedule cells, the same
+// shard count and the same RUtility — which is also exactly Evaluate of
+// the schedule on the compiled parent problem.
+func TestScheduleShardedMatchesParent(t *testing.T) {
+	fleet400 := workload.FleetScale(400)
+	instances := []struct {
+		name string
+		gen  func(seed int64) *model.Instance
+	}{
+		{"clustered", func(seed int64) *model.Instance { return shardProblem(t, seed, 6, 12, 40).In }},
+		{"fleet400", func(seed int64) *model.Instance { return fleet400.Generate(rand.New(rand.NewSource(seed))) }},
+	}
+	for _, tc := range instances {
+		name, gen := tc.name, tc.gen
+		for _, colors := range []int{1, 3} {
+			for seed := int64(901); seed < 904; seed++ {
+				p := mustProblem(t, gen(seed))
+
+				optParent := DefaultOptions(colors)
+				optParent.Rng = rand.New(rand.NewSource(seed))
+				optParent.Shard = ShardOn
+				optParent.Workers = 3
+				parent := TabularGreedy(p, optParent)
+
+				optFleet := DefaultOptions(colors)
+				optFleet.Rng = rand.New(rand.NewSource(seed))
+				optFleet.Workers = 3
+				fleet, err := ScheduleSharded(p.In, optFleet)
+				if err != nil {
+					t.Fatalf("%s colors=%d seed=%d: ScheduleSharded: %v", name, colors, seed, err)
+				}
+
+				if fleet.Shards != parent.Shards {
+					t.Fatalf("%s colors=%d seed=%d: shards %d != parent %d", name, colors, seed, fleet.Shards, parent.Shards)
+				}
+				if !reflect.DeepEqual(fleet.Schedule.Policy, parent.Schedule.Policy) {
+					t.Fatalf("%s colors=%d seed=%d: fleet schedule cells diverge from parent sharded run", name, colors, seed)
+				}
+				if fleet.RUtility != parent.RUtility {
+					t.Fatalf("%s colors=%d seed=%d: fleet RUtility %.17g != parent RUtility %.17g",
+						name, colors, seed, fleet.RUtility, parent.RUtility)
+				}
+				if got := Evaluate(p, fleet.Schedule); got != parent.RUtility {
+					t.Fatalf("%s colors=%d seed=%d: Evaluate(fleet schedule) = %.17g, parent RUtility = %.17g",
+						name, colors, seed, got, parent.RUtility)
+				}
+			}
 		}
 	}
 }
 
-// TestScheduleShardedMatchesParent pins the equivalence contract of the
-// instance-direct fleet path against the parent-Problem sharded path:
-// identical seeds must produce bit-identical schedule cells and the same
-// shard count, and evaluating the fleet schedule on the compiled parent
-// problem must reproduce the parent run's RUtility exactly. The fleet
-// path's own RUtility (per-component sums in canonical order) is allowed
-// to differ only in the last ulps.
-func TestScheduleShardedMatchesParent(t *testing.T) {
-	for _, colors := range []int{1, 3} {
-		for seed := int64(901); seed < 904; seed++ {
-			p := shardProblem(t, seed, 6, 12, 40)
+// TestScheduleShardedIgnoresIncumbent: the instance path has no delta ops
+// to mark edited chargers dirty, so a WarmStart collected before the
+// instance was edited must not be adopted — the run on the edited
+// instance matches a cold run.
+func TestScheduleShardedIgnoresIncumbent(t *testing.T) {
+	in := shardProblem(t, 903, 6, 12, 40).In
+	opt := func() Options {
+		return Options{Colors: 2, PreferStay: true, Workers: 2, Rng: rand.New(rand.NewSource(9))}
+	}
+	collect := opt()
+	collect.CollectWarm = true
+	before, err := ScheduleSharded(in, collect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Warm == nil {
+		t.Fatal("CollectWarm returned no WarmStart")
+	}
 
-			optParent := DefaultOptions(colors)
-			optParent.Rng = rand.New(rand.NewSource(seed))
-			optParent.Shard = ShardOn
-			optParent.Workers = 3
-			parent := TabularGreedy(p, optParent)
-
-			optFleet := DefaultOptions(colors)
-			optFleet.Rng = rand.New(rand.NewSource(seed))
-			optFleet.Workers = 3
-			fleet, err := ScheduleSharded(p.In, optFleet)
-			if err != nil {
-				t.Fatalf("colors=%d seed=%d: ScheduleSharded: %v", colors, seed, err)
-			}
-
-			if fleet.Shards != parent.Shards {
-				t.Fatalf("colors=%d seed=%d: shards %d != parent %d", colors, seed, fleet.Shards, parent.Shards)
-			}
-			if !reflect.DeepEqual(fleet.Schedule.Policy, parent.Schedule.Policy) {
-				t.Fatalf("colors=%d seed=%d: fleet schedule cells diverge from parent sharded run", colors, seed)
-			}
-			if got := Evaluate(p, fleet.Schedule); got != parent.RUtility {
-				t.Fatalf("colors=%d seed=%d: Evaluate(fleet schedule) = %.17g, parent RUtility = %.17g",
-					colors, seed, got, parent.RUtility)
-			}
-			if diff := math.Abs(fleet.RUtility - parent.RUtility); diff > 1e-9*math.Max(1, parent.RUtility) {
-				t.Fatalf("colors=%d seed=%d: fleet RUtility %.17g vs parent %.17g (diff %g)",
-					colors, seed, fleet.RUtility, parent.RUtility, diff)
-			}
-		}
+	// Same membership, different demands: every component's sub-instance
+	// changes while its chargers and tasks stay put.
+	edited := *in
+	edited.Tasks = append([]model.Task(nil), in.Tasks...)
+	for j := range edited.Tasks {
+		edited.Tasks[j].Energy *= 2
+	}
+	cold, err := ScheduleSharded(&edited, opt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := opt()
+	warm.Incumbent = before.Warm
+	got, err := ScheduleSharded(&edited, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.WarmReused != 0 {
+		t.Fatalf("adopted %d components of the unedited instance", got.WarmReused)
+	}
+	if got.RUtility != cold.RUtility || !reflect.DeepEqual(got.Schedule.Policy, cold.Schedule.Policy) {
+		t.Fatalf("run with a stale incumbent diverges from a cold run: %.17g vs %.17g", got.RUtility, cold.RUtility)
 	}
 }
 

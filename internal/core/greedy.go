@@ -54,17 +54,13 @@ type Options struct {
 	// connected components of the charger–task coverage graph are exactly
 	// independent subproblems, scheduled concurrently under the Workers
 	// bound and stitched back together. ShardAuto (the default) turns it
-	// on when the instance has at least ShardThreshold schedulable
+	// on when the instance has at least DefaultShardThreshold schedulable
 	// components. The stitched result has exactly the monolithic utility
 	// and agrees with the monolithic schedule on every cell it assigns;
 	// cells past a component's own horizon stay -1 (the monolithic run
 	// fills them with zero-gain assignments). internal/difftest's sharded
 	// sweep enforces the equivalence.
 	Shard ShardMode
-
-	// ShardThreshold is the schedulable-component count at which
-	// ShardAuto shards; 0 selects DefaultShardThreshold.
-	ShardThreshold int
 
 	// Incumbent warm-starts a sharded run from a previous run's WarmStart
 	// (warm.go): components whose membership, dirtiness and plan slice
@@ -73,7 +69,7 @@ type Options struct {
 	// construction — reuse only fires when determinism pins the result —
 	// which internal/difftest's mutation-walk sweep enforces. Ignored by
 	// monolithic runs (warm starts are component-granular; sessions force
-	// ShardOn).
+	// ShardOn) and by ScheduleSharded (no delta op marks its edits dirty).
 	Incumbent *WarmStart
 
 	// CollectWarm asks a sharded run to return a WarmStart in Result.Warm
@@ -118,9 +114,6 @@ func (o Options) normalize() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.ShardThreshold <= 0 {
-		o.ShardThreshold = DefaultShardThreshold
-	}
 	return o
 }
 
@@ -133,7 +126,7 @@ func (o Options) useShards(p *Problem) bool {
 	case ShardOn:
 		return true
 	default:
-		return p.SchedulableComponents() >= o.ShardThreshold
+		return p.SchedulableComponents() >= DefaultShardThreshold
 	}
 }
 
@@ -159,6 +152,11 @@ type Result struct {
 	// Trace echoes Options.Trace after the run recorded its phase tree
 	// into it (nil when tracing was off). Render with Trace.Tree().
 	Trace *obs.Trace
+
+	// gains holds a component run's per-cell gains, [i*K+k] in its own
+	// index space, which the sharded stitch sums into RUtility (nil for
+	// every other run).
+	gains []float64
 }
 
 // TabularGreedy is Algorithm 2, the centralized offline algorithm for
@@ -206,32 +204,46 @@ func tabularGreedy(done <-chan struct{}, p *Problem, opt Options) (Result, bool)
 	var res Result
 	var ok bool
 	if opt.useShards(p) {
-		res, ok = shardedGreedy(done, p, opt, root)
+		dsp := root.Start("decompose")
+		comps, subs := p.Components(), p.subProblems()
+		dsp.Int("components", int64(len(comps))).End()
+		res, ok = shardedGreedy(done, p.In, comps, func(ci int, _ obs.SpanRef) *Problem {
+			return subs[ci]
+		}, opt, root)
 	} else {
 		res, ok = monolithicGreedy(done, p, opt, nil, root)
 	}
-	if ok {
-		root.Int("shards", int64(res.Shards)).Int("warm_reused", int64(res.WarmReused))
-		if opt.KernelStats {
-			root.Int("kernel_calls", res.Kernel.Calls).
-				Int("kernel_visited", res.Kernel.Visited).
-				Int("kernel_offered", res.Kernel.Offered).
-				Int("kernel_pruned", res.Kernel.Pruned)
-		}
-		res.Trace = opt.Trace
+	if !ok {
+		root.End()
+		return res, false
+	}
+	endSolve(root, opt, &res)
+	return res, true
+}
+
+// endSolve folds a finished run's counters into the attributes of its
+// solve root, ends the root and echoes the trace into the result.
+func endSolve(root obs.SpanRef, opt Options, res *Result) {
+	root.Int("shards", int64(res.Shards)).Int("warm_reused", int64(res.WarmReused))
+	if opt.KernelStats {
+		root.Int("kernel_calls", res.Kernel.Calls).
+			Int("kernel_visited", res.Kernel.Visited).
+			Int("kernel_offered", res.Kernel.Offered).
+			Int("kernel_pruned", res.Kernel.Pruned)
 	}
 	root.End()
-	return res, ok
+	res.Trace = opt.Trace
 }
 
 // monolithicGreedy is the classic single-problem body of Algorithm 2.
 // opt must already be normalized. plan, when non-nil, supplies every
-// random draw of the run (see colorPlan); the sharded path uses it to
-// hand each component its slice of the globally drawn color tables, and
-// a nil plan draws from opt.Rng exactly as before. parent is the span
-// the run's greedy/evaluate phases are recorded under (the run's root
-// for a monolithic solve, the component span for a sharded sub-run);
-// the zero SpanRef disables recording.
+// random draw of the run (see colorPlan) and marks a component run: the
+// sharded path uses it to hand each component its slice of the globally
+// drawn color tables, and such a run also records its cell gains for the
+// stitch. A nil plan draws from opt.Rng exactly as before. parent is the
+// span the run's greedy/evaluate phases are recorded under (the run's
+// root for a monolithic solve, the component span for a sharded
+// sub-run); the zero SpanRef disables recording.
 func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *colorPlan, parent obs.SpanRef) (Result, bool) {
 	n, K, C, N := len(p.In.Chargers), p.K, opt.Colors, opt.Samples
 
@@ -353,7 +365,11 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 	}
 	gsp.End()
 	esp := parent.Start("evaluate")
-	res := Result{Schedule: sched, RUtility: Evaluate(p, sched)}
+	res := Result{Schedule: sched}
+	if plan != nil {
+		res.gains = make([]float64, n*K)
+	}
+	res.RUtility = evaluate(p, sched, res.gains)
 	esp.End()
 	if opt.KernelStats {
 		for _, st := range states {

@@ -452,13 +452,22 @@ func (es *EnergyState) Restore(ids []int, vals []float64, total float64) {
 // Evaluate computes the HASTE-R objective f(X) of a schedule: the total
 // weighted utility with every assigned slot counted in full (no switching
 // delay).
-func Evaluate(p *Problem, s Schedule) float64 {
+func Evaluate(p *Problem, s Schedule) float64 { return evaluate(p, s, nil) }
+
+// evaluate is Evaluate that also stores, when gains is non-nil, the gain
+// of every assigned cell (i,k) at gains[i*K+k], K being the schedule's
+// slot count.
+func evaluate(p *Problem, s Schedule, gains []float64) float64 {
 	es := p.AcquireState()
 	defer p.ReleaseState(es)
+	K := s.Slots()
 	for i, row := range s.Policy {
 		for k, pol := range row {
 			if pol >= 0 {
-				es.Apply(i, k, pol)
+				g := es.Apply(i, k, pol)
+				if gains != nil {
+					gains[i*K+k] = g
+				}
 			}
 		}
 	}

@@ -15,17 +15,20 @@ import (
 // coverage graph of a large field decomposes into connected components
 // that are exactly independent subproblems under the partition matroid —
 // no policy of a charger in one component can move a single joule into
-// another component. The decomposer finds the components by walking the
-// dominant policies' cover lists, compiles each schedulable component as
-// an independent sub-Problem, runs the monolithic greedy on every
-// component (concurrently, bounded by Options.Workers), and stitches the
-// per-component schedules back together with global indices restored.
+// another component. The decomposer finds the components from the sparse
+// chargeable rows, the runner gets each schedulable component's
+// sub-Problem (cached on a compiled Problem, compiled transiently by
+// ScheduleSharded), runs the monolithic greedy on every component
+// (concurrently, bounded by Options.Workers), and stitches the
+// per-component schedules and cell gains back together with global
+// indices restored. TabularGreedy and ScheduleSharded share that one
+// runner.
 //
 // Equivalence contract (enforced by internal/difftest's sharded sweep):
 //
-//   - The stitched utility is EXACTLY equal to the monolithic RUtility,
-//     and every cell the sharded run assigns is identical to the
-//     monolithic run's cell.
+//   - The stitched utility is EXACTLY equal to the monolithic RUtility
+//     and to Evaluate of the stitched schedule, and every cell the
+//     sharded run assigns is identical to the monolithic run's cell.
 //   - Cells the sharded run leaves at -1 are exactly the padding slots
 //     past a component's own horizon (and the rows of chargers whose
 //     component has no tasks). There the monolithic run assigns policies
@@ -62,7 +65,7 @@ type ShardMode int
 
 const (
 	// ShardAuto (the zero value) shards when the instance decomposes
-	// into at least Options.ShardThreshold schedulable components.
+	// into at least DefaultShardThreshold schedulable components.
 	ShardAuto ShardMode = iota
 	// ShardOff always runs the monolithic scheduler.
 	ShardOff
@@ -122,17 +125,22 @@ func (p *Problem) computeComponents() {
 func (p *Problem) AssignedHorizons() []int {
 	hor := make([]int, len(p.In.Chargers))
 	for _, comp := range p.Components() {
-		end := 0
-		for _, gj := range comp.Tasks {
-			if e := p.In.Tasks[gj].End; e > end {
-				end = e
-			}
-		}
+		end := componentHorizon(p.In, comp)
 		for _, gi := range comp.Chargers {
 			hor[gi] = end
 		}
 	}
 	return hor
+}
+
+// componentHorizon is the maximum End over a component's tasks: the K of
+// its sub-Problem, and the slots its sub-run assigns.
+func componentHorizon(in *model.Instance, comp Component) int {
+	end := 0
+	for _, gj := range comp.Tasks {
+		end = max(end, in.Tasks[gj].End)
+	}
+	return end
 }
 
 // coverageComponents finds the connected components of the coverage graph
@@ -224,19 +232,26 @@ func (p *Problem) subProblems() []*Problem {
 				subs[ci] = sub
 				continue
 			}
-			sub, err := NewProblem(sliceInstance(p.In, comp))
-			if err != nil {
-				// A component of a valid instance satisfies everything
-				// Validate checks (dense renumbered IDs, same params,
-				// untouched task fields), so this cannot happen.
-				panic(fmt.Sprintf("core: component sub-problem failed to compile: %v", err))
-			}
+			sub := compileComponent(p.In, comp, obs.SpanRef{})
 			sub.SetFlatKernel(p.kern.linear)
 			subs[ci] = sub
 		}
 		p.subs.Store(&subs)
 	})
 	return *p.subs.Load()
+}
+
+// compileComponent compiles a component's sub-Problem from the parent
+// instance, recording the compile subtree under parent.
+func compileComponent(in *model.Instance, comp Component, parent obs.SpanRef) *Problem {
+	sub, err := newProblem(sliceInstance(in, comp), parent)
+	if err != nil {
+		// A component of a valid instance satisfies everything Validate
+		// checks (dense renumbered IDs, same params, untouched task
+		// fields), so this cannot happen.
+		panic(fmt.Sprintf("core: component sub-problem failed to compile: %v", err))
+	}
+	return sub
 }
 
 // sliceInstance extracts a component's standalone sub-instance: the
@@ -268,33 +283,62 @@ type colorPlan struct {
 	final   []int32 // [i*K+k]: color sampled for partition (i,k)
 }
 
+// ScheduleSharded runs the sharded TabularGreedy straight from a raw
+// instance, never compiling the monolithic Problem: it builds only the
+// sparse chargeable rows, decomposes them into coverage components and
+// hands shardedGreedy a source that compiles each component's
+// sub-Problem transiently inside the worker, so peak memory is bounded by
+// Options.Workers × the largest component instead of the whole field —
+// the route a 10⁶-task fleet takes. Given the same options it returns
+// exactly what TabularGreedy's ShardOn run on the compiled instance
+// returns: the same cells, shard count and RUtility, bit for bit.
+// Options.Shard is ignored and Options.Incumbent is not consulted.
+func ScheduleSharded(in *model.Instance, opt Options) (Result, error) {
+	if err := in.Validate(); err != nil {
+		return Result{}, fmt.Errorf("core: %w", err)
+	}
+	opt = opt.normalize()
+	// No delta op marks edited chargers dirty on this path, so an
+	// incumbent could adopt components of the instance as it was before.
+	opt.Incumbent = nil
+	root := opt.Trace.Start("solve")
+	rows := chargeableRows(in, root)
+	dsp := root.Start("decompose")
+	comps, _ := coverageComponents(len(in.Chargers), len(in.Tasks), rows)
+	dsp.Int("components", int64(len(comps))).End()
+	res, _ := shardedGreedy(nil, in, comps, func(ci int, csp obs.SpanRef) *Problem {
+		return compileComponent(in, comps[ci], csp)
+	}, opt, root)
+	endSolve(root, opt, &res)
+	return res, nil
+}
+
 // shardedGreedy is the shard-and-stitch execution of Algorithm 2: draw
-// the global color plan, run every schedulable component's sub-Problem
-// under the plan's restriction to its chargers (at most Options.Workers
-// components in flight; each sub-run is sequential), stitch the
-// component schedules into the global index space, and evaluate the
-// stitched schedule on the original problem. parent receives the phase
-// spans (decompose, one component span per sub-run with size/worker/
-// warm-adoption attributes, stitch, evaluate); since component workers
-// record concurrently, sibling span order is not deterministic — the
-// schedule itself remains bit-identical at any worker count.
-func shardedGreedy(done <-chan struct{}, p *Problem, opt Options, parent obs.SpanRef) (Result, bool) {
-	n, K, C, N := len(p.In.Chargers), p.K, opt.Colors, opt.Samples
+// the global color plan, run every schedulable component's sub-Problem —
+// sub(ci, span) supplies it, cached or compiled on the spot — under the
+// plan's restriction to its chargers (at most Options.Workers components
+// in flight; each sub-run is sequential), and stitch the component
+// schedules and cell gains into the global index space. parent receives
+// one component span per sub-run (size/worker/warm-adoption attributes),
+// stitch and evaluate; since component workers record concurrently,
+// sibling span order is not deterministic — the result itself is
+// bit-identical at any worker count.
+func shardedGreedy(done <-chan struct{}, in *model.Instance, comps []Component, sub func(ci int, csp obs.SpanRef) *Problem, opt Options, parent obs.SpanRef) (Result, bool) {
+	n, K, C, N := len(in.Chargers), in.Horizon(), opt.Colors, opt.Samples
 	sched := NewSchedule(n, K)
 	if K == 0 || n == 0 {
 		return Result{Schedule: sched}, true
 	}
 
-	dsp := parent.Start("decompose")
-	comps := p.Components()
-	subs := p.subProblems()
-	dsp.Int("components", int64(len(comps))).End()
-
 	plan := drawColorPlan(opt.Rng, n, K, C, N)
 
+	// A component is schedulable when it has chargers, tasks and a
+	// non-empty horizon (its sub-Problem's K).
+	subKs := make([]int, len(comps))
 	runnable := make([]int, 0, len(comps))
-	for ci, sub := range subs {
-		if sub != nil && sub.K > 0 {
+	for ci, comp := range comps {
+		subKs[ci] = componentHorizon(in, comp)
+		if len(comp.Chargers) > 0 && subKs[ci] > 0 {
 			runnable = append(runnable, ci)
 		}
 	}
@@ -309,7 +353,7 @@ func shardedGreedy(done <-chan struct{}, p *Problem, opt Options, parent obs.Spa
 	if inc := opt.Incumbent; inc.matches(opt, n) {
 		toRun = make([]int, 0, len(runnable))
 		for _, ci := range runnable {
-			if r := inc.reusable(comps[ci], subs[ci].K, &plan, K, N); r != nil {
+			if r := inc.reusable(comps[ci], subKs[ci], &plan, K, N); r != nil {
 				results[ci], oks[ci] = r, true
 				reusedCount++
 				// Zero-duration marker span: the component's stored result
@@ -341,7 +385,7 @@ func shardedGreedy(done <-chan struct{}, p *Problem, opt Options, parent obs.Spa
 				Int("tasks", int64(len(comps[ci].Tasks))).
 				Int("worker", int64(w)).
 				Bool("warm_adopted", false)
-			r, ok := runComponent(done, subs[ci], comps[ci], p.K, opt, &plan, csp)
+			r, ok := runComponent(done, sub(ci, csp), comps[ci], K, opt, &plan, csp)
 			csp.End()
 			if ok {
 				results[ci] = &r
@@ -372,31 +416,34 @@ func shardedGreedy(done <-chan struct{}, p *Problem, opt Options, parent obs.Spa
 
 	ssp := parent.Start("stitch")
 	res := Result{Schedule: sched, Shards: len(runnable), WarmReused: reusedCount}
+	rowGains := make([][]float64, n)
 	for _, ci := range runnable {
-		comp, sub := comps[ci], subs[ci]
+		comp, r, Kc := comps[ci], results[ci], subKs[ci]
 		for li, gi := range comp.Chargers {
-			copy(sched.Policy[gi][:sub.K], results[ci].Schedule.Policy[li])
+			copy(sched.Policy[gi][:Kc], r.Schedule.Policy[li])
+			rowGains[gi] = r.gains[li*Kc : (li+1)*Kc]
 		}
 		// Aggregated in canonical component order, so instrumented runs
 		// report deterministic counters at any worker count. Adopted
 		// results carry the counters of their original (also sequential,
 		// also deterministic) run — the counts a re-run would reproduce.
-		res.Kernel.add(results[ci].Kernel)
+		res.Kernel.add(r.Kernel)
 	}
 	ssp.End()
-	// Re-evaluating the stitched schedule on the original problem — not
-	// summing per-component utilities — keeps the total bit-identical to
-	// the monolithic run: Evaluate accumulates contributions in the same
-	// (charger, slot) order, and the cells only the monolithic schedule
-	// assigns contribute exactly +0.0.
+	// Summing the component runs' cell gains in global (charger, slot)
+	// order is the exact sequence of additions Evaluate(parent, stitched)
+	// performs: a sub-kernel reproduces the parent's cover entries bit for
+	// bit, so every cell's gain is the one the parent would compute, and
+	// cells left at -1 carry no gain. The result is the monolithic
+	// RUtility bit for bit, without a monolithic kernel.
 	esp := parent.Start("evaluate")
-	res.RUtility = Evaluate(p, sched)
+	for _, row := range rowGains {
+		for _, g := range row {
+			res.RUtility += g
+		}
+	}
 	esp.End()
 	if opt.CollectWarm {
-		subKs := make([]int, len(comps))
-		for _, ci := range runnable {
-			subKs[ci] = subs[ci].K
-		}
 		res.Warm = &WarmStart{
 			colors: C, samples: N, preferStay: opt.PreferStay,
 			kernelStats: opt.KernelStats, n: n, k: K,

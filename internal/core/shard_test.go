@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -392,23 +393,49 @@ func TestAssignedHorizons(t *testing.T) {
 }
 
 // TestShardedAutoThreshold: ShardAuto shards exactly when the schedulable
-// component count reaches the threshold.
+// component count reaches DefaultShardThreshold, checked on instances
+// made of one component fewer than the threshold and of exactly the
+// threshold.
 func TestShardedAutoThreshold(t *testing.T) {
-	p := shardProblem(t, 501, 5, 10, 30)
-	nc := p.SchedulableComponents()
-	if nc < 2 {
-		t.Fatalf("want a multi-component instance, got %d", nc)
+	p := shardProblem(t, 501, 8, 16, 48)
+	if nc := p.SchedulableComponents(); nc < DefaultShardThreshold {
+		t.Fatalf("want at least %d schedulable components, got %d", DefaultShardThreshold, nc)
 	}
-	opts := func(thr int) Options {
-		return Options{Colors: 1, PreferStay: true, Workers: 1, ShardThreshold: thr,
-			Rng: rand.New(rand.NewSource(1))}
+	for _, nc := range []int{DefaultShardThreshold - 1, DefaultShardThreshold} {
+		sub := firstComponents(t, p, nc)
+		if got := sub.SchedulableComponents(); got != nc {
+			t.Fatalf("sliced instance has %d schedulable components, want %d", got, nc)
+		}
+		want := 0
+		if nc >= DefaultShardThreshold {
+			want = nc
+		}
+		res := TabularGreedy(sub, Options{Colors: 1, PreferStay: true, Workers: 1, Rng: rand.New(rand.NewSource(1))})
+		if res.Shards != want {
+			t.Fatalf("ShardAuto on %d components: Shards = %d, want %d", nc, res.Shards, want)
+		}
 	}
-	if res := TabularGreedy(p, opts(nc)); res.Shards != nc {
-		t.Fatalf("threshold %d on %d components: Shards = %d, want %d", nc, nc, res.Shards, nc)
+}
+
+// firstComponents compiles the sub-instance made of p's first k
+// schedulable components.
+func firstComponents(t *testing.T, p *Problem, k int) *Problem {
+	t.Helper()
+	var union Component
+	for _, c := range p.Components() {
+		if len(c.Chargers) == 0 || len(c.Tasks) == 0 {
+			continue
+		}
+		if k == 0 {
+			break
+		}
+		union.Chargers = append(union.Chargers, c.Chargers...)
+		union.Tasks = append(union.Tasks, c.Tasks...)
+		k--
 	}
-	if res := TabularGreedy(p, opts(nc+1)); res.Shards != 0 {
-		t.Fatalf("threshold %d on %d components: Shards = %d, want monolithic 0", nc+1, nc, res.Shards)
-	}
+	sort.Ints(union.Chargers)
+	sort.Ints(union.Tasks)
+	return mustProblem(t, sliceInstance(p.In, union))
 }
 
 // TestShardedCtxUncancelled: the sharded ctx run with a live context is

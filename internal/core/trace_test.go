@@ -179,7 +179,8 @@ func TestTraceCompile(t *testing.T) {
 }
 
 // ScheduleSharded's instance-direct path records the row build, the
-// decomposition, and a transient compile subtree under every component.
+// decomposition, a transient compile subtree under every component, and
+// the same stitch and evaluate phases as TabularGreedy's sharded path.
 func TestTraceScheduleSharded(t *testing.T) {
 	p := shardProblem(t, 54, 5, 10, 40)
 	opt := Options{Colors: 1, PreferStay: true, Workers: 2, Trace: obs.New()}
@@ -195,7 +196,7 @@ func TestTraceScheduleSharded(t *testing.T) {
 		t.Fatalf("want a single solve root, got %d roots", len(roots))
 	}
 	solve := roots[0]
-	for _, phase := range []string{"grid_build", "slot_energy_rows", "decompose", "stitch"} {
+	for _, phase := range []string{"grid_build", "slot_energy_rows", "decompose", "stitch", "evaluate"} {
 		if len(childrenNamed(solve, phase)) != 1 {
 			t.Fatalf("missing %s span: %+v", phase, solve.Children)
 		}

@@ -62,50 +62,6 @@ func TestScheduleShardedMatchesParent(t *testing.T) {
 	}
 }
 
-// TestScheduleShardedIgnoresIncumbent: the instance path has no delta ops
-// to mark edited chargers dirty, so a WarmStart collected before the
-// instance was edited must not be adopted — the run on the edited
-// instance matches a cold run.
-func TestScheduleShardedIgnoresIncumbent(t *testing.T) {
-	in := shardProblem(t, 903, 6, 12, 40).In
-	opt := func() Options {
-		return Options{Colors: 2, PreferStay: true, Workers: 2, Rng: rand.New(rand.NewSource(9))}
-	}
-	collect := opt()
-	collect.CollectWarm = true
-	before, err := ScheduleSharded(in, collect)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.Warm == nil {
-		t.Fatal("CollectWarm returned no WarmStart")
-	}
-
-	// Same membership, different demands: every component's sub-instance
-	// changes while its chargers and tasks stay put.
-	edited := *in
-	edited.Tasks = append([]model.Task(nil), in.Tasks...)
-	for j := range edited.Tasks {
-		edited.Tasks[j].Energy *= 2
-	}
-	cold, err := ScheduleSharded(&edited, opt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := opt()
-	warm.Incumbent = before.Warm
-	got, err := ScheduleSharded(&edited, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.WarmReused != 0 {
-		t.Fatalf("adopted %d components of the unedited instance", got.WarmReused)
-	}
-	if got.RUtility != cold.RUtility || !reflect.DeepEqual(got.Schedule.Policy, cold.Schedule.Policy) {
-		t.Fatalf("run with a stale incumbent diverges from a cold run: %.17g vs %.17g", got.RUtility, cold.RUtility)
-	}
-}
-
 // TestScheduleShardedDegenerate: empty and taskless instances return an
 // empty schedule without error.
 func TestScheduleShardedDegenerate(t *testing.T) {

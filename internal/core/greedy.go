@@ -62,20 +62,6 @@ type Options struct {
 	// sweep enforces the equivalence.
 	Shard ShardMode
 
-	// Incumbent warm-starts a sharded run from a previous run's WarmStart
-	// (warm.go): components whose membership, dirtiness and plan slice
-	// show a re-run could not differ adopt the incumbent's stored result
-	// instead of running. The output is bit-identical to a cold run by
-	// construction — reuse only fires when determinism pins the result —
-	// which internal/difftest's mutation-walk sweep enforces. Ignored by
-	// monolithic runs (warm starts are component-granular; sessions force
-	// ShardOn) and by ScheduleSharded (no delta op marks its edits dirty).
-	Incumbent *WarmStart
-
-	// CollectWarm asks a sharded run to return a WarmStart in Result.Warm
-	// for use as the next run's Incumbent.
-	CollectWarm bool
-
 	// Trace, when non-nil, records a phase-level span tree of the run —
 	// greedy/evaluate for a monolithic solve; decompose, per-component
 	// solves (with component size, worker id and warm-adoption flag) and
@@ -143,11 +129,11 @@ type Result struct {
 	// run took the shard-and-stitch path (0 for a monolithic run).
 	Shards int
 
-	// WarmReused counts the components adopted from Options.Incumbent
-	// without re-running; Warm is the run's own WarmStart when
-	// Options.CollectWarm was set (sharded runs only).
+	// WarmReused counts the components whose sub-Problem's last run
+	// matched this run's options and plan slice, so its result was
+	// adopted without re-running (warm.go; sharded runs on problems made
+	// by CloneCompiled only).
 	WarmReused int
-	Warm       *WarmStart
 
 	// Trace echoes Options.Trace after the run recorded its phase tree
 	// into it (nil when tracing was off). Render with Trace.Tree().

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -77,6 +78,9 @@ type subCache struct {
 // copied. The clone starts with a fresh state pool and fresh shard
 // caches. This is what lets the session layer mutate a private copy of a
 // cached Problem while concurrent requests keep solving the original.
+// The sub-Problems a clone compiles remember their last component run
+// (warm.go), so re-solving the clone re-runs only the components that
+// changed.
 func (p *Problem) CloneCompiled() *Problem {
 	in := &model.Instance{
 		Chargers: p.In.Chargers, // static; never mutated by delta ops
@@ -92,6 +96,7 @@ func (p *Problem) CloneCompiled() *Problem {
 		compsOnce:   new(sync.Once),
 		subsOnce:    new(sync.Once),
 		chargerGrid: p.chargerGrid,
+		keepRuns:    true,
 	}
 	kn, src := &c.kern, &p.kern
 	kn.linear, kn.linearOK = src.linear, src.linearOK
@@ -110,13 +115,13 @@ func (p *Problem) CloneCompiled() *Problem {
 // AddTask appends a task to the compiled problem, patching rows, Gamma
 // and the kernel of exactly the chargers that can reach it. The task's ID
 // is assigned (the next dense ID); the rest of t is validated like
-// NewProblem would. It returns the IDs of the patched ("dirty") chargers
-// — the set a warm-start incumbent must be told about (WarmStart.MarkDirty).
-func (p *Problem) AddTask(t model.Task) ([]int, error) {
+// NewProblem would. The patched chargers are marked dirty, so the next
+// subProblems rebuild recompiles their components.
+func (p *Problem) AddTask(t model.Task) error {
 	in := p.In
 	t.ID = len(in.Tasks)
 	if err := in.CheckTask(t); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return fmt.Errorf("core: %w", err)
 	}
 	affected := p.affectedChargers(t)
 
@@ -147,18 +152,17 @@ func (p *Problem) AddTask(t model.Task) ([]int, error) {
 
 	p.patchChargers(affected)
 	p.invalidate(affected)
-	return affected, nil
+	return nil
 }
 
 // RemoveTask deletes task id from the compiled problem by swap-remove:
 // the last task takes over the freed ID, so IDs stay dense and the patch
-// touches only the chargers reaching the removed or the moved task. It
-// returns the patched charger IDs.
-func (p *Problem) RemoveTask(id int) ([]int, error) {
+// touches only the chargers reaching the removed or the moved task.
+func (p *Problem) RemoveTask(id int) error {
 	in := p.In
 	last := len(in.Tasks) - 1
 	if id < 0 || id > last {
-		return nil, fmt.Errorf("core: RemoveTask(%d): task count is %d", id, last+1)
+		return fmt.Errorf("core: RemoveTask(%d): task count is %d", id, last+1)
 	}
 	removed := in.Tasks[id]
 	moved := in.Tasks[last]
@@ -215,7 +219,7 @@ func (p *Problem) RemoveTask(id int) ([]int, error) {
 
 	p.patchChargers(affected)
 	p.invalidate(affected)
-	return affected, nil
+	return nil
 }
 
 // affectedChargers returns, ascending, the chargers chargeable to t — the
@@ -343,22 +347,10 @@ func (sc *subCache) adoptableSub(comp Component) *Problem {
 		if len(old.Chargers) == 0 || old.Chargers[0] != comp.Chargers[0] {
 			continue
 		}
-		if intsEqual(old.Chargers, comp.Chargers) && intsEqual(old.Tasks, comp.Tasks) {
+		if slices.Equal(old.Chargers, comp.Chargers) && slices.Equal(old.Tasks, comp.Tasks) {
 			return sc.subs[oldCi]
 		}
 		return nil
 	}
 	return nil
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

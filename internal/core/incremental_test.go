@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"haste/internal/geom"
@@ -125,13 +126,13 @@ func TestIncrementalEquivalenceWalk(t *testing.T) {
 		for step := 0; step < 40; step++ {
 			if rng.Intn(2) == 0 || len(mirror.Tasks) < 4 {
 				task := randomTask(mirror, rng)
-				if _, err := p.AddTask(task); err != nil {
+				if err := p.AddTask(task); err != nil {
 					t.Fatalf("seed %d step %d: AddTask: %v", seed, step, err)
 				}
 				mirrorAdd(mirror, task)
 			} else {
 				id := rng.Intn(len(mirror.Tasks))
-				if _, err := p.RemoveTask(id); err != nil {
+				if err := p.RemoveTask(id); err != nil {
 					t.Fatalf("seed %d step %d: RemoveTask: %v", seed, step, err)
 				}
 				mirrorRemove(mirror, id)
@@ -172,7 +173,7 @@ func TestAddTaskRejectsInvalid(t *testing.T) {
 		{Pos: geom.Point{X: 1, Y: 2}, Release: 4, End: 4, Energy: 1e3, Weight: 1},
 	}
 	for idx, task := range bad {
-		if _, err := p.AddTask(task); err == nil {
+		if err := p.AddTask(task); err == nil {
 			t.Fatalf("bad task %d: AddTask accepted %+v", idx, task)
 		}
 	}
@@ -191,11 +192,11 @@ func TestCloneCompiledIsolation(t *testing.T) {
 	mirror := copyInstance(p.In)
 	rng := rand.New(rand.NewSource(4))
 	task := randomTask(mirror, rng)
-	if _, err := clone.AddTask(task); err != nil {
+	if err := clone.AddTask(task); err != nil {
 		t.Fatal(err)
 	}
 	mirrorAdd(mirror, task)
-	if _, err := clone.RemoveTask(2); err != nil {
+	if err := clone.RemoveTask(2); err != nil {
 		t.Fatal(err)
 	}
 	mirrorRemove(mirror, 2)
@@ -208,44 +209,36 @@ func TestCloneCompiledIsolation(t *testing.T) {
 	requireProblemsEqual(t, clone, mutated)
 }
 
-// TestWarmStartBitIdentical pins the warm-start contract: a solve seeded
-// with the previous run's WarmStart (dirty set from the delta ops) is
-// bit-identical to a cold solve of the mutated problem, and actually
-// reuses untouched components.
+// TestWarmStartBitIdentical pins the warm-start contract: re-solving a
+// mutated clone — whose untouched sub-Problems remember their last
+// component run — is bit-identical to a cold solve of the mutated
+// problem, and actually reuses untouched components.
 func TestWarmStartBitIdentical(t *testing.T) {
 	p := shardProblem(t, 21, 4, 10, 28).CloneCompiled()
 	mirror := copyInstance(p.In)
 	opt := func() Options {
 		return Options{Colors: 3, Samples: 6, PreferStay: true, Workers: 1,
-			Rng: rand.New(rand.NewSource(7)), Shard: ShardOn, CollectWarm: true}
+			Rng: rand.New(rand.NewSource(7)), Shard: ShardOn}
 	}
-	res := TabularGreedy(p, opt())
-	if res.Warm == nil {
-		t.Fatal("CollectWarm returned no WarmStart")
-	}
+	TabularGreedy(p, opt())
 	rng := rand.New(rand.NewSource(13))
 	reusedTotal := 0
 	for step := 0; step < 12; step++ {
-		var dirty []int
 		var err error
 		if rng.Intn(2) == 0 {
 			task := randomTask(mirror, rng)
-			dirty, err = p.AddTask(task)
+			err = p.AddTask(task)
 			mirrorAdd(mirror, task)
 		} else {
 			id := rng.Intn(len(mirror.Tasks))
-			dirty, err = p.RemoveTask(id)
+			err = p.RemoveTask(id)
 			mirrorRemove(mirror, id)
 		}
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		res.Warm.MarkDirty(dirty)
 
-		warmOpt := opt()
-		warmOpt.Incumbent = res.Warm
-		got := TabularGreedy(p, warmOpt)
-
+		got := TabularGreedy(p, opt())
 		fresh, err := NewProblem(copyInstance(mirror))
 		if err != nil {
 			t.Fatal(err)
@@ -257,14 +250,73 @@ func TestWarmStartBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(got.Schedule.Policy, want.Schedule.Policy) {
 			t.Fatalf("step %d: warm schedule diverges from cold", step)
 		}
-		reusedTotal += got.WarmReused
-		if got.Warm == nil {
-			t.Fatalf("step %d: warm run returned no WarmStart", step)
+		if want.WarmReused != 0 {
+			t.Fatalf("step %d: a fresh compile adopted %d components", step, want.WarmReused)
 		}
-		res = got
+		reusedTotal += got.WarmReused
 	}
 	if reusedTotal == 0 {
 		t.Fatal("no component was ever reused — warm start is vacuous")
+	}
+}
+
+// TestWarmStartOnlyOnClones pins the memo's scope: a problem made by
+// NewProblem keeps no component runs, so re-solving it — even with
+// identical options — adopts nothing, while the same re-solve on a clone
+// adopts every component.
+func TestWarmStartOnlyOnClones(t *testing.T) {
+	p := shardProblem(t, 33, 4, 10, 28)
+	opt := Options{Colors: 2, PreferStay: true, Workers: 2, Shard: ShardOn}
+	first, again := TabularGreedy(p, opt), TabularGreedy(p, opt)
+	if first.WarmReused != 0 || again.WarmReused != 0 {
+		t.Fatalf("plain problem adopted components: %d then %d", first.WarmReused, again.WarmReused)
+	}
+	clone := p.CloneCompiled()
+	TabularGreedy(clone, opt)
+	if got := TabularGreedy(clone, opt); got.WarmReused != got.Shards || got.Shards < 2 {
+		t.Fatalf("clone re-solve adopted %d of %d components", got.WarmReused, got.Shards)
+	}
+}
+
+// TestWarmStartConcurrentSeeds: concurrent sharded solves with different
+// seeds at Colors > 1 on one clone store and adopt component runs
+// concurrently; each must still equal a solve of a fresh compile with the
+// same seed (a run only adopts a record whose plan slice equals its own).
+// Run under -race, it also pins the memo's publication as race-free.
+func TestWarmStartConcurrentSeeds(t *testing.T) {
+	base := shardProblem(t, 44, 4, 12, 60)
+	clone := base.CloneCompiled()
+	fresh, err := NewProblem(copyInstance(base.In))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := func(seed int64) Options {
+		return Options{Colors: 3, Samples: 6, PreferStay: true, Workers: 2,
+			Rng: rand.New(rand.NewSource(seed)), Shard: ShardOn}
+	}
+	seeds := []int64{1, 2, 3, 1, 2, 3, 1, 2}
+	want := make(map[int64]Result)
+	for _, seed := range seeds[:3] {
+		want[seed] = TabularGreedy(fresh, opt(seed))
+	}
+	if reflect.DeepEqual(want[1].Schedule.Policy, want[2].Schedule.Policy) {
+		t.Fatal("seeds 1 and 2 schedule identically — adopting across seeds would go unnoticed")
+	}
+	got := make([]Result, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func(i int, seed int64) {
+			defer wg.Done()
+			got[i] = TabularGreedy(clone, opt(seed))
+		}(i, seed)
+	}
+	wg.Wait()
+	for i, seed := range seeds {
+		w := want[seed]
+		if got[i].RUtility != w.RUtility || !reflect.DeepEqual(got[i].Schedule.Policy, w.Schedule.Policy) {
+			t.Fatalf("solve %d (seed %d) diverges from the fresh compile: %v vs %v", i, seed, got[i].RUtility, w.RUtility)
+		}
 	}
 }
 
@@ -277,7 +329,7 @@ func TestAcquireStateDropsStale(t *testing.T) {
 	p.ReleaseState(es)
 
 	rng := rand.New(rand.NewSource(2))
-	if _, err := p.AddTask(randomTask(p.In, rng)); err != nil {
+	if err := p.AddTask(randomTask(p.In, rng)); err != nil {
 		t.Fatal(err)
 	}
 	es2 := p.AcquireState()

@@ -76,6 +76,14 @@ type Problem struct {
 	// mutation touched instead of recompiling them.
 	chargerGrid *geom.GridIndex
 	prevSubs    *subCache
+
+	// Component-run memo (warm.go). keepRuns is set on problems made by
+	// CloneCompiled and copied onto the sub-Problems compiled under them;
+	// on such a sub-Problem, lastRun holds the record of its latest
+	// finished component run, which the next run with the same options
+	// and plan slice returns instead of re-running.
+	keepRuns bool
+	lastRun  atomic.Pointer[componentRun]
 }
 
 // NewProblem validates the instance, builds the sparse slot-energy rows

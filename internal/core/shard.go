@@ -216,7 +216,9 @@ func coverageComponents(n, m int, rows [][]CoverEntry) ([]Component, int) {
 // stashed pre-mutation decomposition: a component with identical
 // membership and no dirty charger adopts its old compiled sub-Problem —
 // whose sub-instance is bit-identical to what sliceInstance would produce
-// now — instead of recompiling it.
+// now — instead of recompiling it. Sub-Problems compiled under a clone
+// keep their last component run (warm.go), so an adopted sub-Problem
+// also brings the result a re-run would reproduce.
 func (p *Problem) subProblems() []*Problem {
 	p.subsOnce.Do(func() {
 		comps := p.Components()
@@ -234,6 +236,7 @@ func (p *Problem) subProblems() []*Problem {
 			}
 			sub := compileComponent(p.In, comp, obs.SpanRef{})
 			sub.SetFlatKernel(p.kern.linear)
+			sub.keepRuns = p.keepRuns
 			subs[ci] = sub
 		}
 		p.subs.Store(&subs)
@@ -292,15 +295,12 @@ type colorPlan struct {
 // the route a 10⁶-task fleet takes. Given the same options it returns
 // exactly what TabularGreedy's ShardOn run on the compiled instance
 // returns: the same cells, shard count and RUtility, bit for bit.
-// Options.Shard is ignored and Options.Incumbent is not consulted.
+// Options.Shard is ignored.
 func ScheduleSharded(in *model.Instance, opt Options) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, fmt.Errorf("core: %w", err)
 	}
 	opt = opt.normalize()
-	// No delta op marks edited chargers dirty on this path, so an
-	// incumbent could adopt components of the instance as it was before.
-	opt.Incumbent = nil
 	root := opt.Trace.Start("solve")
 	rows := chargeableRows(in, root)
 	dsp := root.Start("decompose")
@@ -343,50 +343,30 @@ func shardedGreedy(done <-chan struct{}, in *model.Instance, comps []Component, 
 		}
 	}
 
-	// Warm start: adopt the incumbent's result for every component a
-	// re-run provably could not change (warm.go documents the conditions);
-	// only the rest is dispatched to the workers.
 	results := make([]*Result, len(comps))
 	oks := make([]bool, len(comps))
-	reusedCount := 0
-	toRun := runnable
-	if inc := opt.Incumbent; inc.matches(opt, n) {
-		toRun = make([]int, 0, len(runnable))
-		for _, ci := range runnable {
-			if r := inc.reusable(comps[ci], subKs[ci], &plan, K, N); r != nil {
-				results[ci], oks[ci] = r, true
-				reusedCount++
-				// Zero-duration marker span: the component's stored result
-				// was adopted instead of re-run.
-				parent.Start("component").
-					Int("chargers", int64(len(comps[ci].Chargers))).
-					Int("tasks", int64(len(comps[ci].Tasks))).
-					Bool("warm_adopted", true).End()
-				continue
-			}
-			toRun = append(toRun, ci)
-		}
-	}
-
+	var reused atomic.Int64
 	workers := opt.Workers
-	if workers > len(toRun) {
-		workers = len(toRun)
+	if workers > len(runnable) {
+		workers = len(runnable)
 	}
 	var next atomic.Int64
 	run := func(w int) {
 		for {
 			idx := int(next.Add(1)) - 1
-			if idx >= len(toRun) {
+			if idx >= len(runnable) {
 				return
 			}
-			ci := toRun[idx]
+			ci := runnable[idx]
 			csp := parent.Start("component").
 				Int("chargers", int64(len(comps[ci].Chargers))).
 				Int("tasks", int64(len(comps[ci].Tasks))).
-				Int("worker", int64(w)).
-				Bool("warm_adopted", false)
-			r, ok := runComponent(done, sub(ci, csp), comps[ci], K, opt, &plan, csp)
-			csp.End()
+				Int("worker", int64(w))
+			r, ok, adopted := runComponent(done, sub(ci, csp), comps[ci], K, opt, &plan, csp)
+			csp.Bool("warm_adopted", adopted).End()
+			if adopted {
+				reused.Add(1)
+			}
 			if ok {
 				results[ci] = &r
 			}
@@ -415,7 +395,7 @@ func shardedGreedy(done <-chan struct{}, in *model.Instance, comps []Component, 
 	}
 
 	ssp := parent.Start("stitch")
-	res := Result{Schedule: sched, Shards: len(runnable), WarmReused: reusedCount}
+	res := Result{Schedule: sched, Shards: len(runnable), WarmReused: int(reused.Load())}
 	rowGains := make([][]float64, n)
 	for _, ci := range runnable {
 		comp, r, Kc := comps[ci], results[ci], subKs[ci]
@@ -443,13 +423,6 @@ func shardedGreedy(done <-chan struct{}, in *model.Instance, comps []Component, 
 		}
 	}
 	esp.End()
-	if opt.CollectWarm {
-		res.Warm = &WarmStart{
-			colors: C, samples: N, preferStay: opt.PreferStay,
-			kernelStats: opt.KernelStats, n: n, k: K,
-			plan: plan, comps: comps, results: results, subKs: subKs,
-		}
-	}
 	return res, true
 }
 
@@ -476,8 +449,11 @@ func drawColorPlan(rng *rand.Rand, n, K, C, N int) colorPlan {
 // runComponent slices the global color plan (drawn for a K-slot horizon
 // over all global chargers) down to the component's chargers and runs the
 // monolithic greedy on its sub-Problem — one sequential sweep, so the
-// component pool is the run's only parallelism.
-func runComponent(done <-chan struct{}, sub *Problem, comp Component, K int, opt Options, plan *colorPlan, parent obs.SpanRef) (Result, bool) {
+// component pool is the run's only parallelism. On a sub-Problem that
+// keeps runs (warm.go) it first compares the slice and options against
+// the sub-Problem's last run and, when they match, returns that run's
+// result instead (adopted = true); a finished run is stored for the next.
+func runComponent(done <-chan struct{}, sub *Problem, comp Component, K int, opt Options, plan *colorPlan, parent obs.SpanRef) (res Result, ok, adopted bool) {
 	N := opt.Samples
 	Kc := sub.K
 	subPlan := &colorPlan{
@@ -491,8 +467,22 @@ func runComponent(done <-chan struct{}, sub *Problem, comp Component, K int, opt
 			subPlan.final[lidx] = plan.final[gidx]
 		}
 	}
+	flat := sub.kern.linear
+	if sub.keepRuns {
+		if last := sub.lastRun.Load(); last.matches(opt, flat, subPlan) {
+			return *last.res, true, true
+		}
+	}
 	subOpt := opt
 	subOpt.Shard = ShardOff
 	subOpt.Rng = nil // every draw comes from the plan
-	return monolithicGreedy(done, sub, subOpt, subPlan, parent)
+	res, ok = monolithicGreedy(done, sub, subOpt, subPlan, parent)
+	if ok && sub.keepRuns {
+		sub.lastRun.Store(&componentRun{
+			colors: opt.Colors, samples: N, preferStay: opt.PreferStay,
+			kernelStats: opt.KernelStats, flat: flat,
+			plan: subPlan, res: &res,
+		})
+	}
+	return res, ok, false
 }

@@ -63,17 +63,18 @@ func TestTraceMonolithic(t *testing.T) {
 }
 
 // A traced sharded run records decompose/stitch/evaluate plus one
-// component span per sub-run; warm-started re-runs mark adopted
+// component span per sub-run; a re-run on the same clone marks adopted
 // components with warm_adopted=1, matching Result.WarmReused.
 func TestTraceShardedAndWarm(t *testing.T) {
-	p := shardProblem(t, 52, 6, 12, 48)
+	base := shardProblem(t, 52, 6, 12, 48)
 
-	opt := Options{Colors: 2, PreferStay: true, Workers: 2, Shard: ShardOn, CollectWarm: true}
-	cold := TabularGreedy(p, opt)
+	opt := Options{Colors: 2, PreferStay: true, Workers: 2, Shard: ShardOn}
+	cold := TabularGreedy(base, opt)
 	if cold.Shards < 2 {
 		t.Fatalf("instance did not shard: %d components", cold.Shards)
 	}
 
+	p := base.CloneCompiled()
 	traced := opt
 	traced.Trace = obs.New()
 	res := TabularGreedy(p, traced)
@@ -109,10 +110,10 @@ func TestTraceShardedAndWarm(t *testing.T) {
 		t.Errorf("root shards attr %d != %d", solve.Attrs["shards"], res.Shards)
 	}
 
-	// Warm re-run: every component is adoptable, so all component spans
-	// must carry warm_adopted=1 and their count must equal WarmReused.
+	// Warm re-run on the clone: every component's last run matches, so
+	// all component spans must carry warm_adopted=1 and their count must
+	// equal WarmReused.
 	warm := opt
-	warm.Incumbent = res.Warm
 	warm.Trace = obs.New()
 	wres := TabularGreedy(p, warm)
 	if err := compareSchedules(cold.Schedule, wres.Schedule); err != nil {

@@ -17,21 +17,21 @@ import (
 //   - Compile identity: the patched Problem is structurally identical —
 //     instance, sparse rows, compiled cover lists, policy windows, K — to
 //     NewProblem of the mutated instance (CompareProblems).
-//   - Solve identity: a warm-started sharded solve on the long-lived
-//     mutated clone, under every execution variant (component-pool sizes,
-//     generic kernel), is bit-identical to a cold Workers=1 solve of a
-//     freshly compiled problem — schedules cell for cell, utilities
-//     exactly equal.
+//   - Solve identity: a sharded solve on the long-lived mutated clone —
+//     warm, since the clone's sub-Problems remember their last component
+//     run — under every execution variant (component-pool sizes, generic
+//     kernel), is bit-identical to a cold Workers=1 solve of a freshly
+//     compiled problem — schedules cell for cell, utilities exactly equal.
 //
-// Each variant carries its own clone and its own warm chain across the
-// whole walk, so incumbent reuse is exercised against an ever-mutating
-// decomposition, not just a single mutation.
+// Each variant carries its own clone across the whole walk, so component
+// reuse is exercised against an ever-mutating decomposition, not just a
+// single mutation.
 
 // MutationVariants is the execution-strategy grid of the mutation walk:
 // the generic/flat kernel axis crossed with component-pool sizes. Stats
-// stays off — kernel-stats collection is part of the warm-start
-// fingerprint, so mixing it into one chain would just disable reuse
-// rather than test anything.
+// stays off — kernel-stats collection is part of what a remembered
+// component run is matched on, so mixing it into one chain would just
+// disable reuse rather than test anything.
 func MutationVariants() []Variant {
 	return []Variant{
 		{Name: "workers=1", Workers: 1},
@@ -126,11 +126,10 @@ func walkTask(in *model.Instance, rng *rand.Rand) model.Task {
 }
 
 // chain is one variant's long-lived state across a walk: its mutated
-// clone and the warm start of its previous solve.
+// clone, whose sub-Problems carry the warm state between solves.
 type chain struct {
-	v    Variant
-	p    *core.Problem
-	warm *core.WarmStart
+	v Variant
+	p *core.Problem
 }
 
 // RunMutationWalk drives a steps-long random add/remove walk through the
@@ -138,7 +137,7 @@ type chain struct {
 // and solve-identity contracts. solveEvery controls how often the (much
 // more expensive) solve comparison runs; the structural comparison runs
 // on every step. It returns the number of component adoptions the warm
-// chains made in total, so callers can reject a vacuous sweep.
+// solves made in total, so callers can reject a vacuous sweep.
 func RunMutationWalk(c Case, variants []Variant, steps, solveEvery int) (reused int, err error) {
 	base, err := c.Problem()
 	if err != nil {
@@ -176,18 +175,14 @@ func RunMutationWalk(c Case, variants []Variant, steps, solveEvery int) (reused 
 		}
 		for ci := range chains {
 			ch := &chains[ci]
-			var dirty []int
 			var derr error
 			if add {
-				dirty, derr = ch.p.AddTask(task)
+				derr = ch.p.AddTask(task)
 			} else {
-				dirty, derr = ch.p.RemoveTask(removeID)
+				derr = ch.p.RemoveTask(removeID)
 			}
 			if derr != nil {
 				return reused, fmt.Errorf("case %s, variant %s, step %d: %w", c.Name, ch.v.Name, step, derr)
-			}
-			if ch.warm != nil {
-				ch.warm.MarkDirty(dirty)
 			}
 		}
 
@@ -217,16 +212,10 @@ func RunMutationWalk(c Case, variants []Variant, steps, solveEvery int) (reused 
 			ch := &chains[ci]
 			opt := c.OptionsFor(ch.v)
 			opt.Shard = core.ShardOn
-			opt.Incumbent = ch.warm
-			opt.CollectWarm = true
 			got := core.TabularGreedy(ch.p, opt)
 			if cerr := CompareResults(ref, got); cerr != nil {
 				return reused, fmt.Errorf("case %s, variant %s, step %d: warm solve diverges: %w", c.Name, ch.v.Name, step, cerr)
 			}
-			if got.Warm == nil {
-				return reused, fmt.Errorf("case %s, variant %s, step %d: CollectWarm returned no WarmStart", c.Name, ch.v.Name, step)
-			}
-			ch.warm = got.Warm
 			reused += got.WarmReused
 		}
 	}

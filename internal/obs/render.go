@@ -66,8 +66,8 @@ func RootDurationMS(nodes []*Node) float64 {
 
 // WriteTable renders the forest as an indented phase table:
 //
-//	    12.345ms  solve  shards=4 warm_reused=2
-//	     1.200ms    decompose  components=16
+//	12.345ms  solve  shards=4 warm_reused=2
+//	 1.200ms    decompose  components=16
 //
 // Durations lead so the eye can scan the column; attributes are sorted
 // by key for stable output.

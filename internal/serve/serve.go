@@ -88,8 +88,9 @@ type Config struct {
 	MaxSlots int
 
 	// MaxSessions bounds the concurrently open incremental sessions
-	// (each pins a compiled problem and a warm start in memory); session
-	// creation beyond it is refused with 429. Default 64.
+	// (each pins a compiled problem and its last component runs in
+	// memory); session creation beyond it is refused with 429, also
+	// under concurrent creates. Default 64.
 	MaxSessions int
 
 	// CoreWorkers is core.Options.Workers for every scheduling run: the
@@ -153,8 +154,9 @@ type Server struct {
 	draining atomic.Bool
 	mux      *http.ServeMux
 
-	sessMu   sync.Mutex
-	sessions map[string]*session
+	sessMu       sync.Mutex
+	sessions     map[string]*session
+	sessReserved int // creates past the MaxSessions check, not yet inserted
 }
 
 // New builds a Server from the configuration.

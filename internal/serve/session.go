@@ -33,8 +33,9 @@ import (
 // The session's problem starts as a CloneCompiled of the cache-resident
 // compiled problem (concurrent /v1/schedule requests keep solving the
 // shared original), and every mutation goes through the delta operations
-// of core/incremental.go with the dirty charger set fed into the next
-// solve's warm start (core/warm.go). Solves run ShardOn — warm reuse is
+// of core/incremental.go. The clone's component sub-Problems remember
+// their last run (core/warm.go), so the next solve re-runs only the
+// components a mutation touched. Solves run ShardOn — warm reuse is
 // component-granular — which by the stitching contract yields exactly the
 // monolithic utility; internal/difftest's mutation-walk sweep pins warm
 // session solves bit-identical to cold from-scratch ones.
@@ -49,7 +50,7 @@ import (
 // it waits, and the slot-holder ahead of it is the one making progress).
 // Subscribers never take the mutex for longer than a snapshot copy. A
 // PATCH whose solve times out or loses its client keeps the mutations —
-// they are applied and marked dirty — but does not advance the revision;
+// they are applied — but does not advance the revision;
 // any later PATCH (an empty mutation list is allowed for exactly this)
 // re-solves from the accumulated state, and the abandoned solve releases
 // every pooled EnergyState on its way out (core.TabularGreedyCtx's
@@ -57,8 +58,8 @@ import (
 
 // sessionCreateRequest is the POST /v1/session body: the instance in the
 // instio wire format plus the scheduling options fixed for the session's
-// lifetime. Options are part of the warm-start fingerprint, so they are
-// set once at creation rather than per PATCH.
+// lifetime. Warm reuse only fires for a re-solve under the options of the
+// previous one, so they are set once at creation rather than per PATCH.
 type sessionCreateRequest struct {
 	Instance json.RawMessage `json:"instance"`
 
@@ -122,14 +123,13 @@ type sessionResponse struct {
 type session struct {
 	id string
 
-	// Scheduling options, fixed at creation (the warm fingerprint).
+	// Scheduling options, fixed at creation.
 	colors, samples int
 	preferStay      bool
 	seed            int64
 
 	mu      sync.Mutex
 	p       *core.Problem
-	warm    *core.WarmStart
 	rev     int64
 	view    sessionView
 	refOf   []int64       // dense task index → ref
@@ -205,11 +205,26 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request, t0 time.T
 		return http.StatusBadRequest,
 			fmt.Errorf("effective samples %d exceeds the limit %d", eff, s.cfg.MaxSamples)
 	}
-	if n := s.SessionCount(); n >= s.cfg.MaxSessions {
+	// Reserve the session's place under the limit before the solve, so
+	// concurrent creates cannot all pass the check; every return below
+	// that does not insert the session gives the place back.
+	s.sessMu.Lock()
+	if n := len(s.sessions) + s.sessReserved; n >= s.cfg.MaxSessions {
+		s.sessMu.Unlock()
 		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
 		return http.StatusTooManyRequests,
 			fmt.Errorf("session limit reached (%d open)", n)
 	}
+	s.sessReserved++
+	s.sessMu.Unlock()
+	inserted := false
+	defer func() {
+		if !inserted {
+			s.sessMu.Lock()
+			s.sessReserved--
+			s.sessMu.Unlock()
+		}
+	}()
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
@@ -260,7 +275,9 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request, t0 time.T
 
 	s.sessMu.Lock()
 	s.sessions[sess.id] = sess
+	s.sessReserved--
 	s.sessMu.Unlock()
+	inserted = true
 	s.met.sessionsCreated.Add(1)
 	s.cfg.Logger.Info("session created",
 		"trace_id", traceIDFrom(r.Context()),
@@ -346,7 +363,7 @@ func (s *Server) sessionPatch(w http.ResponseWriter, r *http.Request, t0 time.Ti
 	// session's current (plus batch-simulated) task set, then apply — the
 	// apply phase cannot fail, so a rejected batch changes nothing.
 	psp := tr.Start("delta_patch").Int("mutations", int64(len(req.Mutations)))
-	tasks, err := sess.validateMutationsLocked(req.Mutations)
+	tasks, err := sess.validateMutationsLocked(req.Mutations, s.cfg.MaxSlots)
 	if err != nil {
 		psp.End()
 		return http.StatusBadRequest, err
@@ -376,9 +393,10 @@ func (s *Server) sessionPatch(w http.ResponseWriter, r *http.Request, t0 time.Ti
 
 // validateMutationsLocked checks every mutation of a batch without
 // touching the problem: ops well-formed, added tasks valid for this
-// instance's parameters, removed refs resolvable at their point in the
+// instance's parameters and ending within maxSlots (the horizon limit
+// /v1/schedule enforces), removed refs resolvable at their point in the
 // batch. It returns the decoded tasks of the add ops, in op order.
-func (sess *session) validateMutationsLocked(muts []sessionMutation) ([]model.Task, error) {
+func (sess *session) validateMutationsLocked(muts []sessionMutation, maxSlots int) ([]model.Task, error) {
 	var tasks []model.Task
 	removed := make(map[int64]bool)
 	added := make(map[int64]bool)
@@ -393,6 +411,9 @@ func (sess *session) validateMutationsLocked(muts []sessionMutation) ([]model.Ta
 			t := instio.TaskFromFile(*mu.Task, live)
 			if err := sess.p.In.CheckTask(t); err != nil {
 				return nil, fmt.Errorf("mutation %d: %v", idx, err)
+			}
+			if t.End > maxSlots {
+				return nil, fmt.Errorf("mutation %d: horizon %d slots exceeds the limit %d", idx, t.End, maxSlots)
 			}
 			tasks = append(tasks, t)
 			added[next] = true
@@ -419,20 +440,17 @@ func (sess *session) validateMutationsLocked(muts []sessionMutation) ([]model.Ta
 
 // applyMutationsLocked applies a validated batch through the delta
 // operations, maintaining the ref ↔ dense-index mapping across the
-// swap-remove renumbering and feeding every dirty charger set into the
-// warm start. It returns the refs assigned to the batch's adds.
+// swap-remove renumbering. It returns the refs assigned to the batch's
+// adds.
 func (sess *session) applyMutationsLocked(muts []sessionMutation, tasks []model.Task) []int64 {
 	var refs []int64
 	nextTask := 0
 	for _, mu := range muts {
-		var dirty []int
 		switch mu.Op {
 		case "add":
 			t := tasks[nextTask]
 			nextTask++
-			var err error
-			dirty, err = sess.p.AddTask(t)
-			if err != nil {
+			if err := sess.p.AddTask(t); err != nil {
 				panic(fmt.Sprintf("serve: validated add failed: %v", err))
 			}
 			ref := sess.nextRef
@@ -442,9 +460,7 @@ func (sess *session) applyMutationsLocked(muts []sessionMutation, tasks []model.
 			refs = append(refs, ref)
 		default: // "remove" / "complete", validated above
 			dense := sess.denseOf[mu.Ref]
-			var err error
-			dirty, err = sess.p.RemoveTask(dense)
-			if err != nil {
+			if err := sess.p.RemoveTask(dense); err != nil {
 				panic(fmt.Sprintf("serve: validated remove failed: %v", err))
 			}
 			last := len(sess.refOf) - 1
@@ -456,9 +472,6 @@ func (sess *session) applyMutationsLocked(muts []sessionMutation, tasks []model.
 			sess.refOf = sess.refOf[:last]
 			delete(sess.denseOf, mu.Ref)
 		}
-		if sess.warm != nil {
-			sess.warm.MarkDirty(dirty)
-		}
 	}
 	return refs
 }
@@ -466,8 +479,7 @@ func (sess *session) applyMutationsLocked(muts []sessionMutation, tasks []model.
 // solveLocked runs one warm solve of the session's problem and, on
 // success, advances the revision and wakes subscribers. A cancelled or
 // timed-out solve leaves the revision untouched (the applied mutations
-// stay, accumulated into the warm dirty set) and returns the same status
-// mapping as /v1/schedule.
+// stay) and returns the same status mapping as /v1/schedule.
 func (sess *session) solveLocked(ctx context.Context, s *Server, r *http.Request, tr *obs.Trace) (int, error) {
 	opt := core.Options{
 		Trace:      tr,
@@ -478,14 +490,12 @@ func (sess *session) solveLocked(ctx context.Context, s *Server, r *http.Request
 		// Warm reuse is component-granular, so sessions always take the
 		// shard-and-stitch path — bit-identical utility by the stitching
 		// contract, -1 padding past each component's horizon.
-		Shard:       core.ShardOn,
-		Rng:         mrand.New(mrand.NewSource(sess.seed)),
-		Incumbent:   sess.warm,
-		CollectWarm: true,
+		Shard: core.ShardOn,
+		Rng:   mrand.New(mrand.NewSource(sess.seed)),
 	}
 	// A request that is already dead (client gone, timeout burned on queue
-	// wait) gets no solve at all — its mutations are applied and dirty,
-	// and the next PATCH picks them up.
+	// wait) gets no solve at all — its mutations are applied, and the
+	// next PATCH picks them up.
 	err := ctx.Err()
 	var res core.Result
 	if err == nil {
@@ -498,7 +508,6 @@ func (sess *session) solveLocked(ctx context.Context, s *Server, r *http.Request
 		return http.StatusGatewayTimeout,
 			fmt.Errorf("solve exceeded the %s request timeout", s.cfg.RequestTimeout)
 	}
-	sess.warm = res.Warm
 	sess.rev++
 	sess.view = sessionView{
 		Rev:        sess.rev,

@@ -21,9 +21,9 @@ import (
 //     coverage component, so the warm solve saves decode + canonical
 //     hash + NewProblem but re-runs the whole greedy.
 //   - clustered: FleetScale(200) — 5 isolated clusters at the same task
-//     count. A mutation dirties one cluster; the other components are
-//     adopted from the incumbent, so the warm solve also skips ~4/5 of
-//     the greedy work.
+//     count. A mutation dirties one cluster; the other components return
+//     their sub-problems' remembered last runs, so the warm solve also
+//     skips ~4/5 of the greedy work.
 func sessionBenchShapes() []struct {
 	name string
 	cfg  workload.Config

@@ -390,7 +390,7 @@ func TestSessionCancelledPatch(t *testing.T) {
 // bugfix), unknown refs, batch atomicity, unknown ops, the session limit
 // and unknown session IDs.
 func TestSessionValidation(t *testing.T) {
-	s := New(Config{MaxSessions: 1})
+	s := New(Config{MaxSessions: 1, MaxSlots: 64})
 	in := clusteredInstance(t, 5)
 	raw := instanceJSON(t, in)
 	resp := createSession(t, s, raw, sessionOptsJSON)
@@ -415,6 +415,12 @@ func TestSessionValidation(t *testing.T) {
 			http.StatusBadRequest},
 		"empty window": {`{"mutations":[{"op":"add","task":` +
 			`{"x":0,"y":0,"phi_deg":0,"release_slot":4,"end_slot":4,"energy_j":10,"weight":1}}]}`,
+			http.StatusBadRequest},
+		// The horizon limit /v1/schedule enforces holds for adds too; the
+		// valid add ahead of the offending one is not applied either.
+		"horizon past MaxSlots": {`{"mutations":[` +
+			`{"op":"add","task":{"x":0,"y":0,"phi_deg":0,"release_slot":0,"end_slot":9,"energy_j":10,"weight":1}},` +
+			`{"op":"add","task":{"x":0,"y":0,"phi_deg":0,"release_slot":0,"end_slot":5000,"energy_j":10,"weight":1}}]}`,
 			http.StatusBadRequest},
 	} {
 		rec := patch(tc.body)
@@ -486,6 +492,53 @@ func TestSessionValidation(t *testing.T) {
 		if rec := do(s, http.MethodPost, path, []byte(`{"instance":`+bad+`}`)); rec.Code != http.StatusBadRequest {
 			t.Fatalf("non-finite instance on %s: status %d, want 400", path, rec.Code)
 		}
+	}
+}
+
+// TestSessionConcurrentCreates pins MaxSessions under concurrent creates:
+// a create reserves its place under the limit before solving, so of many
+// simultaneous creates exactly MaxSessions succeed, and a create that
+// fails after reserving gives its place back.
+func TestSessionConcurrentCreates(t *testing.T) {
+	const limit = 2
+	s := New(Config{MaxSessions: limit})
+	raw := instanceJSON(t, clusteredInstance(t, 8))
+
+	// Rejected after the reservation (the instance does not decode), more
+	// often than the limit: the places must come back.
+	for i := 0; i < limit+1; i++ {
+		if rec := do(s, http.MethodPost, "/v1/session", []byte(`{"instance":{"bogus":1}}`)); rec.Code != http.StatusBadRequest {
+			t.Fatalf("bad create %d: status %d, want 400", i, rec.Code)
+		}
+	}
+
+	body := []byte(`{"instance":` + strings.TrimSpace(string(raw)) + sessionOptsJSON + `}`)
+	const creates = 8
+	codes := make([]int, creates)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			codes[i] = do(s, http.MethodPost, "/v1/session", body).Code
+		}(i)
+	}
+	wg.Wait()
+	created := 0
+	for i, code := range codes {
+		switch code {
+		case http.StatusCreated:
+			created++
+		case http.StatusTooManyRequests:
+		default:
+			t.Fatalf("create %d: status %d", i, code)
+		}
+	}
+	if created != limit {
+		t.Fatalf("%d of %d concurrent creates got 201, want %d", created, creates, limit)
+	}
+	if n := s.SessionCount(); n != limit {
+		t.Fatalf("SessionCount() = %d, want %d", n, limit)
 	}
 }
 

@@ -146,13 +146,13 @@ func BenchmarkMarginalEvaluation(b *testing.B) {
 			p := paperScaleProblem(b)
 			p.SetFlatKernel(cfg.flat)
 			defer p.SetFlatKernel(true)
-			es := core.NewEnergyState(p)
+			es, gamma := core.NewEnergyState(p), p.Gamma()
 			n := len(p.In.Chargers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ch := i % n
-				es.Marginal(ch, i%p.K, i%len(p.Gamma[ch]))
+				es.Marginal(ch, i%p.K, i%len(gamma[ch]))
 			}
 		})
 	}

@@ -48,7 +48,7 @@ func main() {
 	}
 
 	fmt.Println("dominant task sets per charger (Algorithm 1):")
-	for i, gamma := range p.Gamma {
+	for i, gamma := range p.Gamma() {
 		fmt.Printf("  charger %d: %v\n", i, gamma)
 	}
 

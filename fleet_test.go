@@ -39,11 +39,12 @@ func TestFleetScaleShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestFleetScale100k is the sparse-compile smoke: the full monolithic
-// Problem at 10⁵ tasks must compile in a heap far below the ~10 GB the
-// dense n×m table used to take (n = 12,500 chargers ⇒ 1.25·10⁹ float64
-// cells), and the instance-direct sharded run must then schedule it with
-// exactly the utility Evaluate computes on the compiled problem. CI
+// TestFleetScale100k is the sparse-compile smoke: the Problem at 10⁵
+// tasks must compile in a heap far below the ~10 GB the dense n×m table
+// used to take (n = 12,500 chargers ⇒ 1.25·10⁹ float64 cells), and the
+// instance-direct sharded run must then schedule it with exactly the
+// utility Evaluate computes on the compiled problem, whose field-wide
+// Gamma and kernel that Evaluate builds. CI
 // runs this under GOMEMLIMIT as a regression tripwire against any dense
 // allocation sneaking back into the compile path.
 func TestFleetScale100k(t *testing.T) {

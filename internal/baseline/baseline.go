@@ -66,7 +66,7 @@ func greedyUtility(p *core.Problem, online bool) core.Schedule {
 		prev := -1
 		for k := 0; k < p.K; k++ {
 			best, bestGain := 0, -1.0
-			for pol := range p.Gamma[i] {
+			for pol := range p.Gamma()[i] {
 				// Compiled cover lists carry (task, Δe) pairs with Δe > 0;
 				// zero-energy covers contribute exactly 0 gain, so skipping
 				// them leaves every gain bitwise unchanged.
@@ -104,9 +104,9 @@ func greedyCover(p *core.Problem, online bool) core.Schedule {
 		prev := -1
 		for k := 0; k < p.K; k++ {
 			best, bestCount := 0, -1
-			for pol := range p.Gamma[i] {
+			for pol, g := range p.Gamma()[i] {
 				count := 0
-				for _, j := range p.Gamma[i][pol].Covers {
+				for _, j := range g.Covers {
 					if visibleAt(p, j, k, online) {
 						count++
 					}

@@ -49,8 +49,8 @@ func TestGreedyCoverPrefersMoreTasks(t *testing.T) {
 	p := mustProblem(t, coverVsUtilityInstance())
 	s := GreedyCover(p)
 	pol := s.Policy[0][0]
-	if len(p.Gamma[0][pol].Covers) != 2 {
-		t.Fatalf("GreedyCover picked %v, want the two-task set", p.Gamma[0][pol])
+	if len(p.Gamma()[0][pol].Covers) != 2 {
+		t.Fatalf("GreedyCover picked %v, want the two-task set", p.Gamma()[0][pol])
 	}
 }
 
@@ -58,14 +58,14 @@ func TestGreedyUtilityPrefersHigherUtility(t *testing.T) {
 	p := mustProblem(t, coverVsUtilityInstance())
 	s := GreedyUtility(p)
 	pol := s.Policy[0][0]
-	covers := p.Gamma[0][pol].Covers
+	covers := p.Gamma()[0][pol].Covers
 	if len(covers) != 1 || covers[0] != 0 {
-		t.Fatalf("GreedyUtility picked %v, want the near task", p.Gamma[0][pol])
+		t.Fatalf("GreedyUtility picked %v, want the near task", p.Gamma()[0][pol])
 	}
 	// Once the near task saturates (after slot 0), the charger moves on.
 	pol1 := s.Policy[0][1]
-	if len(p.Gamma[0][pol1].Covers) != 2 {
-		t.Fatalf("GreedyUtility slot 1 picked %v, want the far pair", p.Gamma[0][pol1])
+	if len(p.Gamma()[0][pol1].Covers) != 2 {
+		t.Fatalf("GreedyUtility slot 1 picked %v, want the far pair", p.Gamma()[0][pol1])
 	}
 }
 
@@ -86,7 +86,7 @@ func TestOnlineVisibilityDelaysReaction(t *testing.T) {
 	// From slot 2 on the online schedule matches the offline one's
 	// steady-state choice pattern shifted by τ: slot 2 behaves like
 	// offline slot 0 (near task not yet charged).
-	if p.Gamma[0][son.Policy[0][2]].Covers[0] != p.Gamma[0][soff.Policy[0][0]].Covers[0] {
+	if p.Gamma()[0][son.Policy[0][2]].Covers[0] != p.Gamma()[0][soff.Policy[0][0]].Covers[0] {
 		t.Errorf("online slot 2 should target what offline targeted first")
 	}
 }
@@ -107,7 +107,7 @@ func TestBaselinesProduceValidSchedules(t *testing.T) {
 					t.Fatalf("%s: charger %d has %d slots", name, i, len(row))
 				}
 				for k, pol := range row {
-					if pol < 0 || pol >= len(p.Gamma[i]) {
+					if pol < 0 || pol >= len(p.Gamma()[i]) {
 						t.Fatalf("%s: invalid policy %d at (%d,%d)", name, pol, i, k)
 					}
 				}

@@ -166,4 +166,19 @@ func TestStatesInUseBalance(t *testing.T) {
 	if got := p.StatesInUse(); got != 0 {
 		t.Fatalf("balance after Evaluate/TabularGreedy: %d", got)
 	}
+
+	// A double release must not put the state in the pool twice: two
+	// later checkouts would share it.
+	c := p.AcquireState()
+	p.ReleaseState(c)
+	p.ReleaseState(c)
+	x, y := p.AcquireState(), p.AcquireState()
+	if x == y {
+		t.Fatal("a doubly released state was handed out twice")
+	}
+	p.ReleaseState(x)
+	p.ReleaseState(y)
+	if got := p.StatesInUse(); got != 0 {
+		t.Fatalf("balance after the double-release checkouts: %d", got)
+	}
 }

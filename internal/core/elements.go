@@ -6,12 +6,13 @@ import "haste/internal/matroid"
 // problem: one partition Θ_{i,k} per charger per slot, each holding the
 // charger's dominant-set policies.
 func (p *Problem) Matroid() matroid.Partition {
-	counts := make([]int, len(p.Gamma))
-	for i, g := range p.Gamma {
+	gamma := p.Gamma()
+	counts := make([]int, len(gamma))
+	for i, g := range gamma {
 		counts[i] = len(g)
 	}
 	return matroid.Partition{
-		NumChargers:  len(p.Gamma),
+		NumChargers:  len(gamma),
 		NumSlots:     p.K,
 		PolicyCounts: counts,
 	}

@@ -47,7 +47,7 @@ func TestMatroidShape(t *testing.T) {
 	if m.NumChargers != 1 || m.NumSlots != 2 || len(m.PolicyCounts) != 1 {
 		t.Fatalf("matroid shape: %+v", m)
 	}
-	if m.PolicyCounts[0] != len(p.Gamma[0]) {
-		t.Fatalf("policy counts: %+v vs %d", m.PolicyCounts, len(p.Gamma[0]))
+	if m.PolicyCounts[0] != len(p.Gamma()[0]) {
+		t.Fatalf("policy counts: %+v vs %d", m.PolicyCounts, len(p.Gamma()[0]))
 	}
 }

@@ -33,12 +33,14 @@ type Options struct {
 	PreferStay bool
 
 	// Workers bounds the component pool of a sharded run (Shard and
-	// ScheduleSharded): at most Workers components are scheduled
-	// concurrently. 0 defaults to runtime.GOMAXPROCS(0). A monolithic run
-	// is one sequential sweep and ignores it. Every worker count produces
-	// a bit-identical result: each component runs sequentially on its own
-	// states and the stitch walks components in canonical order
-	// (internal/difftest's sharded and mutation-walk sweeps enforce this).
+	// ScheduleSharded): at most Workers components are compiled and
+	// scheduled concurrently — a component's sub-Problem is compiled in
+	// the worker that first runs it. 0 defaults to runtime.GOMAXPROCS(0).
+	// A monolithic run is one sequential sweep and ignores it. Every
+	// worker count produces a bit-identical result: each component runs
+	// sequentially on its own states and the stitch walks components in
+	// canonical order (internal/difftest's sharded and mutation-walk
+	// sweeps enforce this).
 	Workers int
 
 	// KernelStats collects evaluation-kernel work counters (calls, cover
@@ -186,15 +188,22 @@ func TabularGreedyCtx(ctx context.Context, p *Problem, opt Options) (Result, err
 // never-cancelled runs stay on the canonical schedule.
 func tabularGreedy(done <-chan struct{}, p *Problem, opt Options) (Result, bool) {
 	opt = opt.normalize()
+	shard := opt.useShards(p)
+	if !shard && !p.monoBuilt.Load() {
+		// The first monolithic run builds the field-wide policy space; the
+		// build is recorded as its own compile tree, beside the one
+		// NewProblemTraced records, not as part of the solve.
+		p.buildMonolith(opt.Trace)
+	}
 	root := opt.Trace.Start("solve")
 	var res Result
 	var ok bool
-	if opt.useShards(p) {
+	if shard {
 		dsp := root.Start("decompose")
 		comps, subs := p.Components(), p.subProblems()
 		dsp.Int("components", int64(len(comps))).End()
-		res, ok = shardedGreedy(done, p.In, comps, func(ci int, _ obs.SpanRef) *Problem {
-			return subs[ci]
+		res, ok = shardedGreedy(done, p.In, comps, func(ci int, csp obs.SpanRef) *Problem {
+			return p.subProblem(subs, ci, csp)
 		}, opt, root)
 	} else {
 		res, ok = monolithicGreedy(done, p, opt, nil, root)
@@ -205,6 +214,16 @@ func tabularGreedy(done <-chan struct{}, p *Problem, opt Options) (Result, bool)
 	}
 	endSolve(root, opt, &res)
 	return res, true
+}
+
+// cancelled reports whether done is closed; a nil done never is.
+func cancelled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // endSolve folds a finished run's counters into the attributes of its
@@ -284,9 +303,10 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 	// per-state scan remains for custom utilities and for instrumented
 	// runs, where KernelStats counts per-state work. Both compute
 	// bit-identical gains.
+	p.monolith() // builds Γ and the cover lists on a Problem's first use
 	batchScan := p.kern.linear && !opt.KernelStats
 	maxPol := 0
-	for _, g := range p.Gamma {
+	for _, g := range p.mono.gamma {
 		maxPol = max(maxPol, len(g))
 	}
 	gains := make([]float64, maxPol)
@@ -299,12 +319,8 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 	for c := 0; c < C; c++ {
 		for k := 0; k < K; k++ {
 			for i := 0; i < n; i++ {
-				if done != nil {
-					select {
-					case <-done:
-						return Result{}, false
-					default:
-					}
+				if done != nil && cancelled(done) {
+					return Result{}, false
 				}
 				affected = affected[:0]
 				cc := uint8(c)
@@ -319,7 +335,7 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 				}
 				var best int
 				if batchScan && len(affected) > 1 {
-					nPol := len(p.Gamma[i])
+					nPol := len(p.mono.gamma[i])
 					gainsBatchFlat(p, states, affected, i, k, nPol, gains, acc)
 					best = argmaxPolicy(gains[:nPol], int(prev), opt.PreferStay)
 				} else {
@@ -370,7 +386,7 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 // states (in affected order — the canonical reduction order the batched
 // scan reproduces) and reduces with argmaxPolicy.
 func selectPolicy(p *Problem, states []*EnergyState, affected []int, i, k, prev int, preferStay bool, gains []float64) int {
-	nPol := len(p.Gamma[i])
+	nPol := len(p.monolith().gamma[i])
 	for pol := 0; pol < nPol; pol++ {
 		var gain float64
 		for _, s := range affected {

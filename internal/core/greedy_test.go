@@ -31,7 +31,7 @@ func TestTabularGreedyFillsAllPartitions(t *testing.T) {
 				t.Fatalf("charger %d schedule has %d slots, want %d", i, len(row), p.K)
 			}
 			for k, pol := range row {
-				if pol < 0 || pol >= len(p.Gamma[i]) {
+				if pol < 0 || pol >= len(p.Gamma()[i]) {
 					t.Fatalf("C=%d: invalid policy %d at (%d,%d)", colors, pol, i, k)
 				}
 			}
@@ -73,7 +73,7 @@ func TestTabularGreedyHalfApproxAgainstRandomSchedules(t *testing.T) {
 			s := NewSchedule(len(in.Chargers), p.K)
 			for i := range s.Policy {
 				for k := range s.Policy[i] {
-					s.Policy[i][k] = rng.Intn(len(p.Gamma[i]))
+					s.Policy[i][k] = rng.Intn(len(p.Gamma()[i]))
 				}
 			}
 			if u := Evaluate(p, s); res.RUtility < u/2-1e-9 {
@@ -103,12 +103,12 @@ func TestTabularGreedyPreferStay(t *testing.T) {
 		},
 	}
 	p := mustProblem(t, in)
-	if len(p.Gamma[0]) != 2 {
-		t.Fatalf("want 2 policies, got %v", p.Gamma[0])
+	if len(p.Gamma()[0]) != 2 {
+		t.Fatalf("want 2 policies, got %v", p.Gamma()[0])
 	}
 	// Identify which policy covers task 0.
 	pol0 := 0
-	if p.Gamma[0][0].Covers[0] != 0 {
+	if p.Gamma()[0][0].Covers[0] != 0 {
 		pol0 = 1
 	}
 	pol1 := 1 - pol0
@@ -195,7 +195,7 @@ func TestSelectPolicyTieRegression(t *testing.T) {
 	in := randomFieldInstance(rng, 3, 10, 6, 30)
 	p := mustProblem(t, in)
 	maxPol := 0
-	for _, g := range p.Gamma {
+	for _, g := range p.Gamma() {
 		if len(g) > maxPol {
 			maxPol = len(g)
 		}
@@ -204,7 +204,7 @@ func TestSelectPolicyTieRegression(t *testing.T) {
 	es := NewEnergyState(p)
 	gains := make([]float64, maxPol)
 	for k := 0; k < p.K; k++ {
-		for i := range p.Gamma {
+		for i := range p.Gamma() {
 			prev := -1
 			if k > 0 {
 				prev = res.Schedule.Policy[i][k-1]

@@ -22,7 +22,11 @@ import (
 // Equivalence contract (enforced by internal/difftest's mutation-walk
 // sweep): after any sequence of AddTask/RemoveTask calls, the Problem is
 // bit-identical — instance, rows, Gamma, compiled kernel, K — to
-// NewProblem of the mutated instance. The argument, piece by piece:
+// NewProblem of the mutated instance. A Problem whose dominant sets and
+// cover lists were never built (kernel.go's monolith) has only its
+// instance, rows, kernel columns and K patched; the monolith it builds
+// later is a pure function of those, so the contract holds for it too.
+// The argument, piece by piece:
 //
 //   - Instance. AddTask appends with the next dense ID; RemoveTask
 //     swap-removes (the last task moves into the freed ID), so IDs stay
@@ -43,16 +47,18 @@ import (
 //     chargers' candidate IDs and the task values behind them are
 //     untouched (a charger whose row contains a mutated ID is affected by
 //     construction), so their cached policies equal a re-extraction.
-//   - Kernel. Affected chargers' policy cover lists are recompiled
-//     through appendPolicyEntries — the same code compileKernel runs —
-//     while unaffected chargers keep their compiled list slices; the
-//     cheap index-only structures (polOff, taskPols, the entries/window
-//     top-levels) are rebuilt exactly as compileKernel orders them.
+//   - Kernel. The per-task columns are patched like the task table.
+//     Affected chargers' policy cover lists are recompiled through
+//     appendPolicyEntries — the same code compileMonolith runs — while
+//     unaffected chargers keep their compiled list slices; the cheap
+//     index-only structures (polOff, taskPols, the entries/window
+//     top-levels) are rebuilt exactly as compileMonolith orders them.
 //
 // Mutations are copy-on-write against shared backing: a Problem obtained
-// from CloneCompiled shares immutable compiled innards (row slices, cover
-// lists, Gamma policies) with its origin, so patches always allocate
-// fresh slices for what they change and never write through a shared one.
+// from CloneCompiled shares immutable compiled innards (row slices and
+// the whole monolith) with its origin, so patches always allocate fresh
+// slices for what they change and replace the monolith rather than write
+// through it.
 //
 // Concurrency: delta operations are NOT safe to run concurrently with
 // anything else on the same Problem — schedulers, EnergyStates, other
@@ -71,13 +77,15 @@ type subCache struct {
 }
 
 // CloneCompiled returns an independently mutable copy of the Problem
-// without recompiling anything: compiled immutable innards (row slices,
-// cover lists, dominant policies, the charger grid) are shared, while
-// everything a delta operation writes — the instance's task table, the
-// SoA columns, the per-charger and per-policy top-level slices — is
-// copied. The clone starts with a fresh state pool and fresh shard
-// caches. This is what lets the session layer mutate a private copy of a
-// cached Problem while concurrent requests keep solving the original.
+// without compiling anything: compiled immutable innards (row slices,
+// the dominant sets and cover lists if they were built, the charger
+// grid) are shared, while everything a delta operation writes in place —
+// the instance's task table, the SoA columns, the per-charger row
+// top-level — is copied. A clone of a Problem whose dominant sets were
+// never built builds its own on first use. The clone starts with a fresh
+// state pool and fresh shard caches. This is what lets the session layer
+// mutate a private copy of a cached Problem while concurrent requests
+// keep solving the original.
 // The sub-Problems a clone compiles remember their last component run
 // (warm.go), so re-solving the clone re-runs only the components that
 // changed.
@@ -90,7 +98,6 @@ func (p *Problem) CloneCompiled() *Problem {
 	}
 	c := &Problem{
 		In:          in,
-		Gamma:       append([][]dominant.Policy(nil), p.Gamma...),
 		K:           p.K,
 		rows:        append([][]CoverEntry(nil), p.rows...),
 		compsOnce:   new(sync.Once),
@@ -98,25 +105,25 @@ func (p *Problem) CloneCompiled() *Problem {
 		chargerGrid: p.chargerGrid,
 		keepRuns:    true,
 	}
+	if p.monoBuilt.Load() {
+		c.mono = p.mono
+		c.monoBuilt.Store(true)
+	}
 	kn, src := &c.kern, &p.kern
 	kn.linear, kn.linearOK = src.linear, src.linearOK
 	kn.weight = append([]float64(nil), src.weight...)
 	kn.req = append([]float64(nil), src.req...)
 	kn.release = append([]int32(nil), src.release...)
 	kn.end = append([]int32(nil), src.end...)
-	kn.polOff = append([]int32(nil), src.polOff...)
-	kn.entries = append([][]CoverEntry(nil), src.entries...)
-	kn.winLo = append([]int32(nil), src.winLo...)
-	kn.winHi = append([]int32(nil), src.winHi...)
-	kn.taskPols = append([][]int32(nil), src.taskPols...)
 	return c
 }
 
 // AddTask appends a task to the compiled problem, patching rows, Gamma
-// and the kernel of exactly the chargers that can reach it. The task's ID
-// is assigned (the next dense ID); the rest of t is validated like
-// NewProblem would. The patched chargers are marked dirty, so the next
-// subProblems rebuild recompiles their components.
+// and the kernel of exactly the chargers that can reach it (only their
+// rows, when Gamma was never built). The task's ID is assigned (the next
+// dense ID); the rest of t is validated like NewProblem would. The
+// patched chargers are marked dirty, so the next subProblems rebuild
+// recompiles their components.
 func (p *Problem) AddTask(t model.Task) error {
 	in := p.In
 	t.ID = len(in.Tasks)
@@ -259,14 +266,19 @@ func unionSorted(a, b []int) []int {
 	return out[:w]
 }
 
-// patchChargers re-extracts the dominant policies of the affected
-// chargers from their patched rows and splices the kernel: affected
-// chargers' cover lists are recompiled through appendPolicyEntries (the
-// compileKernel code path), every other charger keeps its compiled list
-// slices, and the index-only top-levels (polOff, entries, windows,
-// taskPols) are rebuilt in compileKernel's exact order.
+// patchChargers replaces a built monolith with one in which the affected
+// chargers' dominant policies are re-extracted from their patched rows
+// and their cover lists recompiled through appendPolicyEntries (the
+// compileMonolith code path), every other charger keeps its policies and
+// compiled list slices, and the index-only top-levels (polOff, entries,
+// windows, taskPols) are rebuilt in compileMonolith's exact order. An
+// unbuilt monolith stays unbuilt.
 func (p *Problem) patchChargers(affected []int) {
-	in := p.In
+	if !p.monoBuilt.Load() {
+		return
+	}
+	in, old := p.In, p.mono
+	m := monolith{gamma: append([][]dominant.Policy(nil), old.gamma...)}
 	isAff := make(map[int]bool, len(affected))
 	for _, i := range affected {
 		isAff[i] = true
@@ -274,49 +286,48 @@ func (p *Problem) patchChargers(affected []int) {
 		for _, e := range p.rows[i] {
 			ids = append(ids, int(e.Task))
 		}
-		p.Gamma[i] = dominant.ExtractSubset(in, i, ids)
+		m.gamma[i] = dominant.ExtractSubset(in, i, ids)
 	}
 
-	kn := &p.kern
-	oldOff, oldEntries := kn.polOff, kn.entries
-	oldLo, oldHi := kn.winLo, kn.winHi
 	nPols := 0
-	newOff := make([]int32, len(p.Gamma))
-	for i, g := range p.Gamma {
-		newOff[i] = int32(nPols)
+	m.polOff = make([]int32, len(m.gamma))
+	for i, g := range m.gamma {
+		m.polOff[i] = int32(nPols)
 		nPols += len(g)
 	}
-	newEntries := make([][]CoverEntry, nPols)
-	newLo := make([]int32, nPols)
-	newHi := make([]int32, nPols)
-	for i, g := range p.Gamma {
-		nf := int(newOff[i])
+	m.entries = make([][]CoverEntry, nPols)
+	m.winLo = make([]int32, nPols)
+	m.winHi = make([]int32, nPols)
+	for i, g := range m.gamma {
+		nf := int(m.polOff[i])
 		if !isAff[i] {
-			of := int(oldOff[i])
-			copy(newEntries[nf:nf+len(g)], oldEntries[of:of+len(g)])
-			copy(newLo[nf:nf+len(g)], oldLo[of:of+len(g)])
-			copy(newHi[nf:nf+len(g)], oldHi[of:of+len(g)])
+			of := int(old.polOff[i])
+			copy(m.entries[nf:nf+len(g)], old.entries[of:of+len(g)])
+			copy(m.winLo[nf:nf+len(g)], old.winLo[of:of+len(g)])
+			copy(m.winHi[nf:nf+len(g)], old.winHi[of:of+len(g)])
 			continue
 		}
 		var arena []CoverEntry
-		for pol := range g {
+		for pol, policy := range g {
 			var start int
-			arena, start, newLo[nf+pol], newHi[nf+pol] = appendPolicyEntries(p, kn, i, pol, arena)
-			newEntries[nf+pol] = arena[start:len(arena):len(arena)]
+			arena, start, m.winLo[nf+pol], m.winHi[nf+pol] = appendPolicyEntries(p, i, policy.Covers, arena)
+			m.entries[nf+pol] = arena[start:len(arena):len(arena)]
 		}
 	}
-	kn.polOff, kn.entries = newOff, newEntries
-	kn.winLo, kn.winHi = newLo, newHi
-	kn.buildTaskPols(len(in.Tasks))
+	m.buildTaskPols(len(in.Tasks))
+	p.mono = m
 }
 
 // invalidate resets the decomposition caches after a mutation, stashing
 // the outgoing component sub-Problems (plus the accumulated dirty charger
 // set) so the next subProblems rebuild can adopt the untouched ones.
 func (p *Problem) invalidate(dirty []int) {
-	if subs := p.subs.Load(); subs != nil {
-		sc := &subCache{comps: p.comps, subs: *subs, dirty: make(map[int]struct{}, len(dirty))}
-		p.prevSubs = sc
+	if slots := p.subs.Load(); slots != nil {
+		subs := make([]*Problem, len(*slots))
+		for ci := range subs {
+			subs[ci] = (*slots)[ci].p.Load() // nil if no run reached it
+		}
+		p.prevSubs = &subCache{comps: p.comps, subs: subs, dirty: make(map[int]struct{}, len(dirty))}
 	}
 	if p.prevSubs != nil {
 		for _, i := range dirty {

@@ -74,30 +74,31 @@ func requireProblemsEqual(t *testing.T, got, want *Problem) {
 		if !reflect.DeepEqual(gr, wr) {
 			t.Fatalf("charger %d row differs:\n got %v\nwant %v", i, gr, wr)
 		}
-		if !reflect.DeepEqual(got.Gamma[i], want.Gamma[i]) {
+		if !reflect.DeepEqual(got.Gamma()[i], want.Gamma()[i]) {
 			t.Fatalf("charger %d Gamma differs", i)
 		}
 	}
 	gk, wk := &got.kern, &want.kern
-	if !reflect.DeepEqual(gk.polOff, wk.polOff) {
+	gm, wm := got.monolith(), want.monolith()
+	if !reflect.DeepEqual(gm.polOff, wm.polOff) {
 		t.Fatalf("polOff differs")
 	}
-	for fp := range wk.entries {
-		if len(gk.entries[fp]) == 0 && len(wk.entries[fp]) == 0 {
+	for fp := range wm.entries {
+		if len(gm.entries[fp]) == 0 && len(wm.entries[fp]) == 0 {
 			continue
 		}
-		if !reflect.DeepEqual(gk.entries[fp], wk.entries[fp]) {
-			t.Fatalf("flat policy %d entries differ:\n got %v\nwant %v", fp, gk.entries[fp], wk.entries[fp])
+		if !reflect.DeepEqual(gm.entries[fp], wm.entries[fp]) {
+			t.Fatalf("flat policy %d entries differ:\n got %v\nwant %v", fp, gm.entries[fp], wm.entries[fp])
 		}
 	}
-	if !reflect.DeepEqual(gk.winLo, wk.winLo) || !reflect.DeepEqual(gk.winHi, wk.winHi) {
+	if !reflect.DeepEqual(gm.winLo, wm.winLo) || !reflect.DeepEqual(gm.winHi, wm.winHi) {
 		t.Fatalf("policy windows differ")
 	}
-	for j := range wk.taskPols {
-		if len(gk.taskPols[j]) == 0 && len(wk.taskPols[j]) == 0 {
+	for j := range wm.taskPols {
+		if len(gm.taskPols[j]) == 0 && len(wm.taskPols[j]) == 0 {
 			continue
 		}
-		if !reflect.DeepEqual(gk.taskPols[j], wk.taskPols[j]) {
+		if !reflect.DeepEqual(gm.taskPols[j], wm.taskPols[j]) {
 			t.Fatalf("taskPols[%d] differs", j)
 		}
 	}

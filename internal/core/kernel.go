@@ -3,7 +3,9 @@ package core
 import (
 	"sort"
 
+	"haste/internal/dominant"
 	"haste/internal/model"
+	"haste/internal/obs"
 )
 
 // This file is the flat marginal-evaluation kernel: the precompiled data
@@ -15,9 +17,9 @@ import (
 // kernel_test.go enforce. DESIGN.md §4 documents the layout and the
 // bit-identity argument.
 //
-// Three ideas, compiled once per Problem:
+// Three ideas, compiled at most once per Problem:
 //
-//  1. Flat cover lists. Every Gamma[i][pol].Covers is compiled into a
+//  1. Flat cover lists. Every Gamma()[i][pol].Covers is compiled into a
 //     dense []CoverEntry of (task, slotEnergy) pairs with zero-energy
 //     pairs dropped, so the inner loop never touches model.Instance, the
 //     2D slotEnergy table, or the de == 0 branch. Task weight, required
@@ -72,16 +74,46 @@ func (s *KernelStats) add(o KernelStats) {
 	s.Pruned += o.Pruned
 }
 
-// kernel is the flat evaluation kernel compiled by NewProblem.
+// kernel is the per-task half of the flat evaluation kernel, built by
+// NewProblem: the kernel choice and the SoA copies of the per-task fields
+// the inner loops read. The per-policy half lives in monolith, which is
+// built on first use.
 type kernel struct {
 	linear   bool // inlined LinearBounded fast path active
 	linearOK bool // the instance's utility is the paper's LinearBounded
 
-	// SoA copies of the per-task fields the inner loops read.
 	weight  []float64
 	req     []float64
 	release []int32
 	end     []int32
+}
+
+func newKernel(in *model.Instance) kernel {
+	m := len(in.Tasks)
+	kn := kernel{
+		weight:  make([]float64, m),
+		req:     make([]float64, m),
+		release: make([]int32, m),
+		end:     make([]int32, m),
+	}
+	_, kn.linearOK = in.U().(model.LinearBounded)
+	kn.linear = kn.linearOK
+	for j := range in.Tasks {
+		t := &in.Tasks[j]
+		kn.weight[j], kn.req[j] = t.Weight, t.Energy
+		kn.release[j], kn.end[j] = int32(t.Release), int32(t.End)
+	}
+	return kn
+}
+
+// monolith is the field-wide policy space of a Problem: the dominant task
+// sets Γ_i of every charger (Algorithm 1) and their compiled cover lists.
+// A sharded run never reads it — each component's sub-Problem has its
+// own — so it is built on first use (Problem.monolith). The slices of a
+// built monolith are never written: delta operations build fresh ones and
+// replace the value whole, so clones can share it.
+type monolith struct {
+	gamma [][]dominant.Policy // Γ_i for every charger
 
 	// Flat policy index space: policy pol of charger i is fp =
 	// polOff[i] + pol. entries[fp] is the compiled cover list, sliced out
@@ -97,28 +129,56 @@ type kernel struct {
 	taskPols [][]int32
 }
 
-func compileKernel(p *Problem) kernel {
-	in := p.In
-	m := len(in.Tasks)
-	kn := kernel{
-		weight:  make([]float64, m),
-		req:     make([]float64, m),
-		release: make([]int32, m),
-		end:     make([]int32, m),
-		polOff:  make([]int32, len(p.Gamma)),
+// monolith returns the problem's field-wide dominant sets and compiled
+// cover lists, building them the first time any caller needs them.
+func (p *Problem) monolith() *monolith {
+	if !p.monoBuilt.Load() {
+		p.buildMonolith(nil)
 	}
-	_, kn.linearOK = in.U().(model.LinearBounded)
-	kn.linear = kn.linearOK
-	for j := range in.Tasks {
-		t := &in.Tasks[j]
-		kn.weight[j], kn.req[j] = t.Weight, t.Energy
-		kn.release[j], kn.end[j] = int32(t.Release), int32(t.End)
-	}
+	return &p.mono
+}
 
-	nPols, total := 0, 0
-	for i, g := range p.Gamma {
-		kn.polOff[i] = int32(nPols)
-		nPols += len(g)
+// buildMonolith builds and publishes the monolith unless another caller
+// already has, recording a "compile" span tree as a root of tr (nil: off)
+// when it does the work.
+func (p *Problem) buildMonolith(tr *obs.Trace) {
+	p.monoMu.Lock()
+	defer p.monoMu.Unlock()
+	if p.monoBuilt.Load() {
+		return
+	}
+	sp := tr.Start("compile")
+	p.mono = compileMonolith(p, sp)
+	sp.End()
+	p.monoBuilt.Store(true)
+}
+
+// compileMonolith runs dominant extraction on every charger's row
+// candidates and compiles the flat cover lists, recording the
+// dominant_extract and kernel_compile phases under parent.
+func compileMonolith(p *Problem, parent obs.SpanRef) monolith {
+	in := p.In
+	dsp := parent.Start("dominant_extract")
+	m := monolith{gamma: make([][]dominant.Policy, len(in.Chargers))}
+	nPols := 0
+	var ids []int // candidate buffer, reused across chargers
+	for i := range in.Chargers {
+		ids = ids[:0]
+		for _, e := range p.rows[i] {
+			ids = append(ids, int(e.Task))
+		}
+		m.gamma[i] = dominant.ExtractSubset(in, i, ids)
+		nPols += len(m.gamma[i])
+	}
+	dsp.Int("policies", int64(nPols)).End()
+
+	ksp := parent.Start("kernel_compile")
+	defer ksp.End()
+	m.polOff = make([]int32, len(m.gamma))
+	off, total := 0, 0
+	for i, g := range m.gamma {
+		m.polOff[i] = int32(off)
+		off += len(g)
 		for _, pol := range g {
 			for _, j := range pol.Covers {
 				if p.SlotEnergy(i, j) != 0 {
@@ -127,34 +187,34 @@ func compileKernel(p *Problem) kernel {
 			}
 		}
 	}
-	kn.entries = make([][]CoverEntry, nPols)
-	kn.winLo = make([]int32, nPols)
-	kn.winHi = make([]int32, nPols)
+	m.entries = make([][]CoverEntry, nPols)
+	m.winLo = make([]int32, nPols)
+	m.winHi = make([]int32, nPols)
 	arena := make([]CoverEntry, 0, total)
 	fp := 0
-	for i, g := range p.Gamma {
-		for pol := range g {
+	for i, g := range m.gamma {
+		for _, pol := range g {
 			var start int
-			arena, start, kn.winLo[fp], kn.winHi[fp] = appendPolicyEntries(p, &kn, i, pol, arena)
-			kn.entries[fp] = arena[start:len(arena):len(arena)]
+			arena, start, m.winLo[fp], m.winHi[fp] = appendPolicyEntries(p, i, pol.Covers, arena)
+			m.entries[fp] = arena[start:len(arena):len(arena)]
 			fp++
 		}
 	}
-	kn.buildTaskPols(m)
-	return kn
+	m.buildTaskPols(len(in.Tasks))
+	return m
 }
 
-// appendPolicyEntries compiles the cover list of policy pol of charger i
-// onto arena: one CoverEntry per covered task with non-zero slot energy,
-// in the cover order (ascending task), plus the union slot window of the
-// appended tasks ([0,0) for an empty list). It is the single compilation
-// of a policy's scan list — compileKernel and the incremental kernel
-// patch (incremental.go) both call it, so a patched policy is
-// bit-identical to a from-scratch compile by construction. kn only needs
-// its release/end SoA columns populated for the policy's tasks.
-func appendPolicyEntries(p *Problem, kn *kernel, i, pol int, arena []CoverEntry) (out []CoverEntry, start int, lo, hi int32) {
+// appendPolicyEntries compiles the cover list covers of a policy of
+// charger i onto arena: one CoverEntry per covered task with non-zero slot
+// energy, in the cover order (ascending task), plus the union slot window
+// of the appended tasks ([0,0) for an empty list). It is the single
+// compilation of a policy's scan list — compileMonolith and the
+// incremental patch (incremental.go) both call it, so a patched policy is
+// bit-identical to a from-scratch compile by construction.
+func appendPolicyEntries(p *Problem, i int, covers []int, arena []CoverEntry) (out []CoverEntry, start int, lo, hi int32) {
+	kn := &p.kern
 	start = len(arena)
-	for _, j := range p.Gamma[i][pol].Covers {
+	for _, j := range covers {
 		de := p.SlotEnergy(i, j)
 		if de == 0 {
 			continue
@@ -172,34 +232,43 @@ func appendPolicyEntries(p *Problem, kn *kernel, i, pol int, arena []CoverEntry)
 
 // buildTaskPols (re)derives the saturation-pruning reverse index from the
 // compiled cover lists: taskPols[j] lists, ascending, every flat policy
-// whose list contains task j. Walking entries in flat-policy order
-// reproduces exactly the appends the old inline construction performed.
-func (kn *kernel) buildTaskPols(m int) {
-	kn.taskPols = make([][]int32, m)
-	for fp, list := range kn.entries {
+// whose list contains task j.
+func (m *monolith) buildTaskPols(tasks int) {
+	m.taskPols = make([][]int32, tasks)
+	for fp, list := range m.entries {
 		for _, e := range list {
-			kn.taskPols[e.Task] = append(kn.taskPols[e.Task], int32(fp))
+			m.taskPols[e.Task] = append(m.taskPols[e.Task], int32(fp))
 		}
 	}
 }
 
 // flatPol maps (charger, policy) to the flat policy index.
-func (kn *kernel) flatPol(i, pol int) int { return int(kn.polOff[i]) + pol }
+func (m *monolith) flatPol(i, pol int) int { return int(m.polOff[i]) + pol }
+
+// Gamma returns the dominant task sets Γ_i of every charger: Gamma()[i]
+// lists charger i's policies, and a Schedule's Policy[i][k] indexes into
+// it. The first call builds them (with the flat kernel's cover lists) for
+// the whole field; a sharded TabularGreedy run never needs them. The
+// returned slices are shared; callers must not mutate them.
+func (p *Problem) Gamma() [][]dominant.Policy { return p.monolith().gamma }
 
 // CompiledCovers returns the flat kernel's compiled cover list of policy
 // pol of charger i: (task, slot energy) pairs with zero-energy pairs
 // dropped, in ascending task order. Executors (package sim, emr) iterate
-// it instead of pointer-chasing Gamma[i][pol].Covers through the instance.
+// it instead of pointer-chasing Gamma()[i][pol].Covers through the
+// instance.
 func (p *Problem) CompiledCovers(i, pol int) []CoverEntry {
-	return p.kern.entries[p.kern.flatPol(i, pol)]
+	m := p.monolith()
+	return m.entries[m.flatPol(i, pol)]
 }
 
 // PolicyWindow returns the union activity window [lo, hi) of the policy's
 // compiled tasks: outside it the policy cannot charge anything. Empty
 // compiled lists report [0, 0).
 func (p *Problem) PolicyWindow(i, pol int) (lo, hi int) {
-	fp := p.kern.flatPol(i, pol)
-	return int(p.kern.winLo[fp]), int(p.kern.winHi[fp])
+	m := p.monolith()
+	fp := m.flatPol(i, pol)
+	return int(m.winLo[fp]), int(m.winHi[fp])
 }
 
 // FlatKernel reports whether the inlined linear-bounded kernel is active
@@ -266,16 +335,17 @@ func (p *Problem) WeightedDelta(j int, e, de float64) float64 {
 // churn; NewEnergyState remains the plain allocating constructor.
 func (p *Problem) AcquireState() *EnergyState {
 	p.statesOut.Add(1)
+	m := p.monolith()
 	if v := p.statePool.Get(); v != nil {
 		es := v.(*EnergyState)
 		// A pooled state that predates a delta operation (incremental.go)
 		// is sized for the old task count or the old flat-policy space —
 		// drop it and allocate fresh instead of resurrecting stale caches.
 		if len(es.energy) == len(p.In.Tasks) &&
-			(es.live == nil || len(es.live) == len(p.kern.entries)) {
+			(es.live == nil || len(es.live) == len(m.entries)) {
 			es.Reset()
 			es.stats = nil
-			es.pooled = true
+			es.pooled, es.inPool = true, false
 			return es
 		}
 	}
@@ -288,11 +358,12 @@ func (p *Problem) AcquireState() *EnergyState {
 // NewEnergyState) to the problem's pool. The caller must not use it
 // afterwards.
 func (p *Problem) ReleaseState(es *EnergyState) {
-	if es != nil && es.p == p {
+	if es != nil && es.p == p && !es.inPool {
 		if es.pooled {
 			es.pooled = false
 			p.statesOut.Add(-1)
 		}
+		es.inPool = true
 		p.statePool.Put(es)
 	}
 }
@@ -306,9 +377,9 @@ func (p *Problem) ReleaseState(es *EnergyState) {
 // tests assert.
 func (p *Problem) StatesInUse() int64 {
 	out := p.statesOut.Load()
-	if subs := p.subs.Load(); subs != nil {
-		for _, sub := range *subs {
-			if sub != nil {
+	if slots := p.subs.Load(); slots != nil {
+		for ci := range *slots {
+			if sub := (*slots)[ci].p.Load(); sub != nil {
 				out += sub.statesOut.Load()
 			}
 		}
@@ -344,7 +415,7 @@ func (es *EnergyState) scanList(fp int) []CoverEntry {
 			return row
 		}
 	}
-	return es.p.kern.entries[fp]
+	return es.mono().entries[fp]
 }
 
 // marginalFlat is Marginal/MarginalScaled on the flat kernel. frac scales
@@ -352,15 +423,15 @@ func (es *EnergyState) scanList(fp int) []CoverEntry {
 // which skips the multiply and the de == 0 re-check (compiled entries are
 // nonzero, and the reference only re-checks after scaling).
 func (es *EnergyState) marginalFlat(i, k, pol int, frac float64, scaled bool) float64 {
-	kn := &es.p.kern
-	fp := kn.flatPol(i, pol)
+	kn, m := &es.p.kern, es.mono()
+	fp := m.flatPol(i, pol)
 	k32 := int32(k)
 	st := es.stats
 	if st != nil {
 		st.Calls++
-		st.Offered += int64(len(kn.entries[fp]))
+		st.Offered += int64(len(m.entries[fp]))
 	}
-	if k32 < kn.winLo[fp] || k32 >= kn.winHi[fp] {
+	if k32 < m.winLo[fp] || k32 >= m.winHi[fp] {
 		return 0
 	}
 	list := es.scanList(fp)
@@ -401,12 +472,12 @@ func (es *EnergyState) marginalFlat(i, k, pol int, frac float64, scaled bool) fl
 // and PerTaskEnergies/Energy expose those energies. Saturation crossings
 // trigger the pruning of the task from every policy's live list.
 func (es *EnergyState) applyScaledFlat(i, k, pol int, frac float64) float64 {
-	kn := &es.p.kern
-	fp := kn.flatPol(i, pol)
+	kn, m := &es.p.kern, es.mono()
+	fp := m.flatPol(i, pol)
 	k32 := int32(k)
 	var gain float64
-	if k32 >= kn.winLo[fp] && k32 < kn.winHi[fp] {
-		for _, e := range kn.entries[fp] {
+	if k32 >= m.winLo[fp] && k32 < m.winHi[fp] {
+		for _, e := range m.entries[fp] {
 			j := e.Task
 			if k32 < kn.release[j] || k32 >= kn.end[j] {
 				continue
@@ -442,18 +513,18 @@ func (es *EnergyState) applyScaledFlat(i, k, pol int, frac float64) float64 {
 // materialized copy-on-write: a nil live row means "no contained task has
 // ever saturated", so the problem's shared list is still exact for it.
 func (es *EnergyState) saturate(j int32) {
-	kn := &es.p.kern
+	m := es.mono()
 	if es.satur == nil {
-		es.satur = make([]bool, len(kn.req))
+		es.satur = make([]bool, len(es.energy))
 	}
 	es.satur[j] = true
 	if es.live == nil {
-		es.live = make([][]CoverEntry, len(kn.entries))
+		es.live = make([][]CoverEntry, len(m.entries))
 	}
-	for _, fp := range kn.taskPols[j] {
+	for _, fp := range m.taskPols[j] {
 		row := es.live[fp]
 		if row == nil {
-			shared := kn.entries[fp]
+			shared := m.entries[fp]
 			row = make([]CoverEntry, 0, len(shared)-1)
 			for _, e := range shared {
 				if e.Task != j {
@@ -467,7 +538,7 @@ func (es *EnergyState) saturate(j int32) {
 		es.live[fp] = row
 	}
 	if es.stats != nil {
-		es.stats.Pruned += int64(len(kn.taskPols[j]))
+		es.stats.Pruned += int64(len(m.taskPols[j]))
 	}
 }
 
@@ -475,11 +546,11 @@ func (es *EnergyState) saturate(j int32) {
 // Restore can rewind a task's energy back below its requirement (the
 // branch-and-bound solver does exactly that when backtracking).
 func (es *EnergyState) unsaturate(j int) {
-	kn := &es.p.kern
+	m := es.mono()
 	es.satur[j] = false
 	j32 := int32(j)
-	for _, fp := range kn.taskPols[j] {
-		shared := kn.entries[fp]
+	for _, fp := range m.taskPols[j] {
+		shared := m.entries[fp]
 		e := shared[searchEntry(shared, j32)]
 		row := es.live[fp]
 		idx := searchEntry(row, j32)
@@ -489,7 +560,7 @@ func (es *EnergyState) unsaturate(j int) {
 		es.live[fp] = row
 	}
 	if es.stats != nil {
-		es.stats.Pruned -= int64(len(kn.taskPols[j]))
+		es.stats.Pruned -= int64(len(m.taskPols[j]))
 	}
 }
 
@@ -543,20 +614,20 @@ func searchEntry(row []CoverEntry, j int32) int {
 // private accumulator in acc, and gains[pol] then reduces acc in affected
 // order — the canonical reduction order of the per-state scan.
 func gainsBatchFlat(p *Problem, states []*EnergyState, affected []int, i, k, nPol int, gains, acc []float64) {
-	kn := &p.kern
-	base := int(kn.polOff[i])
+	kn, m := &p.kern, &p.mono // built: the states exist
+	base := int(m.polOff[i])
 	k32 := int32(k)
 	acc = acc[:len(affected)]
 	for pol := 0; pol < nPol; pol++ {
 		fp := base + pol
-		if k32 < kn.winLo[fp] || k32 >= kn.winHi[fp] {
+		if k32 < m.winLo[fp] || k32 >= m.winHi[fp] {
 			gains[pol] = 0
 			continue
 		}
 		for idx := range acc {
 			acc[idx] = 0
 		}
-		for _, e := range kn.entries[fp] {
+		for _, e := range m.entries[fp] {
 			j := e.Task
 			if k32 < kn.release[j] || k32 >= kn.end[j] {
 				continue
@@ -590,17 +661,17 @@ func gainsBatchFlat(p *Problem, states []*EnergyState, affected []int, i, k, nPo
 // sample's total exactly once — the same single addition the per-state
 // path performs, so totals are bit-identical.
 func applyBatchFlat(p *Problem, states []*EnergyState, affected []int, i, k, pol int, acc []float64) {
-	kn := &p.kern
-	fp := kn.flatPol(i, pol)
+	kn, m := &p.kern, &p.mono // built: the states exist
+	fp := m.flatPol(i, pol)
 	k32 := int32(k)
-	if k32 < kn.winLo[fp] || k32 >= kn.winHi[fp] {
+	if k32 < m.winLo[fp] || k32 >= m.winHi[fp] {
 		return
 	}
 	acc = acc[:len(affected)]
 	for idx := range acc {
 		acc[idx] = 0
 	}
-	for _, e := range kn.entries[fp] {
+	for _, e := range m.entries[fp] {
 		j := e.Task
 		if k32 < kn.release[j] || k32 >= kn.end[j] {
 			continue

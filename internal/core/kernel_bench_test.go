@@ -29,8 +29,8 @@ func benchStates(p *Problem, nSt int) ([]*EnergyState, []int) {
 		states[s] = NewEnergyState(p)
 		affected[s] = s
 		for k := 0; k < p.K; k += 2 {
-			for i := range p.Gamma {
-				states[s].Apply(i, k, (s+i+k)%len(p.Gamma[i]))
+			for i := range p.Gamma() {
+				states[s].Apply(i, k, (s+i+k)%len(p.Gamma()[i]))
 			}
 		}
 	}
@@ -40,7 +40,7 @@ func benchStates(p *Problem, nSt int) ([]*EnergyState, []int) {
 func BenchmarkGainsBatchFlat(b *testing.B) {
 	p := benchProblem(b)
 	states, affected := benchStates(p, 16)
-	nPol := len(p.Gamma[0])
+	nPol := len(p.Gamma()[0])
 	gains := make([]float64, nPol)
 	acc := make([]float64, len(states))
 	b.ReportAllocs()
@@ -57,7 +57,7 @@ func BenchmarkApplyBatchFlat(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		applyBatchFlat(p, states, affected, 0, i%p.K, i%len(p.Gamma[0]), acc)
+		applyBatchFlat(p, states, affected, 0, i%p.K, i%len(p.Gamma()[0]), acc)
 	}
 }
 
@@ -70,12 +70,12 @@ func BenchmarkMarginalFlatVsGeneric(b *testing.B) {
 			p := benchProblem(b)
 			p.SetFlatKernel(cfg.flat)
 			states, _ := benchStates(p, 1)
-			es := states[0]
+			es, gamma := states[0], p.Gamma()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ch := i % len(p.Gamma)
-				es.Marginal(ch, i%p.K, i%len(p.Gamma[ch]))
+				ch := i % len(gamma)
+				es.Marginal(ch, i%p.K, i%len(gamma[ch]))
 			}
 		})
 	}

@@ -36,11 +36,11 @@ func kernelProneInstance(rng *rand.Rand, n, m int) *model.Instance {
 func TestCompileKernelLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := mustProblem(t, kernelProneInstance(rng, 4, 24))
-	for i := range p.Gamma {
-		for pol := range p.Gamma[i] {
+	for i := range p.Gamma() {
+		for pol := range p.Gamma()[i] {
 			var want []CoverEntry
 			wantLo, wantHi := 0, 0
-			for _, j := range p.Gamma[i][pol].Covers {
+			for _, j := range p.Gamma()[i][pol].Covers {
 				de := p.SlotEnergy(i, j)
 				if de == 0 {
 					continue
@@ -74,8 +74,8 @@ func TestCompileKernelLayout(t *testing.T) {
 	}
 	// The far-away charger must still have a (single, idle) policy whose
 	// compiled list is empty, and its window must short-circuit every slot.
-	far := len(p.Gamma) - 1
-	for pol := range p.Gamma[far] {
+	far := len(p.Gamma()) - 1
+	for pol := range p.Gamma()[far] {
 		if len(p.CompiledCovers(far, pol)) != 0 {
 			t.Fatalf("far charger policy %d has compiled entries", pol)
 		}
@@ -102,8 +102,8 @@ func TestFlatKernelMatchesGenericQuick(t *testing.T) {
 		}
 		flat, gen := NewEnergyState(p), NewEnergyState(p)
 		for step := 0; step < 120; step++ {
-			i := rng.Intn(len(p.Gamma))
-			pol := rng.Intn(len(p.Gamma[i]))
+			i := rng.Intn(len(p.Gamma()))
+			pol := rng.Intn(len(p.Gamma()[i]))
 			k := rng.Intn(p.K)
 			frac := float64(rng.Intn(4)) / 3.0
 			var a, b float64
@@ -146,7 +146,7 @@ func TestFlatKernelMatchesGenericQuick(t *testing.T) {
 // state: satur[j] ⟺ energy[j] ≥ E_j, and every materialized live list is
 // exactly the shared compiled list minus the saturated tasks, in order.
 func saturationInvariantHolds(es *EnergyState) bool {
-	kn := &es.p.kern
+	kn, m := &es.p.kern, es.mono()
 	sat := func(j int32) bool { return es.satur != nil && es.satur[j] }
 	for j := range es.p.In.Tasks {
 		if sat(int32(j)) != (es.energy[j] >= kn.req[j]) {
@@ -155,13 +155,13 @@ func saturationInvariantHolds(es *EnergyState) bool {
 	}
 	if es.live == nil {
 		for j := range es.p.In.Tasks {
-			if sat(int32(j)) && len(kn.taskPols[j]) > 0 {
+			if sat(int32(j)) && len(m.taskPols[j]) > 0 {
 				return false
 			}
 		}
 		return true
 	}
-	for fp, shared := range kn.entries {
+	for fp, shared := range m.entries {
 		row := es.live[fp]
 		if row == nil {
 			for _, e := range shared {
@@ -209,21 +209,21 @@ func TestSaturationPruningPreservesArgmaxUnderPreferStay(t *testing.T) {
 	}
 	affected := []int{0, 1, 2, 3}
 	maxPol := 0
-	for _, g := range p.Gamma {
+	for _, g := range p.Gamma() {
 		if len(g) > maxPol {
 			maxPol = len(g)
 		}
 	}
 	gains := make([]float64, maxPol)
 	acc := make([]float64, nStates)
-	prev := make([]int, len(p.Gamma))
+	prev := make([]int, len(p.Gamma()))
 	for i := range prev {
 		prev[i] = -1
 	}
 	anySaturated := false
 	for k := 0; k < p.K; k++ {
-		for i := range p.Gamma {
-			nPol := len(p.Gamma[i])
+		for i := range p.Gamma() {
+			nPol := len(p.Gamma()[i])
 			gainsBatchFlat(p, flatStates, affected, i, k, nPol, gains, acc)
 			flatPick := argmaxPolicy(gains[:nPol], prev[i], true)
 			p.SetFlatKernel(false)
@@ -261,7 +261,7 @@ func TestMarginalPathsAllocationFree(t *testing.T) {
 	es := NewEnergyState(p)
 	// Saturate what will saturate so live lists are materialized up front.
 	for k := 0; k < p.K; k++ {
-		for i := range p.Gamma {
+		for i := range p.Gamma() {
 			es.Apply(i, k, 0)
 		}
 	}
@@ -272,7 +272,7 @@ func TestMarginalPathsAllocationFree(t *testing.T) {
 	checks := map[string]func(){
 		"Marginal":       func() { es.Marginal(0, 1, 0) },
 		"MarginalScaled": func() { es.MarginalScaled(0, 1, 0, 0.5) },
-		"gainsBatchFlat": func() { gainsBatchFlat(p, states, affected, 0, 1, len(p.Gamma[0]), gains, acc) },
+		"gainsBatchFlat": func() { gainsBatchFlat(p, states, affected, 0, 1, len(p.Gamma()[0]), gains, acc) },
 		"applyBatchFlat": func() { applyBatchFlat(p, states, affected, 0, 1, 0, acc) },
 	}
 	for name, fn := range checks {
@@ -317,8 +317,8 @@ func TestStatePoolingAndCopyFrom(t *testing.T) {
 	p := mustProblem(t, kernelProneInstance(rng, 3, 12))
 	es := p.AcquireState()
 	for k := 0; k < p.K; k++ {
-		for i := range p.Gamma {
-			es.Apply(i, k, rng.Intn(len(p.Gamma[i])))
+		for i := range p.Gamma() {
+			es.Apply(i, k, rng.Intn(len(p.Gamma()[i])))
 		}
 	}
 	cp := NewEnergyState(p)
@@ -335,8 +335,8 @@ func TestStatePoolingAndCopyFrom(t *testing.T) {
 		t.Fatal("CopyFrom broke the saturation invariant")
 	}
 	// The copy must behave identically from here on.
-	for i := range p.Gamma {
-		for pol := range p.Gamma[i] {
+	for i := range p.Gamma() {
+		for pol := range p.Gamma()[i] {
 			if a, b := es.Marginal(i, 1, pol), cp.Marginal(i, 1, pol); a != b {
 				t.Fatalf("copy diverges on Marginal(%d,1,%d): %v != %v", i, pol, a, b)
 			}
@@ -378,8 +378,8 @@ func TestRestoreUnsaturates(t *testing.T) {
 		ids[j] = j
 	}
 	for step := 0; step < 60; step++ {
-		i := rng.Intn(len(p.Gamma))
-		pol := rng.Intn(len(p.Gamma[i]))
+		i := rng.Intn(len(p.Gamma()))
+		pol := rng.Intn(len(p.Gamma()[i]))
 		k := rng.Intn(p.K)
 		for j := range vals {
 			vals[j] = es.Energy(j)
@@ -399,8 +399,8 @@ func TestRestoreUnsaturates(t *testing.T) {
 	}
 	es.Restore(ids, vals, 0)
 	fresh := NewEnergyState(p)
-	for i := range p.Gamma {
-		for pol := range p.Gamma[i] {
+	for i := range p.Gamma() {
+		for pol := range p.Gamma()[i] {
 			for k := 0; k < p.K; k += 3 {
 				if a, b := es.Marginal(i, k, pol), fresh.Marginal(i, k, pol); a != b {
 					t.Fatalf("restored state diverges at (%d,%d,%d): %v != %v", i, k, pol, a, b)

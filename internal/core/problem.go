@@ -2,13 +2,14 @@
 // objective (problem RP2) and the centralized offline scheduling algorithm
 // (Algorithm 2, a tailored TabularGreedy over S-C tuples).
 //
-// A Problem bundles a model.Instance with the precomputed dominant task
-// sets Γ_i (Algorithm 1) and the per-pair power matrix P_r(s_i, o_j). A
-// Schedule fixes one dominant-set policy per charger per time slot — one
-// element from every partition Θ_{i,k} of the partition matroid — and
-// Evaluate computes the HASTE-R utility Σ_j w_j·U(harvested energy_j),
-// ignoring switching delay. The switching-delay-aware HASTE utility of a
-// schedule is computed by package sim.
+// A Problem bundles a model.Instance with its sparse per-pair slot
+// energies P_r(s_i, o_j)·T_s and, built on first use, the dominant task
+// sets Γ_i (Algorithm 1) of every charger. A Schedule fixes one
+// dominant-set policy per charger per time slot — one element from every
+// partition Θ_{i,k} of the partition matroid — and Evaluate computes the
+// HASTE-R utility Σ_j w_j·U(harvested energy_j), ignoring switching
+// delay. The switching-delay-aware HASTE utility of a schedule is
+// computed by package sim.
 package core
 
 import (
@@ -16,19 +17,18 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"haste/internal/dominant"
 	"haste/internal/geom"
 	"haste/internal/model"
 	"haste/internal/obs"
 )
 
 // Problem is a HASTE instance with everything precomputed that the
-// schedulers need: dominant task sets per charger, the time horizon K, and
-// the energy each covered task harvests from each charger per slot.
+// schedulers need: the time horizon K, the energy each covered task
+// harvests from each charger per slot and — on first use — the dominant
+// task sets per charger (Gamma).
 type Problem struct {
-	In    *model.Instance
-	Gamma [][]dominant.Policy // Γ_i for every charger
-	K     int                 // number of time slots spanned by the tasks
+	In *model.Instance
+	K  int // number of time slots spanned by the tasks
 
 	// rows[i] is charger i's sparse slot-energy row: one CoverEntry per
 	// chargeable task, ascending by task index, sliced out of a shared
@@ -43,9 +43,22 @@ type Problem struct {
 	// with the tasks within radius D, not with m.
 	rows [][]CoverEntry
 
-	// kern is the flat evaluation kernel (kernel.go): compiled cover
-	// lists, SoA task data and slot windows the hot marginal loops run on.
+	// kern is the per-task half of the flat evaluation kernel (kernel.go):
+	// the kernel choice and the SoA task data the hot marginal loops read.
 	kern kernel
+
+	// mono holds the field-wide dominant sets and compiled cover lists
+	// (kernel.go), valid once monoBuilt is set — the first time a caller
+	// needs them: a monolithic run, an EnergyState, Gamma,
+	// CompiledCovers. A sharded run reads only its components'
+	// sub-Problems, so it never builds them. monoMu serializes the build,
+	// which sets monoBuilt after writing mono; a reader that sees the
+	// flag set reads mono without the lock. mono is held by value, not
+	// behind a pointer, so the hot scans reach it in as few dependent
+	// loads as the per-task columns.
+	monoMu    sync.Mutex
+	monoBuilt atomic.Bool
+	mono      monolith
 
 	// statePool recycles EnergyStates between runs; see AcquireState.
 	// statesOut counts AcquireState calls minus ReleaseState returns —
@@ -55,18 +68,19 @@ type Problem struct {
 	statesOut atomic.Int64
 
 	// Shard-and-stitch caches (shard.go): the coverage graph's connected
-	// components and their compiled sub-Problems, each computed at most
-	// once per Problem. subs is an atomic pointer so StatesInUse can
-	// aggregate sub-problem balances while another run is compiling them.
-	// The Once guards are pointers so the delta operations (incremental.go)
-	// can invalidate a cache by re-pointing its guard — a value sync.Once
-	// cannot be reset or copied.
+	// components, computed at most once per Problem, and one slot per
+	// component for its sub-Problem, which the sharded run that first
+	// reaches the component compiles. subs is an atomic pointer so
+	// StatesInUse can aggregate sub-problem balances while another run is
+	// compiling them. The Once guards are pointers so the delta operations
+	// (incremental.go) can invalidate a cache by re-pointing its guard — a
+	// value sync.Once cannot be reset or copied.
 	compsOnce   *sync.Once
 	comps       []Component
 	schedulable int
 
 	subsOnce *sync.Once
-	subs     atomic.Pointer[[]*Problem]
+	subs     atomic.Pointer[[]subSlot]
 
 	// Incremental-scheduling state (incremental.go). chargerGrid is the
 	// lazily built spatial index over the (static) charger positions that
@@ -86,23 +100,27 @@ type Problem struct {
 	lastRun  atomic.Pointer[componentRun]
 }
 
-// NewProblem validates the instance, builds the sparse slot-energy rows
-// through a spatial grid index over the tasks, extracts the dominant
-// task sets of every charger from its row's candidate set, and compiles
-// the flat evaluation kernel. The whole compile is O((n+m)·density) in
-// time and memory — density being the tasks within radius D of a
-// charger — instead of the dense all-pairs O(n·m); the resulting Gamma,
-// kernel and every published energy are bit-identical to the dense-era
-// compile (the grid feeds dominant extraction the chargeable tasks in
-// the same ascending order the full scan did).
+// NewProblem validates the instance and builds the sparse slot-energy
+// rows through a spatial grid index over the tasks, plus the kernel's
+// per-task columns. The whole compile is O((n+m)·density) in time and
+// memory — density being the tasks within radius D of a charger —
+// instead of the dense all-pairs O(n·m). The dominant task sets of every
+// charger and the flat kernel's cover lists are built from the rows on
+// first use (Gamma, a monolithic run, an EnergyState), so a sharded run,
+// which compiles only its components, never pays for them. Every
+// published energy, Gamma and cover list is bit-identical to the
+// dense-era compile (the grid feeds dominant extraction the chargeable
+// tasks in the same ascending order the full scan did).
 func NewProblem(in *model.Instance) (*Problem, error) {
 	return newProblem(in, obs.SpanRef{})
 }
 
-// NewProblemTraced is NewProblem with the compile phases — grid build,
-// slot-energy rows, dominant extraction, kernel compile — recorded as a
-// "compile" span tree on tr. A nil tr is exactly NewProblem; the probe
-// only observes, so the compiled Problem is identical either way.
+// NewProblemTraced is NewProblem with the compile phases — grid build and
+// slot-energy rows — recorded as a "compile" span tree on tr. A monolithic
+// TabularGreedy run traced on tr records the deferred dominant extraction
+// and kernel compile as a second "compile" tree when it builds them. A
+// nil tr is exactly NewProblem; the probe only observes, so the compiled
+// Problem is identical either way.
 func NewProblemTraced(in *model.Instance, tr *obs.Trace) (*Problem, error) {
 	return newProblem(in, tr.Root())
 }
@@ -113,31 +131,22 @@ func newProblem(in *model.Instance, parent obs.SpanRef) (*Problem, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	p := &Problem{
+	p := newProblemFromRows(in, chargeableRows(in, sp))
+	sp.Int("chargers", int64(len(in.Chargers))).Int("tasks", int64(len(in.Tasks)))
+	return p, nil
+}
+
+// newProblemFromRows assembles a Problem around already built rows of a
+// valid instance.
+func newProblemFromRows(in *model.Instance, rows [][]CoverEntry) *Problem {
+	return &Problem{
 		In:        in,
 		K:         in.Horizon(),
-		rows:      chargeableRows(in, sp),
+		rows:      rows,
+		kern:      newKernel(in),
 		compsOnce: new(sync.Once),
 		subsOnce:  new(sync.Once),
 	}
-	dsp := sp.Start("dominant_extract")
-	p.Gamma = make([][]dominant.Policy, len(in.Chargers))
-	nPols := 0
-	var ids []int // candidate buffer, reused across chargers
-	for i := range in.Chargers {
-		ids = ids[:0]
-		for _, e := range p.rows[i] {
-			ids = append(ids, int(e.Task))
-		}
-		p.Gamma[i] = dominant.ExtractSubset(in, i, ids)
-		nPols += len(p.Gamma[i])
-	}
-	dsp.Int("policies", int64(nPols)).End()
-	ksp := sp.Start("kernel_compile")
-	p.kern = compileKernel(p)
-	ksp.End()
-	sp.Int("chargers", int64(len(in.Chargers))).Int("tasks", int64(len(in.Tasks)))
-	return p, nil
 }
 
 // chargeableRows builds the per-charger sparse slot-energy rows: for
@@ -216,7 +225,7 @@ func (p *Problem) SlotEnergy(i, j int) float64 {
 func (p *Problem) ChargerRow(i int) []CoverEntry { return p.rows[i] }
 
 // Schedule assigns each charger one policy index per time slot:
-// Policy[i][k] indexes into Gamma[i]; -1 means unassigned (the charger
+// Policy[i][k] indexes into Gamma()[i]; -1 means unassigned (the charger
 // keeps whatever orientation it had and covers nothing that the objective
 // credits). A fully assigned Schedule is a basis of the partition matroid.
 type Schedule struct {
@@ -285,15 +294,23 @@ type EnergyState struct {
 	// pooled marks states handed out by AcquireState and not yet
 	// returned, so the statesOut balance counts each checkout exactly
 	// once even if ReleaseState is called on a NewEnergyState state or
-	// twice on the same one.
+	// twice on the same one. inPool marks states sitting in the pool, so
+	// a second release does not put a state there twice — two later
+	// checkouts would then share it.
 	pooled bool
+	inPool bool
 }
 
 // NewEnergyState returns the empty state (f(∅) = 0).
 func NewEnergyState(p *Problem) *EnergyState {
 	m := len(p.In.Tasks)
+	p.monolith()
 	return &EnergyState{p: p, energy: make([]float64, m), uval: make([]float64, m)}
 }
+
+// mono returns the policy space of the state's problem, which
+// NewEnergyState and AcquireState have built.
+func (es *EnergyState) mono() *monolith { return &es.p.mono }
 
 // Reset clears accumulated energy, reusing the allocations.
 func (es *EnergyState) Reset() {
@@ -368,7 +385,7 @@ func (es *EnergyState) Marginal(i, k, pol int) float64 {
 func (es *EnergyState) marginalGeneric(i, k, pol int) float64 {
 	u := es.p.In.U()
 	var gain float64
-	for _, j := range es.p.Gamma[i][pol].Covers {
+	for _, j := range es.mono().gamma[i][pol].Covers {
 		t := &es.p.In.Tasks[j]
 		if !t.ActiveAt(k) {
 			continue
@@ -395,7 +412,7 @@ func (es *EnergyState) MarginalScaled(i, k, pol int, frac float64) float64 {
 func (es *EnergyState) marginalScaledGeneric(i, k, pol int, frac float64) float64 {
 	u := es.p.In.U()
 	var gain float64
-	for _, j := range es.p.Gamma[i][pol].Covers {
+	for _, j := range es.mono().gamma[i][pol].Covers {
 		t := &es.p.In.Tasks[j]
 		if !t.ActiveAt(k) {
 			continue
@@ -426,7 +443,7 @@ func (es *EnergyState) ApplyScaled(i, k, pol int, frac float64) float64 {
 func (es *EnergyState) applyScaledGeneric(i, k, pol int, frac float64) float64 {
 	u := es.p.In.U()
 	var gain float64
-	for _, j := range es.p.Gamma[i][pol].Covers {
+	for _, j := range es.mono().gamma[i][pol].Covers {
 		t := &es.p.In.Tasks[j]
 		if !t.ActiveAt(k) {
 			continue

@@ -80,8 +80,8 @@ func TestProblemPrecomputation(t *testing.T) {
 	if got := p.SlotEnergy(0, 0); !almostEq(got, 240) {
 		t.Errorf("SlotEnergy = %v, want 240", got)
 	}
-	if len(p.Gamma[0]) != 1 || p.Gamma[0][0].Idle {
-		t.Fatalf("Gamma = %v", p.Gamma[0])
+	if len(p.Gamma()[0]) != 1 || p.Gamma()[0][0].Idle {
+		t.Fatalf("Gamma = %v", p.Gamma()[0])
 	}
 }
 
@@ -128,7 +128,7 @@ func TestMarginalMatchesApply(t *testing.T) {
 		for step := 0; step < 30; step++ {
 			i := rng.Intn(len(in.Chargers))
 			k := rng.Intn(p.K)
-			pol := rng.Intn(len(p.Gamma[i]))
+			pol := rng.Intn(len(p.Gamma()[i]))
 			m := es.Marginal(i, k, pol)
 			before := es.Total()
 			gain := es.Apply(i, k, pol)
@@ -197,7 +197,7 @@ func TestObjectiveMonotoneSubmodular(t *testing.T) {
 				continue
 			}
 			used[[2]int{i, k}] = true
-			b = append(b, elem{i, k, rng.Intn(len(p.Gamma[i]))})
+			b = append(b, elem{i, k, rng.Intn(len(p.Gamma()[i]))})
 		}
 		nA := rng.Intn(len(b))
 		// e from a fresh partition.
@@ -205,7 +205,7 @@ func TestObjectiveMonotoneSubmodular(t *testing.T) {
 		for {
 			i, k := rng.Intn(n), rng.Intn(p.K)
 			if !used[[2]int{i, k}] {
-				e = elem{i, k, rng.Intn(len(p.Gamma[i]))}
+				e = elem{i, k, rng.Intn(len(p.Gamma()[i]))}
 				break
 			}
 		}

@@ -31,13 +31,13 @@ func TestObjectivePropertiesQuick(t *testing.T) {
 				continue
 			}
 			used[[2]int{i, k}] = true
-			b = append(b, elem{i, k, rng.Intn(len(p.Gamma[i]))})
+			b = append(b, elem{i, k, rng.Intn(len(p.Gamma()[i]))})
 		}
 		var e elem
 		for {
 			i, k := rng.Intn(3), rng.Intn(p.K)
 			if !used[[2]int{i, k}] {
-				e = elem{i, k, rng.Intn(len(p.Gamma[i]))}
+				e = elem{i, k, rng.Intn(len(p.Gamma()[i]))}
 				break
 			}
 		}
@@ -73,12 +73,12 @@ func TestRestoreUndoesApplyQuick(t *testing.T) {
 		// Warm the state with a few applications.
 		for step := 0; step < 5; step++ {
 			i := rng.Intn(3)
-			es.Apply(i, rng.Intn(p.K), rng.Intn(len(p.Gamma[i])))
+			es.Apply(i, rng.Intn(p.K), rng.Intn(len(p.Gamma()[i])))
 		}
 		i := rng.Intn(3)
-		k, pol := rng.Intn(p.K), rng.Intn(len(p.Gamma[i]))
+		k, pol := rng.Intn(p.K), rng.Intn(len(p.Gamma()[i]))
 		before := es.Clone()
-		ids := append([]int(nil), p.Gamma[i][pol].Covers...)
+		ids := append([]int(nil), p.Gamma()[i][pol].Covers...)
 		vals := make([]float64, len(ids))
 		for idx, j := range ids {
 			vals[idx] = es.Energy(j)
@@ -121,7 +121,7 @@ func TestTabularGreedyWithGeneralUtilities(t *testing.T) {
 			s := NewSchedule(len(in.Chargers), p.K)
 			for i := range s.Policy {
 				for k := range s.Policy[i] {
-					s.Policy[i][k] = rng.Intn(len(p.Gamma[i]))
+					s.Policy[i][k] = rng.Intn(len(p.Gamma()[i]))
 				}
 			}
 			if other := Evaluate(p, s); res.RUtility < other/2-1e-9 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -17,12 +18,14 @@ import (
 // no policy of a charger in one component can move a single joule into
 // another component. The decomposer finds the components from the sparse
 // chargeable rows, the runner gets each schedulable component's
-// sub-Problem (cached on a compiled Problem, compiled transiently by
-// ScheduleSharded), runs the monolithic greedy on every component
+// sub-Problem — sliced out of the parent's rows inside the worker that
+// runs the component, cached on a compiled Problem and transient under
+// ScheduleSharded — runs the monolithic greedy on every component
 // (concurrently, bounded by Options.Workers), and stitches the
 // per-component schedules and cell gains back together with global
-// indices restored. TabularGreedy and ScheduleSharded share that one
-// runner.
+// indices restored. Neither path ever builds the parent's field-wide
+// dominant sets or kernel. TabularGreedy and ScheduleSharded share that
+// one runner.
 //
 // Equivalence contract (enforced by internal/difftest's sharded sweep):
 //
@@ -75,9 +78,9 @@ const (
 )
 
 // DefaultShardThreshold is the component count at which ShardAuto turns
-// sharding on. Below it the decomposition buys little (the components'
-// compiled kernels largely duplicate the monolithic one) and the
-// monolithic path avoids the sub-Problem compilation entirely.
+// sharding on. Below it the decomposition buys little: the pool has few
+// components to overlap, while each still pays for its own sub-Problem,
+// plan slice and stitch.
 const DefaultShardThreshold = 4
 
 // Component is one connected component of the charger–task coverage
@@ -178,82 +181,117 @@ func coverageComponents(n, m int, rows [][]CoverEntry) ([]Component, int) {
 			}
 		}
 	}
-	index := make(map[int32]int)
-	var comps []Component
-	for v := 0; v < n+m; v++ {
-		r := find(int32(v))
-		ci, ok := index[r]
-		if !ok {
-			ci = len(comps)
-			index[r] = ci
-			comps = append(comps, Component{})
+	// A root is its component's smallest member, so an ascending walk
+	// meets it before the rest of the component: that numbers the
+	// components canonically. The walk also counts each component's
+	// chargers and tasks, so the member lists are carved out of one arena.
+	of := make([]int32, n+m) // component of every node
+	var counts [][2]int      // chargers, tasks per component
+	for v := range of {
+		if r := find(int32(v)); r == int32(v) {
+			of[v] = int32(len(counts))
+			counts = append(counts, [2]int{})
+		} else {
+			of[v] = of[r]
 		}
+		if v < n {
+			counts[of[v]][0]++
+		} else {
+			counts[of[v]][1]++
+		}
+	}
+	comps := make([]Component, len(counts))
+	arena := make([]int, n+m)
+	sched := 0
+	for ci, c := range counts {
+		if c[0] > 0 {
+			comps[ci].Chargers, arena = arena[:0:c[0]], arena[c[0]:]
+		}
+		if c[1] > 0 {
+			comps[ci].Tasks, arena = arena[:0:c[1]], arena[c[1]:]
+		}
+		if c[0] > 0 && c[1] > 0 {
+			sched++
+		}
+	}
+	for v, ci := range of {
 		if v < n {
 			comps[ci].Chargers = append(comps[ci].Chargers, v)
 		} else {
 			comps[ci].Tasks = append(comps[ci].Tasks, v-n)
 		}
 	}
-	sched := 0
-	for _, c := range comps {
-		if len(c.Chargers) > 0 && len(c.Tasks) > 0 {
-			sched++
-		}
-	}
 	return comps, sched
 }
 
-// subProblems compiles (once, cached) an independent sub-Problem for
-// every schedulable component; unschedulable components get nil. Each
-// sub-instance keeps the component's chargers and tasks in their
-// original relative order with densely renumbered IDs, so dominant
-// extraction reproduces exactly the global Gamma rows of the component's
-// chargers (policy indices included) and the compiled kernel reproduces
-// their cover entries bit for bit. Sub-Problems inherit the parent's
-// kernel choice (SetFlatKernel) as of their compilation.
+// subSlot holds one component's sub-Problem: adopted from the
+// pre-mutation decomposition when subProblems sets the slots up, or
+// compiled by the first sharded run that reaches the component.
+type subSlot struct {
+	once sync.Once
+	p    atomic.Pointer[Problem]
+}
+
+// subProblems returns the problem's sub-Problem slots, one per component,
+// setting them up once per decomposition. Sub-Problems are compiled
+// lazily, in the component workers (subProblem), so a sharded run
+// compiles its components in parallel under the Options.Workers bound.
 //
-// After a delta operation (incremental.go) the rebuild first consults the
+// After a delta operation (incremental.go) the setup first consults the
 // stashed pre-mutation decomposition: a component with identical
 // membership and no dirty charger adopts its old compiled sub-Problem —
 // whose sub-instance is bit-identical to what sliceInstance would produce
 // now — instead of recompiling it. Sub-Problems compiled under a clone
 // keep their last component run (warm.go), so an adopted sub-Problem
 // also brings the result a re-run would reproduce.
-func (p *Problem) subProblems() []*Problem {
+func (p *Problem) subProblems() []subSlot {
 	p.subsOnce.Do(func() {
 		comps := p.Components()
 		prev := p.prevSubs
 		p.prevSubs = nil
-		subs := make([]*Problem, len(comps))
+		slots := make([]subSlot, len(comps))
 		for ci, comp := range comps {
-			if len(comp.Chargers) == 0 || len(comp.Tasks) == 0 {
-				continue
-			}
 			if sub := prev.adoptableSub(comp); sub != nil {
 				sub.SetFlatKernel(p.kern.linear)
-				subs[ci] = sub
-				continue
+				s := &slots[ci]
+				s.once.Do(func() { s.p.Store(sub) })
 			}
-			sub := compileComponent(p.In, comp, obs.SpanRef{})
-			sub.SetFlatKernel(p.kern.linear)
-			sub.keepRuns = p.keepRuns
-			subs[ci] = sub
 		}
-		p.subs.Store(&subs)
+		p.subs.Store(&slots)
 	})
 	return *p.subs.Load()
 }
 
+// subProblem returns component ci's sub-Problem, compiling it into its
+// slot under parent the first time. Each sub-instance keeps the
+// component's chargers and tasks in their original relative order with
+// densely renumbered IDs, so dominant extraction reproduces exactly the
+// global Gamma rows of the component's chargers (policy indices included)
+// and the compiled kernel reproduces their cover entries bit for bit.
+// Sub-Problems inherit the parent's kernel choice (SetFlatKernel) as of
+// their compilation.
+func (p *Problem) subProblem(slots []subSlot, ci int, parent obs.SpanRef) *Problem {
+	s := &slots[ci]
+	s.once.Do(func() {
+		sub := compileComponent(p.In, p.rows, p.Components()[ci], parent)
+		sub.SetFlatKernel(p.kern.linear)
+		sub.keepRuns = p.keepRuns
+		s.p.Store(sub)
+	})
+	return s.p.Load()
+}
+
 // compileComponent compiles a component's sub-Problem from the parent
-// instance, recording the compile subtree under parent.
-func compileComponent(in *model.Instance, comp Component, parent obs.SpanRef) *Problem {
-	sub, err := newProblem(sliceInstance(in, comp), parent)
-	if err != nil {
-		// A component of a valid instance satisfies everything Validate
-		// checks (dense renumbered IDs, same params, untouched task
-		// fields), so this cannot happen.
-		panic(fmt.Sprintf("core: component sub-problem failed to compile: %v", err))
-	}
+// instance and its chargeable rows, recording the compile subtree under
+// parent. A sub-Problem is always run monolithically, so its dominant
+// sets and kernel are built right away.
+func compileComponent(in *model.Instance, rows [][]CoverEntry, comp Component, parent obs.SpanRef) *Problem {
+	sp := parent.Start("compile")
+	defer sp.End()
+	sub := newProblemFromRows(sliceInstance(in, comp), sliceRows(rows, comp, sp))
+	sub.mono = compileMonolith(sub, sp)
+	sub.monoBuilt.Store(true)
+	sp.Int("chargers", int64(len(comp.Chargers))).Int("tasks", int64(len(comp.Tasks)))
 	return sub
 }
 
@@ -275,6 +313,32 @@ func sliceInstance(parent *model.Instance, comp Component) *model.Instance {
 	return in
 }
 
+// sliceRows gives a component's chargers their chargeable rows in the
+// sub-instance's numbering. A component contains every task its
+// chargers' rows reach, and renumbering keeps the tasks' relative order,
+// so each sliced row is exactly what chargeableRows would build on the
+// sub-instance: the same pairs, ascending, with the parent's De values
+// copied rather than recomputed.
+func sliceRows(rows [][]CoverEntry, comp Component, parent obs.SpanRef) [][]CoverEntry {
+	rsp := parent.Start("slice_rows")
+	total := 0
+	for _, gi := range comp.Chargers {
+		total += len(rows[gi])
+	}
+	arena := make([]CoverEntry, 0, total)
+	out := make([][]CoverEntry, len(comp.Chargers))
+	for li, gi := range comp.Chargers {
+		start := len(arena)
+		for _, e := range rows[gi] {
+			lj := sort.SearchInts(comp.Tasks, int(e.Task))
+			arena = append(arena, CoverEntry{Task: int32(lj), De: e.De})
+		}
+		out[li] = arena[start:len(arena):len(arena)]
+	}
+	rsp.Int("entries", int64(total)).End()
+	return out
+}
+
 // colorPlan fixes every random draw of a monolithic greedy run up front:
 // colorOf is the partition-major Monte-Carlo color table and final the
 // per-partition color sampled at the end (Algorithm 2 line 6–8). A run
@@ -287,14 +351,15 @@ type colorPlan struct {
 }
 
 // ScheduleSharded runs the sharded TabularGreedy straight from a raw
-// instance, never compiling the monolithic Problem: it builds only the
-// sparse chargeable rows, decomposes them into coverage components and
-// hands shardedGreedy a source that compiles each component's
-// sub-Problem transiently inside the worker, so peak memory is bounded by
-// Options.Workers × the largest component instead of the whole field —
-// the route a 10⁶-task fleet takes. Given the same options it returns
-// exactly what TabularGreedy's ShardOn run on the compiled instance
-// returns: the same cells, shard count and RUtility, bit for bit.
+// instance without a Problem: it builds only the sparse chargeable rows,
+// decomposes them into coverage components and hands shardedGreedy a
+// source that compiles each component's sub-Problem transiently inside
+// the worker, so the sub-Problems' memory is bounded by Options.Workers ×
+// the largest component instead of the whole field. A ShardAuto
+// TabularGreedy run compiles the same components but keeps them cached
+// on its Problem. Given the same options it returns exactly what
+// TabularGreedy's ShardOn run on the compiled instance returns: the same
+// cells, shard count and RUtility, bit for bit.
 // Options.Shard is ignored.
 func ScheduleSharded(in *model.Instance, opt Options) (Result, error) {
 	if err := in.Validate(); err != nil {
@@ -307,7 +372,7 @@ func ScheduleSharded(in *model.Instance, opt Options) (Result, error) {
 	comps, _ := coverageComponents(len(in.Chargers), len(in.Tasks), rows)
 	dsp.Int("components", int64(len(comps))).End()
 	res, _ := shardedGreedy(nil, in, comps, func(ci int, csp obs.SpanRef) *Problem {
-		return compileComponent(in, comps[ci], csp)
+		return compileComponent(in, rows, comps[ci], csp)
 	}, opt, root)
 	endSolve(root, opt, &res)
 	return res, nil
@@ -315,7 +380,8 @@ func ScheduleSharded(in *model.Instance, opt Options) (Result, error) {
 
 // shardedGreedy is the shard-and-stitch execution of Algorithm 2: draw
 // the global color plan, run every schedulable component's sub-Problem —
-// sub(ci, span) supplies it, cached or compiled on the spot — under the
+// sub(ci, span) supplies it, cached or compiled on the spot in the
+// worker, under the component's span — under the
 // plan's restriction to its chargers (at most Options.Workers components
 // in flight; each sub-run is sequential), and stitch the component
 // schedules and cell gains into the global index space. parent receives
@@ -354,8 +420,8 @@ func shardedGreedy(done <-chan struct{}, in *model.Instance, comps []Component, 
 	run := func(w int) {
 		for {
 			idx := int(next.Add(1)) - 1
-			if idx >= len(runnable) {
-				return
+			if idx >= len(runnable) || cancelled(done) {
+				return // a component never reached stays !ok
 			}
 			ci := runnable[idx]
 			csp := parent.Start("component").

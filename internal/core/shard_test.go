@@ -98,7 +98,7 @@ func checkPartition(t *testing.T, p *Problem) {
 	}
 
 	// Cover lists stay inside their component.
-	for i, g := range p.Gamma {
+	for i, g := range p.Gamma() {
 		for _, pol := range g {
 			for _, j := range pol.Covers {
 				if chargerComp[i] != taskComp[j] {
@@ -508,8 +508,9 @@ func TestShardedCtxMidRunCancel(t *testing.T) {
 	if got := p.StatesInUse(); got != 0 {
 		t.Fatalf("pooled states leaked after sharded cancel: %d", got)
 	}
-	for ci, sub := range *p.subs.Load() {
-		if sub != nil && sub.statesOut.Load() != 0 {
+	slots := *p.subs.Load()
+	for ci := range slots {
+		if sub := slots[ci].p.Load(); sub != nil && sub.statesOut.Load() != 0 {
 			t.Fatalf("component %d sub-problem leaked %d states", ci, sub.statesOut.Load())
 		}
 	}

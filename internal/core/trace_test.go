@@ -105,6 +105,10 @@ func TestTraceShardedAndWarm(t *testing.T) {
 		if len(childrenNamed(c, "greedy")) != 1 {
 			t.Errorf("component span lacks nested greedy: %+v", c.Children)
 		}
+		// The clone's first run compiles every sub-Problem in its worker.
+		if len(childrenNamed(c, "compile")) != 1 {
+			t.Errorf("component span lacks its sub-Problem compile: %+v", c.Children)
+		}
 	}
 	if solve.Attrs["shards"] != int64(res.Shards) {
 		t.Errorf("root shards attr %d != %d", solve.Attrs["shards"], res.Shards)
@@ -128,6 +132,9 @@ func TestTraceShardedAndWarm(t *testing.T) {
 		if c.Attrs["warm_adopted"] == 1 {
 			adopted++
 		}
+		if len(childrenNamed(c, "compile")) != 0 {
+			t.Errorf("warm run recompiled a cached sub-Problem: %+v", c.Children)
+		}
 	}
 	if adopted != wres.WarmReused {
 		t.Fatalf("%d warm_adopted spans, want %d", adopted, wres.WarmReused)
@@ -137,9 +144,11 @@ func TestTraceShardedAndWarm(t *testing.T) {
 	}
 }
 
-// NewProblemTraced records the compile pipeline — grid build, slot-energy
-// rows, dominant extraction, kernel compile — and compiles a Problem that
-// schedules identically to the untraced compile.
+// NewProblemTraced records the eager compile — grid build and
+// slot-energy rows — and the first traced monolithic run records the
+// deferred dominant extraction and kernel compile as a second compile
+// tree ahead of its solve; the Problem schedules identically to the
+// untraced compile.
 func TestTraceCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	in := kernelProneInstance(rng, 4, 16)
@@ -155,7 +164,10 @@ func TestTraceCompile(t *testing.T) {
 		t.Fatalf("want a single compile root, got %+v", roots)
 	}
 	compile := roots[0]
-	for _, phase := range []string{"grid_build", "slot_energy_rows", "dominant_extract", "kernel_compile"} {
+	if len(compile.Children) != 2 {
+		t.Fatalf("compile children = %+v, want grid_build and slot_energy_rows", compile.Children)
+	}
+	for _, phase := range []string{"grid_build", "slot_energy_rows"} {
 		if len(childrenNamed(compile, phase)) != 1 {
 			t.Fatalf("missing %s span: %+v", phase, compile.Children)
 		}
@@ -167,10 +179,28 @@ func TestTraceCompile(t *testing.T) {
 		t.Errorf("slot_energy_rows entries attr = %d", got)
 	}
 
-	opt := Options{Colors: 2, PreferStay: true, Workers: 1}
-	a, b := TabularGreedy(plain, opt), TabularGreedy(p, opt)
+	opt := Options{Colors: 2, PreferStay: true, Workers: 1, Shard: ShardOff}
+	a := TabularGreedy(plain, opt)
+	opt.Trace = tr
+	b := TabularGreedy(p, opt)
 	if err := compareSchedules(a.Schedule, b.Schedule); err != nil {
 		t.Fatalf("traced compile changes the schedule: %v", err)
+	}
+	roots = tr.Tree()
+	if len(roots) != 3 || roots[1].Name != "compile" || roots[2].Name != "solve" {
+		t.Fatalf("want compile, compile, solve roots, got %+v", roots)
+	}
+	for _, phase := range []string{"dominant_extract", "kernel_compile"} {
+		if len(childrenNamed(roots[1], phase)) != 1 {
+			t.Fatalf("missing %s span: %+v", phase, roots[1].Children)
+		}
+	}
+	if got := childrenNamed(roots[1], "dominant_extract")[0].Attrs["policies"]; got <= 0 {
+		t.Errorf("dominant_extract policies attr = %d", got)
+	}
+	TabularGreedy(p, opt)
+	if roots = tr.Tree(); len(roots) != 4 || roots[3].Name != "solve" {
+		t.Fatalf("a second monolithic run recompiled: %+v", roots)
 	}
 
 	// A nil trace must be exactly NewProblem.
@@ -225,8 +255,8 @@ func TestTraceDisabledMarginalAllocFree(t *testing.T) {
 	defer p.ReleaseState(counted)
 	counted.EnableKernelStats()
 	allocs := testing.AllocsPerRun(200, func() {
-		for i := range p.Gamma {
-			for pol := range p.Gamma[i] {
+		for i := range p.Gamma() {
+			for pol := range p.Gamma()[i] {
 				for _, st := range []*EnergyState{es, counted} {
 					_ = st.Marginal(i, 0, pol)
 					_ = st.MarginalScaled(i, 0, pol, 0.5)

@@ -82,10 +82,11 @@ func CompareProblems(got, want *core.Problem) error {
 				return fmt.Errorf("charger %d row entry %d = %+v, want %+v", i, x, gr[x], wr[x])
 			}
 		}
-		if len(got.Gamma[i]) != len(want.Gamma[i]) {
-			return fmt.Errorf("charger %d has %d policies, want %d", i, len(got.Gamma[i]), len(want.Gamma[i]))
+		gg, wg := got.Gamma()[i], want.Gamma()[i]
+		if len(gg) != len(wg) {
+			return fmt.Errorf("charger %d has %d policies, want %d", i, len(gg), len(wg))
 		}
-		for pol := range want.Gamma[i] {
+		for pol := range wg {
 			gc, wc := got.CompiledCovers(i, pol), want.CompiledCovers(i, pol)
 			if len(gc) != len(wc) {
 				return fmt.Errorf("charger %d policy %d compiled length %d, want %d", i, pol, len(gc), len(wc))

@@ -36,7 +36,7 @@ func (ns *NaiveState) Energy(j int) float64 { return ns.energy[j] }
 func (ns *NaiveState) Marginal(i, k, pol int) float64 {
 	u := ns.p.In.U()
 	var gain float64
-	for _, j := range ns.p.Gamma[i][pol].Covers {
+	for _, j := range ns.p.Gamma()[i][pol].Covers {
 		t := &ns.p.In.Tasks[j]
 		if !t.ActiveAt(k) {
 			continue
@@ -54,7 +54,7 @@ func (ns *NaiveState) Marginal(i, k, pol int) float64 {
 func (ns *NaiveState) MarginalScaled(i, k, pol int, frac float64) float64 {
 	u := ns.p.In.U()
 	var gain float64
-	for _, j := range ns.p.Gamma[i][pol].Covers {
+	for _, j := range ns.p.Gamma()[i][pol].Covers {
 		t := &ns.p.In.Tasks[j]
 		if !t.ActiveAt(k) {
 			continue
@@ -72,7 +72,7 @@ func (ns *NaiveState) MarginalScaled(i, k, pol int, frac float64) float64 {
 func (ns *NaiveState) ApplyScaled(i, k, pol int, frac float64) float64 {
 	u := ns.p.In.U()
 	var gain float64
-	for _, j := range ns.p.Gamma[i][pol].Covers {
+	for _, j := range ns.p.Gamma()[i][pol].Covers {
 		t := &ns.p.In.Tasks[j]
 		if !t.ActiveAt(k) {
 			continue
@@ -153,7 +153,8 @@ func KernelSweep(p *core.Problem, seed int64, steps int) error {
 		return nil
 	}
 
-	n := len(p.Gamma)
+	gamma := p.Gamma()
+	n := len(gamma)
 	var snapIDs []int
 	var snapVals []float64
 	var snapTotal [3]float64
@@ -161,10 +162,10 @@ func KernelSweep(p *core.Problem, seed int64, steps int) error {
 
 	for step := 0; step < steps; step++ {
 		i := rng.Intn(n)
-		if len(p.Gamma[i]) == 0 {
+		if len(gamma[i]) == 0 {
 			continue
 		}
-		pol := rng.Intn(len(p.Gamma[i]))
+		pol := rng.Intn(len(gamma[i]))
 		k := rng.Intn(p.K + 1) // may land one past the horizon: never active
 		frac := float64(rng.Intn(5)) / 4.0
 		var name string
@@ -190,7 +191,7 @@ func KernelSweep(p *core.Problem, seed int64, steps int) error {
 				// past a saturation crossing exercises un-pruning.
 				snapIDs = snapIDs[:0]
 				snapVals = snapVals[:0]
-				for _, j := range p.Gamma[i][pol].Covers {
+				for _, j := range gamma[i][pol].Covers {
 					snapIDs = append(snapIDs, j)
 					snapVals = append(snapVals, flat.Energy(j))
 				}

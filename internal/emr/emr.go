@@ -86,15 +86,15 @@ func (f Field) SlotIntensities(in *model.Instance, orientations []float64) []flo
 // assign every slot, so the distinction only matters for constrained
 // ones.)
 func (f Field) Audit(p *core.Problem, s core.Schedule) (peak float64, violations int) {
-	in := p.In
+	in, gamma := p.In, p.Gamma()
 	n := len(in.Chargers)
 	cur := make([]float64, n)
 	for k := 0; k < s.Slots(); k++ {
 		for i := 0; i < n; i++ {
 			cur[i] = math.NaN()
 			if k < len(s.Policy[i]) {
-				if pol := s.Policy[i][k]; pol >= 0 && !p.Gamma[i][pol].Idle {
-					cur[i] = p.Gamma[i][pol].Orientation
+				if pol := s.Policy[i][k]; pol >= 0 && !gamma[i][pol].Idle {
+					cur[i] = gamma[i][pol].Orientation
 				}
 			}
 		}
@@ -140,8 +140,8 @@ func ConstrainedGreedy(p *core.Problem, f Field) core.Result {
 			return c
 		}
 		c := make([]float64, len(f.Points))
-		if !p.Gamma[i][pol].Idle {
-			theta := p.Gamma[i][pol].Orientation
+		if g := p.Gamma()[i][pol]; !g.Idle {
+			theta := g.Orientation
 			for pi, q := range f.Points {
 				c[pi] = f.intensityOf(in, i, theta, q)
 			}
@@ -161,7 +161,7 @@ func ConstrainedGreedy(p *core.Problem, f Field) core.Result {
 			if k > 0 {
 				prev = sched.Policy[i][k-1]
 			}
-			for pol := range p.Gamma[i] {
+			for pol := range p.Gamma()[i] {
 				c := contribution(i, pol)
 				feasible := true
 				for pi, add := range c {
@@ -199,7 +199,7 @@ func ConstrainedGreedy(p *core.Problem, f Field) core.Result {
 // means "keep the previous orientation"). Switching delay applies when a
 // charger turns back on with a different orientation than it last used.
 func ExecuteOff(p *core.Problem, s core.Schedule) (utility float64, perTask []float64) {
-	in := p.In
+	in, gamma := p.In, p.Gamma()
 	energy := make([]float64, len(in.Tasks))
 	n := len(in.Chargers)
 	last := make([]float64, n) // last used orientation
@@ -212,10 +212,10 @@ func ExecuteOff(p *core.Problem, s core.Schedule) (utility float64, perTask []fl
 			if k < len(s.Policy[i]) {
 				pol = s.Policy[i][k]
 			}
-			if pol < 0 || p.Gamma[i][pol].Idle {
+			if pol < 0 || gamma[i][pol].Idle {
 				continue
 			}
-			theta := p.Gamma[i][pol].Orientation
+			theta := gamma[i][pol].Orientation
 			frac := 1.0
 			if math.IsNaN(last[i]) || theta != last[i] {
 				frac = 1 - in.Params.SwitchLoss(last[i], theta)

@@ -137,8 +137,9 @@ func Solve(p *core.Problem, opt Options) (Solution, error) {
 			pol  int
 			gain float64
 		}
-		cands := make([]cand, 0, len(p.Gamma[c.i]))
-		for pol := range p.Gamma[c.i] {
+		nPol := len(p.Gamma()[c.i])
+		cands := make([]cand, 0, nPol)
+		for pol := 0; pol < nPol; pol++ {
 			cands = append(cands, cand{pol, es.Marginal(c.i, c.k, pol)})
 		}
 		sort.Slice(cands, func(a, b int) bool { return cands[a].gain > cands[b].gain })
@@ -175,7 +176,7 @@ type snapshot struct {
 
 func snapshotEnergies(es *core.EnergyState, p *core.Problem, i, k, pol int) snapshot {
 	s := snapshot{es: es, total: es.Total()}
-	for _, j := range p.Gamma[i][pol].Covers {
+	for _, j := range p.Gamma()[i][pol].Covers {
 		s.ids = append(s.ids, j)
 		s.vals = append(s.vals, es.Energy(j))
 	}
@@ -208,7 +209,7 @@ func SolveExhaustive(p *core.Problem) Solution {
 		if nk == K {
 			ni, nk = i+1, 0
 		}
-		for pol := range p.Gamma[i] {
+		for pol := range p.Gamma()[i] {
 			cur.Policy[i][k] = pol
 			rec(ni, nk)
 		}

@@ -54,7 +54,7 @@ func TestSolveMatchesExhaustive(t *testing.T) {
 		p := mustProblem(t, in)
 		// Keep the exhaustive product small.
 		combos := 1.0
-		for _, g := range p.Gamma {
+		for _, g := range p.Gamma() {
 			combos *= math.Pow(float64(len(g)), float64(p.K))
 		}
 		if combos > 2e5 {

@@ -10,7 +10,7 @@ import (
 
 func TestExecuteOrientationsBasic(t *testing.T) {
 	p := mustProblem(t, oneTask(480, 0, 2, 1.0/12))
-	theta := p.Gamma[0][0].Orientation
+	theta := p.Gamma()[0][0].Orientation
 	orient := [][]float64{{theta, theta}}
 	out := ExecuteOrientations(p, orient)
 	wantE := 240*(1-1.0/12) + 240
@@ -24,7 +24,7 @@ func TestExecuteOrientationsBasic(t *testing.T) {
 
 func TestExecuteOrientationsNaNKeeps(t *testing.T) {
 	p := mustProblem(t, oneTask(480, 0, 3, 0))
-	theta := p.Gamma[0][0].Orientation
+	theta := p.Gamma()[0][0].Orientation
 	orient := [][]float64{{theta, math.NaN(), math.NaN()}}
 	out := ExecuteOrientations(p, orient)
 	if !almostEq(out.Energy[0], 720) {
@@ -63,8 +63,8 @@ func TestExecuteOrientationsMatchesExecute(t *testing.T) {
 			orient[i] = make([]float64, p.K)
 			cur := math.NaN()
 			for k := 0; k < p.K; k++ {
-				if pol := res.Schedule.Policy[i][k]; pol >= 0 && !p.Gamma[i][pol].Idle {
-					cur = p.Gamma[i][pol].Orientation
+				if pol := res.Schedule.Policy[i][k]; pol >= 0 && !p.Gamma()[i][pol].Idle {
+					cur = p.Gamma()[i][pol].Orientation
 				}
 				orient[i][k] = cur
 			}

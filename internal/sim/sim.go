@@ -78,6 +78,7 @@ func run(p *core.Problem, s core.Schedule, detailed bool) (Outcome, [][]float64)
 	// hop between zero-gain policies in the padding region and report
 	// spurious extra switches.
 	hor := p.AssignedHorizons()
+	gamma := p.Gamma()
 	for k := 0; k < K; k++ {
 		for i := 0; i < n; i++ {
 			next := -1
@@ -85,8 +86,8 @@ func run(p *core.Problem, s core.Schedule, detailed bool) (Outcome, [][]float64)
 				next = s.Policy[i][k]
 			}
 			frac := 1.0
-			if next >= 0 && !p.Gamma[i][next].Idle {
-				theta := p.Gamma[i][next].Orientation
+			if next >= 0 && !gamma[i][next].Idle {
+				theta := gamma[i][next].Orientation
 				if math.IsNaN(curTheta[i]) || theta != curTheta[i] {
 					// The charger rotates: it radiates only during the
 					// trailing part of this slot (a fixed 1−ρ in the
@@ -99,11 +100,11 @@ func run(p *core.Problem, s core.Schedule, detailed bool) (Outcome, [][]float64)
 				curPol[i] = next
 			}
 			eff := curPol[i]
-			if eff < 0 || p.Gamma[i][eff].Idle {
+			if eff < 0 || gamma[i][eff].Idle {
 				continue
 			}
 			if detailed {
-				orient[i][k] = p.Gamma[i][eff].Orientation
+				orient[i][k] = gamma[i][eff].Orientation
 			}
 			// Iterate the flat kernel's compiled cover list: zero-energy
 			// pairs are already dropped (they contribute exactly +0.0) and

@@ -101,8 +101,8 @@ func TestExecuteFlipFlopPaysEverySlot(t *testing.T) {
 	})
 	in.Tasks[0].Weight = 1
 	p := mustProblem(t, in)
-	if len(p.Gamma[0]) != 2 {
-		t.Fatalf("want two policies, got %v", p.Gamma[0])
+	if len(p.Gamma()[0]) != 2 {
+		t.Fatalf("want two policies, got %v", p.Gamma()[0])
 	}
 	s := core.NewSchedule(1, p.K)
 	for k := 0; k < 4; k++ {
@@ -156,7 +156,7 @@ func TestExecuteProportionalSwitching(t *testing.T) {
 	})
 	in2.Params.ProportionalSwitching = true
 	p2 := mustProblem(t, in2)
-	if len(p2.Gamma[0]) < 2 {
+	if len(p2.Gamma()[0]) < 2 {
 		t.Skip("tasks merged into one dominant set")
 	}
 	s2 := core.NewSchedule(1, p2.K)
@@ -166,7 +166,7 @@ func TestExecuteProportionalSwitching(t *testing.T) {
 	out2 := Execute(p2, s2)
 	// Total loss: first switch ρ (from Φ) + 3 switches at Δθ/π·ρ each,
 	// where Δθ is the angle between the two policy orientations.
-	dTheta := geom.AngDist(p2.Gamma[0][0].Orientation, p2.Gamma[0][1].Orientation)
+	dTheta := geom.AngDist(p2.Gamma()[0][0].Orientation, p2.Gamma()[0][1].Orientation)
 	wantLoss := rho + 3*rho*dTheta/math.Pi
 	gotLoss := (4*480 - out2.Energy[0] - out2.Energy[1]) / 240
 	if !almostEq(gotLoss, wantLoss) {
@@ -194,7 +194,7 @@ func TestExecuteDetailedOrientations(t *testing.T) {
 	if !math.IsNaN(orient[0][0]) {
 		t.Errorf("slot 0 orientation = %v, want NaN", orient[0][0])
 	}
-	want := p.Gamma[0][0].Orientation
+	want := p.Gamma()[0][0].Orientation
 	if !almostEq(orient[0][1], want) || !almostEq(orient[0][2], want) {
 		t.Errorf("orientations = %v, want %v", orient[0][1:], want)
 	}

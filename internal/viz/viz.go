@@ -107,7 +107,7 @@ func policyGlyph(p *core.Problem, i, pol int) byte {
 	switch {
 	case pol < 0:
 		return '.'
-	case p.Gamma[i][pol].Idle:
+	case p.Gamma()[i][pol].Idle:
 		return '~'
 	case pol < 10:
 		return byte('0' + pol)

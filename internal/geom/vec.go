@@ -59,6 +59,9 @@ func (v Vec) Angle() float64 {
 
 // NormalizeAngle maps any finite angle to the canonical range [0, 2π).
 func NormalizeAngle(a float64) float64 {
+	if a >= 0 && a < TwoPi {
+		return a // math.Mod(a, TwoPi) is a itself here, -0 included
+	}
 	a = math.Mod(a, TwoPi)
 	if a < 0 {
 		a += TwoPi

@@ -51,6 +51,37 @@ func TestNormalizeAngleIdempotent(t *testing.T) {
 	}
 }
 
+// modNormalize is NormalizeAngle without its in-range fast path: the
+// math.Mod reduction every input used to take.
+func modNormalize(a float64) float64 {
+	a = math.Mod(a, TwoPi)
+	if a < 0 {
+		a += TwoPi
+	}
+	if a >= TwoPi {
+		a = 0
+	}
+	return a
+}
+
+// The fast path returns an in-range angle as it is; math.Mod returns the
+// same bits there, so NormalizeAngle must equal the plain reduction bit
+// for bit on every input, in range or not.
+func TestNormalizeAngleFastPathExact(t *testing.T) {
+	edges := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Nextafter(TwoPi, 0), TwoPi, math.Nextafter(TwoPi, 4), -TwoPi, math.Pi, -math.Pi,
+		math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 100000; i++ {
+		edges = append(edges, (rng.Float64()-0.25)*4*TwoPi)
+	}
+	for _, a := range edges {
+		if got, want := math.Float64bits(NormalizeAngle(a)), math.Float64bits(modNormalize(a)); got != want {
+			t.Fatalf("NormalizeAngle(%v) bits %#x, math.Mod reduction %#x", a, got, want)
+		}
+	}
+}
+
 func TestAzimuth(t *testing.T) {
 	o := Point{0, 0}
 	cases := []struct {

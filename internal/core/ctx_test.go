@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -134,6 +135,25 @@ func TestTabularGreedyCtxDeadline(t *testing.T) {
 	}
 	if got := p.StatesInUse(); got != base {
 		t.Fatalf("state pool leaked: balance %d, want %d", got, base)
+	}
+}
+
+// A dropped Problem whose states went back to its pool is garbage at the
+// next collection. The runtime keeps every pool used since the last
+// collection reachable until the next one, so neither the pool nor the
+// states in it may point into the Problem.
+func TestReleasedProblemCollectedAtNextGC(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		p := ctxProblem(t, 15)
+		Evaluate(p, TabularGreedy(p, DefaultOptions(1)).Schedule)
+		runtime.SetFinalizer(p, func(*Problem) { close(collected) })
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the Problem outlived the first collection after it was dropped")
 	}
 }
 

@@ -102,6 +102,7 @@ func (p *Problem) CloneCompiled() *Problem {
 		rows:        append([][]CoverEntry(nil), p.rows...),
 		compsOnce:   new(sync.Once),
 		subsOnce:    new(sync.Once),
+		statePool:   new(sync.Pool),
 		chargerGrid: p.chargerGrid,
 		keepRuns:    true,
 	}

@@ -343,9 +343,10 @@ func (p *Problem) AcquireState() *EnergyState {
 		// drop it and allocate fresh instead of resurrecting stale caches.
 		if len(es.energy) == len(p.In.Tasks) &&
 			(es.live == nil || len(es.live) == len(m.entries)) {
+			es.p = p
 			es.Reset()
 			es.stats = nil
-			es.pooled, es.inPool = true, false
+			es.pooled = true
 			return es
 		}
 	}
@@ -356,14 +357,16 @@ func (p *Problem) AcquireState() *EnergyState {
 
 // ReleaseState returns a state obtained from AcquireState (or
 // NewEnergyState) to the problem's pool. The caller must not use it
-// afterwards.
+// afterwards. The pooled state keeps no pointer into the Problem, so a
+// Problem nobody references is garbage at the next collection.
 func (p *Problem) ReleaseState(es *EnergyState) {
-	if es != nil && es.p == p && !es.inPool {
+	if es != nil && es.p == p {
 		if es.pooled {
 			es.pooled = false
 			p.statesOut.Add(-1)
 		}
-		es.inPool = true
+		es.p = nil
+		clear(es.live) // copy-on-write rows may alias the compiled cover lists
 		p.statePool.Put(es)
 	}
 }

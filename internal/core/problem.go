@@ -63,8 +63,12 @@ type Problem struct {
 	// statePool recycles EnergyStates between runs; see AcquireState.
 	// statesOut counts AcquireState calls minus ReleaseState returns —
 	// the pool's get/put balance. Leak tests (and the service layer's
-	// cancellation tests) assert it returns to its baseline.
-	statePool sync.Pool
+	// cancellation tests) assert it returns to its baseline. The pool is
+	// its own allocation, and pooled states drop their Problem: the
+	// runtime keeps every pool used since the last collection reachable
+	// until the next one, and a pool embedded here would keep the whole
+	// dropped Problem alive with it.
+	statePool *sync.Pool
 	statesOut atomic.Int64
 
 	// Shard-and-stitch caches (shard.go): the coverage graph's connected
@@ -146,6 +150,7 @@ func newProblemFromRows(in *model.Instance, rows [][]CoverEntry) *Problem {
 		kern:      newKernel(in),
 		compsOnce: new(sync.Once),
 		subsOnce:  new(sync.Once),
+		statePool: new(sync.Pool),
 	}
 }
 
@@ -294,11 +299,10 @@ type EnergyState struct {
 	// pooled marks states handed out by AcquireState and not yet
 	// returned, so the statesOut balance counts each checkout exactly
 	// once even if ReleaseState is called on a NewEnergyState state or
-	// twice on the same one. inPool marks states sitting in the pool, so
-	// a second release does not put a state there twice — two later
-	// checkouts would then share it.
+	// twice on the same one. A state sitting in the pool has a nil p, so
+	// a second release does not put it there twice — two later checkouts
+	// would then share it.
 	pooled bool
-	inPool bool
 }
 
 // NewEnergyState returns the empty state (f(∅) = 0).

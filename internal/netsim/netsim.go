@@ -9,10 +9,22 @@
 // sequence (the DAG/topological-sort argument), so a round-synchronized
 // engine reproduces the algorithm's behaviour exactly while keeping runs
 // reproducible. The in-memory engine steps the nodes sequentially; the
-// StepFunc/RunRounds seam lets other substrates (the loopback TCP engine
+// StepFunc/Rounds seam lets other substrates (the loopback TCP engine
 // of package transport) supply their own stepping fan, and the engine
 // supports optional failure injection to exercise the negotiation
 // protocol's tolerance.
+//
+// # Buffer reuse
+//
+// Every driver owns a Rounds: the per-node inboxes, outboxes, in-flight
+// delayed deliveries and crash bookkeeping of the round loop. It is
+// reset at the start of each session and reused across the rounds and
+// sessions of one negotiation, so a warm round loop allocates nothing.
+// The price is a lifetime rule: an inbox handed to Node.Step or to a
+// StepFunc is valid only during that call. An inbox is sorted by sender
+// (stable, so a sender's messages keep their delivery order); the loop
+// sorts only in a round that delivered delayed messages, since sends are
+// appended in sender order already.
 //
 // # Failure model
 //
@@ -34,9 +46,10 @@
 package netsim
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Payload is an opaque protocol message body.
@@ -52,7 +65,10 @@ type Message struct {
 // delivered this round; the node returns a payload to broadcast to all its
 // neighbors (nil for silence) and whether it considers its work done.
 // Done nodes keep being stepped (they may still need to answer) until the
-// whole network quiesces.
+// whole network quiesces. The inbox is valid only during the call: the
+// round loop refills the same storage in later rounds, so a node that
+// needs a message after Step returns must copy it (payload values are
+// never reused).
 type Node interface {
 	Step(inbox []Message) (out Payload, done bool)
 }
@@ -122,16 +138,19 @@ func (o Options) failureInjection() bool {
 //
 // (Delayed deliveries are still delivered — late — so delay moves rounds,
 // not the message balance; a delivery can be both duplicated and delayed.)
+// Messages counts only deliveries a node consumed: when a session hits
+// MaxRounds, the deliveries of its final round and the delayed ones
+// still in flight count as Expired instead.
 type Stats struct {
 	Rounds     int   // rounds executed (the final quiescent round included)
 	Attempted  int64 // per-link send attempts before any failure injection
-	Messages   int64 // deliveries that reached a node
+	Messages   int64 // deliveries that reached a node and were consumed
 	Dropped    int64 // deliveries lost to drop injection
 	Duplicated int64 // extra deliveries from duplication
 	Delayed    int64 // deliveries postponed by delay injection
 	Crashes    int64 // node crash events
 	CrashLost  int64 // deliveries lost because the destination was down
-	Expired    int64 // in-flight delayed deliveries discarded at MaxRounds
+	Expired    int64 // deliveries left unconsumed at MaxRounds (in flight or final-round)
 }
 
 // Add accumulates another session's stats.
@@ -157,10 +176,16 @@ var ErrNoQuiescence = errors.New("netsim: session did not quiesce within MaxRoun
 var ErrRngRequired = errors.New("netsim: Options.Rng is required when failure injection is enabled")
 
 // Engine drives sessions over a fixed topology. Neighbors[i] lists the
-// node indices adjacent to node i; the relation must be symmetric.
+// node indices adjacent to node i; the relation must be symmetric. An
+// Engine keeps its round buffers from one Run to the next, so it must not
+// run two sessions at once.
 type Engine struct {
 	Neighbors [][]int
 	Opt       Options
+
+	rounds Rounds
+	nodes  []Node   // the running session's nodes
+	step   StepFunc // e.stepSequential, bound once
 }
 
 // delayedMsg is an in-flight delivery postponed by delay injection.
@@ -174,7 +199,13 @@ type delayedMsg struct {
 // in-flight delayed messages (global quiescence) or MaxRounds is hit.
 // len(nodes) must equal len(Neighbors).
 func (e *Engine) Run(nodes []Node) (Stats, error) {
-	return RunRounds(e.Neighbors, e.Opt, sequentialStep(nodes))
+	if e.step == nil {
+		e.step = e.stepSequential
+	}
+	e.nodes = nodes
+	st, err := e.rounds.Run(e.Neighbors, e.Opt, e.step)
+	e.nodes = nil
+	return st, err
 }
 
 // Close implements Driver. The in-memory engine holds no resources.
@@ -186,36 +217,71 @@ func MemFactory(neighbors [][]int, opt Options) (Driver, error) {
 	return &Engine{Neighbors: neighbors, Opt: opt}, nil
 }
 
-// sequentialStep steps the nodes one by one on the calling goroutine.
-func sequentialStep(nodes []Node) StepFunc {
-	return func(round int, down []bool, inboxes [][]Message, outs []Payload) error {
-		for i, nd := range nodes {
-			if down != nil && down[i] {
-				continue
-			}
-			outs[i], _ = nd.Step(inboxes[i])
+// stepSequential steps the session's nodes one by one on the calling
+// goroutine.
+func (e *Engine) stepSequential(_ int, down []bool, inboxes [][]Message, outs []Payload) error {
+	for i, nd := range e.nodes {
+		if down != nil && down[i] {
+			continue
 		}
-		return nil
+		outs[i], _ = nd.Step(inboxes[i])
 	}
+	return nil
 }
 
-// StepFunc executes one round's stepping fan for RunRounds: for every up
+// StepFunc executes one round's stepping fan for Rounds.Run: for every up
 // node i (down == nil, or down[i] == false) it must run Step on node i's
 // inbox and store the broadcast payload in outs[i]. outs is pre-cleared to
 // nil, so down nodes need no action. A non-nil error aborts the session —
 // substrates use it for link failures the round loop itself cannot see.
+// The inboxes are valid only until the StepFunc returns: the round loop
+// refills the same storage in the next round.
 type StepFunc func(round int, down []bool, inboxes [][]Message, outs []Payload) error
 
-// RunRounds is the substrate-independent session loop every Driver shares:
+// Rounds holds the per-node state of the round loop: inboxes, outboxes,
+// in-flight delayed deliveries and crash bookkeeping. A driver owns one
+// and runs every session of a negotiation through it, so once the buffers
+// have grown to the traffic's high-water mark a round allocates nothing.
+// Each Run resets them first: nothing a session left behind — undelivered
+// messages of a session that hit MaxRounds included — reaches the next.
+// The zero value is ready to use; a Rounds must not run two sessions at
+// once.
+type Rounds struct {
+	inboxes   [][]Message
+	outs      []Payload
+	pending   []delayedMsg // in-flight delayed deliveries, insertion-ordered
+	downUntil []int        // first round node i is up again (crash injection)
+	down      []bool       // this round's outage mask (crash injection)
+}
+
+// reset sizes the buffers for n nodes and empties them.
+func (r *Rounds) reset(n int) {
+	r.inboxes = slices.Grow(r.inboxes[:0], n)[:n]
+	for i := range r.inboxes {
+		r.inboxes[i] = r.inboxes[i][:0]
+	}
+	r.outs = slices.Grow(r.outs[:0], n)[:n]
+	r.pending = r.pending[:0]
+	r.downUntil = slices.Grow(r.downUntil[:0], n)[:n]
+	clear(r.downUntil)
+	r.down = slices.Grow(r.down[:0], n)[:n]
+	clear(r.down)
+}
+
+// bySender orders messages by sender, for a stable sort.
+func bySender(a, b Message) int { return cmp.Compare(a.From, b.From) }
+
+// Run is the substrate-independent session loop every Driver shares:
 // crash draws, delivery bookkeeping and all failure-injection RNG draws
 // happen here, single-threaded, in a fixed order — before (crash) and
 // after (drop/dup/delay) the stepping fan. A driver only supplies the fan,
 // so the sequential and socket drivers — and any fan that steps the up
 // nodes in any order or concurrently — consume the RNG identically and
-// produce bit-identical Stats and inbox orderings by construction. It runs until a round passes with no broadcasts and no
-// in-flight delayed messages (global quiescence), MaxRounds is hit
-// (ErrNoQuiescence), or the step fan fails.
-func RunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {
+// produce bit-identical Stats and inbox orderings by construction. It
+// runs until a round passes with no broadcasts and no in-flight delayed
+// messages (global quiescence), MaxRounds is hit (ErrNoQuiescence), or
+// the step fan fails.
+func (r *Rounds) Run(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {
 	n := len(neighbors)
 	maxRounds := opt.MaxRounds
 	if maxRounds <= 0 {
@@ -233,15 +299,12 @@ func RunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {
 		return Stats{}, ErrRngRequired
 	}
 
+	r.reset(n)
 	var stats Stats
-	inboxes := make([][]Message, n)
-	outs := make([]Payload, n)
-	var pending []delayedMsg // in-flight delayed deliveries, insertion-ordered
-	var downUntil []int      // first round node i is up again (crash injection)
-	var down []bool          // this round's outage mask, nil without crash injection
+	inboxes, outs := r.inboxes, r.outs
+	var down []bool // nil without crash injection
 	if opt.CrashRate > 0 {
-		downUntil = make([]int, n)
-		down = make([]bool, n)
+		down = r.down
 	}
 
 	for round := 0; round < maxRounds; round++ {
@@ -253,44 +316,46 @@ func RunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {
 		// identically.
 		if opt.CrashRate > 0 {
 			for i := 0; i < n; i++ {
-				if downUntil[i] > round {
+				if r.downUntil[i] > round {
 					continue // still down
 				}
 				if opt.Rng.Float64() < opt.CrashRate {
 					stats.Crashes++
-					downUntil[i] = round + downRounds
+					r.downUntil[i] = round + downRounds
 				}
 			}
 			for i := 0; i < n; i++ {
-				down[i] = downUntil[i] > round
+				down[i] = r.downUntil[i] > round
 				if down[i] && len(inboxes[i]) > 0 {
 					// These deliveries were counted as Messages when they
 					// entered the inbox but never reach the node: move
 					// them to CrashLost so the balance stays exact.
 					stats.CrashLost += int64(len(inboxes[i]))
 					stats.Messages -= int64(len(inboxes[i]))
-					inboxes[i] = nil
+					inboxes[i] = inboxes[i][:0]
 				}
 			}
 		}
 
-		for i := range outs {
-			outs[i] = nil
-		}
+		clear(outs)
 		if err := step(round, down, inboxes, outs); err != nil {
 			return stats, err
 		}
 
-		// Deliver. Inboxes are rebuilt from scratch — due delayed messages
-		// first (in postponement order), then this round's sends — and
-		// stable-sorted by sender so every driver sees identical input order.
-		sent := false
+		// Deliver. Inboxes are refilled from empty — due delayed messages
+		// first (in postponement order), then this round's sends. Sends
+		// are appended in ascending sender order (a duplicate right after
+		// its original), so an inbox is already sorted by sender unless a
+		// due delayed message went in ahead of them; only such a round
+		// stable-sorts. A stable sort by a key has exactly one result, so
+		// every driver sees the identical input order.
+		sent, resort := false, false
 		for i := range inboxes {
-			inboxes[i] = nil
+			inboxes[i] = inboxes[i][:0]
 		}
-		if len(pending) > 0 {
-			kept := pending[:0]
-			for _, d := range pending {
+		if len(r.pending) > 0 {
+			kept := r.pending[:0]
+			for _, d := range r.pending {
 				if d.due > round+1 {
 					kept = append(kept, d)
 					continue
@@ -300,9 +365,9 @@ func RunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {
 				// A due delayed delivery is traffic: the session must run one
 				// more round so its destination consumes it, even if no node
 				// broadcast this round.
-				sent = true
+				sent, resort = true, true
 			}
-			pending = kept
+			r.pending = kept
 		}
 		for from, payload := range outs {
 			if payload == nil {
@@ -332,7 +397,7 @@ func RunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {
 						// An undelayed send is consumed in round+1; a delay
 						// of d ∈ [1, maxDelay] rounds pushes that to
 						// round+1+d.
-						pending = append(pending, delayedMsg{
+						r.pending = append(r.pending, delayedMsg{
 							due: round + 2 + opt.Rng.Intn(maxDelay),
 							to:  to,
 							msg: Message{From: from, Payload: payload},
@@ -344,16 +409,22 @@ func RunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {
 				}
 			}
 		}
-		for i := range inboxes {
-			sort.SliceStable(inboxes[i], func(a, b int) bool {
-				return inboxes[i][a].From < inboxes[i][b].From
-			})
+		if resort {
+			for _, inbox := range inboxes {
+				slices.SortStableFunc(inbox, bySender)
+			}
 		}
-		if !sent && len(pending) == 0 {
+		if !sent && len(r.pending) == 0 {
 			return stats, nil
 		}
 	}
-	stats.Expired += int64(len(pending))
+	// The final round's deliveries were counted as Messages but no node
+	// will consume them: like the in-flight delayed ones, they expire.
+	for _, inbox := range inboxes {
+		stats.Messages -= int64(len(inbox))
+		stats.Expired += int64(len(inbox))
+	}
+	stats.Expired += int64(len(r.pending))
 	return stats, ErrNoQuiescence
 }
 

@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 // maxNode floods the maximum value it has seen; the classic distributed
 // max-consensus. It quiesces when a round brings no new information.
 type maxNode struct {
@@ -47,7 +50,7 @@ func line(n int) [][]int {
 
 // concurrentStep is a StepFunc that steps every up node on its own
 // goroutine with a barrier — the concurrency a socket substrate imposes,
-// without the sockets. RunRounds promises identical results under any
+// without the sockets. Rounds.Run promises identical results under any
 // such fan; the driver-equivalence tests hold it to that under the race
 // detector.
 func concurrentStep(nodes []Node) StepFunc {
@@ -69,10 +72,10 @@ func concurrentStep(nodes []Node) StepFunc {
 }
 
 // runSession runs one session on the in-memory engine, or — concurrent —
-// through RunRounds with concurrentStep.
+// through Rounds.Run with concurrentStep.
 func runSession(neighbors [][]int, opt Options, nodes []Node, concurrent bool) (Stats, error) {
 	if concurrent {
-		return RunRounds(neighbors, opt, concurrentStep(nodes))
+		return new(Rounds).Run(neighbors, opt, concurrentStep(nodes))
 	}
 	return (&Engine{Neighbors: neighbors, Opt: opt}).Run(nodes)
 }
@@ -404,6 +407,101 @@ func TestExpiredCountsInFlightAtMaxRounds(t *testing.T) {
 		t.Error("expected in-flight deliveries to expire at MaxRounds")
 	}
 	reconcile(t, st)
+}
+
+// countingNode broadcasts every round for ever and counts the deliveries
+// it consumed.
+type countingNode struct{ consumed int64 }
+
+func (c *countingNode) Step(inbox []Message) (Payload, bool) {
+	c.consumed += int64(len(inbox))
+	return "hi", false
+}
+
+// A session cut by MaxRounds delivers its final round's messages to no
+// node: they count as Expired, not Messages. Two talkers on a line with
+// MaxRounds 3 consume 4 deliveries; the 2 sent in round 3 expire.
+func TestMaxRoundsTailExpires(t *testing.T) {
+	modes := map[string]Options{
+		"clean": {},
+		"chaos": {DropRate: 0.1, DupRate: 0.2, DelayRate: 0.3},
+	}
+	for name, opt := range modes {
+		opt.MaxRounds = 3
+		if name != "clean" {
+			opt.MaxRounds = 40
+			opt.Rng = rand.New(rand.NewSource(5))
+		}
+		a, b := &countingNode{}, &countingNode{}
+		st, err := (&Engine{Neighbors: line(2), Opt: opt}).Run([]Node{a, b})
+		if err != ErrNoQuiescence {
+			t.Fatalf("%s: err = %v, want ErrNoQuiescence", name, err)
+		}
+		if consumed := a.consumed + b.consumed; st.Messages != consumed {
+			t.Errorf("%s: Messages = %d, nodes consumed %d", name, st.Messages, consumed)
+		}
+		if name == "clean" && (st.Messages != 4 || st.Expired != 2) {
+			t.Errorf("clean: Messages = %d, Expired = %d, want 4 and 2", st.Messages, st.Expired)
+		}
+		reconcile(t, st)
+	}
+}
+
+// boxedPayload is broadcast pre-boxed, so the nodes below allocate nothing.
+var boxedPayload Payload = [2]int{7, 9}
+
+// meshTalker broadcasts boxedPayload for its first `rounds` steps.
+type meshTalker struct{ rounds, stepped int }
+
+func (m *meshTalker) Step([]Message) (Payload, bool) {
+	m.stepped++
+	if m.stepped > m.rounds {
+		return nil, true
+	}
+	return boxedPayload, false
+}
+
+// A warm engine runs a session without allocating, however many rounds it
+// lasts: the round loop refills its inboxes in place and sorts none.
+func TestRoundLoopAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts need a non-race build")
+	}
+	const n = 8
+	mesh := make([][]int, n)
+	for i := range mesh {
+		for j := 0; j < n; j++ {
+			if j != i {
+				mesh[i] = append(mesh[i], j)
+			}
+		}
+	}
+	e := &Engine{Neighbors: mesh}
+	talkers := make([]*meshTalker, n)
+	nodes := make([]Node, n)
+	for i := range nodes {
+		talkers[i] = &meshTalker{}
+		nodes[i] = talkers[i]
+	}
+	session := func(rounds int) {
+		for _, m := range talkers {
+			*m = meshTalker{rounds: rounds}
+		}
+		st, err := e.Run(nodes)
+		if err != nil || st.Rounds != rounds+1 {
+			t.Fatalf("session of %d rounds: %+v, %v", rounds, st, err)
+		}
+	}
+	session(1)
+	short := testing.AllocsPerRun(20, func() { session(4) })
+	long := testing.AllocsPerRun(20, func() { session(400) })
+	t.Logf("allocs per session: %v at 4 rounds, %v at 400", short, long)
+	if long > short {
+		t.Errorf("allocs grow with the round count: %v at 4 rounds, %v at 400", short, long)
+	}
+	if short != 0 {
+		t.Errorf("warm session allocates %v times, want 0", short)
+	}
 }
 
 func TestValidateTopology(t *testing.T) {

@@ -42,7 +42,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"haste/internal/core"
 	"haste/internal/dominant"
@@ -119,8 +119,10 @@ type agent struct {
 	// the locked-prefix baseline. Only tasks in T_i are ever read.
 	energy [][]float64
 
-	// q[k][c]: committed policy index into policies, -1 if none.
-	q map[int][]int
+	// q[k][c]: committed policy index into policies for slot k and color
+	// c, -1 if none. Nil until the agent's first commit, then one row per
+	// slot of the horizon, all carved from one backing array.
+	q [][]int
 
 	// Per-session state.
 	sessionSlot  int
@@ -172,7 +174,6 @@ func newAgent(id int, p *core.Problem, opt Options, knownIDs []int, baseline []f
 		retryBudget: opt.RetryBudget,
 		neighbors:   neighbors,
 		known:       make([]bool, len(p.In.Tasks)),
-		q:           make(map[int][]int),
 	}
 	for _, j := range knownIDs {
 		a.known[j] = true
@@ -192,7 +193,7 @@ func (a *agent) startSession(slot, color int) {
 	a.phase = phaseBid
 	a.fixed = false
 	a.passed = false
-	a.applied = nil
+	clear(a.applied)
 	a.unacked = nil
 	a.retriesLeft = 0
 	a.myUpd = nil
@@ -466,36 +467,38 @@ func (a *agent) unackedCount() int {
 // commitOwn records the winning policy as the S-C tuple for (slot, color)
 // and applies it to the agent's own matching samples.
 func (a *agent) commitOwn() {
-	row, ok := a.q[a.sessionSlot]
-	if !ok {
-		row = make([]int, a.colors)
-		for c := range row {
-			row[c] = -1
+	if a.q == nil {
+		flat := make([]int, a.p.K*a.colors)
+		for i := range flat {
+			flat[i] = -1
 		}
-		a.q[a.sessionSlot] = row
+		a.q = make([][]int, a.p.K)
+		for k := range a.q {
+			a.q[k] = flat[k*a.colors : (k+1)*a.colors : (k+1)*a.colors]
+		}
 	}
-	row[a.sessionColor] = a.myPol
+	a.q[a.sessionSlot][a.sessionColor] = a.myPol
 	a.applyCommit(a.id, a.policies[a.myPol].Covers, a.sessionSlot, a.sessionColor)
 }
 
 // finalPlan samples one color per slot (lines 22–24 of Algorithm 3) and
 // returns the agent's orientation commands for slots [from, to).
 // Unassigned slots are NaN (keep the previous physical orientation).
+// With one color there is nothing to sample and rng may be nil.
 func (a *agent) finalPlan(from, to int, rng *rand.Rand) []float64 {
 	plan := make([]float64, to-from)
-	slots := make([]int, 0, len(a.q))
-	for k := range a.q {
-		slots = append(slots, k)
-	}
-	sort.Ints(slots)
 	for i := range plan {
 		plan[i] = math.NaN()
 	}
-	for _, k := range slots {
-		if k < from || k >= to {
+	for k := from; k < to && k < len(a.q); k++ {
+		// Only a slot with a commit in some color draws a color.
+		if !slices.ContainsFunc(a.q[k], func(pol int) bool { return pol >= 0 }) {
 			continue
 		}
-		c := rng.Intn(a.colors)
+		c := 0
+		if a.colors > 1 {
+			c = rng.Intn(a.colors)
+		}
 		if pol := a.q[k][c]; pol >= 0 {
 			plan[k-from] = a.policies[pol].Orientation
 		}

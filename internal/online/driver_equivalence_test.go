@@ -12,7 +12,7 @@ import (
 )
 
 // concurrentDriver is an in-memory netsim.Driver whose stepping fan runs
-// every up agent on its own goroutine through netsim.RunRounds — the
+// every up agent on its own goroutine through netsim.Rounds — the
 // concurrency the socket substrate imposes, without the sockets, so the
 // race detector can check that agents share no unsynchronized state.
 type concurrentDriver struct {
@@ -25,7 +25,7 @@ func concurrentFactory(neighbors [][]int, opt netsim.Options) (netsim.Driver, er
 }
 
 func (d concurrentDriver) Run(nodes []netsim.Node) (netsim.Stats, error) {
-	return netsim.RunRounds(d.neighbors, d.opt, func(_ int, down []bool, inboxes [][]netsim.Message, outs []netsim.Payload) error {
+	return new(netsim.Rounds).Run(d.neighbors, d.opt, func(_ int, down []bool, inboxes [][]netsim.Message, outs []netsim.Payload) error {
 		var wg sync.WaitGroup
 		for i := range nodes {
 			if down != nil && down[i] {

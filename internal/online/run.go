@@ -310,7 +310,12 @@ func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, no
 	out.agents = agents
 	out.plans = make([][]float64, n)
 	for i, a := range agents {
-		rng := rand.New(rand.NewSource(opt.Seed ^ int64(now)<<24 ^ int64(i)<<8))
+		// Each agent's sampling RNG is private and discarded after use,
+		// so skipping it when there is a single color changes no draw.
+		var rng *rand.Rand
+		if opt.Colors > 1 {
+			rng = rand.New(rand.NewSource(opt.Seed ^ int64(now)<<24 ^ int64(i)<<8))
+		}
 		out.plans[i] = a.finalPlan(lockUntil, maxEnd, rng)
 	}
 	return out, nil

@@ -143,6 +143,7 @@ func benchmarkRounds(b *testing.B, factory netsim.Factory) {
 	for i := range nodes {
 		nodes[i] = &chatter{id: i, rounds: b.N}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	if _, err := driver.Run(nodes); err != nil {
 		b.Fatal(err)

@@ -3,12 +3,12 @@
 // loopback TCP connections instead of in-memory channels. Each node gets
 // its own listener and serve goroutine — a process-shaped deployment of
 // the paper's distributed Algorithm 3 — while the coordinator runs the
-// shared netsim.RunRounds loop and exchanges one framed request/response
+// shared netsim round loop (netsim.Rounds) and exchanges one framed request/response
 // pair per node per round (the round barrier).
 //
 // # Determinism and equivalence
 //
-// The engine reuses netsim.RunRounds verbatim: crash draws, delivery
+// The engine reuses the netsim round loop verbatim: crash draws, delivery
 // bookkeeping and all failure-injection RNG draws happen in that
 // single-threaded loop, in the same order as the in-memory drivers; this
 // engine only supplies the stepping fan (serialize inbox → socket →
@@ -56,6 +56,7 @@ type Engine struct {
 	links   []*link       // coordinator side: one dialed conn per node
 	servers []*nodeServer // node side: listener + accepted conn + goroutine
 	errs    []error       // per-node scratch for the stepping fan
+	rounds  netsim.Rounds // round-loop buffers, reused by every session
 
 	ctx       context.Context
 	stop      chan struct{} // closed by Close; parks the context watcher
@@ -194,7 +195,7 @@ func (e *Engine) Run(nodes []netsim.Node) (netsim.Stats, error) {
 		s.node = nodes[i]
 		s.mu.Unlock()
 	}
-	st, err := netsim.RunRounds(e.neighbors, e.opt, e.step)
+	st, err := e.rounds.Run(e.neighbors, e.opt, e.step)
 	if err != nil && !errors.Is(err, netsim.ErrNoQuiescence) {
 		// A link error during teardown is a symptom; report the cause.
 		if cerr := e.ctx.Err(); cerr != nil {
@@ -207,9 +208,10 @@ func (e *Engine) Run(nodes []netsim.Node) (netsim.Stats, error) {
 }
 
 // step is the socket stepping fan: one goroutine per up node performs the
-// framed round trip (inbox out, Step result back). Down nodes are skipped
-// entirely — their serve loop never hears about the round, exactly like a
-// crashed process.
+// framed round trip (inbox out, Step result back). Each inbox is encoded
+// before the fan returns, as the StepFunc contract requires. Down nodes
+// are skipped entirely — their serve loop never hears about the round,
+// exactly like a crashed process.
 func (e *Engine) step(round int, down []bool, inboxes [][]netsim.Message, outs []netsim.Payload) error {
 	var wg sync.WaitGroup
 	for i := range e.links {

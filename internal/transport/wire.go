@@ -381,8 +381,7 @@ func encodeStep(dst []byte, round int, inbox []netsim.Message) ([]byte, error) {
 }
 
 // decodeStep parses a step frame body back into (round, inbox). A nil
-// inbox is returned for an empty one, matching the engine's quiescent
-// rounds.
+// inbox is returned for an empty one.
 func decodeStep(body []byte) (round int, inbox []netsim.Message, err error) {
 	c := cursor{b: body}
 	round = int(c.u32())

@@ -229,6 +229,7 @@ func checkAgainstReference(t *testing.T, name string, c oracleCase) {
 	refOpt := c.opt
 	refOpt.Rng = rand.New(rand.NewSource(c.rngSeed))
 	if !c.opt.failureInjection() {
+		// A clean run carries no RNG, as in the online layer.
 		e.Opt.Rng, refOpt.Rng = nil, nil
 	}
 	session := func(budgets []int) ([]Node, []*traceNode) {

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"haste/internal/geom"
 )
@@ -300,39 +299,6 @@ func (in *Instance) ChargeableTasks() [][]int {
 				out[i] = append(out[i], t.ID)
 			}
 		}
-	}
-	return out
-}
-
-// Neighbors returns N(s_i) for every charger under the paper's rule: two
-// chargers are neighbors iff they share at least one chargeable task.
-func (in *Instance) Neighbors() [][]int {
-	cover := in.ChargeableTasks()
-	taskTo := make([][]int, len(in.Tasks))
-	for i, ts := range cover {
-		for _, j := range ts {
-			taskTo[j] = append(taskTo[j], i)
-		}
-	}
-	seen := make([]map[int]bool, len(in.Chargers))
-	for i := range seen {
-		seen[i] = make(map[int]bool)
-	}
-	for _, cs := range taskTo {
-		for _, a := range cs {
-			for _, b := range cs {
-				if a != b {
-					seen[a][b] = true
-				}
-			}
-		}
-	}
-	out := make([][]int, len(in.Chargers))
-	for i, m := range seen {
-		for b := range m {
-			out[i] = append(out[i], b)
-		}
-		sort.Ints(out[i])
 	}
 	return out
 }

@@ -246,7 +246,7 @@ func TestInstanceValidateErrors(t *testing.T) {
 	}
 }
 
-func TestChargeableTasksAndNeighbors(t *testing.T) {
+func TestChargeableTasks(t *testing.T) {
 	in := smallInstance()
 	ct := in.ChargeableTasks()
 	// Charger 0 at origin: task 0 faces it (phi=π) at distance 7 → chargeable.
@@ -262,21 +262,5 @@ func TestChargeableTasksAndNeighbors(t *testing.T) {
 	}
 	if len(ct[2]) != 0 {
 		t.Errorf("remote charger chargeable = %v, want empty", ct[2])
-	}
-	// No shared tasks → no neighbors anywhere.
-	nb := in.Neighbors()
-	for i, ns := range nb {
-		if len(ns) != 0 {
-			t.Errorf("charger %d neighbors = %v, want none", i, ns)
-		}
-	}
-	// Make task 0 receivable by both charger 0 and 1 (full receiving circle).
-	in.Params.ReceiveAngle = geom.TwoPi
-	nb = in.Neighbors()
-	if len(nb[0]) != 1 || nb[0][0] != 1 || len(nb[1]) != 1 || nb[1][0] != 0 {
-		t.Errorf("neighbors with A_o=2π: %v", nb)
-	}
-	if len(nb[2]) != 0 {
-		t.Errorf("remote charger should stay isolated: %v", nb[2])
 	}
 }

@@ -26,6 +26,14 @@
 // sorts only in a round that delivered delayed messages, since sends are
 // appended in sender order already.
 //
+// # Messages
+//
+// Payload is the one fixed layout of the paper's control message
+// msg(ID, TIM, COL, CMD, ΔF, e). It travels by value from a node's Step
+// through the round loop, delayed deliveries included, into the inboxes;
+// a zero Kind is silence. The copies share only Covers and Acks, which a
+// sender never mutates after the send and receivers only read.
+//
 // # Failure model
 //
 // Four failure modes can be injected, all seeded and deterministic:
@@ -52,8 +60,37 @@ import (
 	"slices"
 )
 
-// Payload is an opaque protocol message body.
-type Payload interface{}
+// Kind is a control message's command (the paper's CMD). The values are
+// also the wire codec's payload kind bytes: never renumber them.
+type Kind uint8
+
+// The kinds; a message of the session (Slot, Color) reads only the fields
+// its kind names, and the others stay zero.
+const (
+	KindNone Kind = iota // silence: nothing is broadcast
+	KindBid              // CMD=NULL: the sender's best marginal Delta
+	KindUpd              // CMD=UPD: the sender's commit number Seq, covering Covers
+	KindAck              // acknowledges charger To's UPD number Seq
+	KindRel              // reliability layer: a bid (HasBid) or UPD (HasUpd), plus Acks
+)
+
+// Payload is the negotiation's one control message. A KindRel carrying
+// both a bid and an UPD gives both one (Slot, Color).
+type Payload struct {
+	Kind           Kind
+	HasBid, HasUpd bool    // KindRel: which parts the message carries
+	Seq            uint32  // UPD: the commit number; KindAck: the acked one
+	Slot, Color    uint32  // the session (TIM, COL) the message belongs to
+	To             uint32  // KindAck: the charger whose UPD is acked
+	Delta          float64 // bid: ΔF
+	Covers         []int   // UPD: the committed policy's tasks (e); shared, read-only
+	Acks           []Ack   // KindRel: the acks owed; shared, read-only
+}
+
+// Ack acknowledges charger To's UPD number Seq for (Slot, Color).
+type Ack struct {
+	Slot, Color, To, Seq uint32
+}
 
 // Message is a delivered message with its sender.
 type Message struct {
@@ -63,12 +100,12 @@ type Message struct {
 
 // Node is a participant. Each round the engine hands it the messages
 // delivered this round; the node returns a payload to broadcast to all its
-// neighbors (nil for silence) and whether it considers its work done.
-// Done nodes keep being stepped (they may still need to answer) until the
-// whole network quiesces. The inbox is valid only during the call: the
-// round loop refills the same storage in later rounds, so a node that
-// needs a message after Step returns must copy it (payload values are
-// never reused).
+// neighbors (a zero Kind for silence) and whether it considers its work
+// done. Done nodes keep being stepped (they may still need to answer)
+// until the whole network quiesces. The inbox is valid only during the
+// call: the round loop refills the same storage in later rounds, so a
+// node that needs a message after Step returns must copy it. The copy may
+// keep the message's Covers and Acks, which no sender mutates.
 type Node interface {
 	Step(inbox []Message) (out Payload, done bool)
 }
@@ -218,13 +255,16 @@ func MemFactory(neighbors [][]int, opt Options) (Driver, error) {
 }
 
 // stepSequential steps the session's nodes one by one on the calling
-// goroutine.
+// goroutine. outs is pre-cleared, so only a broadcast is stored: most
+// steps are silent, and storing a payload into the heap costs a copy.
 func (e *Engine) stepSequential(_ int, down []bool, inboxes [][]Message, outs []Payload) error {
 	for i, nd := range e.nodes {
 		if down != nil && down[i] {
 			continue
 		}
-		outs[i], _ = nd.Step(inboxes[i])
+		if out, _ := nd.Step(inboxes[i]); out.Kind != KindNone {
+			outs[i] = out
+		}
 	}
 	return nil
 }
@@ -232,7 +272,7 @@ func (e *Engine) stepSequential(_ int, down []bool, inboxes [][]Message, outs []
 // StepFunc executes one round's stepping fan for Rounds.Run: for every up
 // node i (down == nil, or down[i] == false) it must run Step on node i's
 // inbox and store the broadcast payload in outs[i]. outs is pre-cleared to
-// nil, so down nodes need no action. A non-nil error aborts the session —
+// silence, so down nodes need no action. A non-nil error aborts the session —
 // substrates use it for link failures the round loop itself cannot see.
 // The inboxes are valid only until the StepFunc returns: the round loop
 // refills the same storage in the next round.
@@ -369,8 +409,9 @@ func (r *Rounds) Run(neighbors [][]int, opt Options, step StepFunc) (Stats, erro
 			}
 			r.pending = kept
 		}
-		for from, payload := range outs {
-			if payload == nil {
+		for from := range outs {
+			payload := &outs[from]
+			if payload.Kind == KindNone {
 				continue
 			}
 			sent = true
@@ -400,11 +441,11 @@ func (r *Rounds) Run(neighbors [][]int, opt Options, step StepFunc) (Stats, erro
 						r.pending = append(r.pending, delayedMsg{
 							due: round + 2 + opt.Rng.Intn(maxDelay),
 							to:  to,
-							msg: Message{From: from, Payload: payload},
+							msg: Message{From: from, Payload: *payload},
 						})
 						continue
 					}
-					inboxes[to] = append(inboxes[to], Message{From: from, Payload: payload})
+					inboxes[to] = append(inboxes[to], Message{From: from, Payload: *payload})
 					stats.Messages++
 				}
 			}
@@ -440,14 +481,7 @@ func ValidateTopology(neighbors [][]int) error {
 			if j == i {
 				return errors.New("netsim: self-loop in topology")
 			}
-			found := false
-			for _, back := range neighbors[j] {
-				if back == i {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(neighbors[j], i) {
 				return errors.New("netsim: asymmetric neighbor relation")
 			}
 		}

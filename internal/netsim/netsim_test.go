@@ -24,16 +24,20 @@ func (m *maxNode) Step(inbox []Message) (Payload, bool) {
 		m.started = true
 	}
 	for _, msg := range inbox {
-		if v := msg.Payload.(int); v > m.best {
+		if v := int(msg.Payload.Slot); v > m.best {
 			m.best = v
 			changed = true
 		}
 	}
 	if changed {
-		return m.best, false
+		return intPayload(m.best), false
 	}
-	return nil, true
+	return Payload{}, true
 }
+
+// intPayload carries v in a bid's Slot, for the test nodes that gossip
+// integers.
+func intPayload(v int) Payload { return Payload{Kind: KindBid, Slot: uint32(v)} }
 
 func line(n int) [][]int {
 	nb := make([][]int, n)
@@ -151,12 +155,12 @@ func TestQuiescenceOnSilentNetwork(t *testing.T) {
 
 type silentNode struct{}
 
-func (*silentNode) Step([]Message) (Payload, bool) { return nil, true }
+func (*silentNode) Step([]Message) (Payload, bool) { return Payload{}, true }
 
 // A node that never stops talking must trip MaxRounds.
 type chattyNode struct{}
 
-func (*chattyNode) Step([]Message) (Payload, bool) { return "hi", false }
+func (*chattyNode) Step([]Message) (Payload, bool) { return intPayload(1), false }
 
 func TestMaxRoundsGuard(t *testing.T) {
 	nodes := []Node{&chattyNode{}, &chattyNode{}}
@@ -306,9 +310,9 @@ func (o *onceNode) Step(inbox []Message) (Payload, bool) {
 	o.consumed += len(inbox)
 	if !o.sent {
 		o.sent = true
-		return "hello", false
+		return intPayload(1), false
 	}
-	return nil, true
+	return Payload{}, true
 }
 
 // Regression: a delayed message becoming due on a round where nobody
@@ -415,7 +419,7 @@ type countingNode struct{ consumed int64 }
 
 func (c *countingNode) Step(inbox []Message) (Payload, bool) {
 	c.consumed += int64(len(inbox))
-	return "hi", false
+	return intPayload(1), false
 }
 
 // A session cut by MaxRounds delivers its final round's messages to no
@@ -447,18 +451,15 @@ func TestMaxRoundsTailExpires(t *testing.T) {
 	}
 }
 
-// boxedPayload is broadcast pre-boxed, so the nodes below allocate nothing.
-var boxedPayload Payload = [2]int{7, 9}
-
-// meshTalker broadcasts boxedPayload for its first `rounds` steps.
+// meshTalker broadcasts a bid for its first `rounds` steps.
 type meshTalker struct{ rounds, stepped int }
 
 func (m *meshTalker) Step([]Message) (Payload, bool) {
 	m.stepped++
 	if m.stepped > m.rounds {
-		return nil, true
+		return Payload{}, true
 	}
-	return boxedPayload, false
+	return Payload{Kind: KindBid, Slot: 7, Color: 9, Delta: 0.5}, false
 }
 
 // A warm engine runs a session without allocating, however many rounds it

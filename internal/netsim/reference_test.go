@@ -3,7 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"slices"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -75,7 +75,7 @@ func referenceRunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, e
 		}
 
 		for i := range outs {
-			outs[i] = nil
+			outs[i] = Payload{}
 		}
 		if err := step(round, down, inboxes, outs); err != nil {
 			return stats, err
@@ -105,7 +105,7 @@ func referenceRunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, e
 			pending = kept
 		}
 		for from, payload := range outs {
-			if payload == nil {
+			if payload.Kind == KindNone {
 				continue
 			}
 			sent = true
@@ -182,12 +182,12 @@ func (n *traceNode) Step(inbox []Message) (Payload, bool) {
 	*n.clock++
 	n.stepped++
 	for _, m := range inbox {
-		n.acc = (n.acc*31 + m.From*7 + m.Payload.(int)) % 1_000_003
+		n.acc = (n.acc*31 + m.From*7 + int(m.Payload.Slot)) % 1_000_003
 	}
 	if n.stepped > n.budget || (n.stepped > 1 && len(inbox) == 0 && n.acc%3 == 0) {
-		return nil, true
+		return Payload{}, true
 	}
-	return n.acc + n.id, false
+	return intPayload(n.acc + n.id), false
 }
 
 // referenceSequential is the in-memory engine's stepping fan for the
@@ -276,7 +276,7 @@ func checkAgainstReference(t *testing.T, name string, c oracleCase) {
 				t.Fatalf("%s session %d node %d: stepped %d times, reference %d", name, s, i, len(g), len(w))
 			}
 			for r := range g {
-				if g[r].tick != w[r].tick || !slices.Equal(g[r].inbox, w[r].inbox) {
+				if g[r].tick != w[r].tick || !reflect.DeepEqual(g[r].inbox, w[r].inbox) {
 					t.Fatalf("%s session %d node %d step %d: inbox %v at tick %d, reference %v at tick %d",
 						name, s, i, r, g[r].inbox, g[r].tick, w[r].inbox, w[r].tick)
 				}

@@ -49,46 +49,6 @@ import (
 	"haste/internal/netsim"
 )
 
-// The four control-message types below are the complete wire vocabulary of
-// the protocol. They are exported so the socket substrate (package
-// transport) can hand-encode them into its deterministic binary framing;
-// every field must round-trip exactly (floats bit-for-bit) for the
-// cross-driver equivalence guarantee to hold.
-
-// BidMsg is the CMD=NULL control message: the sender's best marginal for
-// the session's (slot, color) pair.
-type BidMsg struct {
-	Slot, Color int
-	Delta       float64
-}
-
-// UpdMsg is the CMD=UPD control message: the sender committed the policy
-// covering these task IDs for the session's (slot, color) pair. Seq is the
-// sender's commit sequence number, strictly increasing across its commits,
-// so receivers and acks can identify a commit uniquely.
-type UpdMsg struct {
-	Slot, Color int
-	Seq         uint32
-	Covers      []int
-}
-
-// AckMsg acknowledges receipt of charger To's UPD with sequence Seq. Acks
-// are broadcast (the substrate has no unicast); everyone but To ignores it.
-type AckMsg struct {
-	Slot, Color int
-	To          int
-	Seq         uint32
-}
-
-// RelMsg is the composite payload used when the reliability layer is on:
-// one broadcast per round may carry a bid or an UPD plus any acks owed for
-// UPDs received this round.
-type RelMsg struct {
-	Bid  *BidMsg
-	Upd  *UpdMsg
-	Acks []AckMsg
-}
-
 // agentPhase tracks the bid/decide alternation within a session.
 type agentPhase int
 
@@ -112,19 +72,20 @@ type agent struct {
 	neighbors   []int // session-topology neighbors, for the ack ledger
 
 	policies []dominant.Policy // Γ_i over the tasks this agent knows
-	known    []bool            // known[j]: task j has arrived (agent may plan for it)
 
 	// energy[s][j]: sample s's view of task j's accumulated energy, built
 	// from this agent's own commitments and neighbors' UPD messages plus
 	// the locked-prefix baseline. Only tasks in T_i are ever read.
 	energy [][]float64
 
-	// q[k][c]: committed policy index into policies for slot k and color
-	// c, -1 if none. Nil until the agent's first commit, then one row per
-	// slot of the horizon, all carved from one backing array.
-	q [][]int
+	// q[(k-lo)*colors+c]: committed policy index into policies for slot k
+	// of the renegotiated window [lo, hi) and color c, -1 if none. Nil
+	// until the agent's first commit.
+	q      []int
+	lo, hi int
 
 	// Per-session state.
+	session      uint32 // sessions started so far, the applied stamp
 	sessionSlot  int
 	sessionColor int
 	phase        agentPhase
@@ -133,11 +94,14 @@ type agent struct {
 	myBid        float64
 	myPol        int
 
+	// applied[i] == session: charger i's commit of this session is folded
+	// in. Nil until the first UPD arrives.
+	applied []uint32
+
 	// Reliability per-session state.
-	applied     map[int]uint32 // sender → seq of the commit already folded in
-	unacked     map[int]bool   // neighbors that have not acked my commit yet
-	retriesLeft int            // retransmissions left for my commit
-	myUpd       *UpdMsg        // my committed tuple, retained for retransmits
+	unacked     []bool // unacked[i]: neighbor i has not acked my commit yet
+	nUnacked    int    // true entries of unacked; 0 until the session's commit
+	retriesLeft int    // retransmissions left for my commit
 
 	// Reliability accounting across the whole renegotiation.
 	updSeq      uint32 // sequence number of my last commit
@@ -162,8 +126,9 @@ type taskEnergy struct {
 // newAgent builds an agent with the given locked-prefix baseline energies
 // (shared across samples: the locked past does not depend on colors).
 // neighbors is the agent's row of the session topology, used by the
-// reliability layer's ack ledger.
-func newAgent(id int, p *core.Problem, opt Options, knownIDs []int, baseline []float64, neighbors []int) *agent {
+// reliability layer's ack ledger; [lo, hi) is the window of slots it
+// negotiates.
+func newAgent(id int, p *core.Problem, opt Options, knownIDs []int, baseline []float64, neighbors []int, lo, hi int) *agent {
 	a := &agent{
 		id:          id,
 		p:           p,
@@ -173,10 +138,8 @@ func newAgent(id int, p *core.Problem, opt Options, knownIDs []int, baseline []f
 		reliable:    opt.Reliable,
 		retryBudget: opt.RetryBudget,
 		neighbors:   neighbors,
-		known:       make([]bool, len(p.In.Tasks)),
-	}
-	for _, j := range knownIDs {
-		a.known[j] = true
+		lo:          lo,
+		hi:          hi,
 	}
 	a.policies = dominant.ExtractSubset(p.In, id, knownIDs)
 	a.energy = make([][]float64, a.samples)
@@ -188,15 +151,17 @@ func newAgent(id int, p *core.Problem, opt Options, knownIDs []int, baseline []f
 
 // startSession arms the agent for the (slot, color) negotiation.
 func (a *agent) startSession(slot, color int) {
+	a.session++
 	a.sessionSlot = slot
 	a.sessionColor = color
 	a.phase = phaseBid
 	a.fixed = false
 	a.passed = false
-	clear(a.applied)
-	a.unacked = nil
+	if a.nUnacked > 0 {
+		clear(a.unacked)
+		a.nUnacked = 0
+	}
 	a.retriesLeft = 0
-	a.myUpd = nil
 
 	if cap(a.sessionCovers) < len(a.policies) {
 		a.sessionCovers = make([][]taskEnergy, len(a.policies))
@@ -268,12 +233,12 @@ func (a *agent) policyGain(pol int) float64 {
 	return gain
 }
 
-// applyCommit folds a committed policy (by charger `from`, covering
-// `covers`) into the matching samples of the local energy view.
-func (a *agent) applyCommit(from int, covers []int, slot, color int) {
-	k := slot
+// applyCommit folds charger from's session commit, covering covers, into
+// the matching samples of the local energy view.
+func (a *agent) applyCommit(from int, covers []int) {
+	k := a.sessionSlot
 	for s := 0; s < a.samples; s++ {
-		if colorAt(a.seed, s, from, k, a.colors) != color {
+		if colorAt(a.seed, s, from, k, a.colors) != a.sessionColor {
 			continue
 		}
 		for _, j := range covers {
@@ -285,100 +250,99 @@ func (a *agent) applyCommit(from int, covers []int, slot, color int) {
 	}
 }
 
-// Step implements netsim.Node for the current session.
+// applyOnce applies sender from's session commit unless it already is:
+// each sender's commit is applied at most once per session, which makes
+// duplicated, retransmitted and delay-reordered deliveries idempotent.
+func (a *agent) applyOnce(from int, covers []int) {
+	if a.applied == nil {
+		a.applied = make([]uint32, len(a.p.In.Chargers))
+	}
+	if a.applied[from] != a.session {
+		a.applied[from] = a.session
+		a.applyCommit(from, covers)
+	}
+}
+
+// ours reports whether (slot, color) names the running session.
+func (a *agent) ours(slot, color uint32) bool {
+	return int(slot) == a.sessionSlot && int(color) == a.sessionColor
+}
+
+// beatenBy reports whether m's bid is for the running session and beats
+// ours under the paper's rule, exact ties going to the lower charger ID.
+func (a *agent) beatenBy(m *netsim.Message) bool {
+	p := &m.Payload
+	return a.ours(p.Slot, p.Color) && (p.Delta > a.myBid || (p.Delta == a.myBid && m.From < a.id))
+}
+
+// Step implements netsim.Node for the current session. Without the
+// reliability layer it runs the paper's best-effort protocol, in which a
+// lost UPD silently diverges the loser's energy view.
 func (a *agent) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 	if a.reliable {
 		return a.stepReliable(inbox)
 	}
-	return a.stepBasic(inbox)
-}
-
-// stepBasic is the paper's best-effort protocol: a lost UPD silently
-// diverges the loser's energy view.
-func (a *agent) stepBasic(inbox []netsim.Message) (netsim.Payload, bool) {
 	switch a.phase {
 	case phaseBid:
-		// Fold in UPDs from last round's winners, then rebid. Each
-		// sender's commit is applied at most once per session, which
-		// makes duplicated and delay-reordered deliveries idempotent.
-		for _, m := range inbox {
-			upd, ok := m.Payload.(UpdMsg)
-			if !ok || upd.Slot != a.sessionSlot || upd.Color != a.sessionColor {
-				continue
+		// Fold in UPDs from last round's winners, then rebid.
+		for i := range inbox {
+			if m := &inbox[i]; m.Payload.Kind == netsim.KindUpd && a.ours(m.Payload.Slot, m.Payload.Color) {
+				a.applyOnce(m.From, m.Payload.Covers)
 			}
-			if _, done := a.applied[m.From]; done {
-				continue
-			}
-			if a.applied == nil {
-				a.applied = make(map[int]uint32)
-			}
-			a.applied[m.From] = upd.Seq
-			a.applyCommit(m.From, upd.Covers, upd.Slot, upd.Color)
 		}
 		if a.fixed || a.passed {
-			return nil, true
+			return netsim.Payload{}, true
 		}
 		a.recompute()
 		if a.myBid <= 1e-15 {
 			a.passed = true
-			return nil, true
+			return netsim.Payload{}, true
 		}
 		a.phase = phaseDecide
-		return BidMsg{Slot: a.sessionSlot, Color: a.sessionColor, Delta: a.myBid}, false
+		return netsim.Payload{Kind: netsim.KindBid, Slot: uint32(a.sessionSlot), Color: uint32(a.sessionColor), Delta: a.myBid}, false
 
 	case phaseDecide:
 		a.phase = phaseBid
 		if a.fixed || a.passed {
-			return nil, true
+			return netsim.Payload{}, true
 		}
 		// The paper's rule: commit iff our ΔF beats every competing
-		// neighbor's, breaking exact ties by charger ID.
-		for _, m := range inbox {
-			bid, ok := m.Payload.(BidMsg)
-			if !ok || bid.Slot != a.sessionSlot || bid.Color != a.sessionColor {
-				continue
-			}
-			if bid.Delta > a.myBid || (bid.Delta == a.myBid && m.From < a.id) {
-				return nil, false // lost this round; rebid next round
+		// neighbor's.
+		for i := range inbox {
+			if m := &inbox[i]; m.Payload.Kind == netsim.KindBid && a.beatenBy(m) {
+				return netsim.Payload{}, false // lost this round; rebid next round
 			}
 		}
-		a.fixed = true
 		a.commitOwn()
-		a.updSeq++
-		return UpdMsg{Slot: a.sessionSlot, Color: a.sessionColor, Seq: a.updSeq, Covers: a.policies[a.myPol].Covers}, true
+		return netsim.Payload{Kind: netsim.KindUpd, Slot: uint32(a.sessionSlot), Color: uint32(a.sessionColor),
+			Seq: a.updSeq, Covers: a.policies[a.myPol].Covers}, true
 	}
-	return nil, true
+	return netsim.Payload{}, true
 }
 
 // stepReliable is the ack/retransmit variant: identical negotiation
 // decisions, but commits are acknowledged and re-broadcast until every
 // neighbor confirmed receipt (or the retry budget ran out).
 func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
-	var out RelMsg
+	out := netsim.Payload{Kind: netsim.KindRel}
 	// Process UPDs and acks every round, whatever the phase: delayed or
 	// retransmitted UPDs may arrive in a decide round and must still be
 	// applied and (re-)acked.
-	for _, m := range inbox {
-		pkt, ok := m.Payload.(RelMsg)
-		if !ok {
+	for i := range inbox {
+		from, pkt := inbox[i].From, &inbox[i].Payload
+		if pkt.Kind != netsim.KindRel {
 			continue
 		}
-		if upd := pkt.Upd; upd != nil && upd.Slot == a.sessionSlot && upd.Color == a.sessionColor {
-			if _, done := a.applied[m.From]; !done {
-				if a.applied == nil {
-					a.applied = make(map[int]uint32)
-				}
-				a.applied[m.From] = upd.Seq
-				a.applyCommit(m.From, upd.Covers, upd.Slot, upd.Color)
-			}
+		if pkt.HasUpd && a.ours(pkt.Slot, pkt.Color) {
+			a.applyOnce(from, pkt.Covers)
 			// Ack every receipt: the previous ack may itself have been
 			// lost, and retransmissions stop only on a received ack.
-			out.Acks = append(out.Acks, AckMsg{Slot: a.sessionSlot, Color: a.sessionColor, To: m.From, Seq: upd.Seq})
+			out.Acks = append(out.Acks, netsim.Ack{Slot: pkt.Slot, Color: pkt.Color, To: uint32(from), Seq: pkt.Seq})
 		}
 		for _, ack := range pkt.Acks {
-			if ack.To == a.id && ack.Slot == a.sessionSlot && ack.Color == a.sessionColor &&
-				a.myUpd != nil && ack.Seq == a.myUpd.Seq {
-				delete(a.unacked, m.From)
+			if int(ack.To) == a.id && a.ours(ack.Slot, ack.Color) && a.fixed && ack.Seq == a.updSeq && a.unacked[from] {
+				a.unacked[from] = false
+				a.nUnacked--
 			}
 		}
 	}
@@ -391,7 +355,7 @@ func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 			if a.myBid <= 1e-15 {
 				a.passed = true
 			} else {
-				out.Bid = &BidMsg{Slot: a.sessionSlot, Color: a.sessionColor, Delta: a.myBid}
+				out.HasBid, out.Delta = true, a.myBid
 			}
 		}
 
@@ -407,31 +371,23 @@ func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 			// the chaos sweeps measure. Retransmitting bids would instead
 			// stall every session for MaxDelay rounds.
 			won := true
-			for _, m := range inbox {
-				pkt, ok := m.Payload.(RelMsg)
-				if !ok || pkt.Bid == nil {
-					continue
-				}
-				bid := pkt.Bid
-				if bid.Slot != a.sessionSlot || bid.Color != a.sessionColor {
-					continue
-				}
-				if bid.Delta > a.myBid || (bid.Delta == a.myBid && m.From < a.id) {
+			for i := range inbox {
+				if m := &inbox[i]; m.Payload.Kind == netsim.KindRel && m.Payload.HasBid && a.beatenBy(m) {
 					won = false
 					break
 				}
 			}
 			if won {
-				a.fixed = true
 				a.commitOwn()
-				a.updSeq++
-				a.myUpd = &UpdMsg{Slot: a.sessionSlot, Color: a.sessionColor, Seq: a.updSeq, Covers: a.policies[a.myPol].Covers}
-				a.unacked = make(map[int]bool, len(a.neighbors))
+				if a.unacked == nil {
+					a.unacked = make([]bool, len(a.p.In.Chargers))
+				}
 				for _, nb := range a.neighbors {
 					a.unacked[nb] = true
 				}
+				a.nUnacked = len(a.neighbors)
 				a.retriesLeft = a.retryBudget
-				out.Upd = a.myUpd
+				out.HasUpd = true
 			}
 		}
 	}
@@ -442,65 +398,59 @@ func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 	// wait for in-flight acks would let the session die under total loss.
 	// A retransmission racing an in-flight ack is harmless: applying a
 	// commit is idempotent and the re-ack it triggers carries no reply.
-	if a.fixed && out.Upd == nil && len(a.unacked) > 0 && a.retriesLeft > 0 {
+	if a.fixed && !out.HasUpd && a.nUnacked > 0 && a.retriesLeft > 0 {
 		a.retriesLeft--
 		a.retransmits++
-		out.Upd = a.myUpd
+		out.HasUpd = true
 	}
 
-	done := (a.fixed && len(a.unacked) == 0) || a.passed
-	if out.Bid == nil && out.Upd == nil && len(out.Acks) == 0 {
-		return nil, done
+	done := (a.fixed && a.nUnacked == 0) || a.passed
+	if !out.HasBid && !out.HasUpd && len(out.Acks) == 0 {
+		return netsim.Payload{}, done
+	}
+	out.Slot, out.Color = uint32(a.sessionSlot), uint32(a.sessionColor)
+	if out.HasUpd {
+		out.Seq, out.Covers = a.updSeq, a.policies[a.myPol].Covers
 	}
 	return out, done
 }
 
-// unackedCount reports how many neighbors never acked this agent's commit
-// in the session that just ended (0 when it never committed).
-func (a *agent) unackedCount() int {
-	if !a.fixed {
-		return 0
-	}
-	return len(a.unacked)
-}
-
-// commitOwn records the winning policy as the S-C tuple for (slot, color)
-// and applies it to the agent's own matching samples.
+// commitOwn fixes the winning policy as the S-C tuple for the session,
+// numbers the commit and applies it to the agent's own matching samples.
 func (a *agent) commitOwn() {
+	a.fixed = true
+	a.updSeq++
 	if a.q == nil {
-		flat := make([]int, a.p.K*a.colors)
-		for i := range flat {
-			flat[i] = -1
-		}
-		a.q = make([][]int, a.p.K)
-		for k := range a.q {
-			a.q[k] = flat[k*a.colors : (k+1)*a.colors : (k+1)*a.colors]
+		a.q = make([]int, (a.hi-a.lo)*a.colors)
+		for i := range a.q {
+			a.q[i] = -1
 		}
 	}
-	a.q[a.sessionSlot][a.sessionColor] = a.myPol
-	a.applyCommit(a.id, a.policies[a.myPol].Covers, a.sessionSlot, a.sessionColor)
+	a.q[(a.sessionSlot-a.lo)*a.colors+a.sessionColor] = a.myPol
+	a.applyCommit(a.id, a.policies[a.myPol].Covers)
 }
 
 // finalPlan samples one color per slot (lines 22–24 of Algorithm 3) and
-// returns the agent's orientation commands for slots [from, to).
+// returns the agent's orientation commands for its window [lo, hi).
 // Unassigned slots are NaN (keep the previous physical orientation).
 // With one color there is nothing to sample and rng may be nil.
-func (a *agent) finalPlan(from, to int, rng *rand.Rand) []float64 {
-	plan := make([]float64, to-from)
+func (a *agent) finalPlan(rng *rand.Rand) []float64 {
+	plan := make([]float64, a.hi-a.lo)
 	for i := range plan {
 		plan[i] = math.NaN()
 	}
-	for k := from; k < to && k < len(a.q); k++ {
+	for i := 0; i < len(a.q)/a.colors; i++ {
+		row := a.q[i*a.colors : (i+1)*a.colors]
 		// Only a slot with a commit in some color draws a color.
-		if !slices.ContainsFunc(a.q[k], func(pol int) bool { return pol >= 0 }) {
+		if !slices.ContainsFunc(row, func(pol int) bool { return pol >= 0 }) {
 			continue
 		}
 		c := 0
 		if a.colors > 1 {
 			c = rng.Intn(a.colors)
 		}
-		if pol := a.q[k][c]; pol >= 0 {
-			plan[k-from] = a.policies[pol].Orientation
+		if pol := row[c]; pol >= 0 {
+			plan[i] = a.policies[pol].Orientation
 		}
 	}
 	return plan

@@ -88,19 +88,18 @@ func TestAgentViewsMatchGlobalRecomputation(t *testing.T) {
 			truth[s] = make([]float64, len(p.In.Tasks))
 		}
 		for i, a := range neg.agents {
-			for k, row := range a.q {
-				for c, pol := range row {
-					if pol < 0 {
+			for idx, pol := range a.q {
+				if pol < 0 {
+					continue
+				}
+				k, c := a.lo+idx/a.colors, idx%a.colors
+				for s := 0; s < samples; s++ {
+					if colorAt(a.seed, s, i, k, a.colors) != c {
 						continue
 					}
-					for s := 0; s < samples; s++ {
-						if colorAt(a.seed, s, i, k, a.colors) != c {
-							continue
-						}
-						for _, j := range a.policies[pol].Covers {
-							if p.In.Tasks[j].ActiveAt(k) {
-								truth[s][j] += p.SlotEnergy(i, j)
-							}
+					for _, j := range a.policies[pol].Covers {
+						if p.In.Tasks[j].ActiveAt(k) {
+							truth[s][j] += p.SlotEnergy(i, j)
 						}
 					}
 				}
@@ -127,17 +126,15 @@ func TestAgentViewsMatchGlobalRecomputation(t *testing.T) {
 func TestAgentsRespectPartitionMatroid(t *testing.T) {
 	p, neg := negotiatedAgents(t, 31, 3)
 	for i, a := range neg.agents {
-		for k, row := range a.q {
-			if k < 0 || k >= p.K {
-				t.Fatalf("agent %d committed out-of-horizon slot %d", i, k)
-			}
-			if len(row) != a.colors {
-				t.Fatalf("agent %d slot %d has %d color entries", i, k, len(row))
-			}
-			for _, pol := range row {
-				if pol >= len(a.policies) {
-					t.Fatalf("agent %d references unknown policy %d", i, pol)
-				}
+		if a.lo < 0 || a.hi > p.K {
+			t.Fatalf("agent %d negotiated out-of-horizon window [%d, %d)", i, a.lo, a.hi)
+		}
+		if a.q != nil && len(a.q) != (a.hi-a.lo)*a.colors {
+			t.Fatalf("agent %d has %d table entries for %d slots of %d colors", i, len(a.q), a.hi-a.lo, a.colors)
+		}
+		for _, pol := range a.q {
+			if pol >= len(a.policies) {
+				t.Fatalf("agent %d references unknown policy %d", i, pol)
 			}
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"haste/internal/core"
@@ -117,7 +119,7 @@ func TestRunProducesMessagesWhenNeighborsExist(t *testing.T) {
 	p := mustProblem(t, in)
 	// Verify the workload actually has neighboring chargers.
 	hasNeighbors := false
-	for _, ns := range in.Neighbors() {
+	for _, ns := range denseNeighbors(in) {
 		if len(ns) > 0 {
 			hasNeighbors = true
 		}
@@ -385,5 +387,138 @@ func TestKnownNeighborsLocality(t *testing.T) {
 	nb = knownNeighbors(p, []int{0})
 	if len(nb[2]) != 0 || len(nb[3]) != 0 {
 		t.Fatalf("right cluster should be isolated: %v", nb)
+	}
+}
+
+// denseNeighbors returns N(s_i) for every charger under the paper's rule,
+// from the instance's geometry alone: two chargers are neighbors iff they
+// share at least one chargeable task. It is knownNeighbors' oracle when
+// every task is known.
+func denseNeighbors(in *model.Instance) [][]int {
+	cover := in.ChargeableTasks()
+	taskTo := make([][]int, len(in.Tasks))
+	for i, ts := range cover {
+		for _, j := range ts {
+			taskTo[j] = append(taskTo[j], i)
+		}
+	}
+	seen := make([]map[int]bool, len(in.Chargers))
+	for i := range seen {
+		seen[i] = make(map[int]bool)
+	}
+	for _, cs := range taskTo {
+		for _, a := range cs {
+			for _, b := range cs {
+				if a != b {
+					seen[a][b] = true
+				}
+			}
+		}
+	}
+	out := make([][]int, len(in.Chargers))
+	for i, m := range seen {
+		for b := range m {
+			out[i] = append(out[i], b)
+		}
+		sort.Ints(out[i])
+	}
+	return out
+}
+
+// The dense oracle itself, on two chargers 15 m apart with one task
+// between them and a third charger far away.
+func TestDenseNeighbors(t *testing.T) {
+	in := &model.Instance{
+		Chargers: []model.Charger{
+			{ID: 0, Pos: geom.Point{X: 0, Y: 0}},
+			{ID: 1, Pos: geom.Point{X: 15, Y: 0}},
+			{ID: 2, Pos: geom.Point{X: 100, Y: 100}},
+		},
+		Tasks: []model.Task{
+			{ID: 0, Pos: geom.Point{X: 7, Y: 0}, Phi: math.Pi, Release: 0, End: 5, Energy: 1e3, Weight: 0.5},
+			{ID: 1, Pos: geom.Point{X: 8, Y: 0}, Phi: 0, Release: 2, End: 9, Energy: 2e3, Weight: 0.5},
+		},
+		Params: model.Params{
+			Alpha: 10000, Beta: 40, Radius: 20,
+			ChargeAngle: geom.Deg(60), ReceiveAngle: geom.Deg(60),
+			SlotSeconds: 60, Rho: 1.0 / 12, Tau: 1,
+		},
+	}
+	// No shared tasks → no neighbors anywhere.
+	nb := denseNeighbors(in)
+	for i, ns := range nb {
+		if len(ns) != 0 {
+			t.Errorf("charger %d neighbors = %v, want none", i, ns)
+		}
+	}
+	// Make task 0 receivable by both charger 0 and 1 (full receiving circle).
+	in.Params.ReceiveAngle = geom.TwoPi
+	nb = denseNeighbors(in)
+	if len(nb[0]) != 1 || nb[0][0] != 1 || len(nb[1]) != 1 || nb[1][0] != 0 {
+		t.Errorf("neighbors with A_o=2π: %v", nb)
+	}
+	if len(nb[2]) != 0 {
+		t.Errorf("remote charger should stay isolated: %v", nb[2])
+	}
+}
+
+// pairwiseNeighbors is the brute-force relation over a known subset: a
+// pair of chargers is adjacent iff some known task harvests energy from
+// both.
+func pairwiseNeighbors(p *core.Problem, known []int) [][]int {
+	n := len(p.In.Chargers)
+	out := make([][]int, n)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if a != b && slices.ContainsFunc(known, func(j int) bool {
+				return p.SlotEnergy(a, j) > 0 && p.SlotEnergy(b, j) > 0
+			}) {
+				out[a] = append(out[a], b)
+			}
+		}
+	}
+	return out
+}
+
+// sameRelation compares two neighbor relations row by row, an empty row
+// matching a nil one.
+func sameRelation(a, b [][]int) bool {
+	return slices.EqualFunc(a, b, func(x, y []int) bool { return slices.Equal(x, y) })
+}
+
+// knownNeighbors must equal the dense relation when every task is known,
+// and the brute-force pairwise relation on random known subsets, the
+// empty and one-task subsets included.
+func TestKnownNeighborsMatchesOracles(t *testing.T) {
+	edges := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		in := workload.Default().Generate(rand.New(rand.NewSource(seed)))
+		p := mustProblem(t, in)
+		all := knownNeighbors(p, allIDs(p))
+		if want := denseNeighbors(in); !sameRelation(all, want) {
+			t.Fatalf("seed %d, every task known: got %v, want %v", seed, all, want)
+		}
+		for _, row := range all {
+			edges += len(row)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		subsets := [][]int{nil, {rng.Intn(len(in.Tasks))}}
+		for k := 0; k < 4; k++ {
+			var known []int
+			for j := range in.Tasks {
+				if rng.Intn(4) == 0 {
+					known = append(known, j)
+				}
+			}
+			subsets = append(subsets, known)
+		}
+		for _, known := range subsets {
+			if got, want := knownNeighbors(p, known), pairwiseNeighbors(p, known); !sameRelation(got, want) {
+				t.Fatalf("seed %d, known %v: got %v, want %v", seed, known, got, want)
+			}
+		}
+	}
+	if edges == 0 {
+		t.Fatal("no instance has a neighbor pair: the comparison is vacuous")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"haste/internal/core"
@@ -231,7 +232,7 @@ func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, no
 	agents := make([]*agent, n)
 	nodes := make([]netsim.Node, n)
 	for i := 0; i < n; i++ {
-		agents[i] = newAgent(i, p, opt, known, baseline, neighbors[i])
+		agents[i] = newAgent(i, p, opt, known, baseline, neighbors[i], lockUntil, maxEnd)
 		nodes[i] = agents[i]
 	}
 
@@ -297,7 +298,7 @@ func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, no
 				out.Sessions++
 			}
 			for _, a := range agents {
-				if a.unackedCount() > 0 {
+				if a.nUnacked > 0 {
 					out.unackedCommits++
 				}
 			}
@@ -316,7 +317,7 @@ func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, no
 		if opt.Colors > 1 {
 			rng = rand.New(rand.NewSource(opt.Seed ^ int64(now)<<24 ^ int64(i)<<8))
 		}
-		out.plans[i] = a.finalPlan(lockUntil, maxEnd, rng)
+		out.plans[i] = a.finalPlan(rng)
 	}
 	return out, nil
 }
@@ -336,11 +337,12 @@ func perceivedEnergies(p *core.Problem, orient [][]float64, known []int, upTo in
 	for _, j := range known {
 		isKnown[j] = true
 	}
+	var reach []core.CoverEntry
 	for i := range in.Chargers {
 		// Only this charger's chargeable known tasks can ever receive
 		// energy from it — read off the sparse charger row instead of
 		// scanning every task.
-		var reach []core.CoverEntry
+		reach = reach[:0]
 		for _, ent := range p.ChargerRow(i) {
 			if ent.De > 0 && isKnown[ent.Task] {
 				reach = append(reach, ent)
@@ -369,41 +371,67 @@ func perceivedEnergies(p *core.Problem, orient [][]float64, known []int, upTo in
 }
 
 // knownNeighbors builds the neighbor relation over known tasks only: two
-// chargers are neighbors iff they share a known chargeable task.
+// chargers are neighbors iff they share a known chargeable task. Each row
+// is the sorted, deduplicated union of the charger lists of its known
+// tasks, minus the charger itself; all rows share one backing array.
 func knownNeighbors(p *core.Problem, known []int) [][]int {
 	in := p.In
 	n := len(in.Chargers)
-	adj := make([]map[int]bool, n)
-	for i := range adj {
-		adj[i] = map[int]bool{}
+	isKnown := make([]bool, len(in.Tasks))
+	for _, j := range known {
+		isKnown[j] = true
 	}
-	// Invert the sparse rows once: coversByTask[j] lists the chargers that
-	// can deliver energy to task j (ascending, since chargers are walked in
-	// order). This replaces an all-chargers column scan per known task.
-	coversByTask := make([][]int, len(in.Tasks))
+	// Invert the sparse rows once, counting then filling:
+	// byTask[start[j]:start[j+1]] lists the chargers that can deliver
+	// energy to known task j, ascending since chargers are walked in order.
+	start := make([]int, len(in.Tasks)+1)
 	for i := 0; i < n; i++ {
 		for _, ent := range p.ChargerRow(i) {
-			if ent.De > 0 {
-				coversByTask[ent.Task] = append(coversByTask[ent.Task], i)
+			if ent.De > 0 && isKnown[ent.Task] {
+				start[ent.Task+1]++
 			}
 		}
 	}
-	for _, j := range known {
-		covers := coversByTask[j]
-		for _, a := range covers {
-			for _, b := range covers {
-				if a != b {
-					adj[a][b] = true
-				}
+	for j := range in.Tasks {
+		start[j+1] += start[j]
+	}
+	byTask := make([]int, start[len(in.Tasks)])
+	fill := slices.Clone(start)
+	for i := 0; i < n; i++ {
+		for _, ent := range p.ChargerRow(i) {
+			if ent.De > 0 && isKnown[ent.Task] {
+				byTask[fill[ent.Task]] = i
+				fill[ent.Task]++
 			}
 		}
 	}
+	// Row i gathers d_j entries for each of its known tasks j, d_j being
+	// task j's charger count, so sum_j d_j² entries hold every row before
+	// deduplication and flat never reallocates under the rows carved off it.
+	size := 0
+	for j := range in.Tasks {
+		d := start[j+1] - start[j]
+		size += d * d
+	}
+	flat := make([]int, 0, size)
 	out := make([][]int, n)
-	for i, m := range adj {
-		for b := range m {
-			out[i] = append(out[i], b)
+	for i := 0; i < n; i++ {
+		lo := len(flat)
+		for _, ent := range p.ChargerRow(i) {
+			if ent.De > 0 && isKnown[ent.Task] {
+				flat = append(flat, byTask[start[ent.Task]:start[ent.Task+1]]...)
+			}
 		}
-		sort.Ints(out[i])
+		row := flat[lo:]
+		slices.Sort(row)
+		row = slices.Compact(row)
+		if k, self := slices.BinarySearch(row, i); self {
+			row = slices.Delete(row, k, k+1)
+		}
+		flat = flat[:lo+len(row)]
+		if len(row) > 0 {
+			out[i] = row[:len(row):len(row)]
+		}
 	}
 	return out
 }

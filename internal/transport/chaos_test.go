@@ -76,11 +76,18 @@ func TestReliabilityRecoversUtilityOverTCP(t *testing.T) {
 // checked-out core states.
 func TestCancelledRunReleasesPooledStates(t *testing.T) {
 	p := chaosProblem(t, 603)
+	// contextFactory builds engines that abort their session when ctx is
+	// cancelled.
+	contextFactory := func(ctx context.Context) netsim.Factory {
+		return func(neighbors [][]int, opt netsim.Options) (netsim.Driver, error) {
+			return transport.NewContext(ctx, neighbors, opt)
+		}
+	}
 
 	// Pre-cancelled context: the very first session aborts deterministically.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := online.Run(p, online.Options{Seed: 603, Driver: transport.ContextFactory(ctx)})
+	_, err := online.Run(p, online.Options{Seed: 603, Driver: contextFactory(ctx)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run: err = %v, want context.Canceled", err)
 	}
@@ -97,7 +104,7 @@ func TestCancelledRunReleasesPooledStates(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel2()
 	}()
-	_, err = online.Run(p, online.Options{Seed: 603, Colors: 4, Driver: transport.ContextFactory(ctx2)})
+	_, err = online.Run(p, online.Options{Seed: 603, Colors: 4, Driver: contextFactory(ctx2)})
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancellation: err = %v, want context.Canceled", err)
 	}
@@ -116,9 +123,9 @@ type chatter struct {
 func (c *chatter) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 	c.stepped++
 	if c.stepped > c.rounds {
-		return nil, true
+		return netsim.Payload{}, true
 	}
-	return online.BidMsg{Slot: c.stepped, Color: c.id, Delta: 0.5}, false
+	return netsim.Payload{Kind: netsim.KindBid, Slot: uint32(c.stepped), Color: uint32(c.id), Delta: 0.5}, false
 }
 
 // benchmarkRounds measures per-round latency of a driver: an 8-node full

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"haste/internal/netsim"
-	"haste/internal/online"
 )
 
 // assertNoEngineGoroutines fails the test if any transport engine
@@ -58,9 +57,9 @@ type chatterNode struct {
 func (c *chatterNode) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 	c.stepped++
 	if c.stepped > c.rounds {
-		return nil, true
+		return netsim.Payload{}, true
 	}
-	return online.BidMsg{Slot: c.stepped, Color: c.id, Delta: float64(c.stepped)}, false
+	return netsim.Payload{Kind: netsim.KindBid, Slot: uint32(c.stepped), Color: uint32(c.id), Delta: float64(c.stepped)}, false
 }
 
 func chatterNodes(n, rounds int) []netsim.Node {
@@ -129,7 +128,7 @@ func (n *sabotageNode) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 	if n.stepped == n.at {
 		n.e.servers[n.idx].conn.Close()
 	}
-	return online.BidMsg{Slot: n.stepped, Color: n.idx, Delta: 1}, false
+	return netsim.Payload{Kind: netsim.KindBid, Slot: uint32(n.stepped), Color: uint32(n.idx), Delta: 1}, false
 }
 
 func TestNodeCrashMidRoundAbortsSession(t *testing.T) {
@@ -214,7 +213,7 @@ func TestNodeAddrIsLoopback(t *testing.T) {
 	}
 	defer e.Close()
 	for i := 0; i < 2; i++ {
-		addr := e.NodeAddr(i).String()
+		addr := e.servers[i].ln.Addr().String()
 		if !strings.HasPrefix(addr, "127.0.0.1:") {
 			t.Errorf("node %d bound to %s, want loopback", i, addr)
 		}

@@ -166,18 +166,6 @@ func Factory(neighbors [][]int, opt netsim.Options) (netsim.Driver, error) {
 	return New(neighbors, opt)
 }
 
-// ContextFactory is Factory bound to a cancellation context: every engine
-// it builds aborts its session when ctx is cancelled.
-func ContextFactory(ctx context.Context) netsim.Factory {
-	return func(neighbors [][]int, opt netsim.Options) (netsim.Driver, error) {
-		return NewContext(ctx, neighbors, opt)
-	}
-}
-
-// NodeAddr reports the loopback address node i's listener is bound to —
-// observability for tests and demos; the engine itself dials it in New.
-func (e *Engine) NodeAddr(i int) net.Addr { return e.servers[i].ln.Addr() }
-
 // Run implements netsim.Driver: install the session's nodes into the
 // serve goroutines, then drive the shared round loop with the socket
 // stepping fan. Like the in-memory engine it may be called once per
@@ -235,27 +223,27 @@ func (e *Engine) roundTrip(i, round int, inbox []netsim.Message) (netsim.Payload
 	l := e.links[i]
 	body, err := encodeStep(l.body[:0], round, inbox)
 	if err != nil {
-		return nil, fmt.Errorf("transport: node %d: %w", i, err)
+		return netsim.Payload{}, fmt.Errorf("transport: node %d: %w", i, err)
 	}
 	l.body = body
 	frame, err := appendFrame(l.out[:0], frameStep, body)
 	if err != nil {
-		return nil, fmt.Errorf("transport: node %d: %w", i, err)
+		return netsim.Payload{}, fmt.Errorf("transport: node %d: %w", i, err)
 	}
 	l.out = frame
 	if _, err := l.conn.Write(frame); err != nil {
-		return nil, fmt.Errorf("transport: node %d send: %w", i, err)
+		return netsim.Payload{}, fmt.Errorf("transport: node %d send: %w", i, err)
 	}
 	typ, resp, err := readFrame(l.conn, &l.in)
 	if err != nil {
-		return nil, fmt.Errorf("transport: node %d recv: %w", i, err)
+		return netsim.Payload{}, fmt.Errorf("transport: node %d recv: %w", i, err)
 	}
 	if typ != frameOut {
-		return nil, fmt.Errorf("transport: node %d: unexpected frame type %d in response", i, typ)
+		return netsim.Payload{}, fmt.Errorf("transport: node %d: unexpected frame type %d in response", i, typ)
 	}
 	out, _, err := decodeOut(resp)
 	if err != nil {
-		return nil, fmt.Errorf("transport: node %d: %w", i, err)
+		return netsim.Payload{}, fmt.Errorf("transport: node %d: %w", i, err)
 	}
 	return out, nil
 }
@@ -268,6 +256,7 @@ func (e *Engine) roundTrip(i, round int, inbox []netsim.Message) (netsim.Payload
 func (e *Engine) serve(s *nodeServer) {
 	defer e.wg.Done()
 	var scratch, body, frame []byte
+	var inbox []netsim.Message // reused by every round's decodeStep
 	for {
 		typ, req, err := readFrame(s.conn, &scratch)
 		if err != nil {
@@ -275,8 +264,7 @@ func (e *Engine) serve(s *nodeServer) {
 		}
 		switch typ {
 		case frameStep:
-			_, inbox, err := decodeStep(req)
-			if err != nil {
+			if _, inbox, err = decodeStep(req, inbox); err != nil {
 				return
 			}
 			s.mu.Lock()

@@ -15,11 +15,19 @@
 //	out:      flags u8 (bit0 has-payload, bit1 done) | [payload]
 //	shutdown: empty
 //
-// and a payload is a kind byte followed by the message fields in
-// declaration order — ints as u32 BE, floats as IEEE-754 bits u64 BE,
-// slices as a u32 count plus elements. Every decode error is typed
-// (ErrTruncated, ErrBadMagic, ...) and the decoder never over-reads or
-// allocates more than the received byte count can justify.
+// and a payload is its netsim.Kind byte followed by the fields the kind
+// carries — ints as u32 BE, floats as IEEE-754 bits u64 BE, slices as a
+// u32 count plus elements:
+//
+//	bid: slot | color | delta
+//	upd: slot | color | seq | covers
+//	ack: slot | color | to | seq
+//	rel: flags u8 (bit0 bid, bit1 upd) | [bid] | [upd] | acks (count × ack)
+//
+// A rel carrying both a bid and an upd must give both one (slot, color),
+// since the payload keeps one. Every decode error is typed (ErrTruncated,
+// ErrBadMagic, ...) and the decoder never over-reads or allocates more
+// than the received byte count can justify.
 package transport
 
 import (
@@ -30,7 +38,6 @@ import (
 	"math"
 
 	"haste/internal/netsim"
-	"haste/internal/online"
 )
 
 // Version is the wire protocol version byte. A peer speaking a different
@@ -54,14 +61,6 @@ const (
 	frameStep     byte = 1 // coordinator → node: this round's inbox
 	frameOut      byte = 2 // node → coordinator: Step's (payload, done)
 	frameShutdown byte = 3 // coordinator → node: exit the serve loop
-)
-
-// Payload kinds (the online package's four message types).
-const (
-	kindBid byte = 1
-	kindUpd byte = 2
-	kindAck byte = 3
-	kindRel byte = 4
 )
 
 // Out frame flags.
@@ -230,142 +229,125 @@ func readFrame(r io.Reader, scratch *[]byte) (typ byte, body []byte, err error) 
 	return typ, buf[headerSize:], nil
 }
 
-func appendBid(w *writer, m online.BidMsg) {
-	w.u32i(m.Slot)
-	w.u32i(m.Color)
-	w.u64(math.Float64bits(m.Delta))
+func appendBid(w *writer, p *netsim.Payload) {
+	w.u32(p.Slot)
+	w.u32(p.Color)
+	w.u64(math.Float64bits(p.Delta))
 }
 
-func appendUpd(w *writer, m online.UpdMsg) {
-	w.u32i(m.Slot)
-	w.u32i(m.Color)
-	w.u32(m.Seq)
-	w.u32i(len(m.Covers))
-	for _, t := range m.Covers {
+func appendUpd(w *writer, p *netsim.Payload) {
+	w.u32(p.Slot)
+	w.u32(p.Color)
+	w.u32(p.Seq)
+	w.u32i(len(p.Covers))
+	for _, t := range p.Covers {
 		w.u32i(t)
 	}
 }
 
-func appendAck(w *writer, m online.AckMsg) {
-	w.u32i(m.Slot)
-	w.u32i(m.Color)
-	w.u32i(m.To)
-	w.u32(m.Seq)
+func appendAck(w *writer, a netsim.Ack) {
+	w.u32(a.Slot)
+	w.u32(a.Color)
+	w.u32(a.To)
+	w.u32(a.Seq)
 }
 
-// appendPayload encodes one netsim payload. Only the online package's
-// message types have a wire form; anything else is ErrUnsupportedPayload
-// (the socket driver only carries the negotiation protocol).
-func appendPayload(w *writer, p netsim.Payload) {
-	switch m := p.(type) {
-	case online.BidMsg:
-		w.u8(kindBid)
-		appendBid(w, m)
-	case online.UpdMsg:
-		w.u8(kindUpd)
-		appendUpd(w, m)
-	case online.AckMsg:
-		w.u8(kindAck)
-		appendAck(w, m)
-	case online.RelMsg:
-		w.u8(kindRel)
+// appendPayload encodes one payload; a Kind with no wire form (silence
+// included) is ErrUnsupportedPayload.
+func appendPayload(w *writer, p *netsim.Payload) {
+	w.u8(byte(p.Kind))
+	switch p.Kind {
+	case netsim.KindBid:
+		appendBid(w, p)
+	case netsim.KindUpd:
+		appendUpd(w, p)
+	case netsim.KindAck:
+		appendAck(w, netsim.Ack{Slot: p.Slot, Color: p.Color, To: p.To, Seq: p.Seq})
+	case netsim.KindRel:
 		var flags byte
-		if m.Bid != nil {
+		if p.HasBid {
 			flags |= relHasBid
 		}
-		if m.Upd != nil {
+		if p.HasUpd {
 			flags |= relHasUpd
 		}
 		w.u8(flags)
-		if m.Bid != nil {
-			appendBid(w, *m.Bid)
+		if p.HasBid {
+			appendBid(w, p)
 		}
-		if m.Upd != nil {
-			appendUpd(w, *m.Upd)
+		if p.HasUpd {
+			appendUpd(w, p)
 		}
-		w.u32i(len(m.Acks))
-		for _, a := range m.Acks {
+		w.u32i(len(p.Acks))
+		for _, a := range p.Acks {
 			appendAck(w, a)
 		}
 	default:
-		w.fail(fmt.Errorf("%w: %T", ErrUnsupportedPayload, p))
+		w.fail(fmt.Errorf("%w: kind %d", ErrUnsupportedPayload, p.Kind))
 	}
 }
 
-func decodeBid(c *cursor) online.BidMsg {
-	var m online.BidMsg
-	m.Slot = int(c.u32())
-	m.Color = int(c.u32())
-	m.Delta = math.Float64frombits(c.u64())
-	return m
+func decodeBid(c *cursor, p *netsim.Payload) {
+	p.Slot = c.u32()
+	p.Color = c.u32()
+	p.Delta = math.Float64frombits(c.u64())
 }
 
-func decodeUpd(c *cursor) online.UpdMsg {
-	var m online.UpdMsg
-	m.Slot = int(c.u32())
-	m.Color = int(c.u32())
-	m.Seq = c.u32()
-	n := c.count(4)
-	if n > 0 {
-		m.Covers = make([]int, n)
-		for i := range m.Covers {
-			m.Covers[i] = int(c.u32())
+func decodeUpd(c *cursor, p *netsim.Payload) {
+	p.Slot = c.u32()
+	p.Color = c.u32()
+	p.Seq = c.u32()
+	if n := c.count(4); n > 0 {
+		p.Covers = make([]int, n)
+		for i := range p.Covers {
+			p.Covers[i] = int(c.u32())
 		}
 	}
-	return m
 }
 
-func decodeAck(c *cursor) online.AckMsg {
-	var m online.AckMsg
-	m.Slot = int(c.u32())
-	m.Color = int(c.u32())
-	m.To = int(c.u32())
-	m.Seq = c.u32()
-	return m
+func decodeAck(c *cursor) netsim.Ack {
+	return netsim.Ack{Slot: c.u32(), Color: c.u32(), To: c.u32(), Seq: c.u32()}
 }
 
-// decodePayload decodes one payload at the cursor. The returned payload is
-// a value (not a pointer) of the online message type, matching what the
-// in-memory engine delivers — agents type-assert on the value types.
-func decodePayload(c *cursor) netsim.Payload {
-	kind := c.u8()
-	if c.err != nil {
-		return nil
-	}
-	switch kind {
-	case kindBid:
-		return decodeBid(c)
-	case kindUpd:
-		return decodeUpd(c)
-	case kindAck:
-		return decodeAck(c)
-	case kindRel:
-		var m online.RelMsg
+// decodePayload decodes one payload at the cursor. Only an UPD's covers
+// and a rel's acks allocate.
+func decodePayload(c *cursor) (p netsim.Payload) {
+	p.Kind = netsim.Kind(c.u8())
+	switch p.Kind {
+	case netsim.KindBid:
+		decodeBid(c, &p)
+	case netsim.KindUpd:
+		decodeUpd(c, &p)
+	case netsim.KindAck:
+		a := decodeAck(c)
+		p.Slot, p.Color, p.To, p.Seq = a.Slot, a.Color, a.To, a.Seq
+	case netsim.KindRel:
 		flags := c.u8()
 		if flags&^(relHasBid|relHasUpd) != 0 {
 			c.fail(fmt.Errorf("%w: unknown rel flags %#x", ErrMalformed, flags))
-			return nil
+			return p
 		}
-		if flags&relHasBid != 0 {
-			b := decodeBid(c)
-			m.Bid = &b
+		p.HasBid, p.HasUpd = flags&relHasBid != 0, flags&relHasUpd != 0
+		if p.HasBid {
+			decodeBid(c, &p)
 		}
-		if flags&relHasUpd != 0 {
-			u := decodeUpd(c)
-			m.Upd = &u
-		}
-		n := c.count(16)
-		if n > 0 {
-			m.Acks = make([]online.AckMsg, n)
-			for i := range m.Acks {
-				m.Acks[i] = decodeAck(c)
+		if p.HasUpd {
+			slot, color := p.Slot, p.Color
+			decodeUpd(c, &p)
+			if p.HasBid && (p.Slot != slot || p.Color != color) {
+				c.fail(fmt.Errorf("%w: rel bid and upd disagree on (slot, color)", ErrMalformed))
 			}
 		}
-		return m
+		if n := c.count(16); n > 0 {
+			p.Acks = make([]netsim.Ack, n)
+			for i := range p.Acks {
+				p.Acks[i] = decodeAck(c)
+			}
+		}
 	default:
-		c.fail(fmt.Errorf("%w: %d", ErrBadPayloadKind, kind))
-		return nil
+		c.fail(fmt.Errorf("%w: %d", ErrBadPayloadKind, p.Kind))
 	}
+	return p
 }
 
 // encodeStep appends a step frame body (round + inbox) to dst.
@@ -373,16 +355,18 @@ func encodeStep(dst []byte, round int, inbox []netsim.Message) ([]byte, error) {
 	w := writer{b: dst}
 	w.u32i(round)
 	w.u32i(len(inbox))
-	for _, m := range inbox {
-		w.u32i(m.From)
-		appendPayload(&w, m.Payload)
+	for i := range inbox {
+		w.u32i(inbox[i].From)
+		appendPayload(&w, &inbox[i].Payload)
 	}
 	return w.b, w.err
 }
 
-// decodeStep parses a step frame body back into (round, inbox). A nil
-// inbox is returned for an empty one.
-func decodeStep(body []byte) (round int, inbox []netsim.Message, err error) {
+// decodeStep parses a step frame body back into (round, inbox), appending
+// the messages to inbox[:0] so a caller that passes the previous inbox
+// back in reuses its storage.
+func decodeStep(body []byte, inbox []netsim.Message) (round int, _ []netsim.Message, err error) {
+	inbox = inbox[:0]
 	c := cursor{b: body}
 	round = int(c.u32())
 	// A message is at least 1 kind byte + its smallest fixed body (the
@@ -410,15 +394,15 @@ func decodeStep(body []byte) (round int, inbox []netsim.Message, err error) {
 func encodeOut(dst []byte, out netsim.Payload, done bool) ([]byte, error) {
 	w := writer{b: dst}
 	var flags byte
-	if out != nil {
+	if out.Kind != netsim.KindNone {
 		flags |= outHasPayload
 	}
 	if done {
 		flags |= outDone
 	}
 	w.u8(flags)
-	if out != nil {
-		appendPayload(&w, out)
+	if out.Kind != netsim.KindNone {
+		appendPayload(&w, &out)
 	}
 	return w.b, w.err
 }
@@ -434,10 +418,10 @@ func decodeOut(body []byte) (out netsim.Payload, done bool, err error) {
 		out = decodePayload(&c)
 	}
 	if c.err != nil {
-		return nil, false, c.err
+		return netsim.Payload{}, false, c.err
 	}
 	if c.remaining() != 0 {
-		return nil, false, ErrTrailingBytes
+		return netsim.Payload{}, false, ErrTrailingBytes
 	}
 	return out, flags&outDone != 0, nil
 }

@@ -199,7 +199,7 @@ func BenchmarkTabularGreedyKernel(b *testing.B) {
 				last = res.Kernel
 			}
 			if cfg.stats && last.Offered > 0 {
-				b.ReportMetric(float64(last.Skipped())/float64(last.Offered), "skipped/offered")
+				b.ReportMetric(float64(last.Offered-last.Visited)/float64(last.Offered), "skipped/offered")
 			}
 		})
 	}
@@ -284,23 +284,6 @@ func BenchmarkFleetScaleSharded(b *testing.B) {
 			}
 		})
 	}
-	// The instance-direct path: decompose the raw instance and compile
-	// every component transiently inside the run — the 10⁶-task route,
-	// here measured at 10⁴ for comparability with the rows above (it
-	// includes per-component compilation, which the parent-Problem rows
-	// amortize away after their first iteration).
-	b.Run("stream/W1", func(b *testing.B) {
-		b.ReportAllocs()
-		var res core.Result
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = core.ScheduleSharded(in, core.Options{Colors: 1, PreferStay: true, Workers: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(res.Shards), "components")
-	})
 }
 
 // --- ablations (DESIGN.md §7) ----------------------------------------------

@@ -27,7 +27,7 @@ func genCmd(args []string) error {
 	small := fs.Bool("small", false, "use the §7.3.1 small-scale setup instead")
 	gaussian := fs.Float64("gaussian", 0, "if > 0, Gaussian task placement with this σ")
 	clusters := fs.Int("clusters", 0, "if > 0, clustered placement with this many isolated clusters")
-	fleet := fs.Int("fleet", 0, "if > 0, the beyond-paper-scale clustered fleet with this many tasks (overrides the shape flags); a ShardAuto TabularGreedy run (`haste eval --shard auto`, /v1/schedule) compiles only the fleet's components, at any size — `haste eval` also runs the baselines and the simulator, which build the whole field's policies, and the online protocol; they dominate beyond ~10⁴ tasks")
+	fleet := fs.Int("fleet", 0, "if > 0, the beyond-paper-scale clustered fleet with this many tasks (overrides the shape flags); the TabularGreedy runs (`haste eval`, /v1/schedule) shard it and compile only the fleet's components, at any size — `haste eval` also runs the baselines and the simulator, which build the whole field's policies, and the online protocol; they dominate beyond ~10⁴ tasks")
 	out := fs.String("out", "", "output path (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -71,14 +71,9 @@ func evalCmd(args []string) error {
 	path := fs.String("instance", "", "instance JSON produced by `haste gen` (required)")
 	seed := fs.Int64("seed", 1, "RNG seed for color sampling")
 	colors := fs.Int("colors", 4, "TabularGreedy color count for the C>1 runs")
-	shard := fs.String("shard", "auto", "shard-and-stitch mode: auto, on, or off (utilities are identical either way)")
 	csv := fs.Bool("csv", false, "emit CSV")
 	trace := fs.Bool("trace", false, "record compile and solve phase spans and print the phase tree on stderr")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	shardMode, err := parseShardMode(*shard)
-	if err != nil {
 		return err
 	}
 	if *path == "" {
@@ -107,13 +102,12 @@ func evalCmd(args []string) error {
 		tbl.AddRow(name, out.Utility, relaxed, out.Switches, "-")
 	}
 	opt1 := core.DefaultOptions(1)
-	opt1.Shard = shardMode
 	opt1.Trace = tr
 	r1 := core.TabularGreedy(p, opt1)
 	addOffline("HASTE offline C=1", r1.Schedule, r1.RUtility)
 	rc := core.TabularGreedy(p, core.Options{
 		Colors: *colors, PreferStay: true, Rng: rand.New(rand.NewSource(*seed)),
-		Shard: shardMode, Trace: tr,
+		Trace: tr,
 	})
 	addOffline(fmt.Sprintf("HASTE offline C=%d", *colors), rc.Schedule, rc.RUtility)
 	addOffline("GreedyUtility", baseline.GreedyUtility(p), core.Evaluate(p, baseline.GreedyUtility(p)))

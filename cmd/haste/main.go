@@ -26,7 +26,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"haste/internal/core"
 	"haste/internal/experiments"
 	"haste/internal/netsim"
 	"haste/internal/obs"
@@ -46,19 +45,6 @@ func parseTransport(s string) (netsim.Factory, error) {
 		return transport.Factory, nil
 	}
 	return nil, fmt.Errorf("unknown --transport %q (mem, tcp)", s)
-}
-
-// parseShardMode maps the --shard flag onto core.ShardMode.
-func parseShardMode(s string) (core.ShardMode, error) {
-	switch s {
-	case "", "auto":
-		return core.ShardAuto, nil
-	case "on":
-		return core.ShardOn, nil
-	case "off":
-		return core.ShardOff, nil
-	}
-	return core.ShardAuto, fmt.Errorf("unknown --shard %q (auto, on, off)", s)
 }
 
 func main() {
@@ -103,7 +89,6 @@ func runCmd(args []string) error {
 	seed := fs.Int64("seed", 1, "base RNG seed")
 	samples := fs.Int("samples", 0, "Monte-Carlo color samples for C>1 (0 = default)")
 	workers := fs.Int("workers", 0, "component-pool bound of sharded solves (0 = one per CPU, 1 = sequential; figures are identical either way)")
-	shard := fs.String("shard", "auto", "shard-and-stitch mode: auto, on, or off (figures are identical either way)")
 	transportName := fs.String("transport", "mem", "online negotiation substrate: mem or tcp (figures are identical either way)")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	format := fs.String("format", "", "output format: text (default), csv, or markdown")
@@ -141,17 +126,13 @@ func runCmd(args []string) error {
 			}
 		}()
 	}
-	shardMode, err := parseShardMode(*shard)
-	if err != nil {
-		return err
-	}
 	transportFactory, err := parseTransport(*transportName)
 	if err != nil {
 		return err
 	}
 	opts := experiments.Options{
 		Reps: *reps, Seed: *seed, Samples: *samples, Quick: *quick,
-		Workers: *workers, Shard: shardMode, Transport: transportFactory,
+		Workers: *workers, Transport: transportFactory,
 	}
 	fmtName := *format
 	if fmtName == "" {
@@ -254,8 +235,6 @@ flags for run:
   --workers N     component-pool bound of sharded solves (0 = one per CPU,
                   1 = sequential; monolithic solves ignore it; every value
                   regenerates bit-identical figures)
-  --shard M       shard-and-stitch mode: auto (default), on, or off
-                  (every mode regenerates bit-identical figures)
   --transport T   online negotiation substrate: mem (default) or tcp —
                   loopback sockets, one TCP connection per charger
                   (every substrate regenerates bit-identical figures)

@@ -2,18 +2,17 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"haste/internal/model"
 	"haste/internal/workload"
 )
 
-// TestScheduleShardedMatchesParent pins the equivalence contract of the
-// instance-direct fleet path against the parent-Problem sharded path:
-// identical seeds must produce bit-identical schedule cells, the same
-// shard count and the same RUtility — which is also exactly Evaluate of
-// the schedule on the compiled parent problem.
+// TestScheduleShardedMatchesParent pins the stitch's utility contract on
+// clustered and fleet-shaped instances: a ShardOn run schedules every
+// schedulable component, and its RUtility — summed from the component
+// runs' cell gains, without a monolithic kernel — is exactly Evaluate of
+// the stitched schedule on the compiled parent problem.
 func TestScheduleShardedMatchesParent(t *testing.T) {
 	fleet400 := workload.FleetScale(400)
 	instances := []struct {
@@ -28,50 +27,35 @@ func TestScheduleShardedMatchesParent(t *testing.T) {
 		for _, colors := range []int{1, 3} {
 			for seed := int64(901); seed < 904; seed++ {
 				p := mustProblem(t, gen(seed))
+				opt := DefaultOptions(colors)
+				opt.Rng = rand.New(rand.NewSource(seed))
+				opt.Shard = ShardOn
+				opt.Workers = 3
+				res := TabularGreedy(p, opt)
 
-				optParent := DefaultOptions(colors)
-				optParent.Rng = rand.New(rand.NewSource(seed))
-				optParent.Shard = ShardOn
-				optParent.Workers = 3
-				parent := TabularGreedy(p, optParent)
-
-				optFleet := DefaultOptions(colors)
-				optFleet.Rng = rand.New(rand.NewSource(seed))
-				optFleet.Workers = 3
-				fleet, err := ScheduleSharded(p.In, optFleet)
-				if err != nil {
-					t.Fatalf("%s colors=%d seed=%d: ScheduleSharded: %v", name, colors, seed, err)
+				if res.Shards == 0 || res.Shards != p.SchedulableComponents() {
+					t.Fatalf("%s colors=%d seed=%d: %d shards, instance has %d schedulable components",
+						name, colors, seed, res.Shards, p.SchedulableComponents())
 				}
-
-				if fleet.Shards != parent.Shards {
-					t.Fatalf("%s colors=%d seed=%d: shards %d != parent %d", name, colors, seed, fleet.Shards, parent.Shards)
-				}
-				if !reflect.DeepEqual(fleet.Schedule.Policy, parent.Schedule.Policy) {
-					t.Fatalf("%s colors=%d seed=%d: fleet schedule cells diverge from parent sharded run", name, colors, seed)
-				}
-				if fleet.RUtility != parent.RUtility {
-					t.Fatalf("%s colors=%d seed=%d: fleet RUtility %.17g != parent RUtility %.17g",
-						name, colors, seed, fleet.RUtility, parent.RUtility)
-				}
-				if got := Evaluate(p, fleet.Schedule); got != parent.RUtility {
-					t.Fatalf("%s colors=%d seed=%d: Evaluate(fleet schedule) = %.17g, parent RUtility = %.17g",
-						name, colors, seed, got, parent.RUtility)
+				if got := Evaluate(p, res.Schedule); got != res.RUtility {
+					t.Fatalf("%s colors=%d seed=%d: Evaluate(stitched schedule) = %.17g, RUtility = %.17g",
+						name, colors, seed, got, res.RUtility)
 				}
 			}
 		}
 	}
 }
 
-// TestScheduleShardedDegenerate: empty and taskless instances return an
-// empty schedule without error.
+// TestScheduleShardedDegenerate: a sharded run of a taskless instance
+// returns an empty schedule with no shards and zero utility.
 func TestScheduleShardedDegenerate(t *testing.T) {
-	p := shardProblem(t, 901, 2, 4, 8)
-	in := *p.In
+	in := *shardProblem(t, 901, 2, 4, 8).In
 	in.Tasks = nil
-	res, err := ScheduleSharded(&in, DefaultOptions(1))
+	p, err := NewProblem(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := TabularGreedy(p, Options{Colors: 1, PreferStay: true, Shard: ShardOn})
 	if res.Shards != 0 || res.RUtility != 0 {
 		t.Fatalf("taskless instance: got %d shards, utility %g", res.Shards, res.RUtility)
 	}

@@ -32,10 +32,10 @@ type Options struct {
 	// true via DefaultOptions.
 	PreferStay bool
 
-	// Workers bounds the component pool of a sharded run (Shard and
-	// ScheduleSharded): at most Workers components are compiled and
-	// scheduled concurrently — a component's sub-Problem is compiled in
-	// the worker that first runs it. 0 defaults to runtime.GOMAXPROCS(0).
+	// Workers bounds the component pool of a sharded run (see Shard): at
+	// most Workers components are compiled and scheduled concurrently — a
+	// component's sub-Problem is compiled in the worker that first runs
+	// it. 0 defaults to runtime.GOMAXPROCS(0).
 	// A monolithic run is one sequential sweep and ignores it. Every
 	// worker count produces a bit-identical result: each component runs
 	// sequentially on its own states and the stitch walks components in
@@ -199,12 +199,7 @@ func tabularGreedy(done <-chan struct{}, p *Problem, opt Options) (Result, bool)
 	var res Result
 	var ok bool
 	if shard {
-		dsp := root.Start("decompose")
-		comps, subs := p.Components(), p.subProblems()
-		dsp.Int("components", int64(len(comps))).End()
-		res, ok = shardedGreedy(done, p.In, comps, func(ci int, csp obs.SpanRef) *Problem {
-			return p.subProblem(subs, ci, csp)
-		}, opt, root)
+		res, ok = shardedGreedy(done, p, opt, root)
 	} else {
 		res, ok = monolithicGreedy(done, p, opt, nil, root)
 	}

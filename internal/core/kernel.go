@@ -63,10 +63,6 @@ type KernelStats struct {
 	Pruned  int64 // saturation-pruning removal events (net of reinsertions)
 }
 
-// Skipped returns the evaluations the windows and saturation pruning
-// avoided: Offered − Visited.
-func (s KernelStats) Skipped() int64 { return s.Offered - s.Visited }
-
 func (s *KernelStats) add(o KernelStats) {
 	s.Calls += o.Calls
 	s.Visited += o.Visited
@@ -472,7 +468,7 @@ func (es *EnergyState) marginalFlat(i, k, pol int, frac float64, scaled bool) fl
 // applyScaledFlat is ApplyScaled on the flat kernel. It walks the full
 // compiled list — not the pruned one — because energy keeps accruing past
 // saturation in the reference semantics (only the utility delta is zero),
-// and PerTaskEnergies/Energy expose those energies. Saturation crossings
+// and Energy exposes those energies. Saturation crossings
 // trigger the pruning of the task from every policy's live list.
 func (es *EnergyState) applyScaledFlat(i, k, pol int, frac float64) float64 {
 	kn, m := &es.p.kern, es.mono()

@@ -410,8 +410,8 @@ func TestRestoreUnsaturates(t *testing.T) {
 	}
 }
 
-// KernelStats must balance (Offered = Visited + Skipped) and see pruning
-// in a saturating run.
+// KernelStats must never visit more entries than it was offered, and in a
+// saturating run it must see pruning and skip evaluations.
 func TestKernelStatsCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	in := kernelProneInstance(rng, 3, 12)
@@ -424,13 +424,13 @@ func TestKernelStatsCounters(t *testing.T) {
 	if ks.Calls == 0 || ks.Offered == 0 {
 		t.Fatalf("no kernel work counted: %+v", ks)
 	}
-	if ks.Visited > ks.Offered || ks.Skipped() < 0 {
+	if ks.Visited > ks.Offered {
 		t.Fatalf("counters inconsistent: %+v", ks)
 	}
 	if ks.Pruned == 0 {
 		t.Fatalf("saturating run pruned nothing: %+v", ks)
 	}
-	if ks.Skipped() == 0 {
+	if ks.Visited == ks.Offered {
 		t.Fatalf("saturating run skipped no evaluations: %+v", ks)
 	}
 }

@@ -502,18 +502,3 @@ func evaluate(p *Problem, s Schedule, gains []float64) float64 {
 	}
 	return es.Total()
 }
-
-// PerTaskEnergies returns each task's harvested energy under the schedule
-// (HASTE-R accounting, no switching delay).
-func PerTaskEnergies(p *Problem, s Schedule) []float64 {
-	es := p.AcquireState()
-	defer p.ReleaseState(es)
-	for i, row := range s.Policy {
-		for k, pol := range row {
-			if pol >= 0 {
-				es.Apply(i, k, pol)
-			}
-		}
-	}
-	return append([]float64(nil), es.energy...)
-}

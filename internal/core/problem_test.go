@@ -100,10 +100,6 @@ func TestEvaluateManual(t *testing.T) {
 	if got := Evaluate(p, s); !almostEq(got, 1) {
 		t.Errorf("two-slot utility = %v, want 1", got)
 	}
-	e := PerTaskEnergies(p, s)
-	if !almostEq(e[0], 480) {
-		t.Errorf("energy = %v, want 480", e[0])
-	}
 }
 
 func TestEvaluateInactiveSlotEarnsNothing(t *testing.T) {

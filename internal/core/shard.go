@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -19,13 +18,11 @@ import (
 // another component. The decomposer finds the components from the sparse
 // chargeable rows, the runner gets each schedulable component's
 // sub-Problem — sliced out of the parent's rows inside the worker that
-// runs the component, cached on a compiled Problem and transient under
-// ScheduleSharded — runs the monolithic greedy on every component
-// (concurrently, bounded by Options.Workers), and stitches the
-// per-component schedules and cell gains back together with global
-// indices restored. Neither path ever builds the parent's field-wide
-// dominant sets or kernel. TabularGreedy and ScheduleSharded share that
-// one runner.
+// first runs the component and cached on the parent — runs the
+// monolithic greedy on every component (concurrently, bounded by
+// Options.Workers), and stitches the per-component schedules and cell
+// gains back together with global indices restored. A sharded run never
+// builds the parent's field-wide dominant sets or kernel.
 //
 // Equivalence contract (enforced by internal/difftest's sharded sweep):
 //
@@ -152,8 +149,7 @@ func componentHorizon(in *model.Instance, comp Component) int {
 // relation (zero-energy chargeable pairs included), which is the same edge
 // set the dominant policies' cover lists induce, so components computed
 // here are identical to the Gamma-walk of earlier revisions — and
-// available without compiling policies or a kernel at all, which is what
-// lets ScheduleSharded decompose a raw instance before any compilation.
+// available without compiling policies or a kernel at all.
 func coverageComponents(n, m int, rows [][]CoverEntry) ([]Component, int) {
 	// Union-find over n+m nodes (task j is node n+j), union-by-minimum so
 	// every root is its component's smallest member.
@@ -263,36 +259,29 @@ func (p *Problem) subProblems() []subSlot {
 }
 
 // subProblem returns component ci's sub-Problem, compiling it into its
-// slot under parent the first time. Each sub-instance keeps the
-// component's chargers and tasks in their original relative order with
-// densely renumbered IDs, so dominant extraction reproduces exactly the
-// global Gamma rows of the component's chargers (policy indices included)
-// and the compiled kernel reproduces their cover entries bit for bit.
-// Sub-Problems inherit the parent's kernel choice (SetFlatKernel) as of
-// their compilation.
+// slot the first time and recording the compile subtree under parent.
+// Each sub-instance keeps the component's chargers and tasks in their
+// original relative order with densely renumbered IDs, so dominant
+// extraction reproduces exactly the global Gamma rows of the component's
+// chargers (policy indices included) and the compiled kernel reproduces
+// their cover entries bit for bit. A sub-Problem is always run
+// monolithically, so its dominant sets and kernel are built right away;
+// it inherits the parent's kernel choice (SetFlatKernel) as of its
+// compilation.
 func (p *Problem) subProblem(slots []subSlot, ci int, parent obs.SpanRef) *Problem {
 	s := &slots[ci]
 	s.once.Do(func() {
-		sub := compileComponent(p.In, p.rows, p.Components()[ci], parent)
+		comp := p.Components()[ci]
+		sp := parent.Start("compile")
+		sub := newProblemFromRows(sliceInstance(p.In, comp), sliceRows(p.rows, comp, sp))
+		sub.mono = compileMonolith(sub, sp)
+		sub.monoBuilt.Store(true)
+		sp.Int("chargers", int64(len(comp.Chargers))).Int("tasks", int64(len(comp.Tasks))).End()
 		sub.SetFlatKernel(p.kern.linear)
 		sub.keepRuns = p.keepRuns
 		s.p.Store(sub)
 	})
 	return s.p.Load()
-}
-
-// compileComponent compiles a component's sub-Problem from the parent
-// instance and its chargeable rows, recording the compile subtree under
-// parent. A sub-Problem is always run monolithically, so its dominant
-// sets and kernel are built right away.
-func compileComponent(in *model.Instance, rows [][]CoverEntry, comp Component, parent obs.SpanRef) *Problem {
-	sp := parent.Start("compile")
-	defer sp.End()
-	sub := newProblemFromRows(sliceInstance(in, comp), sliceRows(rows, comp, sp))
-	sub.mono = compileMonolith(sub, sp)
-	sub.monoBuilt.Store(true)
-	sp.Int("chargers", int64(len(comp.Chargers))).Int("tasks", int64(len(comp.Tasks)))
-	return sub
 }
 
 // sliceInstance extracts a component's standalone sub-instance: the
@@ -350,47 +339,22 @@ type colorPlan struct {
 	final   []int32 // [i*K+k]: color sampled for partition (i,k)
 }
 
-// ScheduleSharded runs the sharded TabularGreedy straight from a raw
-// instance without a Problem: it builds only the sparse chargeable rows,
-// decomposes them into coverage components and hands shardedGreedy a
-// source that compiles each component's sub-Problem transiently inside
-// the worker, so the sub-Problems' memory is bounded by Options.Workers ×
-// the largest component instead of the whole field. A ShardAuto
-// TabularGreedy run compiles the same components but keeps them cached
-// on its Problem. Given the same options it returns exactly what
-// TabularGreedy's ShardOn run on the compiled instance returns: the same
-// cells, shard count and RUtility, bit for bit.
-// Options.Shard is ignored.
-func ScheduleSharded(in *model.Instance, opt Options) (Result, error) {
-	if err := in.Validate(); err != nil {
-		return Result{}, fmt.Errorf("core: %w", err)
-	}
-	opt = opt.normalize()
-	root := opt.Trace.Start("solve")
-	rows := chargeableRows(in, root)
-	dsp := root.Start("decompose")
-	comps, _ := coverageComponents(len(in.Chargers), len(in.Tasks), rows)
+// shardedGreedy is the shard-and-stitch execution of Algorithm 2:
+// decompose p, draw the global color plan, run every schedulable
+// component's sub-Problem — compiled in the worker that first reaches it —
+// under the plan's restriction to its chargers (at most Options.Workers
+// components in flight; each sub-run is sequential), and stitch the
+// component schedules and cell gains into the global index space. parent
+// receives the decompose span, one component span per sub-run
+// (size/worker/warm-adoption attributes), stitch and evaluate; since
+// component workers record concurrently, sibling span order is not
+// deterministic — the result itself is bit-identical at any worker count.
+func shardedGreedy(done <-chan struct{}, p *Problem, opt Options, parent obs.SpanRef) (Result, bool) {
+	dsp := parent.Start("decompose")
+	comps, subs := p.Components(), p.subProblems()
 	dsp.Int("components", int64(len(comps))).End()
-	res, _ := shardedGreedy(nil, in, comps, func(ci int, csp obs.SpanRef) *Problem {
-		return compileComponent(in, rows, comps[ci], csp)
-	}, opt, root)
-	endSolve(root, opt, &res)
-	return res, nil
-}
 
-// shardedGreedy is the shard-and-stitch execution of Algorithm 2: draw
-// the global color plan, run every schedulable component's sub-Problem —
-// sub(ci, span) supplies it, cached or compiled on the spot in the
-// worker, under the component's span — under the
-// plan's restriction to its chargers (at most Options.Workers components
-// in flight; each sub-run is sequential), and stitch the component
-// schedules and cell gains into the global index space. parent receives
-// one component span per sub-run (size/worker/warm-adoption attributes),
-// stitch and evaluate; since component workers record concurrently,
-// sibling span order is not deterministic — the result itself is
-// bit-identical at any worker count.
-func shardedGreedy(done <-chan struct{}, in *model.Instance, comps []Component, sub func(ci int, csp obs.SpanRef) *Problem, opt Options, parent obs.SpanRef) (Result, bool) {
-	n, K, C, N := len(in.Chargers), in.Horizon(), opt.Colors, opt.Samples
+	n, K, C, N := len(p.In.Chargers), p.K, opt.Colors, opt.Samples
 	sched := NewSchedule(n, K)
 	if K == 0 || n == 0 {
 		return Result{Schedule: sched}, true
@@ -403,7 +367,7 @@ func shardedGreedy(done <-chan struct{}, in *model.Instance, comps []Component, 
 	subKs := make([]int, len(comps))
 	runnable := make([]int, 0, len(comps))
 	for ci, comp := range comps {
-		subKs[ci] = componentHorizon(in, comp)
+		subKs[ci] = componentHorizon(p.In, comp)
 		if len(comp.Chargers) > 0 && subKs[ci] > 0 {
 			runnable = append(runnable, ci)
 		}
@@ -428,7 +392,7 @@ func shardedGreedy(done <-chan struct{}, in *model.Instance, comps []Component, 
 				Int("chargers", int64(len(comps[ci].Chargers))).
 				Int("tasks", int64(len(comps[ci].Tasks))).
 				Int("worker", int64(w))
-			r, ok, adopted := runComponent(done, sub(ci, csp), comps[ci], K, opt, &plan, csp)
+			r, ok, adopted := runComponent(done, p.subProblem(subs, ci, csp), comps[ci], K, opt, &plan, csp)
 			csp.Bool("warm_adopted", adopted).End()
 			if adopted {
 				reused.Add(1)

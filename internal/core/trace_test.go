@@ -209,25 +209,31 @@ func TestTraceCompile(t *testing.T) {
 	}
 }
 
-// ScheduleSharded's instance-direct path records the row build, the
-// decomposition, a transient compile subtree under every component, and
-// the same stitch and evaluate phases as TabularGreedy's sharded path.
+// A cold ShardAuto run on a traced compile records the compile root
+// (rows only: no field-wide policies or kernel) and then a solve root with
+// the decomposition, a compile subtree under every component, and the
+// stitch and evaluate phases.
 func TestTraceScheduleSharded(t *testing.T) {
-	p := shardProblem(t, 54, 5, 10, 40)
-	opt := Options{Colors: 1, PreferStay: true, Workers: 2, Trace: obs.New()}
-	res, err := ScheduleSharded(p.In, opt)
+	tr := obs.New()
+	p, err := NewProblemTraced(shardProblem(t, 54, 5, 10, 40).In, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil {
-		t.Fatal("Result.Trace not set")
+	res := TabularGreedy(p, Options{Colors: 1, PreferStay: true, Workers: 2, Trace: tr})
+	if res.Shards < DefaultShardThreshold {
+		t.Fatalf("ShardAuto did not shard: %d components", res.Shards)
 	}
 	roots := res.Trace.Tree()
-	if len(roots) != 1 || roots[0].Name != "solve" {
-		t.Fatalf("want a single solve root, got %d roots", len(roots))
+	if len(roots) != 2 || roots[0].Name != "compile" || roots[1].Name != "solve" {
+		t.Fatalf("want compile and solve roots, got %+v", roots)
 	}
-	solve := roots[0]
-	for _, phase := range []string{"grid_build", "slot_energy_rows", "decompose", "stitch", "evaluate"} {
+	for _, phase := range []string{"grid_build", "slot_energy_rows"} {
+		if len(childrenNamed(roots[0], phase)) != 1 {
+			t.Fatalf("missing %s span: %+v", phase, roots[0].Children)
+		}
+	}
+	solve := roots[1]
+	for _, phase := range []string{"decompose", "stitch", "evaluate"} {
 		if len(childrenNamed(solve, phase)) != 1 {
 			t.Fatalf("missing %s span: %+v", phase, solve.Children)
 		}
@@ -238,7 +244,7 @@ func TestTraceScheduleSharded(t *testing.T) {
 	}
 	for _, c := range comps {
 		if len(childrenNamed(c, "compile")) != 1 {
-			t.Errorf("component lacks transient compile subtree: %+v", c.Children)
+			t.Errorf("component lacks its compile subtree: %+v", c.Children)
 		}
 	}
 }

@@ -48,21 +48,9 @@ func (p Policy) String() string {
 	return fmt.Sprintf("θ=%.1f°→%v", geom.ToDeg(p.Orientation), p.Covers)
 }
 
-// Extract returns the dominant task sets of charger i over all tasks of
-// the instance, as Algorithm 1 does. The result is sorted by orientation.
-// A charger with no chargeable task gets a single Idle policy so that the
-// partition Θ_{i,k} is never empty (the matroid constraint selects exactly
-// one policy per charger per slot).
-func Extract(in *model.Instance, chargerID int) []Policy {
-	ids := make([]int, 0, len(in.Tasks))
-	for _, t := range in.Tasks {
-		ids = append(ids, t.ID)
-	}
-	return ExtractSubset(in, chargerID, ids)
-}
-
-// ExtractAll runs Extract for every charger: Γ_i for i ∈ [n]. The
-// all-tasks candidate slice is built once and shared across chargers
+// ExtractAll extracts every charger's dominant task sets over all tasks
+// of the instance, as Algorithm 1 does: Γ_i for i ∈ [n]. The all-tasks
+// candidate slice is built once and shared across chargers
 // (ExtractSubset only reads it), instead of regrown per charger.
 func ExtractAll(in *model.Instance) [][]Policy {
 	ids := make([]int, len(in.Tasks))
@@ -117,7 +105,10 @@ var extractors = sync.Pool{New: func() any { return new(extractor) }}
 // whose IDs appear in taskIDs. The online algorithm uses this to build
 // policies over the tasks a charger has observed so far, and the per-slot
 // ablation uses it with the tasks active in one slot. Task IDs must be
-// dense (model.Instance.Validate), so that an ID names one arc.
+// dense (model.Instance.Validate), so that an ID names one arc. A charger
+// with no chargeable task gets a single Idle policy so that the partition
+// Θ_{i,k} is never empty (the matroid constraint selects exactly one
+// policy per charger per slot).
 //
 // The candidate orientations are the arc start angles, and each is tested
 // only against the arcs that start within its window [θ−A_s−ε, θ+ε]

@@ -51,7 +51,7 @@ func coverSets(ps []Policy) [][]int {
 // a 90° charging angle; the dominant sets are known by hand.
 func TestExtractToyExample(t *testing.T) {
 	in := ringInstance(90, 0, 30, 80, 140, 200, 330)
-	got := coverSets(Extract(in, 0))
+	got := coverSets(ExtractSubset(in, 0, allIDs(in)))
 	want := [][]int{{0, 1, 2}, {0, 1, 5}, {2, 3}, {3, 4}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("dominant sets = %v, want %v", got, want)
@@ -60,7 +60,7 @@ func TestExtractToyExample(t *testing.T) {
 
 func TestExtractIdleWhenNoTasks(t *testing.T) {
 	in := ringInstance(90)
-	ps := Extract(in, 0)
+	ps := ExtractSubset(in, 0, allIDs(in))
 	if len(ps) != 1 || !ps[0].Idle {
 		t.Fatalf("expected single idle policy, got %v", ps)
 	}
@@ -72,7 +72,7 @@ func TestExtractUnreachableTasks(t *testing.T) {
 	for j := range in.Tasks {
 		in.Tasks[j].Pos = geom.Point{X: 100 + float64(j), Y: 0}
 	}
-	ps := Extract(in, 0)
+	ps := ExtractSubset(in, 0, allIDs(in))
 	if len(ps) != 1 || !ps[0].Idle {
 		t.Fatalf("expected idle policy for unreachable tasks, got %v", ps)
 	}
@@ -80,7 +80,7 @@ func TestExtractUnreachableTasks(t *testing.T) {
 
 func TestExtractFullCircleCharger(t *testing.T) {
 	in := ringInstance(360, 0, 45, 170, 260, 359)
-	ps := Extract(in, 0)
+	ps := ExtractSubset(in, 0, allIDs(in))
 	if len(ps) != 1 {
 		t.Fatalf("A_s = 2π should give one dominant set, got %v", ps)
 	}
@@ -91,7 +91,7 @@ func TestExtractFullCircleCharger(t *testing.T) {
 
 func TestExtractSingleTask(t *testing.T) {
 	in := ringInstance(60, 123)
-	ps := Extract(in, 0)
+	ps := ExtractSubset(in, 0, allIDs(in))
 	if len(ps) != 1 || len(ps[0].Covers) != 1 || ps[0].Covers[0] != 0 {
 		t.Fatalf("single task: %v", ps)
 	}
@@ -104,7 +104,7 @@ func TestExtractSingleTask(t *testing.T) {
 func TestExtractCoincidentTask(t *testing.T) {
 	in := ringInstance(60, 0)
 	in.Tasks[0].Pos = in.Chargers[0].Pos // device sits on the charger
-	ps := Extract(in, 0)
+	ps := ExtractSubset(in, 0, allIDs(in))
 	if len(ps) != 1 || !reflect.DeepEqual(ps[0].Covers, []int{0}) {
 		t.Fatalf("coincident task: %v", ps)
 	}
@@ -115,7 +115,7 @@ func TestExtractOrientationsAttainSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 300; trial++ {
 		in := randomRing(rng)
-		for _, p := range Extract(in, 0) {
+		for _, p := range ExtractSubset(in, 0, allIDs(in)) {
 			if p.Idle {
 				continue
 			}
@@ -134,7 +134,7 @@ func TestExtractMaximalityAndCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 300; trial++ {
 		in := randomRing(rng)
-		ps := Extract(in, 0)
+		ps := ExtractSubset(in, 0, allIDs(in))
 		sets := coverSets(ps)
 		for i := range sets {
 			for j := range sets {
@@ -162,7 +162,7 @@ func TestExtractMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 150; trial++ {
 		in := randomRing(rng)
-		got := coverSets(Extract(in, 0))
+		got := coverSets(ExtractSubset(in, 0, allIDs(in)))
 		want := bruteForceDominant(in)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: Extract = %v, brute force = %v", trial, got, want)

@@ -21,7 +21,7 @@ func TestGlobalVsPerSlotDominantEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	for trial := 0; trial < 100; trial++ {
 		in := randomWindowedRing(rng)
-		global := Extract(in, 0)
+		global := ExtractSubset(in, 0, allIDs(in))
 		maxK := 0
 		for _, tk := range in.Tasks {
 			if tk.End > maxK {

@@ -43,10 +43,6 @@ type Options struct {
 	// monolithic solves ignore it. Any value produces the same figures
 	// bit-for-bit; only wall-clock time changes.
 	Workers int
-	// Shard selects the shard-and-stitch mode (core.Options.Shard). Like
-	// Workers, any value regenerates bit-identical figures — the paper's
-	// dense fields rarely decompose, so ShardAuto usually stays monolithic.
-	Shard core.ShardMode
 	// Trace, when non-nil, records every HASTE solve's phase spans into
 	// the probe (obs package). Figures are bit-identical traced or not;
 	// `haste run --trace` aggregates the forest into a per-phase summary.
@@ -68,11 +64,10 @@ func (o Options) online(colors, samples int, seed int64) online.Options {
 }
 
 // haste returns the TabularGreedy options for the given color count with
-// the run's Workers bound and Shard mode applied.
+// the run's Workers bound applied.
 func (o Options) haste(colors int) core.Options {
 	opt := core.DefaultOptions(colors)
 	opt.Workers = o.Workers
-	opt.Shard = o.Shard
 	opt.Trace = o.Trace
 	return opt
 }
@@ -188,7 +183,7 @@ func offlineUtilities(in *model.Instance, o Options, seed int64) (utilities4, er
 	u.h1 = sim.Execute(p, r1.Schedule).Utility
 	r4 := core.TabularGreedy(p, core.Options{
 		Colors: 4, Samples: o.Samples, PreferStay: true,
-		Rng: rand.New(rand.NewSource(seed)), Workers: o.Workers, Shard: o.Shard,
+		Rng: rand.New(rand.NewSource(seed)), Workers: o.Workers,
 		Trace: o.Trace,
 	})
 	u.h4 = sim.Execute(p, r4.Schedule).Utility

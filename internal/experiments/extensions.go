@@ -23,7 +23,6 @@ func extEMR(o Options) (*report.Table, error) {
 		"limit_frac_of_peak", "utility", "peak_emr", "pct_of_unconstrained")
 	type point struct{ u, peak, pct float64 }
 	acc := make([]point, len(fractions))
-	var freeU float64
 	for rep := 0; rep < o.Reps; rep++ {
 		cfg := o.baseConfig()
 		cfg.NumChargers, cfg.NumTasks = cfg.NumChargers/2, cfg.NumTasks/2
@@ -37,7 +36,6 @@ func extEMR(o Options) (*report.Table, error) {
 		free := core.TabularGreedy(p, o.haste(1))
 		audit := emr.Field{Points: grid, Gamma: 1, Limit: math.Inf(1)}
 		peak, _ := audit.Audit(p, free.Schedule)
-		freeU += free.RUtility
 		for i, frac := range fractions {
 			f := emr.Field{Points: grid, Gamma: 1, Limit: frac * peak}
 			res := emr.ConstrainedGreedy(p, f)
@@ -52,7 +50,6 @@ func extEMR(o Options) (*report.Table, error) {
 	for i, frac := range fractions {
 		tbl.AddRow(frac, acc[i].u/r, acc[i].peak/r, 100*acc[i].pct/r)
 	}
-	_ = freeU
 	return tbl, nil
 }
 

@@ -94,7 +94,7 @@ func colorBoxPlot(o Options, title string, onlineMode bool) (*report.Table, erro
 			} else {
 				res := core.TabularGreedy(p, core.Options{
 					Colors: c, Samples: samples, PreferStay: true,
-					Rng: rand.New(rand.NewSource(seed)), Workers: o.Workers, Shard: o.Shard,
+					Rng: rand.New(rand.NewSource(seed)), Workers: o.Workers,
 					Trace: o.Trace,
 				})
 				u = sim.Execute(p, res.Schedule).Utility

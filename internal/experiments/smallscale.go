@@ -55,7 +55,7 @@ func smallScaleSweep(o Options, title, xName string, sweepAs bool) (*report.Tabl
 			h1Sum += sim.Execute(p, r1.Schedule).Utility
 			r4 := core.TabularGreedy(p, core.Options{
 				Colors: 4, Samples: o.Samples, PreferStay: true,
-				Rng: rand.New(rand.NewSource(seed)), Workers: o.Workers, Shard: o.Shard,
+				Rng: rand.New(rand.NewSource(seed)), Workers: o.Workers,
 				Trace: o.Trace,
 			})
 			h4Sum += sim.Execute(p, r4.Schedule).Utility

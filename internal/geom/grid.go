@@ -11,8 +11,8 @@ import (
 // possibly charge" only ever needs the points within distance D of c.
 // The index buckets points into square cells of side ≥ D and answers
 // that question from the 3×3 cell neighborhood of the query point — a
-// superset guarantee, never a filter: every point within Reach() of the
-// query is returned (plus nearby misses the caller weeds out with the
+// superset guarantee, never a filter: every point within the cell side
+// (≥ D) of the query is returned (plus nearby misses the caller weeds out with the
 // exact predicate). Candidate sets are therefore exactly as precise as
 // the caller's own containment test, and the index cannot introduce
 // false negatives; internal/geom's grid property tests pin this against
@@ -86,12 +86,6 @@ func NewGridIndex(pts []Point, reach float64) *GridIndex {
 	return g
 }
 
-// Reach returns the distance the superset guarantee covers: every
-// indexed point within Reach() of a query point is among its candidates.
-// It equals the reach requested at construction unless the cell budget
-// forced larger cells (then it is larger, which only widens candidates).
-func (g *GridIndex) Reach() float64 { return g.cell }
-
 // cellOf maps an indexed point to its cell index. Coordinates are
 // clamped in float space before the int conversion, so boundary points,
 // rounding on the max edge and non-finite values all land on a valid
@@ -118,10 +112,11 @@ func clampIdx(f float64, n int) int {
 func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // Candidates appends to buf the indices of every point that could lie
-// within Reach() of q — the 3×3 cell neighborhood of q's cell — and
-// returns the result sorted ascending. The guarantee is one-sided: all
-// points within Reach() of q are present; points further away may be
-// too. Callers reuse buf across queries (pass buf[:0]).
+// within the cell side (the reach requested at construction, or more if
+// the cell budget grew the cells) of q — the 3×3 cell neighborhood of q's
+// cell — and returns the result sorted ascending. The guarantee is
+// one-sided: all points within that distance of q are present; points
+// further away may be too. Callers reuse buf across queries (pass buf[:0]).
 func (g *GridIndex) Candidates(q Point, buf []int32) []int32 {
 	if len(g.items) == 0 {
 		return buf[:0]

@@ -33,15 +33,6 @@ func (s Sector) Contains(p Point) bool {
 	return v.Dot(UnitVec(s.Orientation)) >= d*math.Cos(s.HalfAngle)-1e-12
 }
 
-// ContainsDirection reports whether a ray leaving the apex at angle a lies
-// within the sector's angular span (ignores Radius).
-func (s Sector) ContainsDirection(a float64) bool {
-	if s.HalfAngle >= math.Pi {
-		return true
-	}
-	return AngDist(a, s.Orientation) <= s.HalfAngle+1e-12
-}
-
 // Arc is a closed circular interval of angles: all a with
 // AngDist-style circular membership starting at Lo and spanning Width
 // counterclockwise. Width is clamped to [0, 2π]; Width == 2π is the full
@@ -74,9 +65,6 @@ func ArcAround(mid, span float64) Arc {
 // Full reports whether the arc is the whole circle.
 func (a Arc) Full() bool { return a.Width >= TwoPi }
 
-// Hi returns the (normalized) end angle of the arc.
-func (a Arc) Hi() float64 { return NormalizeAngle(a.Lo + a.Width) }
-
 // Contains reports whether angle x lies on the closed arc.
 func (a Arc) Contains(x float64) bool {
 	if a.Full() {
@@ -84,12 +72,4 @@ func (a Arc) Contains(x float64) bool {
 	}
 	d := NormalizeAngle(NormalizeAngle(x) - a.Lo)
 	return d <= a.Width+1e-12
-}
-
-// Overlaps reports whether two closed arcs share at least one angle.
-func (a Arc) Overlaps(b Arc) bool {
-	if a.Full() || b.Full() {
-		return true
-	}
-	return a.Contains(b.Lo) || b.Contains(a.Lo)
 }

@@ -69,25 +69,6 @@ func TestSectorContainsMatchesAngDist(t *testing.T) {
 	}
 }
 
-func TestSectorContainsDirection(t *testing.T) {
-	s := Sector{Orientation: Deg(90), HalfAngle: Deg(45)}
-	for _, c := range []struct {
-		a    float64
-		want bool
-	}{
-		{Deg(90), true},
-		{Deg(45), true},
-		{Deg(135), true},
-		{Deg(44), false},
-		{Deg(136), false},
-		{Deg(270), false},
-	} {
-		if got := s.ContainsDirection(c.a); got != c.want {
-			t.Errorf("ContainsDirection(%v°) = %v, want %v", ToDeg(c.a), got, c.want)
-		}
-	}
-}
-
 func TestArcContains(t *testing.T) {
 	a := NewArc(Deg(350), Deg(20)) // wraps through 0
 	for _, c := range []struct {
@@ -130,30 +111,8 @@ func TestArcAround(t *testing.T) {
 	if !almostEq(a.Lo, Deg(350)) {
 		t.Errorf("Lo = %v°, want 350°", ToDeg(a.Lo))
 	}
-	if !almostEq(a.Hi(), Deg(30)) {
-		t.Errorf("Hi = %v°, want 30°", ToDeg(a.Hi()))
-	}
-}
-
-func TestArcOverlaps(t *testing.T) {
-	cases := []struct {
-		a, b Arc
-		want bool
-	}{
-		{NewArc(0, Deg(30)), NewArc(Deg(20), Deg(30)), true},
-		{NewArc(0, Deg(30)), NewArc(Deg(40), Deg(30)), false},
-		{NewArc(Deg(350), Deg(20)), NewArc(Deg(5), Deg(10)), true},
-		{NewArc(Deg(350), Deg(20)), NewArc(Deg(20), Deg(10)), false},
-		{NewArc(0, TwoPi), NewArc(Deg(123), Deg(1)), true},
-		{NewArc(0, Deg(30)), NewArc(Deg(30), Deg(30)), true}, // touch at endpoint (closed)
-	}
-	for _, c := range cases {
-		if got := c.a.Overlaps(c.b); got != c.want {
-			t.Errorf("Overlaps(%+v, %+v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-		if got := c.b.Overlaps(c.a); got != c.want {
-			t.Errorf("Overlaps symmetric (%+v, %+v) = %v, want %v", c.b, c.a, got, c.want)
-		}
+	if !almostEq(a.Width, Deg(40)) {
+		t.Errorf("Width = %v°, want 40°", ToDeg(a.Width))
 	}
 }
 

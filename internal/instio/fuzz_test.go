@@ -35,11 +35,11 @@ func FuzzLoad(f *testing.F) {
 		}
 		// Content addresses survive the round trip (Save may respell
 		// floats, e.g. -0 for a negative zero; Canonical must not care).
-		h1, err := HashInstance(in)
+		h1, err := FromInstance(in, "").Hash()
 		if err != nil {
 			t.Fatalf("hash of loaded instance: %v", err)
 		}
-		h2, err := HashInstance(back)
+		h2, err := FromInstance(back, "").Hash()
 		if err != nil {
 			t.Fatalf("hash of round-tripped instance: %v", err)
 		}

@@ -12,11 +12,11 @@ import (
 
 func TestHashDeterministic(t *testing.T) {
 	in := workload.SmallScale().Generate(rand.New(rand.NewSource(3)))
-	h1, err := HashInstance(in)
+	h1, err := FromInstance(in, "").Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := HashInstance(in)
+	h2, err := FromInstance(in, "").Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestHashIgnoresCommentAndFormatting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh, err := HashInstance(reloaded)
+	rh, err := FromInstance(reloaded, "").Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +66,11 @@ func TestHashSeparatesContent(t *testing.T) {
 	cfg := workload.SmallScale()
 	a := cfg.Generate(rand.New(rand.NewSource(5)))
 	b := cfg.Generate(rand.New(rand.NewSource(6)))
-	ha, err := HashInstance(a)
+	ha, err := FromInstance(a, "").Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := HashInstance(b)
+	hb, err := FromInstance(b, "").Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestHashSeparatesContent(t *testing.T) {
 	// A one-float perturbation must change the address.
 	c := cfg.Generate(rand.New(rand.NewSource(5)))
 	c.Tasks[0].Energy += 1e-9
-	hc, err := HashInstance(c)
+	hc, err := FromInstance(c, "").Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestHashNegativeZero(t *testing.T) {
 	in.Chargers[0].Pos = geom.Point{X: 0, Y: 12}
 	in.Tasks[0].Pos.Y = 0
 	in.Tasks[0].Phi = 0
-	base, err := HashInstance(in)
+	base, err := FromInstance(in, "").Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestHashNegativeZero(t *testing.T) {
 	neg.Chargers[0].Pos = geom.Point{X: math.Copysign(0, -1), Y: 12}
 	neg.Tasks[0].Pos.Y = math.Copysign(0, -1)
 	neg.Tasks[0].Phi = math.Copysign(0, -1)
-	nh, err := HashInstance(neg)
+	nh, err := FromInstance(neg, "").Hash()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,12 +231,6 @@ func (f File) Hash() (string, error) {
 	return "sha256:" + hex.EncodeToString(sum[:]), nil
 }
 
-// HashInstance returns the content address of a model instance via its
-// canonical file serialization.
-func HashInstance(in *model.Instance) (string, error) {
-	return FromInstance(in, "").Hash()
-}
-
 // Save writes the instance as indented JSON.
 func Save(w io.Writer, in *model.Instance, comment string) error {
 	enc := json.NewEncoder(w)

@@ -158,20 +158,6 @@ func (p Params) Covers(c Charger, theta float64, t Task) bool {
 	return send.Contains(t.Pos)
 }
 
-// ReceivedPower returns P_r(s_i, θ_i, o_j, φ_j): the instantaneous power
-// task t harvests from charger c oriented at theta. With AnisotropicGain
-// the distance term is scaled by the device-side directional gain.
-func (p Params) ReceivedPower(c Charger, theta float64, t Task) float64 {
-	if !p.Covers(c, theta, t) {
-		return 0
-	}
-	pw := p.Power(c.Pos.Dist(t.Pos))
-	if p.AnisotropicGain {
-		pw *= p.ReceiveGain(c, t)
-	}
-	return pw
-}
-
 // ReceiveGain returns the device-side anisotropic gain factor in
 // (0, 1]: cos of the deviation of the charger from the device's boresight.
 // It is 1 when the charger sits exactly along φ_j. Only meaningful when
@@ -288,17 +274,3 @@ func (in *Instance) CheckTask(t Task) error {
 
 // finite reports whether f is neither NaN nor ±Inf.
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-// ChargeableTasks returns T_i for every charger: the IDs of tasks the
-// charger can cover under some orientation, ascending.
-func (in *Instance) ChargeableTasks() [][]int {
-	out := make([][]int, len(in.Chargers))
-	for i, c := range in.Chargers {
-		for _, t := range in.Tasks {
-			if in.Params.Chargeable(c, t) {
-				out[i] = append(out[i], t.ID)
-			}
-		}
-	}
-	return out
-}

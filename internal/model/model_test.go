@@ -120,18 +120,18 @@ func TestReceivedPower(t *testing.T) {
 	p := testParams()
 	c, tk := facingPair(p)
 	want := p.Power(10)
-	if got := p.ReceivedPower(c, 0, tk); !almostEq(got, want) {
+	if got := receivedPower(p, c, 0, tk); !almostEq(got, want) {
 		t.Errorf("ReceivedPower = %v, want %v", got, want)
 	}
-	if got := p.ReceivedPower(c, math.Pi, tk); got != 0 {
+	if got := receivedPower(p, c, math.Pi, tk); got != 0 {
 		t.Errorf("uncovered ReceivedPower = %v, want 0", got)
 	}
 	// Boundary of the charging sector: azimuth deviation exactly A_s/2.
 	theta := geom.Deg(30)
-	if got := p.ReceivedPower(c, theta, tk); !almostEq(got, want) {
+	if got := receivedPower(p, c, theta, tk); !almostEq(got, want) {
 		t.Errorf("boundary ReceivedPower = %v, want %v", got, want)
 	}
-	if got := p.ReceivedPower(c, geom.Deg(31), tk); got != 0 {
+	if got := receivedPower(p, c, geom.Deg(31), tk); got != 0 {
 		t.Errorf("just outside boundary = %v, want 0", got)
 	}
 }
@@ -144,7 +144,7 @@ func TestAnisotropicGain(t *testing.T) {
 	if got := p.ReceiveGain(c, tk); !almostEq(got, 1) {
 		t.Errorf("boresight gain = %v, want 1", got)
 	}
-	if got := p.ReceivedPower(c, 0, tk); !almostEq(got, p.Power(10)) {
+	if got := receivedPower(p, c, 0, tk); !almostEq(got, p.Power(10)) {
 		t.Errorf("boresight power = %v", got)
 	}
 	// Rotate the device 30° off boresight (still within A_o/2 = 30°).
@@ -153,7 +153,7 @@ func TestAnisotropicGain(t *testing.T) {
 	if !almostEq(g, math.Cos(geom.Deg(30))) {
 		t.Errorf("off-boresight gain = %v, want cos30", g)
 	}
-	if got := p.ReceivedPower(c, 0, tk); !almostEq(got, p.Power(10)*g) {
+	if got := receivedPower(p, c, 0, tk); !almostEq(got, p.Power(10)*g) {
 		t.Errorf("anisotropic power = %v", got)
 	}
 	// Gain never exceeds 1 and never negative.
@@ -248,19 +248,18 @@ func TestInstanceValidateErrors(t *testing.T) {
 
 func TestChargeableTasks(t *testing.T) {
 	in := smallInstance()
-	ct := in.ChargeableTasks()
 	// Charger 0 at origin: task 0 faces it (phi=π) at distance 7 → chargeable.
 	// Task 1 faces +x (phi=0) so charger 0 (at −x from it) is NOT in its
 	// receiving sector.
-	if len(ct[0]) != 1 || ct[0][0] != 0 {
-		t.Errorf("charger 0 chargeable = %v, want [0]", ct[0])
-	}
 	// Charger 1 at (15,0): task 0 at (7,0) faces −x, charger 1 is at +x → no.
 	// Task 1 at (8,0) faces +x, charger 1 is at +x, distance 7 → yes.
-	if len(ct[1]) != 1 || ct[1][0] != 1 {
-		t.Errorf("charger 1 chargeable = %v, want [1]", ct[1])
-	}
-	if len(ct[2]) != 0 {
-		t.Errorf("remote charger chargeable = %v, want empty", ct[2])
+	// Charger 2 is out of reach of both.
+	want := [][]bool{{true, false}, {false, true}, {false, false}}
+	for i, c := range in.Chargers {
+		for j, tk := range in.Tasks {
+			if got := in.Params.Chargeable(c, tk); got != want[i][j] {
+				t.Errorf("Chargeable(charger %d, task %d) = %v, want %v", i, j, got, want[i][j])
+			}
+		}
 	}
 }

@@ -103,6 +103,14 @@ type agent struct {
 	nUnacked    int    // true entries of unacked; 0 until the session's commit
 	retriesLeft int    // retransmissions left for my commit
 
+	// acks backs the Acks of every payload this session sent: each round
+	// appends its acks and sends them as a full slice expression, so a
+	// later append never writes into a sent slice. startSession reuses
+	// the buffer, which is sound because the round loop drops pending
+	// deliveries at session start and the TCP node server encodes a
+	// payload before the next step.
+	acks []netsim.Ack
+
 	// Reliability accounting across the whole renegotiation.
 	updSeq      uint32 // sequence number of my last commit
 	retransmits int64  // UPD re-broadcasts sent
@@ -162,6 +170,7 @@ func (a *agent) startSession(slot, color int) {
 		a.nUnacked = 0
 	}
 	a.retriesLeft = 0
+	a.acks = a.acks[:0]
 
 	if cap(a.sessionCovers) < len(a.policies) {
 		a.sessionCovers = make([][]taskEnergy, len(a.policies))
@@ -325,6 +334,7 @@ func (a *agent) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 // neighbor confirmed receipt (or the retry budget ran out).
 func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 	out := netsim.Payload{Kind: netsim.KindRel}
+	sent := len(a.acks)
 	// Process UPDs and acks every round, whatever the phase: delayed or
 	// retransmitted UPDs may arrive in a decide round and must still be
 	// applied and (re-)acked.
@@ -337,7 +347,7 @@ func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 			a.applyOnce(from, pkt.Covers)
 			// Ack every receipt: the previous ack may itself have been
 			// lost, and retransmissions stop only on a received ack.
-			out.Acks = append(out.Acks, netsim.Ack{Slot: pkt.Slot, Color: pkt.Color, To: uint32(from), Seq: pkt.Seq})
+			a.acks = append(a.acks, netsim.Ack{Slot: pkt.Slot, Color: pkt.Color, To: uint32(from), Seq: pkt.Seq})
 		}
 		for _, ack := range pkt.Acks {
 			if int(ack.To) == a.id && a.ours(ack.Slot, ack.Color) && a.fixed && ack.Seq == a.updSeq && a.unacked[from] {
@@ -404,6 +414,9 @@ func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 		out.HasUpd = true
 	}
 
+	if n := len(a.acks); n > sent {
+		out.Acks = a.acks[sent:n:n]
+	}
 	done := (a.fixed && a.nUnacked == 0) || a.passed
 	if !out.HasBid && !out.HasUpd && len(out.Acks) == 0 {
 		return netsim.Payload{}, done

@@ -390,12 +390,27 @@ func TestKnownNeighborsLocality(t *testing.T) {
 	}
 }
 
+// chargeableTasks returns T_i for every charger: the IDs of the tasks the
+// charger can cover under some orientation, ascending, by a dense O(n·m)
+// scan of Params.Chargeable.
+func chargeableTasks(in *model.Instance) [][]int {
+	out := make([][]int, len(in.Chargers))
+	for i, c := range in.Chargers {
+		for _, t := range in.Tasks {
+			if in.Params.Chargeable(c, t) {
+				out[i] = append(out[i], t.ID)
+			}
+		}
+	}
+	return out
+}
+
 // denseNeighbors returns N(s_i) for every charger under the paper's rule,
 // from the instance's geometry alone: two chargers are neighbors iff they
 // share at least one chargeable task. It is knownNeighbors' oracle when
 // every task is known.
 func denseNeighbors(in *model.Instance) [][]int {
-	cover := in.ChargeableTasks()
+	cover := chargeableTasks(in)
 	taskTo := make([][]int, len(in.Tasks))
 	for i, ts := range cover {
 		for _, j := range ts {

@@ -50,11 +50,11 @@ func FuzzScheduleHandler(f *testing.F) {
 	f.Add(`{"instance":` + valid + `,"prefer_stay":false}`)
 
 	// A many-component clustered instance so the fuzzer exercises the
-	// shard-and-stitch path (and its mutations of the shard knob).
+	// shard-and-stitch path, which ShardAuto takes on it.
 	clustered := string(bytes.TrimSpace(instanceJSON(f, clusteredInstance(f, 1))))
-	f.Add(`{"instance":` + clustered + `,"shard":true}`)
-	f.Add(`{"instance":` + clustered + `,"shard":false,"colors":2,"samples":4}`)
-	f.Add(`{"instance":` + clustered + `,"shard":true,"colors":3,"samples":6}`)
+	f.Add(`{"instance":` + clustered + `}`)
+	f.Add(`{"instance":` + clustered + `,"colors":2,"samples":4}`)
+	f.Add(`{"instance":` + clustered + `,"colors":3,"samples":6}`)
 
 	// The instio loader's own fuzz seeds, wrapped in the envelope — the
 	// handler must reject or accept them exactly as gracefully.

@@ -219,13 +219,6 @@ type scheduleRequest struct {
 
 	KernelStats bool `json:"kernel_stats,omitempty"` // include kernel counters in the response
 
-	// Shard mirrors core.Options.Shard: omitted means ShardAuto (shard
-	// when the instance decomposes into enough independent components),
-	// true forces the shard-and-stitch path, false forces monolithic.
-	// Either way results obey the stitching contract, so clients toggling
-	// this see identical utilities.
-	Shard *bool `json:"shard,omitempty"`
-
 	// Trace asks for the per-phase breakdown of this request: the response
 	// carries the obs span forest (decode, slot acquisition, problem
 	// resolution, and the core solve subtree) plus the request's trace id.
@@ -396,13 +389,6 @@ func (s *Server) schedule(w http.ResponseWriter, r *http.Request, t0 time.Time) 
 		PreferStay:  req.PreferStay == nil || *req.PreferStay,
 		Workers:     s.cfg.CoreWorkers,
 		KernelStats: req.KernelStats,
-	}
-	if req.Shard != nil {
-		if *req.Shard {
-			opt.Shard = core.ShardOn
-		} else {
-			opt.Shard = core.ShardOff
-		}
 	}
 	seed := req.Seed
 	if seed == 0 {

@@ -58,7 +58,7 @@ func TestScheduleMatchesDirectCall(t *testing.T) {
 	if resp.Cache != "miss" {
 		t.Fatalf("first request reported cache %q", resp.Cache)
 	}
-	wantHash, err := instio.HashInstance(in)
+	wantHash, err := instio.FromInstance(in, "").Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +143,8 @@ func TestScheduleErrors(t *testing.T) {
 			`{"instance":{},"bogus":1}`, http.StatusBadRequest},
 		{"removed lazy field", http.MethodPost, "/v1/schedule",
 			string(requestBody(t, valid, map[string]any{"lazy": true})), http.StatusBadRequest},
+		{"removed shard field", http.MethodPost, "/v1/schedule",
+			string(requestBody(t, valid, map[string]any{"shard": true})), http.StatusBadRequest},
 		{"trailing garbage", http.MethodPost, "/v1/schedule",
 			string(requestBody(t, valid, nil)) + "garbage", http.StatusBadRequest},
 		{"invalid instance", http.MethodPost, "/v1/schedule",

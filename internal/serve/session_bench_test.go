@@ -101,19 +101,28 @@ func BenchmarkSessionColdRecompile(b *testing.B) {
 				mirror.Tasks[0] = mirror.Tasks[len(mirror.Tasks)-1]
 				mirror.Tasks[0].ID = 0
 				mirror.Tasks = mirror.Tasks[:len(mirror.Tasks)-1]
-				bodies[i] = requestBody(b, instanceJSON(b, mirror), map[string]any{"seed": 9, "shard": true})
+				bodies[i] = requestBody(b, instanceJSON(b, mirror), map[string]any{"seed": 9})
 			}
 			s := New(Config{CacheSize: 1})
+			var last scheduleResponse
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rec := post(s, "/v1/schedule", bodies[i])
 				if rec.Code != http.StatusOK {
 					b.Fatalf("iteration %d: status %d: %s", i, rec.Code, rec.Body.Bytes())
 				}
+				if i == b.N-1 {
+					decodeResponse(b, rec.Body.Bytes(), &last)
+				}
 			}
 			b.StopTimer()
 			if st := s.CacheStats(); st.Hits != 0 {
 				b.Fatalf("cold benchmark hit the cache: %+v", st)
+			}
+			// The requests run ShardAuto: the clustered shape shards like
+			// the session does; fig4's one dense component runs monolithic.
+			if shape.name == "clustered" && last.Shards == 0 {
+				b.Fatal("clustered cold request ran monolithic")
 			}
 		})
 	}

@@ -230,7 +230,9 @@ func taskPtr(ft instio.FileTask) *instio.FileTask { return &ft }
 
 // requireSessionMatchesCold asserts a session view is bit-identical to
 // both a direct cold core solve of the mirror instance and (closing the
-// loop over the wire format) a /v1/schedule request for it.
+// loop over the wire format) a /v1/schedule request for it. The session
+// tests' clustered instances decompose past core.DefaultShardThreshold,
+// so that request shards under ShardAuto like the session does.
 func requireSessionMatchesCold(t *testing.T, s *Server, view sessionView, mirror *model.Instance) {
 	t.Helper()
 	cp := &model.Instance{Chargers: mirror.Chargers,
@@ -249,12 +251,15 @@ func requireSessionMatchesCold(t *testing.T, s *Server, view sessionView, mirror
 	}
 
 	rec := post(s, "/v1/schedule", requestBody(t, instanceJSON(t, cp),
-		map[string]any{"colors": 2, "samples": 4, "seed": 9, "shard": true}))
+		map[string]any{"colors": 2, "samples": 4, "seed": 9}))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/v1/schedule reference: status %d: %s", rec.Code, rec.Body.Bytes())
 	}
 	var sr scheduleResponse
 	decodeResponse(t, rec.Body.Bytes(), &sr)
+	if sr.Shards == 0 {
+		t.Fatal("/v1/schedule reference ran monolithic: the mirror no longer decomposes into enough components")
+	}
 	if sr.RUtility != view.RUtility {
 		t.Fatalf("session r_utility %v, /v1/schedule %v", view.RUtility, sr.RUtility)
 	}

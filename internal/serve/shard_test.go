@@ -32,12 +32,11 @@ func clusteredInstance(t testing.TB, seed int64) *model.Instance {
 	return clusteredConfig().Generate(rand.New(rand.NewSource(seed)))
 }
 
-// TestScheduleSharding: the shard request knob maps onto the scheduler as
-// documented — true forces the sharded path, false forces monolithic,
-// omitted lets ShardAuto decide (and this instance decomposes well past
-// the default threshold, so auto shards). All three report the same
-// utility, and the /metrics shard counters reconcile exactly with the sum
-// of the shards fields of the responses.
+// TestScheduleSharding: every /v1/schedule request runs ShardAuto, and
+// this instance decomposes well past the default threshold, so the
+// request shards into every schedulable component with the monolithic
+// utility. The /metrics shard counters reconcile exactly with the sum of
+// the shards fields of the responses.
 func TestScheduleSharding(t *testing.T) {
 	in := clusteredInstance(t, 1)
 	p, err := core.NewProblem(in)
@@ -63,34 +62,27 @@ func TestScheduleSharding(t *testing.T) {
 		return resp
 	}
 
-	sharded := run(map[string]any{"shard": true})
-	if sharded.Shards != want {
-		t.Fatalf("shard=true: shards = %d, want %d", sharded.Shards, want)
-	}
-	mono := run(map[string]any{"shard": false})
-	if mono.Shards != 0 {
-		t.Fatalf("shard=false: shards = %d, want 0 (monolithic)", mono.Shards)
-	}
 	auto := run(nil)
 	if auto.Shards != want {
-		t.Fatalf("shard omitted: shards = %d, want %d (auto above threshold)", auto.Shards, want)
+		t.Fatalf("shards = %d, want %d (auto above threshold)", auto.Shards, want)
+	}
+	again := run(map[string]any{"colors": 2, "samples": 4})
+	if again.Shards != want {
+		t.Fatalf("colors=2: shards = %d, want %d", again.Shards, want)
 	}
 
-	// The stitching contract on the wire: toggling the knob never changes
-	// the utility, and the two sharded runs are bit-identical.
-	if sharded.RUtility != mono.RUtility || auto.RUtility != mono.RUtility {
-		t.Fatalf("utilities diverge across shard modes: %v / %v / %v",
-			sharded.RUtility, mono.RUtility, auto.RUtility)
-	}
-	if err := schedulesEqual(sharded.Schedule, auto.Schedule); err != nil {
-		t.Fatalf("sharded runs not bit-identical: %v", err)
+	// The stitching contract on the wire: the sharded utility is the
+	// monolithic one.
+	mono := core.TabularGreedy(p, core.Options{Colors: 1, PreferStay: true, Shard: core.ShardOff})
+	if auto.RUtility != mono.RUtility {
+		t.Fatalf("sharded utility %v, monolithic %v", auto.RUtility, mono.RUtility)
 	}
 
 	m := s.Metrics()
 	if m.ShardedRuns != 2 {
-		t.Fatalf("sharded_runs_total = %d, want 2 (shard=true + auto)", m.ShardedRuns)
+		t.Fatalf("sharded_runs_total = %d, want 2", m.ShardedRuns)
 	}
-	if got := int64(sharded.Shards + mono.Shards + auto.Shards); m.ShardComps != got {
+	if got := int64(auto.Shards + again.Shards); m.ShardComps != got {
 		t.Fatalf("shard_components_total = %d, does not reconcile with Σ response shards = %d",
 			m.ShardComps, got)
 	}
@@ -116,7 +108,8 @@ func TestShardedRequestTimeout(t *testing.T) {
 	// K ≈ 80); at colors 8 × 64 samples the full run takes a few hundred
 	// milliseconds — two orders of magnitude past the 1ms budget, so the
 	// deadline always lands mid-run even on a loaded 1-vCPU box.
-	slow := requestBody(t, raw, map[string]any{"shard": true, "colors": 8})
+	// The 16 clusters shard under ShardAuto.
+	slow := requestBody(t, raw, map[string]any{"colors": 8})
 	rec := post(s, "/v1/schedule", slow)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body.Bytes())
@@ -143,8 +136,8 @@ func TestShardedRequestTimeout(t *testing.T) {
 		if resp.Cache != "hit" {
 			t.Fatalf("post-timeout run %d reported cache %q", i, resp.Cache)
 		}
-		if resp.Shards < 2 {
-			t.Fatalf("post-timeout run %d: shards = %d, want ≥ 2", i, resp.Shards)
+		if resp.Shards == 0 {
+			t.Fatalf("post-timeout run %d ran monolithic", i)
 		}
 		if i == 0 {
 			first = resp

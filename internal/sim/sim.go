@@ -31,19 +31,6 @@ type Outcome struct {
 // hardware would do. A charger that was never assigned any policy has
 // orientation Φ and radiates nothing.
 func Execute(p *core.Problem, s core.Schedule) Outcome {
-	out, _ := run(p, s, false)
-	return out
-}
-
-// ExecuteDetailed additionally returns the orientation timeline:
-// orient[i][k] is charger i's effective orientation during slot k (NaN
-// while the charger has never been oriented). Useful for demos and
-// debugging.
-func ExecuteDetailed(p *core.Problem, s core.Schedule) (Outcome, [][]float64) {
-	return run(p, s, true)
-}
-
-func run(p *core.Problem, s core.Schedule, detailed bool) (Outcome, [][]float64) {
 	in := p.In
 	n := len(in.Chargers)
 	K := s.Slots()
@@ -51,16 +38,6 @@ func run(p *core.Problem, s core.Schedule, detailed bool) (Outcome, [][]float64)
 		K = p.K
 	}
 	energy := make([]float64, len(in.Tasks))
-	var orient [][]float64
-	if detailed {
-		orient = make([][]float64, n)
-		for i := range orient {
-			orient[i] = make([]float64, K)
-			for k := range orient[i] {
-				orient[i][k] = math.NaN()
-			}
-		}
-	}
 
 	switches := 0
 	curPol := make([]int, n)       // effective policy per charger; -1 = Φ
@@ -103,9 +80,6 @@ func run(p *core.Problem, s core.Schedule, detailed bool) (Outcome, [][]float64)
 			if eff < 0 || gamma[i][eff].Idle {
 				continue
 			}
-			if detailed {
-				orient[i][k] = gamma[i][eff].Orientation
-			}
 			// Iterate the flat kernel's compiled cover list: zero-energy
 			// pairs are already dropped (they contribute exactly +0.0) and
 			// the slot energies are stored inline, so the executor does no
@@ -127,5 +101,5 @@ func run(p *core.Problem, s core.Schedule, detailed bool) (Outcome, [][]float64)
 		out.PerTask[j] = u.Of(energy[j], t.Energy)
 		out.Utility += t.Weight * out.PerTask[j]
 	}
-	return out, orient
+	return out
 }

@@ -186,23 +186,6 @@ func TestExecuteIgnoresInactiveSlots(t *testing.T) {
 	}
 }
 
-func TestExecuteDetailedOrientations(t *testing.T) {
-	p := mustProblem(t, oneTask(480, 0, 3, 0))
-	s := core.NewSchedule(1, p.K)
-	s.Policy[0][1] = 0
-	out, orient := ExecuteDetailed(p, s)
-	if !math.IsNaN(orient[0][0]) {
-		t.Errorf("slot 0 orientation = %v, want NaN", orient[0][0])
-	}
-	want := p.Gamma()[0][0].Orientation
-	if !almostEq(orient[0][1], want) || !almostEq(orient[0][2], want) {
-		t.Errorf("orientations = %v, want %v", orient[0][1:], want)
-	}
-	if !almostEq(out.Energy[0], 480) {
-		t.Errorf("energy = %v", out.Energy[0])
-	}
-}
-
 // Theorem 5.1's worst-case accounting: physical utility of a fully
 // assigned schedule is at least (1−ρ)·RUtility.
 func TestExecuteLowerBoundAgainstRelaxed(t *testing.T) {

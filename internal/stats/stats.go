@@ -38,9 +38,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MinMax returns the extrema of a non-empty sample.
 func MinMax(xs []float64) (lo, hi float64, err error) {
 	if len(xs) == 0 {

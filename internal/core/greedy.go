@@ -43,13 +43,14 @@ type Options struct {
 	// sweeps enforce this).
 	Workers int
 
-	// KernelStats collects evaluation-kernel work counters (calls, cover
+	// KernelStats collects flat-kernel work counters (calls, cover
 	// entries visited, entries skipped by windows and saturation pruning)
-	// into Result.Kernel. The counters live on the per-sample states.
-	// Instrumented runs take the per-state scan instead of the batched
-	// one — same results, slightly slower, exact counts. Sharded runs
+	// into Result.Kernel. The run counts each greedy step's work from the
+	// policy windows and the samples' live-list lengths, so the schedule
+	// and the scan taken are those of an uncounted run. Sharded runs
 	// aggregate per-component counters in canonical component order, so
-	// the counts do not depend on Workers either.
+	// the counts do not depend on Workers either. Counting stays opt-in
+	// because it costs a loop over the step's policies and samples.
 	KernelStats bool
 
 	// Shard selects the shard-and-stitch decomposition (shard.go): the
@@ -272,9 +273,6 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 	states := make([]*EnergyState, N)
 	for s := range states {
 		states[s] = p.AcquireState()
-		if opt.KernelStats {
-			states[s].EnableKernelStats()
-		}
 	}
 	defer func() {
 		for _, st := range states {
@@ -295,11 +293,13 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 
 	// With the flat kernel a step whose partition several samples share
 	// runs through the entry-major batched scan and apply (kernel.go); the
-	// per-state scan remains for custom utilities and for instrumented
-	// runs, where KernelStats counts per-state work. Both compute
+	// per-state scan remains for custom utilities. Both compute
 	// bit-identical gains.
 	p.monolith() // builds Γ and the cover lists on a Problem's first use
-	batchScan := p.kern.linear && !opt.KernelStats
+	// Counting reads the flat kernel's compiled lists; the generic kernel
+	// has none, so its runs report zero counts.
+	count := opt.KernelStats && p.kern.linear
+	var kern KernelStats
 	maxPol := 0
 	for _, g := range p.mono.gamma {
 		maxPol = max(maxPol, len(g))
@@ -328,8 +328,12 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 				if opt.PreferStay && k > 0 {
 					prev = q[i][(k-1)*C+c]
 				}
+				if count {
+					kern.countStep(p, states, affected, i, k)
+				}
+				batch := p.kern.linear && len(affected) > 1
 				var best int
-				if batchScan && len(affected) > 1 {
+				if batch {
 					nPol := len(p.mono.gamma[i])
 					gainsBatchFlat(p, states, affected, i, k, nPol, gains, acc)
 					best = argmaxPolicy(gains[:nPol], int(prev), opt.PreferStay)
@@ -337,7 +341,7 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 					best = selectPolicy(p, states, affected, i, k, int(prev), opt.PreferStay, gains)
 				}
 				q[i][k*C+c] = int32(best)
-				if p.kern.linear && len(affected) > 1 {
+				if batch {
 					applyBatchFlat(p, states, affected, i, k, best, acc)
 				} else {
 					for _, s := range affected {
@@ -368,10 +372,11 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 	}
 	res.RUtility = evaluate(p, sched, res.gains)
 	esp.End()
-	if opt.KernelStats {
+	if count {
 		for _, st := range states {
-			res.Kernel.add(st.KernelStats())
+			kern.countPruned(st)
 		}
+		res.Kernel = kern
 	}
 	return res, true
 }

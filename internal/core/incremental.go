@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"haste/internal/dominant"
 	"haste/internal/geom"
 	"haste/internal/model"
 )
@@ -22,11 +21,12 @@ import (
 // Equivalence contract (enforced by internal/difftest's mutation-walk
 // sweep): after any sequence of AddTask/RemoveTask calls, the Problem is
 // bit-identical — instance, rows, Gamma, compiled kernel, K — to
-// NewProblem of the mutated instance. A Problem whose dominant sets and
-// cover lists were never built (kernel.go's monolith) has only its
-// instance, rows, kernel columns and K patched; the monolith it builds
-// later is a pure function of those, so the contract holds for it too.
-// The argument, piece by piece:
+// NewProblem of the mutated instance. Delta operations patch only the
+// instance, the rows, the per-task kernel columns and K, and drop the
+// dominant sets and cover lists (kernel.go's monolith) if they were
+// built; the next caller that needs them rebuilds them through
+// compileMonolith, a pure function of what was patched. The argument,
+// piece by piece:
 //
 //   - Instance. AddTask appends with the next dense ID; RemoveTask
 //     swap-removes (the last task moves into the freed ID), so IDs stay
@@ -41,24 +41,12 @@ import (
 //     De of a new pair is the same pure float expression chargeableRows
 //     evaluates on the same inputs. Unaffected chargers' rows are, by
 //     locality, exactly what a recompile would produce.
-//   - Gamma. Affected chargers re-run dominant.ExtractSubset on their
-//     patched row's candidate IDs — the same deterministic pure function
-//     of (params, charger, task values) NewProblem calls. Unaffected
-//     chargers' candidate IDs and the task values behind them are
-//     untouched (a charger whose row contains a mutated ID is affected by
-//     construction), so their cached policies equal a re-extraction.
-//   - Kernel. The per-task columns are patched like the task table.
-//     Affected chargers' policy cover lists are recompiled through
-//     appendPolicyEntries — the same code compileMonolith runs — while
-//     unaffected chargers keep their compiled list slices; the cheap
-//     index-only structures (polOff, taskPols, the entries/window
-//     top-levels) are rebuilt exactly as compileMonolith orders them.
+//   - Kernel columns and K. The per-task columns are patched like the
+//     task table; K is the mutated instance's horizon.
 //
 // Mutations are copy-on-write against shared backing: a Problem obtained
-// from CloneCompiled shares immutable compiled innards (row slices and
-// the whole monolith) with its origin, so patches always allocate fresh
-// slices for what they change and replace the monolith rather than write
-// through it.
+// from CloneCompiled shares immutable row slices with its origin, so
+// patches always allocate fresh rows for what they change.
 //
 // Concurrency: delta operations are NOT safe to run concurrently with
 // anything else on the same Problem — schedulers, EnergyStates, other
@@ -78,11 +66,10 @@ type subCache struct {
 
 // CloneCompiled returns an independently mutable copy of the Problem
 // without compiling anything: compiled immutable innards (row slices,
-// the dominant sets and cover lists if they were built, the charger
-// grid) are shared, while everything a delta operation writes in place —
-// the instance's task table, the SoA columns, the per-charger row
-// top-level — is copied. A clone of a Problem whose dominant sets were
-// never built builds its own on first use. The clone starts with a fresh
+// the charger grid) are shared, while everything a delta operation
+// writes in place — the instance's task table, the SoA columns, the
+// per-charger row top-level — is copied. The clone builds its own
+// dominant sets and cover lists on first use, and starts with a fresh
 // state pool and fresh shard caches. This is what lets the session layer
 // mutate a private copy of a cached Problem while concurrent requests
 // keep solving the original.
@@ -106,10 +93,6 @@ func (p *Problem) CloneCompiled() *Problem {
 		chargerGrid: p.chargerGrid,
 		keepRuns:    true,
 	}
-	if p.monoBuilt.Load() {
-		c.mono = p.mono
-		c.monoBuilt.Store(true)
-	}
 	kn, src := &c.kern, &p.kern
 	kn.linear, kn.linearOK = src.linear, src.linearOK
 	kn.weight = append([]float64(nil), src.weight...)
@@ -119,9 +102,8 @@ func (p *Problem) CloneCompiled() *Problem {
 	return c
 }
 
-// AddTask appends a task to the compiled problem, patching rows, Gamma
-// and the kernel of exactly the chargers that can reach it (only their
-// rows, when Gamma was never built). The task's ID is assigned (the next
+// AddTask appends a task to the compiled problem, patching the rows of
+// exactly the chargers that can reach it. The task's ID is assigned (the next
 // dense ID); the rest of t is validated like NewProblem would. The
 // patched chargers are marked dirty, so the next subProblems rebuild
 // recompiles their components.
@@ -158,7 +140,6 @@ func (p *Problem) AddTask(t model.Task) error {
 		p.rows[i] = nrow
 	}
 
-	p.patchChargers(affected)
 	p.invalidate(affected)
 	return nil
 }
@@ -225,7 +206,6 @@ func (p *Problem) RemoveTask(id int) error {
 		p.rows[i] = nrow
 	}
 
-	p.patchChargers(affected)
 	p.invalidate(affected)
 	return nil
 }
@@ -267,62 +247,14 @@ func unionSorted(a, b []int) []int {
 	return out[:w]
 }
 
-// patchChargers replaces a built monolith with one in which the affected
-// chargers' dominant policies are re-extracted from their patched rows
-// and their cover lists recompiled through appendPolicyEntries (the
-// compileMonolith code path), every other charger keeps its policies and
-// compiled list slices, and the index-only top-levels (polOff, entries,
-// windows, taskPols) are rebuilt in compileMonolith's exact order. An
-// unbuilt monolith stays unbuilt.
-func (p *Problem) patchChargers(affected []int) {
-	if !p.monoBuilt.Load() {
-		return
-	}
-	in, old := p.In, p.mono
-	m := monolith{gamma: append([][]dominant.Policy(nil), old.gamma...)}
-	isAff := make(map[int]bool, len(affected))
-	for _, i := range affected {
-		isAff[i] = true
-		ids := make([]int, 0, len(p.rows[i]))
-		for _, e := range p.rows[i] {
-			ids = append(ids, int(e.Task))
-		}
-		m.gamma[i] = dominant.ExtractSubset(in, i, ids)
-	}
-
-	nPols := 0
-	m.polOff = make([]int32, len(m.gamma))
-	for i, g := range m.gamma {
-		m.polOff[i] = int32(nPols)
-		nPols += len(g)
-	}
-	m.entries = make([][]CoverEntry, nPols)
-	m.winLo = make([]int32, nPols)
-	m.winHi = make([]int32, nPols)
-	for i, g := range m.gamma {
-		nf := int(m.polOff[i])
-		if !isAff[i] {
-			of := int(old.polOff[i])
-			copy(m.entries[nf:nf+len(g)], old.entries[of:of+len(g)])
-			copy(m.winLo[nf:nf+len(g)], old.winLo[of:of+len(g)])
-			copy(m.winHi[nf:nf+len(g)], old.winHi[of:of+len(g)])
-			continue
-		}
-		var arena []CoverEntry
-		for pol, policy := range g {
-			var start int
-			arena, start, m.winLo[nf+pol], m.winHi[nf+pol] = appendPolicyEntries(p, i, policy.Covers, arena)
-			m.entries[nf+pol] = arena[start:len(arena):len(arena)]
-		}
-	}
-	m.buildTaskPols(len(in.Tasks))
-	p.mono = m
-}
-
-// invalidate resets the decomposition caches after a mutation, stashing
-// the outgoing component sub-Problems (plus the accumulated dirty charger
-// set) so the next subProblems rebuild can adopt the untouched ones.
+// invalidate resets everything a mutation makes stale: it drops the
+// dominant sets and cover lists (rebuilt on first use) and the
+// decomposition caches, stashing the outgoing component sub-Problems
+// (plus the accumulated dirty charger set) so the next subProblems
+// rebuild can adopt the untouched ones.
 func (p *Problem) invalidate(dirty []int) {
+	p.mono = monolith{}
+	p.monoBuilt.Store(false)
 	if slots := p.subs.Load(); slots != nil {
 		subs := make([]*Problem, len(*slots))
 		for ci := range subs {

@@ -52,15 +52,15 @@ type CoverEntry struct {
 	De   float64 // energy the task harvests per fully covered slot, > 0
 }
 
-// KernelStats counts the work of the flat kernel on one EnergyState (or,
-// summed, on a scheduling run). Collection is opt-in per state (see
-// EnableKernelStats); TabularGreedy enables it on its sample states when
-// Options.KernelStats is set.
+// KernelStats counts the selection work of the flat kernel over a
+// TabularGreedy run's sample states, when Options.KernelStats is set.
+// The counts are those of a per-state scan — one marginal evaluation per
+// (policy, affected sample) of every greedy step — whichever scan ran.
 type KernelStats struct {
-	Calls   int64 // flat marginal-kernel invocations
-	Visited int64 // cover entries actually scanned
+	Calls   int64 // per-state marginal evaluations
+	Visited int64 // cover entries left to scan after windows and pruning
 	Offered int64 // entries a scan without windows/pruning would visit
-	Pruned  int64 // saturation-pruning removal events (net of reinsertions)
+	Pruned  int64 // live-list removals of the tasks saturated at run end
 }
 
 func (s *KernelStats) add(o KernelStats) {
@@ -68,6 +68,35 @@ func (s *KernelStats) add(o KernelStats) {
 	s.Visited += o.Visited
 	s.Offered += o.Offered
 	s.Pruned += o.Pruned
+}
+
+// countStep adds the work a per-state scan does in the greedy step of
+// charger i at slot k: every policy is one call per affected sample, each
+// offered the policy's whole compiled list and, when k lies in the
+// policy's window, visiting the sample's live list.
+func (s *KernelStats) countStep(p *Problem, states []*EnergyState, affected []int, i, k int) {
+	m, k32, a := &p.mono, int32(k), int64(len(affected))
+	for fp := int(m.polOff[i]); fp < int(m.polOff[i])+len(m.gamma[i]); fp++ {
+		s.Calls += a
+		s.Offered += a * int64(len(m.entries[fp]))
+		if k32 < m.winLo[fp] || k32 >= m.winHi[fp] {
+			continue
+		}
+		for _, smp := range affected {
+			s.Visited += int64(len(states[smp].scanList(fp)))
+		}
+	}
+}
+
+// countPruned adds the live-list removals standing on es: one per
+// compiled list that holds a saturated task.
+func (s *KernelStats) countPruned(es *EnergyState) {
+	taskPols := es.mono().taskPols
+	for j, sat := range es.satur {
+		if sat {
+			s.Pruned += int64(len(taskPols[j]))
+		}
+	}
 }
 
 // kernel is the per-task half of the flat evaluation kernel, built by
@@ -105,9 +134,9 @@ func newKernel(in *model.Instance) kernel {
 // monolith is the field-wide policy space of a Problem: the dominant task
 // sets Γ_i of every charger (Algorithm 1) and their compiled cover lists.
 // A sharded run never reads it — each component's sub-Problem has its
-// own — so it is built on first use (Problem.monolith). The slices of a
-// built monolith are never written: delta operations build fresh ones and
-// replace the value whole, so clones can share it.
+// own — so it is built on first use (Problem.monolith). It is a pure
+// function of the rows and the per-task columns: a delta operation drops
+// it, and the next use rebuilds it from the patched rows.
 type monolith struct {
 	gamma [][]dominant.Policy // Γ_i for every charger
 
@@ -186,56 +215,41 @@ func compileMonolith(p *Problem, parent obs.SpanRef) monolith {
 	m.entries = make([][]CoverEntry, nPols)
 	m.winLo = make([]int32, nPols)
 	m.winHi = make([]int32, nPols)
+	// One CoverEntry per covered task with non-zero slot energy, in the
+	// cover order (ascending task), plus the union slot window of the
+	// compiled tasks ([0,0) for an empty list).
+	kn := &p.kern
 	arena := make([]CoverEntry, 0, total)
 	fp := 0
 	for i, g := range m.gamma {
 		for _, pol := range g {
-			var start int
-			arena, start, m.winLo[fp], m.winHi[fp] = appendPolicyEntries(p, i, pol.Covers, arena)
+			start := len(arena)
+			for _, j := range pol.Covers {
+				de := p.SlotEnergy(i, j)
+				if de == 0 {
+					continue
+				}
+				arena = append(arena, CoverEntry{Task: int32(j), De: de})
+				if start == len(arena)-1 || kn.release[j] < m.winLo[fp] {
+					m.winLo[fp] = kn.release[j]
+				}
+				if kn.end[j] > m.winHi[fp] {
+					m.winHi[fp] = kn.end[j]
+				}
+			}
 			m.entries[fp] = arena[start:len(arena):len(arena)]
 			fp++
 		}
 	}
-	m.buildTaskPols(len(in.Tasks))
-	return m
-}
-
-// appendPolicyEntries compiles the cover list covers of a policy of
-// charger i onto arena: one CoverEntry per covered task with non-zero slot
-// energy, in the cover order (ascending task), plus the union slot window
-// of the appended tasks ([0,0) for an empty list). It is the single
-// compilation of a policy's scan list — compileMonolith and the
-// incremental patch (incremental.go) both call it, so a patched policy is
-// bit-identical to a from-scratch compile by construction.
-func appendPolicyEntries(p *Problem, i int, covers []int, arena []CoverEntry) (out []CoverEntry, start int, lo, hi int32) {
-	kn := &p.kern
-	start = len(arena)
-	for _, j := range covers {
-		de := p.SlotEnergy(i, j)
-		if de == 0 {
-			continue
-		}
-		arena = append(arena, CoverEntry{Task: int32(j), De: de})
-		if start == len(arena)-1 || kn.release[j] < lo {
-			lo = kn.release[j]
-		}
-		if kn.end[j] > hi {
-			hi = kn.end[j]
-		}
-	}
-	return arena, start, lo, hi
-}
-
-// buildTaskPols (re)derives the saturation-pruning reverse index from the
-// compiled cover lists: taskPols[j] lists, ascending, every flat policy
-// whose list contains task j.
-func (m *monolith) buildTaskPols(tasks int) {
-	m.taskPols = make([][]int32, tasks)
+	// taskPols[j] lists, ascending, every flat policy whose compiled list
+	// contains task j.
+	m.taskPols = make([][]int32, len(in.Tasks))
 	for fp, list := range m.entries {
 		for _, e := range list {
 			m.taskPols[e.Task] = append(m.taskPols[e.Task], int32(fp))
 		}
 	}
+	return m
 }
 
 // flatPol maps (charger, policy) to the flat policy index.
@@ -341,7 +355,6 @@ func (p *Problem) AcquireState() *EnergyState {
 			(es.live == nil || len(es.live) == len(m.entries)) {
 			es.p = p
 			es.Reset()
-			es.stats = nil
 			es.pooled = true
 			return es
 		}
@@ -386,25 +399,6 @@ func (p *Problem) StatesInUse() int64 {
 	return out
 }
 
-// EnableKernelStats turns on work counting for this state and returns the
-// collector (idempotent). Reset and AcquireState disable collection
-// again.
-func (es *EnergyState) EnableKernelStats() *KernelStats {
-	if es.stats == nil {
-		es.stats = &KernelStats{}
-	}
-	return es.stats
-}
-
-// KernelStats returns the counters collected since EnableKernelStats
-// (zero when collection was never enabled).
-func (es *EnergyState) KernelStats() KernelStats {
-	if es.stats == nil {
-		return KernelStats{}
-	}
-	return *es.stats
-}
-
 // scanList returns the list the flat kernel should scan for flat policy
 // fp: the state's saturation-pruned live list when one was materialized,
 // the problem's shared compiled list otherwise.
@@ -425,21 +419,12 @@ func (es *EnergyState) marginalFlat(i, k, pol int, frac float64, scaled bool) fl
 	kn, m := &es.p.kern, es.mono()
 	fp := m.flatPol(i, pol)
 	k32 := int32(k)
-	st := es.stats
-	if st != nil {
-		st.Calls++
-		st.Offered += int64(len(m.entries[fp]))
-	}
 	if k32 < m.winLo[fp] || k32 >= m.winHi[fp] {
 		return 0
 	}
-	list := es.scanList(fp)
-	if st != nil {
-		st.Visited += int64(len(list))
-	}
 	energy, uval := es.energy, es.uval
 	var gain float64
-	for _, e := range list {
+	for _, e := range es.scanList(fp) {
 		j := e.Task
 		if k32 < kn.release[j] || k32 >= kn.end[j] {
 			continue
@@ -536,9 +521,6 @@ func (es *EnergyState) saturate(j int32) {
 		}
 		es.live[fp] = row
 	}
-	if es.stats != nil {
-		es.stats.Pruned += int64(len(m.taskPols[j]))
-	}
 }
 
 // unsaturate reinserts task j into every live list it was pruned from —
@@ -557,9 +539,6 @@ func (es *EnergyState) unsaturate(j int) {
 		copy(row[idx+1:], row[idx:])
 		row[idx] = e
 		es.live[fp] = row
-	}
-	if es.stats != nil {
-		es.stats.Pruned -= int64(len(m.taskPols[j]))
 	}
 }
 

@@ -292,10 +292,6 @@ type EnergyState struct {
 	live  [][]CoverEntry
 	satur []bool
 
-	// stats, when non-nil, counts the flat kernel's work (opt-in; see
-	// EnableKernelStats).
-	stats *KernelStats
-
 	// pooled marks states handed out by AcquireState and not yet
 	// returned, so the statesOut balance counts each checkout exactly
 	// once even if ReleaseState is called on a NewEnergyState state or
@@ -331,13 +327,6 @@ func (es *EnergyState) Reset() {
 	for j := range es.satur {
 		es.satur[j] = false
 	}
-}
-
-// Clone deep-copies the state.
-func (es *EnergyState) Clone() *EnergyState {
-	c := NewEnergyState(es.p)
-	c.CopyFrom(es)
-	return c
 }
 
 // CopyFrom makes es an exact copy of src (same Problem) without

@@ -155,11 +155,18 @@ func TestMarginalScaled(t *testing.T) {
 	}
 }
 
+// cloneState deep-copies es into a fresh state of the same Problem.
+func cloneState(es *EnergyState) *EnergyState {
+	c := NewEnergyState(es.p)
+	c.CopyFrom(es)
+	return c
+}
+
 func TestEnergyStateCloneAndReset(t *testing.T) {
 	p := mustProblem(t, oneTaskInstance(480, 0, 2))
 	es := NewEnergyState(p)
 	es.Apply(0, 0, 0)
-	cl := es.Clone()
+	cl := cloneState(es)
 	es.Apply(0, 1, 0)
 	if almostEq(cl.Total(), es.Total()) {
 		t.Error("clone aliases original")

@@ -77,7 +77,7 @@ func TestRestoreUndoesApplyQuick(t *testing.T) {
 		}
 		i := rng.Intn(3)
 		k, pol := rng.Intn(p.K), rng.Intn(len(p.Gamma()[i]))
-		before := es.Clone()
+		before := cloneState(es)
 		ids := append([]int(nil), p.Gamma()[i][pol].Covers...)
 		vals := make([]float64, len(ids))
 		for idx, j := range ids {

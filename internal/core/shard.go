@@ -433,7 +433,7 @@ func shardedGreedy(done <-chan struct{}, p *Problem, opt Options, parent obs.Spa
 			copy(sched.Policy[gi][:Kc], r.Schedule.Policy[li])
 			rowGains[gi] = r.gains[li*Kc : (li+1)*Kc]
 		}
-		// Aggregated in canonical component order, so instrumented runs
+		// Aggregated in canonical component order, so counted runs
 		// report deterministic counters at any worker count. Adopted
 		// results carry the counters of their original (also sequential,
 		// also deterministic) run — the counts a re-run would reproduce.

@@ -19,6 +19,8 @@ import "slices"
 // long-lived clone, while one-shot and fleet solves would only pay the
 // memory. A record is immutable once stored; concurrent solves on one
 // clone race only on which record the atomic pointer ends up holding.
+// kernelStats stays in the key although counting changes no schedule: an
+// uncounted record carries zero counts.
 type componentRun struct {
 	colors, samples         int
 	preferStay, kernelStats bool

@@ -1,7 +1,7 @@
 // Package difftest is the differential-testing harness that pins every
 // execution strategy of the centralized offline scheduler to the
 // flat-kernel reference. Determinism is a repo invariant (DESIGN.md §3):
-// the instrumented scan, the generic kernel and — on sharded runs — any
+// the counted run, the generic kernel and — on sharded runs — any
 // component-pool size must produce byte-identical Schedule.Policy tables
 // and equal utilities on the same seeded input. The harness provides the
 // seeded workload sweep (varying n, m, horizon, C and N), runs a set of
@@ -105,8 +105,8 @@ func (c Case) OptionsFor(v Variant) core.Options {
 // tie-breaking and empty affected-sample sets bite hardest.
 func Sweep() []Case {
 	return []Case{
-		{Name: "tiny-c1", Chargers: 2, Tasks: 6, Duration: [2]int{2, 6}, Releases: 3, Colors: 1, Seed: 101},
-		{Name: "one-charger-c1", Chargers: 1, Tasks: 10, Duration: [2]int{3, 9}, Releases: 4, Colors: 1, Seed: 102},
+		{Name: "tiny-c1", Chargers: 2, Tasks: 6, Connected: true, Duration: [2]int{2, 6}, Releases: 3, Colors: 1, Seed: 101},
+		{Name: "one-charger-c1", Chargers: 1, Tasks: 10, Connected: true, Duration: [2]int{3, 9}, Releases: 4, Colors: 1, Seed: 102},
 		{Name: "one-slot-c2", Chargers: 6, Tasks: 12, Duration: [2]int{1, 1}, Releases: 0, Colors: 2, Samples: 6, Seed: 103},
 		{Name: "small-c1", Chargers: 5, Tasks: 20, Duration: [2]int{4, 12}, Releases: 6, Colors: 1, Seed: 104},
 		{Name: "small-c2", Chargers: 5, Tasks: 20, Duration: [2]int{4, 12}, Releases: 6, Colors: 2, Seed: 105},
@@ -133,14 +133,15 @@ type Variant struct {
 	// run is the old-vs-new kernel sweep.
 	Generic bool
 
-	// Stats enables Options.KernelStats, which selects the instrumented
-	// per-state scan instead of the batched one.
+	// Stats enables Options.KernelStats. Counting reads the sample
+	// states between greedy steps and must never perturb a schedule;
+	// comparing a counted run against the uncounted reference checks that.
 	Stats bool
 }
 
-// Variants is the strategy set of a monolithic run: the instrumented
-// per-state scan and the generic (pre-compilation) kernel, each against
-// the batched flat-kernel reference. Worker counts are no axis here — a
+// Variants is the strategy set of a monolithic run: the counted run and
+// the generic (pre-compilation) kernel, each against the uncounted
+// flat-kernel reference. Worker counts are no axis here — a
 // monolithic run is one sequential sweep whatever Workers says.
 func Variants() []Variant {
 	return []Variant{
@@ -151,8 +152,7 @@ func Variants() []Variant {
 
 // ShardVariants is the strategy set of the sharded sweep: the monolithic
 // variants plus the component-pool sizes — sequential, {2, 8} and the
-// GOMAXPROCS default — crossed with both kernels and the instrumented
-// scan.
+// GOMAXPROCS default — crossed with both kernels and the counted run.
 func ShardVariants() []Variant {
 	return append(Variants(),
 		Variant{Name: "workers=1", Workers: 1},
@@ -189,13 +189,20 @@ func CompareResults(ref, got core.Result) error {
 }
 
 // Run executes the sequential flat-kernel reference and every variant on
-// the case and returns an error naming the first divergence.
+// the case and returns an error naming the first divergence. It rejects a
+// case with no schedulable component or zero reference utility: there
+// every variant reproduces the all-Idle schedule whatever its scan does,
+// so the comparison would show nothing.
 func Run(c Case, variants []Variant) error {
 	p, err := c.Problem()
 	if err != nil {
 		return err
 	}
 	ref := core.TabularGreedy(p, c.Options(1))
+	if p.SchedulableComponents() == 0 || ref.RUtility == 0 {
+		return fmt.Errorf("case %s: %d schedulable components, utility %v — sweep would be vacuous",
+			c.Name, p.SchedulableComponents(), ref.RUtility)
+	}
 	for _, v := range variants {
 		p.SetFlatKernel(!v.Generic)
 		got := core.TabularGreedy(p, c.OptionsFor(v))

@@ -84,6 +84,16 @@ func TestRunPassesOnTheFullSweep(t *testing.T) {
 	}
 }
 
+// A case whose instance has no chargeable pair compares all-Idle
+// schedules, so Run must refuse it rather than pass it.
+func TestRunRejectsVacuousCase(t *testing.T) {
+	c := Case{Name: "no-pairs", Chargers: 2, Tasks: 6, Duration: [2]int{2, 6}, Releases: 3, Colors: 1, Seed: 101}
+	err := Run(c, Variants())
+	if err == nil || !strings.Contains(err.Error(), "vacuous") {
+		t.Fatalf("Run accepted a case with nothing to schedule: %v", err)
+	}
+}
+
 func TestVariantsCoverTheKernelAxes(t *testing.T) {
 	var generic, stats bool
 	for _, v := range Variants() {
@@ -91,7 +101,7 @@ func TestVariantsCoverTheKernelAxes(t *testing.T) {
 		stats = stats || v.Stats
 	}
 	if !generic || !stats {
-		t.Errorf("monolithic variants miss an axis: generic kernel %v, instrumented scan %v", generic, stats)
+		t.Errorf("monolithic variants miss an axis: generic kernel %v, counted run %v", generic, stats)
 	}
 	// Workers only sizes the component pool, so the sharded and mutation
 	// sweeps must run it both sequentially and pooled, on both kernels.

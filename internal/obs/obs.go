@@ -141,16 +141,6 @@ func (s SpanRef) Bool(key string, v bool) SpanRef {
 	return s.Int(key, n)
 }
 
-// Len returns the number of recorded spans (0 on a nil trace).
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // NewID returns a fresh 16-hex-digit identifier for correlating a trace
 // with logs and response headers.
 func NewID() string {

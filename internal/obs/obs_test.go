@@ -26,7 +26,6 @@ func TestDisabledProbeAllocFree(t *testing.T) {
 		root.End()
 		_ = tr.Root()
 		_ = tr.Tree()
-		_ = tr.Len()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled probe allocated %v times per run, want 0", allocs)
@@ -114,9 +113,16 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := len(nodes[0].Children); got != workers*per {
 		t.Fatalf("got %d component spans, want %d", got, workers*per)
 	}
-	if tr.Len() != 1+2*workers*per {
-		t.Fatalf("span log holds %d spans, want %d", tr.Len(), 1+2*workers*per)
+	if n := spanCount(tr); n != 1+2*workers*per {
+		t.Fatalf("span log holds %d spans, want %d", n, 1+2*workers*per)
 	}
+}
+
+// spanCount returns the number of spans recorded on tr.
+func spanCount(tr *Trace) int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return len(tr.spans)
 }
 
 func TestAggregateAndRenderers(t *testing.T) {

@@ -191,9 +191,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // http.Server with Shutdown, which waits for the in-flight handlers.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // CacheStats returns the compiled-problem cache counters.
 func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
 

@@ -19,7 +19,9 @@
 // Every driver owns a Rounds: the per-node inboxes, outboxes, in-flight
 // delayed deliveries and crash bookkeeping of the round loop. It is
 // reset at the start of each session and reused across the rounds and
-// sessions of one negotiation, so a warm round loop allocates nothing.
+// sessions of every negotiation the driver runs (one driver serves a
+// whole online run, see Driver.Reset), so a warm round loop allocates
+// nothing.
 // The price is a lifetime rule: an inbox handed to Node.Step or to a
 // StepFunc is valid only during that call. An inbox is sorted by sender
 // (stable, so a sender's messages keep their delivery order); the loop
@@ -56,6 +58,7 @@ package netsim
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 )
@@ -118,17 +121,22 @@ type Node interface {
 // differential suite (difftest.DriverSweep) enforces bit-identical
 // outcomes and exactly reconciled Stats.
 //
-// Run may be called repeatedly (once per negotiation session); Close
-// releases any substrate resources (sockets, listeners, goroutines) and
-// must be called exactly once when the negotiation is over. Closing the
-// in-memory engine is a no-op.
+// Run may be called repeatedly (once per negotiation session). Reset
+// points the driver at the next negotiation's topology and options over
+// the same node count (another count is an error), keeping its substrate
+// and round buffers; a run after Reset is the run a fresh driver built on
+// that topology would make. Close releases any substrate resources
+// (sockets, listeners, goroutines) and must be called exactly once when
+// the driver is no longer needed. Closing the in-memory engine is a no-op.
 type Driver interface {
 	Run(nodes []Node) (Stats, error)
+	Reset(neighbors [][]int, opt Options) error
 	Close() error
 }
 
-// Factory builds a Driver over a topology for one negotiation. The online
-// layer calls it once per arrival-triggered renegotiation with the session
+// Factory builds a Driver over a topology. The online layer calls it once
+// per online run, at its first arrival-triggered negotiation, and Resets
+// the driver for each later one; every negotiation hands over its session
 // topology and the fully populated Options (failure injection Rng
 // included), so every driver consumes the same RNG draws in the same
 // order.
@@ -212,10 +220,15 @@ var ErrNoQuiescence = errors.New("netsim: session did not quiesce within MaxRoun
 // every chaos experiment a no-op.
 var ErrRngRequired = errors.New("netsim: Options.Rng is required when failure injection is enabled")
 
-// Engine drives sessions over a fixed topology. Neighbors[i] lists the
-// node indices adjacent to node i; the relation must be symmetric. An
-// Engine keeps its round buffers from one Run to the next, so it must not
-// run two sessions at once.
+// ErrNodeCount is returned by Driver.Reset for a topology whose node
+// count differs from the driver's.
+var ErrNodeCount = errors.New("netsim: reset to a different node count")
+
+// Engine drives sessions over a topology, which Reset may swap for
+// another over the same node count. Neighbors[i] lists the node indices
+// adjacent to node i; the relation must be symmetric. An Engine keeps its
+// round buffers from one Run to the next, so it must not run two sessions
+// at once.
 type Engine struct {
 	Neighbors [][]int
 	Opt       Options
@@ -243,6 +256,16 @@ func (e *Engine) Run(nodes []Node) (Stats, error) {
 	st, err := e.rounds.Run(e.Neighbors, e.Opt, e.step)
 	e.nodes = nil
 	return st, err
+}
+
+// Reset implements Driver: the next sessions run over neighbors with opt.
+// The node count must stay len(Neighbors).
+func (e *Engine) Reset(neighbors [][]int, opt Options) error {
+	if len(neighbors) != len(e.Neighbors) {
+		return fmt.Errorf("%w: %d nodes, the engine has %d", ErrNodeCount, len(neighbors), len(e.Neighbors))
+	}
+	e.Neighbors, e.Opt = neighbors, opt
+	return nil
 }
 
 // Close implements Driver. The in-memory engine holds no resources.
@@ -280,8 +303,9 @@ type StepFunc func(round int, down []bool, inboxes [][]Message, outs []Payload) 
 
 // Rounds holds the per-node state of the round loop: inboxes, outboxes,
 // in-flight delayed deliveries and crash bookkeeping. A driver owns one
-// and runs every session of a negotiation through it, so once the buffers
-// have grown to the traffic's high-water mark a round allocates nothing.
+// and runs every session through it, across negotiations, so once the
+// buffers have grown to the traffic's high-water mark a round allocates
+// nothing.
 // Each Run resets them first: nothing a session left behind — undelivered
 // messages of a session that hit MaxRounds included — reaches the next.
 // The zero value is ready to use; a Rounds must not run two sessions at

@@ -7,6 +7,7 @@ import (
 
 	"haste/internal/core"
 	"haste/internal/geom"
+	"haste/internal/netsim"
 	"haste/internal/workload"
 )
 
@@ -41,7 +42,8 @@ func negotiatedAgents(t *testing.T, seed int64, colors int) (*core.Problem, nego
 		}
 	}
 	opt := Options{Colors: colors, Seed: seed}.normalize()
-	neg, err := negotiate(p, opt, known, orient, 0, 0, p.K)
+	var driver netsim.Driver
+	neg, err := negotiate(p, opt, &driver, known, orient, 0, 0, p.K)
 	if err != nil {
 		t.Fatalf("negotiate: %v", err)
 	}

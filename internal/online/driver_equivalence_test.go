@@ -1,6 +1,7 @@
 package online
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -21,10 +22,10 @@ type concurrentDriver struct {
 }
 
 func concurrentFactory(neighbors [][]int, opt netsim.Options) (netsim.Driver, error) {
-	return concurrentDriver{neighbors, opt}, nil
+	return &concurrentDriver{neighbors, opt}, nil
 }
 
-func (d concurrentDriver) Run(nodes []netsim.Node) (netsim.Stats, error) {
+func (d *concurrentDriver) Run(nodes []netsim.Node) (netsim.Stats, error) {
 	return new(netsim.Rounds).Run(d.neighbors, d.opt, func(_ int, down []bool, inboxes [][]netsim.Message, outs []netsim.Payload) error {
 		var wg sync.WaitGroup
 		for i := range nodes {
@@ -42,7 +43,12 @@ func (d concurrentDriver) Run(nodes []netsim.Node) (netsim.Stats, error) {
 	})
 }
 
-func (concurrentDriver) Close() error { return nil }
+func (d *concurrentDriver) Reset(neighbors [][]int, opt netsim.Options) error {
+	d.neighbors, d.opt = neighbors, opt
+	return nil
+}
+
+func (*concurrentDriver) Close() error { return nil }
 
 // TestDriverEquivalenceSeededTopologies is the netsim driver-equivalence
 // check at the full protocol level: on three seeded topologies the
@@ -88,5 +94,94 @@ func TestDriverEquivalenceSeededTopologies(t *testing.T) {
 		if seq.Stats.Net != par.Stats.Net {
 			t.Errorf("seed %d: network totals diverge: %+v vs %+v", seed, seq.Stats.Net, par.Stats.Net)
 		}
+	}
+}
+
+// driverCount is a Factory over the in-memory engine that counts the
+// drivers it builds, their Resets and their Closes. failAt > 0 makes the
+// driver's Run fail in the failAt-th negotiation it serves; failClose
+// makes its Close fail.
+type driverCount struct {
+	builds, resets, closes, failAt int
+	failClose                      bool
+}
+
+var errInjected = errors.New("injected driver failure")
+
+func (c *driverCount) factory(neighbors [][]int, opt netsim.Options) (netsim.Driver, error) {
+	c.builds++
+	d, err := netsim.MemFactory(neighbors, opt)
+	return &countedDriver{Driver: d, c: c}, err
+}
+
+type countedDriver struct {
+	netsim.Driver
+	c *driverCount
+}
+
+func (d *countedDriver) Run(nodes []netsim.Node) (netsim.Stats, error) {
+	if d.c.builds+d.c.resets == d.c.failAt {
+		return netsim.Stats{}, errInjected
+	}
+	return d.Driver.Run(nodes)
+}
+
+func (d *countedDriver) Reset(neighbors [][]int, opt netsim.Options) error {
+	d.c.resets++
+	return d.Driver.Reset(neighbors, opt)
+}
+
+func (d *countedDriver) Close() error {
+	d.c.closes++
+	if d.c.failClose {
+		return errInjected
+	}
+	return d.Driver.Close()
+}
+
+// Run builds at most one driver, Resets it for every later negotiation
+// and closes it exactly once, whether the run succeeds or its driver
+// fails, and reports a failed Close; a run with nothing to negotiate
+// builds none. The reused driver
+// runs exactly what concurrentDriver, with fresh round buffers for every
+// session, runs.
+func TestRunBuildsOneDriverAndClosesItOnce(t *testing.T) {
+	p := mustProblem(t, onlineWorkload(111))
+	want := mustRun(t, p, Options{Seed: 7, Driver: concurrentFactory})
+
+	var c driverCount
+	got, err := Run(p, Options{Seed: 7, Driver: c.factory})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if c.builds != 1 || c.closes != 1 || c.resets < 1 {
+		t.Errorf("success: %d builds, %d resets, %d closes; want 1, at least 1, 1", c.builds, c.resets, c.closes)
+	}
+	if got.Stats.Net != want.Stats.Net || got.Outcome.Utility != want.Outcome.Utility {
+		t.Errorf("reused driver: %+v utility %v; want %+v utility %v",
+			got.Stats.Net, got.Outcome.Utility, want.Stats.Net, want.Outcome.Utility)
+	}
+
+	c = driverCount{failAt: 2}
+	if _, err := Run(p, Options{Seed: 7, Driver: c.factory}); !errors.Is(err, errInjected) {
+		t.Errorf("failing driver: err = %v, want the driver's error", err)
+	}
+	if c.builds != 1 || c.resets != 1 || c.closes != 1 {
+		t.Errorf("failing driver: %d builds, %d resets, %d closes; want 1 each", c.builds, c.resets, c.closes)
+	}
+
+	c = driverCount{failClose: true}
+	if _, err := Run(p, Options{Seed: 7, Driver: c.factory}); !errors.Is(err, errInjected) || c.closes != 1 {
+		t.Errorf("failing Close: err = %v after %d closes, want the driver's error after 1", err, c.closes)
+	}
+
+	in := singleTaskInstance()
+	in.Tasks = nil
+	c = driverCount{}
+	if _, err := Run(mustProblem(t, in), Options{Seed: 7, Driver: c.factory}); err != nil {
+		t.Fatalf("run without tasks: %v", err)
+	}
+	if c.builds != 0 || c.closes != 0 {
+		t.Errorf("run without negotiation: %d builds, %d closes; want none", c.builds, c.closes)
 	}
 }

@@ -30,9 +30,11 @@ type Options struct {
 	// DelayRate / CrashRate inject bounded message delay (with reordering)
 	// and node crash/restart outages (see package netsim).
 	DelayRate, CrashRate float64
-	// Driver, when non-nil, builds the execution substrate carrying each
-	// negotiation's control messages — e.g. transport.Factory for
-	// loopback-TCP sockets. Nil selects the in-memory netsim engine. The
+	// Driver, when non-nil, builds the execution substrate carrying the
+	// negotiations' control messages — e.g. transport.Factory for
+	// loopback-TCP sockets. Run calls it once, at its first negotiation,
+	// Resets the driver for each later one and Closes it before
+	// returning. Nil selects the in-memory netsim engine. The
 	// protocol's behaviour is substrate-invariant: every driver must
 	// commit bit-identical schedules with exactly reconciled Stats
 	// (difftest.DriverSweep is the enforcement).
@@ -131,9 +133,9 @@ type Result struct {
 //
 // With the default in-memory substrate Run cannot fail; a non-nil error
 // reports a broken Options.Driver substrate (listen/dial failure, a link
-// dying mid-session, coordinator cancellation) — injected message loss is
-// never an error, it is degradation accounted in Stats.
-func Run(p *core.Problem, opt Options) (Result, error) {
+// dying mid-session, coordinator cancellation, a failed Close) — injected
+// message loss is never an error, it is degradation accounted in Stats.
+func Run(p *core.Problem, opt Options) (res Result, err error) {
 	opt = opt.normalize()
 	in := p.In
 	n := len(in.Chargers)
@@ -161,6 +163,15 @@ func Run(p *core.Problem, opt Options) (Result, error) {
 
 	var stats Stats
 	var known []int
+	var driver netsim.Driver // built at the first negotiation, Reset for each later one
+	defer func() {
+		if driver == nil {
+			return
+		}
+		if cerr := driver.Close(); cerr != nil && err == nil {
+			res, err = Result{}, fmt.Errorf("online: closing driver: %w", cerr)
+		}
+	}()
 	for _, t := range slots {
 		known = append(known, arrivals[t]...)
 		sort.Ints(known)
@@ -182,7 +193,7 @@ func Run(p *core.Problem, opt Options) (Result, error) {
 			continue
 		}
 
-		neg, err := negotiate(p, opt, known, orient, t, lockUntil, maxEnd)
+		neg, err := negotiate(p, opt, &driver, known, orient, t, lockUntil, maxEnd)
 		if err != nil {
 			return Result{}, fmt.Errorf("online: negotiation at slot %d: %w", t, err)
 		}
@@ -221,9 +232,11 @@ type negotiation struct {
 // negotiate runs the full Algorithm 3 loop (slots outer, colors inner)
 // over the network of agents and returns their sampled plans. The
 // substrate (in-memory engine or a real-socket driver from opt.Driver) is
-// built once per negotiation and torn down before returning; only
-// substrate failures are errors — non-quiescence is degradation.
-func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, now, lockUntil, maxEnd int) (negotiation, error) {
+// the run's one *driver: negotiate builds it when it is nil and Resets it
+// to this negotiation's topology and options otherwise, and the caller
+// closes it. Only substrate failures are errors — non-quiescence is
+// degradation.
+func negotiate(p *core.Problem, opt Options, driver *netsim.Driver, known []int, orient [][]float64, now, lockUntil, maxEnd int) (negotiation, error) {
 	in := p.In
 	n := len(in.Chargers)
 
@@ -246,15 +259,19 @@ func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, no
 	if opt.failureInjection() {
 		nopt.Rng = rand.New(rand.NewSource(opt.Seed ^ int64(now)<<20))
 	}
-	factory := opt.Driver
-	if factory == nil {
-		factory = netsim.MemFactory
+	if *driver == nil {
+		factory := opt.Driver
+		if factory == nil {
+			factory = netsim.MemFactory
+		}
+		d, err := factory(neighbors, nopt)
+		if err != nil {
+			return negotiation{}, fmt.Errorf("building driver: %w", err)
+		}
+		*driver = d
+	} else if err := (*driver).Reset(neighbors, nopt); err != nil {
+		return negotiation{}, fmt.Errorf("resetting driver: %w", err)
 	}
-	driver, err := factory(neighbors, nopt)
-	if err != nil {
-		return negotiation{}, fmt.Errorf("building driver: %w", err)
-	}
-	defer driver.Close()
 
 	var out negotiation
 	for k := lockUntil; k < maxEnd; k++ {
@@ -271,7 +288,7 @@ func negotiate(p *core.Problem, opt Options, known []int, orient [][]float64, no
 				// the session would be a single silent round.
 				continue
 			}
-			st, err := driver.Run(nodes)
+			st, err := (*driver).Run(nodes)
 			out.net.Add(st)
 			if err != nil {
 				if !errors.Is(err, netsim.ErrNoQuiescence) {

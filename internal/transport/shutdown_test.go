@@ -3,12 +3,16 @@ package transport
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"haste/internal/core"
 	"haste/internal/netsim"
+	"haste/internal/online"
+	"haste/internal/workload"
 )
 
 // assertNoEngineGoroutines fails the test if any transport engine
@@ -100,6 +104,9 @@ func TestEngineRunsAndClosesCleanly(t *testing.T) {
 	if _, err := e.Run(chatterNodes(4, 1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("Run after Close: err = %v, want ErrClosed", err)
 	}
+	if err := e.Reset(fullMesh(4), netsim.Options{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("Reset after Close: err = %v, want ErrClosed", err)
+	}
 	assertNoEngineGoroutines(t)
 }
 
@@ -176,6 +183,55 @@ func TestContextCancellationAbortsSession(t *testing.T) {
 	assertNoEngineGoroutines(t)
 }
 
+// An online run builds one engine for all its negotiations and closes it
+// on every exit path: no engine goroutine survives a run that ends
+// cleanly, one whose context is cancelled before it starts, or one
+// cancelled while its negotiations are in flight.
+func TestOnlineRunLeavesNoEngineGoroutines(t *testing.T) {
+	cfg := workload.Default()
+	cfg.NumChargers, cfg.NumTasks = 12, 40
+	cfg.DurationMin, cfg.DurationMax = 5, 20
+	cfg.ReleaseMax = 10
+	p, err := core.NewProblem(cfg.Generate(rand.New(rand.NewSource(1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	factory := func(ctx context.Context) netsim.Factory {
+		return func(neighbors [][]int, opt netsim.Options) (netsim.Driver, error) {
+			builds++
+			return NewContext(ctx, neighbors, opt)
+		}
+	}
+
+	res, err := online.Run(p, online.Options{Seed: 1, Driver: factory(context.Background())})
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	if negs := len(res.Stats.Negotiations); builds != 1 || negs < 2 {
+		t.Errorf("clean run built %d engines for %d negotiations, want 1 for at least 2", builds, negs)
+	}
+	assertNoEngineGoroutines(t)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := online.Run(p, online.Options{Seed: 1, Driver: factory(ctx)}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled run: err = %v, want context.Canceled", err)
+	}
+	assertNoEngineGoroutines(t)
+
+	// If the run finishes before the timer fires the error is nil; the
+	// goroutine check holds either way.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	timer := time.AfterFunc(5*time.Millisecond, cancel)
+	defer timer.Stop()
+	if _, err := online.Run(p, online.Options{Seed: 1, Colors: 4, Driver: factory(ctx)}); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-run cancellation: err = %v, want context.Canceled", err)
+	}
+	assertNoEngineGoroutines(t)
+}
+
 func TestListenerCloseDoesNotDisturbEstablishedSession(t *testing.T) {
 	e, err := New(fullMesh(3), netsim.Options{})
 	if err != nil {
@@ -202,6 +258,16 @@ func TestNewRejectsBadTopology(t *testing.T) {
 	}
 	if _, err := New([][]int{{1}, {}}, netsim.Options{}); err == nil {
 		t.Error("asymmetric topology accepted")
+	}
+	e, err := New(fullMesh(2), netsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Reset([][]int{{1}, {}}, netsim.Options{}); err == nil {
+		t.Error("Reset accepted an asymmetric topology")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
 	assertNoEngineGoroutines(t)
 }

@@ -3,8 +3,12 @@
 // loopback TCP connections instead of in-memory channels. Each node gets
 // its own listener and serve goroutine — a process-shaped deployment of
 // the paper's distributed Algorithm 3 — while the coordinator runs the
-// shared netsim round loop (netsim.Rounds) and exchanges one framed request/response
-// pair per node per round (the round barrier).
+// shared netsim round loop (netsim.Rounds) and exchanges one framed
+// request/response pair per node per round (the round barrier). The
+// coordinator steps a round from its own goroutine: it writes every up
+// node's request, then reads the responses in node order, while the
+// nodes' serve goroutines step in parallel. A node writes only after it
+// has read its whole request, so neither side can block the other.
 //
 // # Determinism and equivalence
 //
@@ -23,15 +27,19 @@
 //
 // # Lifecycle
 //
-// New dials one loopback connection per node up front; Run installs the
-// session's nodes and drives rounds; Close (idempotent) sends best-effort
-// shutdown frames, tears down every connection and listener, and waits
-// for all goroutines to exit — the shutdown-path tests assert zero
-// leaked goroutines. NewContext additionally aborts a running session
-// when the context is cancelled.
+// New dials one loopback connection per node up front, each read through
+// a bufio.Reader at both ends; Run installs the session's nodes, drives
+// rounds and uninstalls them; Reset points the engine at another
+// topology over the same nodes and keeps every connection, so one engine
+// serves every negotiation of an online run; Close (idempotent) sends
+// best-effort shutdown frames, tears down every connection and listener,
+// and waits for all goroutines to exit — the shutdown-path tests assert
+// zero leaked goroutines. NewContext additionally aborts a running
+// session when the context is cancelled.
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -66,12 +74,13 @@ type Engine struct {
 }
 
 // link is the coordinator's end of one node's connection, with reusable
-// encode/decode buffers (the round loop is single-threaded per link).
+// encode/decode buffers (the round loop is single-threaded).
 type link struct {
 	conn net.Conn
-	body []byte // step frame body assembly
-	out  []byte // full outgoing frame assembly
-	in   []byte // response frame scratch
+	r    *bufio.Reader // buffered read side of conn
+	body []byte        // step frame body assembly
+	out  []byte        // full outgoing frame assembly
+	in   []byte        // response frame scratch
 }
 
 // nodeServer is the remote end: it owns node i's listener and accepted
@@ -133,7 +142,7 @@ func NewContext(ctx context.Context, neighbors [][]int, opt netsim.Options) (*En
 			e.Close()
 			return nil, fmt.Errorf("transport: dial node %d: %w", i, err)
 		}
-		e.links[i] = &link{conn: cc}
+		e.links[i] = &link{conn: cc, r: bufio.NewReader(cc)}
 		a := <-ch
 		if a.err != nil {
 			e.Close()
@@ -167,9 +176,9 @@ func Factory(neighbors [][]int, opt netsim.Options) (netsim.Driver, error) {
 }
 
 // Run implements netsim.Driver: install the session's nodes into the
-// serve goroutines, then drive the shared round loop with the socket
-// stepping fan. Like the in-memory engine it may be called once per
-// session until Close.
+// serve goroutines, drive the shared round loop with the socket stepping
+// fan, then uninstall them, so an idle engine pins no agent. Like the
+// in-memory engine it may be called once per session until Close.
 func (e *Engine) Run(nodes []netsim.Node) (netsim.Stats, error) {
 	if len(nodes) != len(e.neighbors) {
 		return netsim.Stats{}, fmt.Errorf("transport: %d nodes for a %d-node topology",
@@ -178,12 +187,9 @@ func (e *Engine) Run(nodes []netsim.Node) (netsim.Stats, error) {
 	if e.closed.Load() {
 		return netsim.Stats{}, ErrClosed
 	}
-	for i, s := range e.servers {
-		s.mu.Lock()
-		s.node = nodes[i]
-		s.mu.Unlock()
-	}
+	e.install(nodes)
 	st, err := e.rounds.Run(e.neighbors, e.opt, e.step)
+	e.install(nil)
 	if err != nil && !errors.Is(err, netsim.ErrNoQuiescence) {
 		// A link error during teardown is a symptom; report the cause.
 		if cerr := e.ctx.Err(); cerr != nil {
@@ -195,46 +201,84 @@ func (e *Engine) Run(nodes []netsim.Node) (netsim.Stats, error) {
 	return st, err
 }
 
-// step is the socket stepping fan: one goroutine per up node performs the
-// framed round trip (inbox out, Step result back). Each inbox is encoded
-// before the fan returns, as the StepFunc contract requires. Down nodes
-// are skipped entirely — their serve loop never hears about the round,
-// exactly like a crashed process.
+// install hands node i of nodes to serve goroutine i; nil uninstalls all.
+func (e *Engine) install(nodes []netsim.Node) {
+	for i, s := range e.servers {
+		s.mu.Lock()
+		s.node = nil
+		if nodes != nil {
+			s.node = nodes[i]
+		}
+		s.mu.Unlock()
+	}
+}
+
+// Reset implements netsim.Driver: later sessions run over neighbors with
+// opt, on the same connections. The node count must stay the same.
+func (e *Engine) Reset(neighbors [][]int, opt netsim.Options) error {
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	if len(neighbors) != len(e.neighbors) {
+		return fmt.Errorf("transport: %w: %d nodes, the engine has %d",
+			netsim.ErrNodeCount, len(neighbors), len(e.neighbors))
+	}
+	if err := netsim.ValidateTopology(neighbors); err != nil {
+		return err
+	}
+	e.neighbors, e.opt = neighbors, opt
+	return nil
+}
+
+// step is the socket stepping fan, run on the coordinator's goroutine:
+// it writes every up node's step frame in node order, then reads the
+// responses in node order, while the serve goroutines step the nodes in
+// parallel. Each inbox is encoded before step returns, as the StepFunc
+// contract requires. Down nodes are skipped entirely — their serve loop
+// never hears about the round, exactly like a crashed process. A node
+// whose request could not be sent is not read from; the errors are
+// joined in node order.
 func (e *Engine) step(round int, down []bool, inboxes [][]netsim.Message, outs []netsim.Payload) error {
-	var wg sync.WaitGroup
 	for i := range e.links {
 		e.errs[i] = nil
 		if down != nil && down[i] {
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i], e.errs[i] = e.roundTrip(i, round, inboxes[i])
-		}(i)
+		e.errs[i] = e.send(i, round, inboxes[i])
 	}
-	wg.Wait()
+	for i := range e.links {
+		if (down != nil && down[i]) || e.errs[i] != nil {
+			continue
+		}
+		outs[i], e.errs[i] = e.receive(i)
+	}
 	return errors.Join(e.errs...)
 }
 
-// roundTrip sends node i its inbox for this round and reads back the
-// node's Step output. All buffers are reused across rounds.
-func (e *Engine) roundTrip(i, round int, inbox []netsim.Message) (netsim.Payload, error) {
+// send writes node i its inbox for this round as one step frame. The
+// buffers are reused across rounds.
+func (e *Engine) send(i, round int, inbox []netsim.Message) error {
 	l := e.links[i]
 	body, err := encodeStep(l.body[:0], round, inbox)
 	if err != nil {
-		return netsim.Payload{}, fmt.Errorf("transport: node %d: %w", i, err)
+		return fmt.Errorf("transport: node %d: %w", i, err)
 	}
 	l.body = body
 	frame, err := appendFrame(l.out[:0], frameStep, body)
 	if err != nil {
-		return netsim.Payload{}, fmt.Errorf("transport: node %d: %w", i, err)
+		return fmt.Errorf("transport: node %d: %w", i, err)
 	}
 	l.out = frame
 	if _, err := l.conn.Write(frame); err != nil {
-		return netsim.Payload{}, fmt.Errorf("transport: node %d send: %w", i, err)
+		return fmt.Errorf("transport: node %d send: %w", i, err)
 	}
-	typ, resp, err := readFrame(l.conn, &l.in)
+	return nil
+}
+
+// receive reads back node i's Step output for this round.
+func (e *Engine) receive(i int) (netsim.Payload, error) {
+	l := e.links[i]
+	typ, resp, err := readFrame(l.r, &l.in)
 	if err != nil {
 		return netsim.Payload{}, fmt.Errorf("transport: node %d recv: %w", i, err)
 	}
@@ -250,15 +294,18 @@ func (e *Engine) roundTrip(i, round int, inbox []netsim.Message) (netsim.Payload
 
 // serve is node i's process: a loop reading step frames, stepping the
 // installed node, and writing the result back. It exits on a shutdown
-// frame, any read/write error (connection torn down), or a malformed
-// frame — the coordinator's next round trip then fails and aborts the
+// frame, any read/write error (connection torn down), a malformed frame
+// or a Step result the codec cannot encode, and closes its connection as
+// it goes — the coordinator's read of node i then fails and aborts the
 // session; the engine never kills the whole process over one bad peer.
 func (e *Engine) serve(s *nodeServer) {
 	defer e.wg.Done()
+	defer s.conn.Close()
+	r := bufio.NewReader(s.conn)
 	var scratch, body, frame []byte
 	var inbox []netsim.Message // reused by every round's decodeStep
 	for {
-		typ, req, err := readFrame(s.conn, &scratch)
+		typ, req, err := readFrame(r, &scratch)
 		if err != nil {
 			return
 		}

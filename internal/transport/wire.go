@@ -193,16 +193,20 @@ func appendFrame(dst []byte, typ byte, body []byte) ([]byte, error) {
 	return append(dst, body...), nil
 }
 
-// readFrame reads one frame, reusing *scratch across calls. The returned
-// body aliases *scratch and is valid until the next call. Errors are the
-// typed codec errors above or the reader's own (io.EOF on a cleanly
-// closed connection, io.ErrUnexpectedEOF on a mid-frame cut).
+// readFrame reads one frame, reusing *scratch across calls for the
+// length prefix and then the frame, so a warm read allocates nothing. The
+// returned body aliases *scratch and is valid until the next call. Errors
+// are the typed codec errors above or the reader's own (io.EOF on a
+// cleanly closed connection, io.ErrUnexpectedEOF on a mid-frame cut).
 func readFrame(r io.Reader, scratch *[]byte) (typ byte, body []byte, err error) {
-	var pfx [prefixSize]byte
-	if _, err := io.ReadFull(r, pfx[:]); err != nil {
+	if cap(*scratch) < prefixSize {
+		*scratch = make([]byte, prefixSize)
+	}
+	pfx := (*scratch)[:prefixSize]
+	if _, err := io.ReadFull(r, pfx); err != nil {
 		return 0, nil, err
 	}
-	l := binary.BigEndian.Uint32(pfx[:])
+	l := binary.BigEndian.Uint32(pfx)
 	if l > MaxFrameSize {
 		return 0, nil, ErrFrameTooLarge
 	}

@@ -1,13 +1,16 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"flag"
 	"io"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -110,8 +113,9 @@ func TestOutFrameRoundTrip(t *testing.T) {
 }
 
 // With warm buffers the codec allocates nothing but each decoded UPD's
-// covers: encoding a step or an out frame allocates 0, and decoding a
-// step into a reused inbox allocates once per UPD it carries.
+// covers: encoding a step or an out frame and reading a frame into a
+// grown scratch allocate 0, and decoding a step into a reused inbox
+// allocates once per UPD it carries.
 func TestCodecAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts need a non-race build")
@@ -156,6 +160,69 @@ func TestCodecAllocationFree(t *testing.T) {
 		if got := testing.AllocsPerRun(100, encode); got != 0 || err != nil {
 			t.Errorf("case %d: encodeOut allocates %v times (%v), want 0", i, got, err)
 		}
+	}
+	// A scratch grown by an earlier frame reads the next one, length
+	// prefix included, without allocating.
+	frame, err := appendFrame(nil, frameStep, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(frame)
+	br := bufio.NewReader(src)
+	var scratch []byte
+	read := func() {
+		src.Reset(frame)
+		br.Reset(src)
+		_, _, err = readFrame(br, &scratch)
+	}
+	read()
+	if got := testing.AllocsPerRun(100, read); got != 0 || err != nil {
+		t.Errorf("readFrame allocates %v times (%v), want 0", got, err)
+	}
+}
+
+// The buffered read side splits a byte stream back into frames however
+// the writes cut it: two frames sent in one Write, then one frame sent a
+// byte per Write, decode back to back through one bufio.Reader.
+func TestReadFrameAcrossWriteBoundaries(t *testing.T) {
+	var frames [][]byte
+	for _, p := range samplePayloads()[3:6] {
+		body, err := encodeOut(nil, p, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := appendFrame(nil, frameOut, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+	client, server := net.Pipe()
+	defer server.Close()
+	go func() {
+		defer client.Close()
+		if _, err := client.Write(append(slices.Clone(frames[0]), frames[1]...)); err != nil {
+			return
+		}
+		for _, b := range frames[2] {
+			if _, err := client.Write([]byte{b}); err != nil {
+				return
+			}
+		}
+	}()
+	r := bufio.NewReader(server)
+	var scratch []byte
+	for i, f := range frames {
+		typ, body, err := readFrame(r, &scratch)
+		if err != nil || typ != frameOut {
+			t.Fatalf("frame %d: typ %d, err %v", i, typ, err)
+		}
+		if !bytes.Equal(body, f[prefixSize+headerSize:]) {
+			t.Errorf("frame %d: body %x, want %x", i, body, f[prefixSize+headerSize:])
+		}
+	}
+	if _, _, err := readFrame(r, &scratch); err != io.EOF {
+		t.Errorf("after the last frame: err = %v, want io.EOF", err)
 	}
 }
 

@@ -224,6 +224,24 @@ func BenchmarkOnlineRun(b *testing.B) {
 	}
 }
 
+// BenchmarkOnlineRunFleet runs the distributed online algorithm on the
+// clustered 10⁴-task fleet (1 250 chargers, seed 1, C=1), where each
+// agent extracts Γ_i from the known tasks in its own sparse row.
+// EXPERIMENTS.md ("Online at fleet scale") records it.
+func BenchmarkOnlineRunFleet(b *testing.B) {
+	p, err := core.NewProblem(workload.FleetScale(10_000).Generate(rand.New(rand.NewSource(1))))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := online.Run(p, online.Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkOptSolveSmallScale(b *testing.B) {
 	cfg := haste.SmallScaleWorkload()
 	in := cfg.Generate(rand.New(rand.NewSource(3)))

@@ -232,7 +232,9 @@ func (p *Problem) ChargerRow(i int) []CoverEntry { return p.rows[i] }
 // Schedule assigns each charger one policy index per time slot:
 // Policy[i][k] indexes into Gamma()[i]; -1 means unassigned (the charger
 // keeps whatever orientation it had and covers nothing that the objective
-// credits). A fully assigned Schedule is a basis of the partition matroid.
+// credits). Holding at most one policy per cell (i, k), every Schedule is
+// an independent set of Lemma 4.1's partition matroid, and a fully
+// assigned one is a basis.
 type Schedule struct {
 	Policy [][]int
 }

@@ -31,10 +31,12 @@
 // # Messages
 //
 // Payload is the one fixed layout of the paper's control message
-// msg(ID, TIM, COL, CMD, ΔF, e). It travels by value from a node's Step
-// through the round loop, delayed deliveries included, into the inboxes;
-// a zero Kind is silence. The copies share only Covers and Acks, which a
-// sender never mutates after the send and receivers only read.
+// msg(ID, TIM, COL, CMD, ΔF, e), with no message kinds: a bid, an UPD and
+// the reliability layer's acks are optional parts of the same payload,
+// and a payload with no part is silence. It travels by value from a
+// node's Step through the round loop, delayed deliveries included, into
+// the inboxes. The copies share only Covers and Acks, which a sender
+// never mutates after the send and receivers only read.
 //
 // # Failure model
 //
@@ -63,32 +65,23 @@ import (
 	"slices"
 )
 
-// Kind is a control message's command (the paper's CMD). The values are
-// also the wire codec's payload kind bytes: never renumber them.
-type Kind uint8
-
-// The kinds; a message of the session (Slot, Color) reads only the fields
-// its kind names, and the others stay zero.
-const (
-	KindNone Kind = iota // silence: nothing is broadcast
-	KindBid              // CMD=NULL: the sender's best marginal Delta
-	KindUpd              // CMD=UPD: the sender's commit number Seq, covering Covers
-	KindAck              // acknowledges charger To's UPD number Seq
-	KindRel              // reliability layer: a bid (HasBid) or UPD (HasUpd), plus Acks
-)
-
-// Payload is the negotiation's one control message. A KindRel carrying
-// both a bid and an UPD gives both one (Slot, Color).
+// Payload is the negotiation's one control message, the paper's
+// msg(ID, TIM, COL, CMD, ΔF, e). It carries any mix of three parts: a bid
+// (HasBid: the sender's best marginal Delta, CMD=NULL), an UPD (HasUpd:
+// the sender's commit number Seq, covering Covers, CMD=UPD) and the acks
+// the reliability layer owes. A payload with no part is silence. A bid
+// and an UPD in one payload share its (Slot, Color).
 type Payload struct {
-	Kind           Kind
-	HasBid, HasUpd bool    // KindRel: which parts the message carries
-	Seq            uint32  // UPD: the commit number; KindAck: the acked one
-	Slot, Color    uint32  // the session (TIM, COL) the message belongs to
-	To             uint32  // KindAck: the charger whose UPD is acked
+	HasBid, HasUpd bool    // which of the bid and the UPD the message carries
+	Seq            uint32  // UPD: the commit number
+	Slot, Color    uint32  // the session (TIM, COL) of the bid and the UPD
 	Delta          float64 // bid: ΔF
 	Covers         []int   // UPD: the committed policy's tasks (e); shared, read-only
-	Acks           []Ack   // KindRel: the acks owed; shared, read-only
+	Acks           []Ack   // the acks owed; shared, read-only
 }
+
+// Silent reports whether the payload carries no part: nothing is broadcast.
+func (p *Payload) Silent() bool { return !p.HasBid && !p.HasUpd && len(p.Acks) == 0 }
 
 // Ack acknowledges charger To's UPD number Seq for (Slot, Color).
 type Ack struct {
@@ -103,8 +96,8 @@ type Message struct {
 
 // Node is a participant. Each round the engine hands it the messages
 // delivered this round; the node returns a payload to broadcast to all its
-// neighbors (a zero Kind for silence) and whether it considers its work
-// done. Done nodes keep being stepped (they may still need to answer)
+// neighbors (one with no part for silence) and whether it considers its
+// work done. Done nodes keep being stepped (they may still need to answer)
 // until the whole network quiesces. The inbox is valid only during the
 // call: the round loop refills the same storage in later rounds, so a
 // node that needs a message after Step returns must copy it. The copy may
@@ -285,7 +278,7 @@ func (e *Engine) stepSequential(_ int, down []bool, inboxes [][]Message, outs []
 		if down != nil && down[i] {
 			continue
 		}
-		if out, _ := nd.Step(inboxes[i]); out.Kind != KindNone {
+		if out, _ := nd.Step(inboxes[i]); !out.Silent() {
 			outs[i] = out
 		}
 	}
@@ -435,7 +428,7 @@ func (r *Rounds) Run(neighbors [][]int, opt Options, step StepFunc) (Stats, erro
 		}
 		for from := range outs {
 			payload := &outs[from]
-			if payload.Kind == KindNone {
+			if payload.Silent() {
 				continue
 			}
 			sent = true

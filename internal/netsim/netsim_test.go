@@ -37,7 +37,7 @@ func (m *maxNode) Step(inbox []Message) (Payload, bool) {
 
 // intPayload carries v in a bid's Slot, for the test nodes that gossip
 // integers.
-func intPayload(v int) Payload { return Payload{Kind: KindBid, Slot: uint32(v)} }
+func intPayload(v int) Payload { return Payload{HasBid: true, Slot: uint32(v)} }
 
 func line(n int) [][]int {
 	nb := make([][]int, n)
@@ -459,7 +459,7 @@ func (m *meshTalker) Step([]Message) (Payload, bool) {
 	if m.stepped > m.rounds {
 		return Payload{}, true
 	}
-	return Payload{Kind: KindBid, Slot: 7, Color: 9, Delta: 0.5}, false
+	return Payload{HasBid: true, Slot: 7, Color: 9, Delta: 0.5}, false
 }
 
 // A warm engine runs a session without allocating, however many rounds it

@@ -105,7 +105,7 @@ func referenceRunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, e
 			pending = kept
 		}
 		for from, payload := range outs {
-			if payload.Kind == KindNone {
+			if payload.Silent() {
 				continue
 			}
 			sent = true

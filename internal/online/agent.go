@@ -133,10 +133,11 @@ type taskEnergy struct {
 
 // newAgent builds an agent with the given locked-prefix baseline energies
 // (shared across samples: the locked past does not depend on colors).
-// neighbors is the agent's row of the session topology, used by the
-// reliability layer's ack ledger; [lo, hi) is the window of slots it
-// negotiates.
-func newAgent(id int, p *core.Problem, opt Options, knownIDs []int, baseline []float64, neighbors []int, lo, hi int) *agent {
+// candidates lists, ascending, the known tasks its Γ_i is extracted from;
+// the agent does not keep it. neighbors is the agent's row of the session
+// topology, used by the reliability layer's ack ledger; [lo, hi) is the
+// window of slots it negotiates.
+func newAgent(id int, p *core.Problem, opt Options, candidates []int, baseline []float64, neighbors []int, lo, hi int) *agent {
 	a := &agent{
 		id:          id,
 		p:           p,
@@ -149,7 +150,7 @@ func newAgent(id int, p *core.Problem, opt Options, knownIDs []int, baseline []f
 		lo:          lo,
 		hi:          hi,
 	}
-	a.policies = dominant.ExtractSubset(p.In, id, knownIDs)
+	a.policies = dominant.ExtractSubset(p.In, id, candidates)
 	a.energy = make([][]float64, a.samples)
 	for s := range a.energy {
 		a.energy[s] = append([]float64(nil), baseline...)
@@ -295,7 +296,7 @@ func (a *agent) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 	case phaseBid:
 		// Fold in UPDs from last round's winners, then rebid.
 		for i := range inbox {
-			if m := &inbox[i]; m.Payload.Kind == netsim.KindUpd && a.ours(m.Payload.Slot, m.Payload.Color) {
+			if m := &inbox[i]; m.Payload.HasUpd && a.ours(m.Payload.Slot, m.Payload.Color) {
 				a.applyOnce(m.From, m.Payload.Covers)
 			}
 		}
@@ -308,7 +309,7 @@ func (a *agent) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 			return netsim.Payload{}, true
 		}
 		a.phase = phaseDecide
-		return netsim.Payload{Kind: netsim.KindBid, Slot: uint32(a.sessionSlot), Color: uint32(a.sessionColor), Delta: a.myBid}, false
+		return netsim.Payload{HasBid: true, Slot: uint32(a.sessionSlot), Color: uint32(a.sessionColor), Delta: a.myBid}, false
 
 	case phaseDecide:
 		a.phase = phaseBid
@@ -318,12 +319,12 @@ func (a *agent) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 		// The paper's rule: commit iff our ΔF beats every competing
 		// neighbor's.
 		for i := range inbox {
-			if m := &inbox[i]; m.Payload.Kind == netsim.KindBid && a.beatenBy(m) {
+			if m := &inbox[i]; m.Payload.HasBid && a.beatenBy(m) {
 				return netsim.Payload{}, false // lost this round; rebid next round
 			}
 		}
 		a.commitOwn()
-		return netsim.Payload{Kind: netsim.KindUpd, Slot: uint32(a.sessionSlot), Color: uint32(a.sessionColor),
+		return netsim.Payload{HasUpd: true, Slot: uint32(a.sessionSlot), Color: uint32(a.sessionColor),
 			Seq: a.updSeq, Covers: a.policies[a.myPol].Covers}, true
 	}
 	return netsim.Payload{}, true
@@ -333,16 +334,13 @@ func (a *agent) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 // decisions, but commits are acknowledged and re-broadcast until every
 // neighbor confirmed receipt (or the retry budget ran out).
 func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
-	out := netsim.Payload{Kind: netsim.KindRel}
+	var out netsim.Payload
 	sent := len(a.acks)
 	// Process UPDs and acks every round, whatever the phase: delayed or
 	// retransmitted UPDs may arrive in a decide round and must still be
 	// applied and (re-)acked.
 	for i := range inbox {
 		from, pkt := inbox[i].From, &inbox[i].Payload
-		if pkt.Kind != netsim.KindRel {
-			continue
-		}
 		if pkt.HasUpd && a.ours(pkt.Slot, pkt.Color) {
 			a.applyOnce(from, pkt.Covers)
 			// Ack every receipt: the previous ack may itself have been
@@ -382,7 +380,7 @@ func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 			// stall every session for MaxDelay rounds.
 			won := true
 			for i := range inbox {
-				if m := &inbox[i]; m.Payload.Kind == netsim.KindRel && m.Payload.HasBid && a.beatenBy(m) {
+				if m := &inbox[i]; m.Payload.HasBid && a.beatenBy(m) {
 					won = false
 					break
 				}
@@ -418,8 +416,8 @@ func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 		out.Acks = a.acks[sent:n:n]
 	}
 	done := (a.fixed && a.nUnacked == 0) || a.passed
-	if !out.HasBid && !out.HasUpd && len(out.Acks) == 0 {
-		return netsim.Payload{}, done
+	if out.Silent() {
+		return out, done
 	}
 	out.Slot, out.Color = uint32(a.sessionSlot), uint32(a.sessionColor)
 	if out.HasUpd {

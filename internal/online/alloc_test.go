@@ -19,7 +19,9 @@ var raceEnabled bool
 // mid-scale instance of the benchmark's online-tcp workload (12 chargers,
 // 40 tasks) over loopback TCP. Each sits 5% above its measured count:
 // 30 399, 40 786 and 6 065 once one driver served every negotiation of a
-// run and a socket round stopped spawning a goroutine per node. A driver
+// run and a socket round stopped spawning a goroutine per node (30 447,
+// 40 834 and 6 076 since each negotiation holds one buffer for the
+// known tasks of each charger's row). A driver
 // per negotiation took 37 428, 48 307 and 72 719 (the round loop regrew
 // its inboxes, and each TCP engine dialed its sockets, every time); boxing each message in an interface took 210 813
 // and 1 110 088; a fresh acks slice in every round that owed acks took

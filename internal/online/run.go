@@ -244,8 +244,12 @@ func negotiate(p *core.Problem, opt Options, driver *netsim.Driver, known []int,
 	neighbors := knownNeighbors(p, known)
 	agents := make([]*agent, n)
 	nodes := make([]netsim.Node, n)
+	// Γ_i is extracted from charger i's own known tasks, not from all of
+	// them; one buffer holds each charger's list in turn.
+	candidates := make([]int, 0, len(known))
 	for i := 0; i < n; i++ {
-		agents[i] = newAgent(i, p, opt, known, baseline, neighbors[i], lockUntil, maxEnd)
+		candidates = knownRow(candidates[:0], known, p.ChargerRow(i))
+		agents[i] = newAgent(i, p, opt, candidates, baseline, neighbors[i], lockUntil, maxEnd)
 		nodes[i] = agents[i]
 	}
 
@@ -385,6 +389,25 @@ func perceivedEnergies(p *core.Problem, orient [][]float64, known []int, upTo in
 		}
 	}
 	return e
+}
+
+// knownRow appends to dst the known tasks in a charger's sparse row — the
+// known tasks it can charge, ascending — by a two-pointer merge of the two
+// ascending lists.
+func knownRow(dst, known []int, row []core.CoverEntry) []int {
+	r := 0
+	for _, j := range known {
+		for r < len(row) && int(row[r].Task) < j {
+			r++
+		}
+		if r == len(row) {
+			break
+		}
+		if int(row[r].Task) == j {
+			dst = append(dst, j)
+		}
+	}
+	return dst
 }
 
 // knownNeighbors builds the neighbor relation over known tasks only: two

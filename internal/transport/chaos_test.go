@@ -125,7 +125,7 @@ func (c *chatter) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 	if c.stepped > c.rounds {
 		return netsim.Payload{}, true
 	}
-	return netsim.Payload{Kind: netsim.KindBid, Slot: uint32(c.stepped), Color: uint32(c.id), Delta: 0.5}, false
+	return netsim.Payload{HasBid: true, Slot: uint32(c.stepped), Color: uint32(c.id), Delta: 0.5}, false
 }
 
 // benchmarkRounds measures per-round latency of a driver: an 8-node full

@@ -70,11 +70,12 @@ func TestRunUninstallsNodes(t *testing.T) {
 	}
 }
 
-// badPayloadNode returns a payload the codec has no encoding for.
+// badPayloadNode returns a payload the codec has no encoding for: an UPD
+// covering a negative task index, which no u32 field can carry.
 type badPayloadNode struct{}
 
 func (badPayloadNode) Step([]netsim.Message) (netsim.Payload, bool) {
-	return netsim.Payload{Kind: 0x7f}, false
+	return netsim.Payload{HasUpd: true, Covers: []int{-1}}, false
 }
 
 // A Step result the node's serve loop cannot encode ends that loop; its
@@ -121,7 +122,7 @@ func (n *logNode) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 	if n.stepped > n.talk {
 		return netsim.Payload{}, true
 	}
-	return netsim.Payload{Kind: netsim.KindBid, Slot: uint32(n.stepped), Color: uint32(n.id), Delta: float64(len(inbox))}, false
+	return netsim.Payload{HasBid: true, Slot: uint32(n.stepped), Color: uint32(n.id), Delta: float64(len(inbox))}, false
 }
 
 func logNodes(n, talk int) ([]*logNode, []netsim.Node) {

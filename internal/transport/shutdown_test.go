@@ -63,7 +63,7 @@ func (c *chatterNode) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 	if c.stepped > c.rounds {
 		return netsim.Payload{}, true
 	}
-	return netsim.Payload{Kind: netsim.KindBid, Slot: uint32(c.stepped), Color: uint32(c.id), Delta: float64(c.stepped)}, false
+	return netsim.Payload{HasBid: true, Slot: uint32(c.stepped), Color: uint32(c.id), Delta: float64(c.stepped)}, false
 }
 
 func chatterNodes(n, rounds int) []netsim.Node {
@@ -135,7 +135,7 @@ func (n *sabotageNode) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 	if n.stepped == n.at {
 		n.e.servers[n.idx].conn.Close()
 	}
-	return netsim.Payload{Kind: netsim.KindBid, Slot: uint32(n.stepped), Color: uint32(n.idx), Delta: 1}, false
+	return netsim.Payload{HasBid: true, Slot: uint32(n.stepped), Color: uint32(n.idx), Delta: 1}, false
 }
 
 func TestNodeCrashMidRoundAbortsSession(t *testing.T) {

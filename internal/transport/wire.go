@@ -15,19 +15,19 @@
 //	out:      flags u8 (bit0 has-payload, bit1 done) | [payload]
 //	shutdown: empty
 //
-// and a payload is its netsim.Kind byte followed by the fields the kind
-// carries — ints as u32 BE, floats as IEEE-754 bits u64 BE, slices as a
-// u32 count plus elements:
+// and a payload is a flags byte naming the parts it carries (bit0 bid,
+// bit1 upd, bit2 acks; at least one, no other bit) followed by each part
+// present, in that order — ints as u32 BE, floats as IEEE-754 bits u64
+// BE, slices as a u32 count plus elements:
 //
-//	bid: slot | color | delta
-//	upd: slot | color | seq | covers
-//	ack: slot | color | to | seq
-//	rel: flags u8 (bit0 bid, bit1 upd) | [bid] | [upd] | acks (count × ack)
+//	bid:  slot | color | delta
+//	upd:  slot | color | seq | covers
+//	acks: count (≥ 1) × (slot | color | to | seq)
 //
-// A rel carrying both a bid and an upd must give both one (slot, color),
-// since the payload keeps one. Every decode error is typed (ErrTruncated,
-// ErrBadMagic, ...) and the decoder never over-reads or allocates more
-// than the received byte count can justify.
+// A payload carrying both a bid and an upd must give both one (slot,
+// color), since the payload keeps one. Every decode error is typed
+// (ErrTruncated, ErrBadMagic, ...) and the decoder never over-reads or
+// allocates more than the received byte count can justify.
 package transport
 
 import (
@@ -42,7 +42,7 @@ import (
 
 // Version is the wire protocol version byte. A peer speaking a different
 // version is rejected with ErrVersionSkew rather than misparsed.
-const Version = 1
+const Version = 2
 
 // MaxFrameSize bounds the declared frame length (header + body). It caps
 // what a single length prefix can make the reader allocate; real sessions
@@ -69,10 +69,11 @@ const (
 	outDone       byte = 1 << 1
 )
 
-// Rel payload flags.
+// Payload flags: the parts a payload carries.
 const (
-	relHasBid byte = 1 << 0
-	relHasUpd byte = 1 << 1
+	partBid  byte = 1 << 0
+	partUpd  byte = 1 << 1
+	partAcks byte = 1 << 2
 )
 
 // Typed decode errors. Fuzzing asserts every rejection is one of these
@@ -84,7 +85,6 @@ var (
 	ErrBadFrameType       = errors.New("transport: unknown frame type")
 	ErrTruncated          = errors.New("transport: truncated frame body")
 	ErrTrailingBytes      = errors.New("transport: trailing bytes after frame body")
-	ErrBadPayloadKind     = errors.New("transport: unknown payload kind")
 	ErrMalformed          = errors.New("transport: malformed frame body")
 	ErrUnsupportedPayload = errors.New("transport: payload type has no wire encoding")
 )
@@ -256,38 +256,35 @@ func appendAck(w *writer, a netsim.Ack) {
 	w.u32(a.Seq)
 }
 
-// appendPayload encodes one payload; a Kind with no wire form (silence
-// included) is ErrUnsupportedPayload.
+// appendPayload encodes one payload; silence has no wire form and is
+// ErrUnsupportedPayload.
 func appendPayload(w *writer, p *netsim.Payload) {
-	w.u8(byte(p.Kind))
-	switch p.Kind {
-	case netsim.KindBid:
+	var flags byte
+	if p.HasBid {
+		flags |= partBid
+	}
+	if p.HasUpd {
+		flags |= partUpd
+	}
+	if len(p.Acks) > 0 {
+		flags |= partAcks
+	}
+	if flags == 0 {
+		w.fail(fmt.Errorf("%w: silent payload", ErrUnsupportedPayload))
+		return
+	}
+	w.u8(flags)
+	if p.HasBid {
 		appendBid(w, p)
-	case netsim.KindUpd:
+	}
+	if p.HasUpd {
 		appendUpd(w, p)
-	case netsim.KindAck:
-		appendAck(w, netsim.Ack{Slot: p.Slot, Color: p.Color, To: p.To, Seq: p.Seq})
-	case netsim.KindRel:
-		var flags byte
-		if p.HasBid {
-			flags |= relHasBid
-		}
-		if p.HasUpd {
-			flags |= relHasUpd
-		}
-		w.u8(flags)
-		if p.HasBid {
-			appendBid(w, p)
-		}
-		if p.HasUpd {
-			appendUpd(w, p)
-		}
+	}
+	if len(p.Acks) > 0 {
 		w.u32i(len(p.Acks))
 		for _, a := range p.Acks {
 			appendAck(w, a)
 		}
-	default:
-		w.fail(fmt.Errorf("%w: kind %d", ErrUnsupportedPayload, p.Kind))
 	}
 }
 
@@ -314,42 +311,38 @@ func decodeAck(c *cursor) netsim.Ack {
 }
 
 // decodePayload decodes one payload at the cursor. Only an UPD's covers
-// and a rel's acks allocate.
+// and the acks allocate.
 func decodePayload(c *cursor) (p netsim.Payload) {
-	p.Kind = netsim.Kind(c.u8())
-	switch p.Kind {
-	case netsim.KindBid:
+	flags := c.u8()
+	if c.err != nil {
+		return p
+	}
+	if flags == 0 || flags&^(partBid|partUpd|partAcks) != 0 {
+		c.fail(fmt.Errorf("%w: payload flags %#x", ErrMalformed, flags))
+		return p
+	}
+	p.HasBid, p.HasUpd = flags&partBid != 0, flags&partUpd != 0
+	if p.HasBid {
 		decodeBid(c, &p)
-	case netsim.KindUpd:
+	}
+	if p.HasUpd {
+		slot, color := p.Slot, p.Color
 		decodeUpd(c, &p)
-	case netsim.KindAck:
-		a := decodeAck(c)
-		p.Slot, p.Color, p.To, p.Seq = a.Slot, a.Color, a.To, a.Seq
-	case netsim.KindRel:
-		flags := c.u8()
-		if flags&^(relHasBid|relHasUpd) != 0 {
-			c.fail(fmt.Errorf("%w: unknown rel flags %#x", ErrMalformed, flags))
-			return p
+		if p.HasBid && (p.Slot != slot || p.Color != color) {
+			c.fail(fmt.Errorf("%w: bid and upd disagree on (slot, color)", ErrMalformed))
 		}
-		p.HasBid, p.HasUpd = flags&relHasBid != 0, flags&relHasUpd != 0
-		if p.HasBid {
-			decodeBid(c, &p)
+	}
+	if flags&partAcks != 0 {
+		n := c.count(16)
+		if c.err == nil && n == 0 {
+			c.fail(fmt.Errorf("%w: acks part with no ack", ErrMalformed))
 		}
-		if p.HasUpd {
-			slot, color := p.Slot, p.Color
-			decodeUpd(c, &p)
-			if p.HasBid && (p.Slot != slot || p.Color != color) {
-				c.fail(fmt.Errorf("%w: rel bid and upd disagree on (slot, color)", ErrMalformed))
-			}
-		}
-		if n := c.count(16); n > 0 {
+		if n > 0 {
 			p.Acks = make([]netsim.Ack, n)
 			for i := range p.Acks {
 				p.Acks[i] = decodeAck(c)
 			}
 		}
-	default:
-		c.fail(fmt.Errorf("%w: %d", ErrBadPayloadKind, p.Kind))
 	}
 	return p
 }
@@ -373,10 +366,10 @@ func decodeStep(body []byte, inbox []netsim.Message) (round int, _ []netsim.Mess
 	inbox = inbox[:0]
 	c := cursor{b: body}
 	round = int(c.u32())
-	// A message is at least 1 kind byte + its smallest fixed body (the
-	// 16-byte ack and bid bodies bound it from below; a from-u32 precedes
-	// each), so 5 bytes/message is a safe floor for the count guard.
-	n := c.count(5)
+	// A message is at least its 4-byte sender, the 1-byte payload flags
+	// and its smallest part (the 16-byte bid or count-only upd), so 21
+	// bytes/message is a safe floor for the count guard.
+	n := c.count(21)
 	for i := 0; i < n; i++ {
 		from := int(c.u32())
 		p := decodePayload(&c)
@@ -398,14 +391,14 @@ func decodeStep(body []byte, inbox []netsim.Message) (round int, _ []netsim.Mess
 func encodeOut(dst []byte, out netsim.Payload, done bool) ([]byte, error) {
 	w := writer{b: dst}
 	var flags byte
-	if out.Kind != netsim.KindNone {
+	if !out.Silent() {
 		flags |= outHasPayload
 	}
 	if done {
 		flags |= outDone
 	}
 	w.u8(flags)
-	if out.Kind != netsim.KindNone {
+	if flags&outHasPayload != 0 {
 		appendPayload(&w, &out)
 	}
 	return w.b, w.err

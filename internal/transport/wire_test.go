@@ -23,23 +23,23 @@ var raceEnabled bool
 var updateCorpus = flag.Bool("update-corpus", false,
 	"regenerate the checked-in fuzz regression corpus under testdata/fuzz/FuzzFrameDecode")
 
-// samplePayloads covers every payload kind, including the edge shapes:
-// NaN and negative-zero floats (bitwise round-trip), empty and non-empty
-// covers/acks, and rel messages with every flag combination.
+// samplePayloads covers every part mix the agents send (a bid, an UPD,
+// a bid or an UPD with acks, acks alone) plus a bid and an UPD together,
+// and the edge shapes: NaN and negative-zero floats (bitwise round-trip)
+// and empty and non-empty covers.
 func samplePayloads() []netsim.Payload {
 	covers := []int{1, 5, 9}
+	acks := []netsim.Ack{{Slot: 1, To: 2, Seq: 3}, {Slot: 1, Color: 1, To: 0, Seq: 8}}
 	return []netsim.Payload{
-		{Kind: netsim.KindBid, Slot: 3, Color: 1, Delta: 0.125},
-		{Kind: netsim.KindBid, Slot: 0, Color: 0, Delta: math.NaN()},
-		{Kind: netsim.KindBid, Slot: 1, Color: 2, Delta: math.Copysign(0, -1)},
-		{Kind: netsim.KindUpd, Slot: 2, Color: 0, Seq: 7, Covers: covers},
-		{Kind: netsim.KindUpd, Slot: 0, Color: 3, Seq: 1},
-		{Kind: netsim.KindAck, Slot: 4, Color: 1, To: 6, Seq: 9},
-		{Kind: netsim.KindRel},
-		{Kind: netsim.KindRel, HasBid: true, Slot: 3, Color: 1, Delta: 0.125},
-		{Kind: netsim.KindRel, HasUpd: true, Slot: 2, Seq: 7, Covers: covers,
-			Acks: []netsim.Ack{{Slot: 1, To: 2, Seq: 3}, {Slot: 1, Color: 1, To: 0, Seq: 8}}},
-		{Kind: netsim.KindRel, HasBid: true, HasUpd: true, Slot: 2, Delta: 0.125, Seq: 7, Covers: covers,
+		{HasBid: true, Slot: 3, Color: 1, Delta: 0.125},
+		{HasBid: true, Slot: 0, Color: 0, Delta: math.NaN()},
+		{HasBid: true, Slot: 1, Color: 2, Delta: math.Copysign(0, -1)},
+		{HasUpd: true, Slot: 2, Color: 0, Seq: 7, Covers: covers},
+		{HasUpd: true, Slot: 0, Color: 3, Seq: 1},
+		{HasBid: true, Slot: 3, Color: 1, Delta: 0.125, Acks: acks[:1]},
+		{HasUpd: true, Slot: 2, Seq: 7, Covers: covers, Acks: acks},
+		{Acks: []netsim.Ack{{Slot: 4, Color: 1, To: 6, Seq: 9}}},
+		{HasBid: true, HasUpd: true, Slot: 2, Delta: 0.125, Seq: 7, Covers: covers,
 			Acks: []netsim.Ack{{To: 4, Seq: 2}}},
 	}
 }
@@ -104,8 +104,8 @@ func TestOutFrameRoundTrip(t *testing.T) {
 			if gotDone != done {
 				t.Errorf("case %d: done = %v, want %v", i, gotDone, done)
 			}
-			silent := p.Kind == netsim.KindNone
-			if silent != (got.Kind == netsim.KindNone) || (!silent && !payloadEqual(got, p)) {
+			silent := p.Silent()
+			if silent != got.Silent() || (!silent && !payloadEqual(got, p)) {
 				t.Errorf("case %d: payload does not round-trip: %#v != %#v", i, got, p)
 			}
 		}
@@ -122,12 +122,12 @@ func TestCodecAllocationFree(t *testing.T) {
 	}
 	var bids, mixed []netsim.Message
 	for i := 0; i < 8; i++ {
-		bids = append(bids, netsim.Message{From: i, Payload: netsim.Payload{Kind: netsim.KindBid, Slot: 3, Color: 1, Delta: float64(i)}})
+		bids = append(bids, netsim.Message{From: i, Payload: netsim.Payload{HasBid: true, Slot: 3, Color: 1, Delta: float64(i)}})
 	}
 	mixed = append(mixed, bids...)
 	for i := 0; i < 3; i++ {
 		mixed = append(mixed, netsim.Message{From: 8 + i, Payload: netsim.Payload{
-			Kind: netsim.KindUpd, Slot: 3, Color: 1, Seq: uint32(i), Covers: []int{4, 8, 15}}})
+			HasUpd: true, Slot: 3, Color: 1, Seq: uint32(i), Covers: []int{4, 8, 15}}})
 	}
 	var body []byte
 	var inbox []netsim.Message
@@ -227,10 +227,11 @@ func TestReadFrameAcrossWriteBoundaries(t *testing.T) {
 }
 
 func TestEncodeRejectsUnsupportedPayloads(t *testing.T) {
-	if _, err := encodeOut(nil, netsim.Payload{Kind: 0x7f}, false); !errors.Is(err, ErrUnsupportedPayload) {
-		t.Errorf("unknown payload kind: err = %v, want ErrUnsupportedPayload", err)
+	silent := []netsim.Message{{From: 1}}
+	if _, err := encodeStep(nil, 2, silent); !errors.Is(err, ErrUnsupportedPayload) {
+		t.Errorf("silent message in an inbox: err = %v, want ErrUnsupportedPayload", err)
 	}
-	if _, err := encodeOut(nil, netsim.Payload{Kind: netsim.KindUpd, Covers: []int{-1}}, false); !errors.Is(err, ErrUnsupportedPayload) {
+	if _, err := encodeOut(nil, netsim.Payload{HasUpd: true, Covers: []int{-1}}, false); !errors.Is(err, ErrUnsupportedPayload) {
 		t.Errorf("negative int field: err = %v, want ErrUnsupportedPayload", err)
 	}
 	if _, err := encodeStep(nil, -3, nil); !errors.Is(err, ErrUnsupportedPayload) {
@@ -238,8 +239,9 @@ func TestEncodeRejectsUnsupportedPayloads(t *testing.T) {
 	}
 }
 
-// A rel payload keeps one (slot, color) for its bid and its upd, so the
-// decoder rejects a rel whose two disagree rather than lose one of them.
+// A payload keeps one (slot, color) for its bid and its upd, so the
+// decoder rejects one whose two disagree rather than lose one of them.
+// Only the reliability layer's payloads (rel) can carry both, with acks.
 func TestRelBidAndUpdShareSession(t *testing.T) {
 	for _, c := range []struct {
 		slot, color uint32
@@ -247,17 +249,62 @@ func TestRelBidAndUpdShareSession(t *testing.T) {
 	}{{3, 1, true}, {4, 1, false}, {3, 0, false}} {
 		w := writer{}
 		w.u8(outHasPayload)
-		w.u8(byte(netsim.KindRel))
-		w.u8(relHasBid | relHasUpd)
+		w.u8(partBid | partUpd | partAcks)
 		appendBid(&w, &netsim.Payload{Slot: 3, Color: 1, Delta: 0.5})
 		appendUpd(&w, &netsim.Payload{Slot: c.slot, Color: c.color, Seq: 2, Covers: []int{6}})
-		w.u32(0) // no acks
+		w.u32(1)
+		appendAck(&w, netsim.Ack{Slot: 3, Color: 1, To: 5, Seq: 4})
 		_, _, err := decodeOut(w.b)
 		if c.ok && err != nil {
 			t.Errorf("upd at (%d, %d): %v", c.slot, c.color, err)
 		}
 		if !c.ok && !errors.Is(err, ErrMalformed) {
 			t.Errorf("upd at (%d, %d) under a bid at (3, 1): err = %v, want ErrMalformed", c.slot, c.color, err)
+		}
+	}
+}
+
+// A payload names its parts in one flags byte: none (silence has no wire
+// form), an unknown bit, or an acks part with no ack is ErrMalformed, so
+// every accepted payload has exactly one encoding.
+func TestPayloadFlagsRejected(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"no part", []byte{outHasPayload, 0}},
+		{"unknown bit 3", []byte{outHasPayload, partBid | 1<<3, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"every bit", []byte{outHasPayload, 0xFF}},
+		{"empty acks", []byte{outHasPayload, partAcks, 0, 0, 0, 0}},
+	} {
+		if _, _, err := decodeOut(c.body); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", c.name, err)
+		}
+	}
+}
+
+// The one layout keeps a bid and an UPD at their version-1 byte counts
+// (a kind byte then, a flags byte now, before the same body) and makes a
+// reliability-layer payload (rel) smaller: version 1 spent a kind byte, a
+// rel-flags byte and an always-present acks count on it.
+func TestPayloadByteCounts(t *testing.T) {
+	acks := []netsim.Ack{{Slot: 3, Color: 1, To: 2, Seq: 1}}
+	// Each row's trailing comment is its version-1 size.
+	for _, c := range []struct {
+		name string
+		p    netsim.Payload
+		want int
+	}{
+		{"bid", netsim.Payload{HasBid: true, Slot: 3, Color: 1, Delta: 0.5}, 17},                               // 17
+		{"upd, 3 covers", netsim.Payload{HasUpd: true, Slot: 3, Color: 1, Seq: 1, Covers: []int{1, 2, 3}}, 29}, // 29
+		{"rel bid", netsim.Payload{HasBid: true, Slot: 3, Color: 1, Delta: 0.5}, 17},                           // 22
+		{"rel bid+acks", netsim.Payload{HasBid: true, Slot: 3, Color: 1, Delta: 0.5, Acks: acks}, 37},          // 38
+		{"rel acks", netsim.Payload{Acks: acks}, 21},                                                           // 22
+	} {
+		w := writer{}
+		appendPayload(&w, &c.p)
+		if w.err != nil || len(w.b) != c.want {
+			t.Errorf("%s: %d bytes (%v), want %d", c.name, len(w.b), w.err, c.want)
 		}
 	}
 }
@@ -294,14 +341,14 @@ func validFrame(t testing.TB, typ byte, body []byte) []byte {
 // every accept path and every reject path of the decoder.
 func corpusFrames(t testing.TB) map[string][]byte {
 	stepBody, err := encodeStep(nil, 5, []netsim.Message{
-		{From: 0, Payload: netsim.Payload{Kind: netsim.KindBid, Slot: 1, Delta: 0.5}},
-		{From: 2, Payload: netsim.Payload{Kind: netsim.KindUpd, Slot: 1, Seq: 3, Covers: []int{7}}},
-		{From: 3, Payload: netsim.Payload{Kind: netsim.KindAck, Slot: 1, To: 2, Seq: 3}},
+		{From: 0, Payload: netsim.Payload{HasBid: true, Slot: 1, Delta: 0.5}},
+		{From: 2, Payload: netsim.Payload{HasUpd: true, Slot: 1, Seq: 3, Covers: []int{7}}},
+		{From: 3, Payload: netsim.Payload{Acks: []netsim.Ack{{Slot: 1, To: 2, Seq: 3}}}},
 	})
 	if err != nil {
 		t.Fatalf("encodeStep: %v", err)
 	}
-	relBody, err := encodeOut(nil, netsim.Payload{Kind: netsim.KindRel, HasBid: true, Slot: 9, Color: 1, Delta: -2.25,
+	relBody, err := encodeOut(nil, netsim.Payload{HasBid: true, Slot: 9, Color: 1, Delta: -2.25,
 		Acks: []netsim.Ack{{To: 1, Seq: 4}}}, true)
 	if err != nil {
 		t.Fatalf("encodeOut: %v", err)
@@ -324,15 +371,16 @@ func corpusFrames(t testing.TB) map[string][]byte {
 		"bad-frame-type":    rawFrame(4, []byte{magic0, magic1, Version, 0x7f}, nil),
 		"cut-mid-body":      validFrame(t, frameStep, stepBody)[:12],
 		"trailing-bytes":    validFrame(t, frameOut, append(append([]byte{}, outBody...), 0xEE)),
-		"bad-payload-kind":  validFrame(t, frameOut, []byte{outHasPayload, 0x9}),
 		"bad-out-flags":     validFrame(t, frameOut, []byte{0xF0}),
-		"bad-rel-flags":     validFrame(t, frameOut, []byte{outHasPayload, byte(netsim.KindRel), 0xFF}),
+		"bad-payload-flags": validFrame(t, frameOut, []byte{outHasPayload, 0xFF}),
+		"empty-payload":     validFrame(t, frameOut, []byte{outHasPayload, 0}),
+		"empty-acks":        validFrame(t, frameOut, []byte{outHasPayload, partAcks, 0, 0, 0, 0}),
 		// Count field promises more elements than the frame carries: the
 		// guard must reject it without allocating the promised amount.
 		"count-overrun": validFrame(t, frameStep, []byte{
 			0, 0, 0, 1, // round
 			0xff, 0xff, 0xff, 0xff, // message count far beyond the body
-			0, 0, 0, 0, byte(netsim.KindBid),
+			0, 0, 0, 0, partBid,
 		}),
 	}
 }
@@ -370,7 +418,7 @@ func TestRegressionCorpus(t *testing.T) {
 func typedDecodeError(err error) bool {
 	for _, want := range []error{
 		ErrFrameTooLarge, ErrBadMagic, ErrVersionSkew, ErrBadFrameType,
-		ErrTruncated, ErrTrailingBytes, ErrBadPayloadKind, ErrMalformed,
+		ErrTruncated, ErrTrailingBytes, ErrMalformed,
 		ErrUnsupportedPayload, io.EOF, io.ErrUnexpectedEOF,
 	} {
 		if errors.Is(err, want) {

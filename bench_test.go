@@ -225,9 +225,10 @@ func BenchmarkOnlineRun(b *testing.B) {
 }
 
 // BenchmarkOnlineRunFleet runs the distributed online algorithm on the
-// clustered 10⁴-task fleet (1 250 chargers, seed 1, C=1), where each
-// agent extracts Γ_i from the known tasks in its own sparse row.
-// EXPERIMENTS.md ("Online at fleet scale") records it.
+// clustered 10⁴-task fleet (1 250 chargers, seed 1, C=1): one agent per
+// charger for the whole run, holding only its own sparse row, re-extracts
+// Γ_i only when an arrival batch adds a task to that row. EXPERIMENTS.md
+// ("Online at fleet scale") records it.
 func BenchmarkOnlineRunFleet(b *testing.B) {
 	p, err := core.NewProblem(workload.FleetScale(10_000).Generate(rand.New(rand.NewSource(1))))
 	if err != nil {

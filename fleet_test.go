@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"haste/internal/core"
+	"haste/internal/online"
 	"haste/internal/workload"
 )
 
@@ -77,6 +78,50 @@ func TestFleetScale100k(t *testing.T) {
 	}
 	t.Logf("10⁵ tasks: compile %v (heap %d MiB), schedule %v, %d shards, utility %.2f",
 		compile.Round(time.Millisecond), ms.HeapAlloc>>20, time.Since(start).Round(time.Millisecond), res.Shards, res.RUtility)
+}
+
+// TestOnlineFleetScale runs the distributed online algorithm (one
+// long-lived agent per charger, renegotiating at every arrival batch) on
+// the clustered 10⁵-task fleet: 12 500 chargers, seed 1, C=1. Each agent
+// holds only its own sparse row, so the run must stay far below the
+// gigabytes an m-task energy view per agent would take; CI runs it under
+// GOMEMLIMIT. The per-negotiation counters must reconcile with the
+// network totals, as on the paper-scale field.
+//
+// The heap bound: on a 2-vCPU Xeon (go1.24.0) three runs of this test
+// took 3.7–4.3 s and ended at 87–91 MiB HeapSys. 256 MiB leaves room for
+// GC pacing while tripping on any per-agent copy of the field (one m-task
+// energy view per charger is 12 500 × 10⁵ floats, 10 GB).
+func TestOnlineFleetScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10⁵-task online run takes seconds; skipped under -short")
+	}
+	in := workload.FleetScale(100_000).Generate(rand.New(rand.NewSource(1)))
+	p, err := core.NewProblem(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := online.Run(p, online.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	st := res.Stats
+	if st.TotalMessages() != st.Net.Messages || st.TotalRounds() != st.Net.Rounds {
+		t.Fatalf("per-negotiation totals (%d messages, %d rounds) != network totals (%d, %d)",
+			st.TotalMessages(), st.TotalRounds(), st.Net.Messages, st.Net.Rounds)
+	}
+	if res.Outcome.Utility <= 0 || res.Outcome.Utility > in.TotalWeight() || st.Net.Messages == 0 {
+		t.Fatalf("online 10⁵-task run: utility %v (total weight %v), %d messages", res.Outcome.Utility, in.TotalWeight(), st.Net.Messages)
+	}
+	if ms.HeapSys > 256<<20 {
+		t.Fatalf("HeapSys %d MiB after the online 10⁵-task run — a per-agent field-wide allocation crept back in", ms.HeapSys>>20)
+	}
+	t.Logf("online 10⁵ tasks: %v, %d negotiations, %d rounds, %d messages, utility %.6f, HeapSys %d MiB",
+		elapsed.Round(time.Millisecond), len(st.Negotiations), st.Net.Rounds, st.Net.Messages, res.Outcome.Utility, ms.HeapSys>>20)
 }
 
 // TestFleetScaleMillionEndToEnd is the headline the sparse compile was

@@ -57,8 +57,12 @@ const (
 	phaseDecide
 )
 
-// agent is one charger's negotiation state across a whole renegotiation
-// (all sessions of all future slots and colors).
+// agent is one charger's negotiation process for a whole online run:
+// Run keeps one per charger and resets it for each arrival-triggered
+// renegotiation (all sessions of all future slots and colors). Everything
+// it holds about tasks is indexed by position in its own sparse row
+// p.ChargerRow(id), which is fixed for the run, so an agent costs its row
+// and never the whole field.
 type agent struct {
 	id      int
 	p       *core.Problem
@@ -71,21 +75,34 @@ type agent struct {
 	retryBudget int
 	neighbors   []int // session-topology neighbors, for the ack ledger
 
-	policies []dominant.Policy // Γ_i over the tasks this agent knows
+	row []core.CoverEntry // p.ChargerRow(id); "row task r" is row[r]
 
-	// energy[s][j]: sample s's view of task j's accumulated energy, built
-	// from this agent's own commitments and neighbors' UPD messages plus
-	// the locked-prefix baseline. Only tasks in T_i are ever read.
+	// known[r]: row task r has arrived. candidates lists the known row
+	// tasks' IDs, ascending: the set Γ_i is extracted from.
+	known      []bool
+	candidates []int
+
+	policies []dominant.Policy // Γ_i over candidates
+
+	// polCovers[polOff[pol]:polOff[pol+1]] lists policy pol's covers with
+	// positive per-slot energy, in Covers order; built once per
+	// extraction.
+	polCovers []taskEnergy
+	polOff    []int
+
+	// energy[s][r]: sample s's view of row task r's accumulated energy,
+	// built from this agent's own commitments and neighbors' UPD messages
+	// plus the locked-prefix baseline.
 	energy [][]float64
 
 	// q[(k-lo)*colors+c]: committed policy index into policies for slot k
-	// of the renegotiated window [lo, hi) and color c, -1 if none. Nil
-	// until the agent's first commit.
+	// of the renegotiated window [lo, hi) and color c, -1 if none. Empty
+	// until the negotiation's first commit.
 	q      []int
 	lo, hi int
 
 	// Per-session state.
-	session      uint32 // sessions started so far, the applied stamp
+	session      uint32 // sessions started in the run, the applied stamp
 	sessionSlot  int
 	sessionColor int
 	phase        agentPhase
@@ -94,12 +111,12 @@ type agent struct {
 	myBid        float64
 	myPol        int
 
-	// applied[i] == session: charger i's commit of this session is folded
-	// in. Nil until the first UPD arrives.
+	// applied[nb] == session: the commit of neighbors[nb] in this session
+	// is folded in.
 	applied []uint32
 
 	// Reliability per-session state.
-	unacked     []bool // unacked[i]: neighbor i has not acked my commit yet
+	unacked     []bool // unacked[nb]: neighbors[nb] has not acked my commit yet
 	nUnacked    int    // true entries of unacked; 0 until the session's commit
 	retriesLeft int    // retransmissions left for my commit
 
@@ -115,47 +132,112 @@ type agent struct {
 	updSeq      uint32 // sequence number of my last commit
 	retransmits int64  // UPD re-broadcasts sent
 
-	// sessionCovers[pol] lists (task, per-slot energy) for the tasks of
-	// policy pol that are active in the session slot — precomputed once
-	// per session so the per-round rebids only walk live tasks.
-	sessionCovers [][]taskEnergy
+	// sessionCovers[sessionOff[pol]:sessionOff[pol+1]] are the entries of
+	// policy pol's polCovers active in the session slot, so the per-round
+	// rebids only walk live tasks.
+	sessionCovers []taskEnergy
+	sessionOff    []int
 	// sessionSamples lists the samples whose color for (id, slot) equals
 	// the session color.
 	sessionSamples []int
+	// commit holds, while applyCommit runs, the committed row tasks active
+	// in the session slot.
+	commit []taskEnergy
 }
 
-// taskEnergy pairs a task ID with the energy it harvests from this agent
-// per fully covered slot.
+// taskEnergy pairs a row task (its ID and its row-local index) with the
+// energy it harvests per fully covered slot.
 type taskEnergy struct {
-	task int
-	de   float64
+	task, r int32
+	de      float64
 }
 
-// newAgent builds an agent with the given locked-prefix baseline energies
-// (shared across samples: the locked past does not depend on colors).
-// candidates lists, ascending, the known tasks its Γ_i is extracted from;
-// the agent does not keep it. neighbors is the agent's row of the session
-// topology, used by the reliability layer's ack ledger; [lo, hi) is the
-// window of slots it negotiates.
-func newAgent(id int, p *core.Problem, opt Options, candidates []int, baseline []float64, neighbors []int, lo, hi int) *agent {
-	a := &agent{
-		id:          id,
-		p:           p,
-		colors:      opt.Colors,
-		samples:     opt.Samples,
-		seed:        opt.Seed,
-		reliable:    opt.Reliable,
-		retryBudget: opt.RetryBudget,
-		neighbors:   neighbors,
-		lo:          lo,
-		hi:          hi,
+// reset arms the agent as charger id's for the negotiation of the window
+// [lo, hi); a zero agent becomes one on its first reset, and every later
+// reset names the same charger of the same problem. The agent learns
+// the row tasks isKnown (indexed by task ID) marks and re-extracts Γ_i
+// only when one of them is new to it, reloads its energy view from the
+// locked-prefix baseline energies (shared across samples: the locked past
+// does not depend on colors) and clears its per-negotiation state.
+// neighbors is the agent's row of the session topology, used by the
+// reliability layer's ack ledger.
+func (a *agent) reset(id int, p *core.Problem, opt Options, isKnown []bool, baseline []float64, neighbors []int, lo, hi int) {
+	if a.p == nil {
+		row := p.ChargerRow(id)
+		*a = agent{id: id, p: p, row: row, known: make([]bool, len(row)), candidates: make([]int, 0, len(row))}
 	}
-	a.policies = dominant.ExtractSubset(p.In, id, candidates)
-	a.energy = make([][]float64, a.samples)
-	for s := range a.energy {
-		a.energy[s] = append([]float64(nil), baseline...)
+	a.colors, a.samples, a.seed = opt.Colors, opt.Samples, opt.Seed
+	a.reliable, a.retryBudget = opt.Reliable, opt.RetryBudget
+	a.neighbors = neighbors
+	// applied and unacked are indexed by position in neighbors. A stale
+	// stamp names an earlier session, so applied needs no clearing.
+	a.applied = slices.Grow(a.applied[:0], len(neighbors))[:len(neighbors)]
+	a.unacked = slices.Grow(a.unacked[:0], len(neighbors))[:len(neighbors)]
+	clear(a.unacked)
+	a.nUnacked = 0
+	a.lo, a.hi = lo, hi
+	a.q = a.q[:0]
+	a.updSeq, a.retransmits = 0, 0
+
+	grew := false
+	for r, ent := range a.row {
+		if !a.known[r] && isKnown[ent.Task] {
+			a.known[r] = true
+			grew = true
+		}
 	}
-	return a
+	if grew || a.policies == nil {
+		a.extract()
+	}
+
+	n := len(a.row)
+	if len(a.energy) != a.samples {
+		a.energy = make([][]float64, a.samples)
+		flat := make([]float64, a.samples*n)
+		for s := range a.energy {
+			a.energy[s] = flat[s*n : (s+1)*n : (s+1)*n]
+		}
+	}
+	for _, e := range a.energy {
+		for r, ent := range a.row {
+			e[r] = baseline[ent.Task]
+		}
+	}
+}
+
+// extract rebuilds Γ_i from the known row tasks, and each policy's list
+// of (row task, per-slot energy) covers.
+func (a *agent) extract() {
+	a.candidates = a.candidates[:0]
+	for r, ent := range a.row {
+		if a.known[r] {
+			a.candidates = append(a.candidates, int(ent.Task))
+		}
+	}
+	a.policies = dominant.ExtractSubset(a.p.In, a.id, a.candidates)
+	size := 0
+	for _, pol := range a.policies {
+		size += len(pol.Covers)
+	}
+	a.polCovers = slices.Grow(a.polCovers[:0], size)
+	a.polOff = append(slices.Grow(a.polOff[:0], len(a.policies)+1), 0)
+	for pol := range a.policies {
+		// Every cover is in the row: both lists are ascending, so a
+		// two-pointer merge replaces a binary search per cover.
+		r := 0
+		for _, j := range a.policies[pol].Covers {
+			for r < len(a.row) && int(a.row[r].Task) < j {
+				r++
+			}
+			if r == len(a.row) {
+				break
+			}
+			if ent := a.row[r]; int(ent.Task) == j && ent.De > 0 {
+				a.polCovers = append(a.polCovers, taskEnergy{ent.Task, int32(r), ent.De})
+			}
+		}
+		a.polOff = append(a.polOff, len(a.polCovers))
+	}
 }
 
 // startSession arms the agent for the (slot, color) negotiation.
@@ -173,35 +255,15 @@ func (a *agent) startSession(slot, color int) {
 	a.retriesLeft = 0
 	a.acks = a.acks[:0]
 
-	if cap(a.sessionCovers) < len(a.policies) {
-		a.sessionCovers = make([][]taskEnergy, len(a.policies))
-	}
-	a.sessionCovers = a.sessionCovers[:len(a.policies)]
-	// Every cover is chargeable by this agent and therefore present in its
-	// sparse row; both lists are ascending, so a two-pointer merge replaces
-	// a binary search per cover.
-	row := a.p.ChargerRow(a.id)
+	a.sessionCovers = slices.Grow(a.sessionCovers[:0], len(a.polCovers))
+	a.sessionOff = append(slices.Grow(a.sessionOff[:0], len(a.policies)+1), 0)
 	for pol := range a.policies {
-		a.sessionCovers[pol] = a.sessionCovers[pol][:0]
-		if a.policies[pol].Idle {
-			continue
-		}
-		r := 0
-		for _, j := range a.policies[pol].Covers {
-			for r < len(row) && int(row[r].Task) < j {
-				r++
-			}
-			if r == len(row) {
-				break
-			}
-			if int(row[r].Task) != j {
-				continue
-			}
-			t := &a.p.In.Tasks[j]
-			if de := row[r].De; de > 0 && t.ActiveAt(slot) {
-				a.sessionCovers[pol] = append(a.sessionCovers[pol], taskEnergy{j, de})
+		for _, te := range a.polCovers[a.polOff[pol]:a.polOff[pol+1]] {
+			if a.p.In.Tasks[te.task].ActiveAt(slot) {
+				a.sessionCovers = append(a.sessionCovers, te)
 			}
 		}
+		a.sessionOff = append(a.sessionOff, len(a.sessionCovers))
 	}
 	a.sessionSamples = a.sessionSamples[:0]
 	for s := 0; s < a.samples; s++ {
@@ -231,31 +293,48 @@ func (a *agent) recompute() {
 // color for this agent's (slot) partition matches the session color.
 func (a *agent) policyGain(pol int) float64 {
 	var gain float64
+	covers := a.sessionCovers[a.sessionOff[pol]:a.sessionOff[pol+1]]
 	for _, s := range a.sessionSamples {
 		energy := a.energy[s]
-		for _, te := range a.sessionCovers[pol] {
+		for _, te := range covers {
 			// WeightedDelta inlines the default linear-bounded utility
 			// (bit-identical to the interface expression) when the flat
 			// kernel is active, and falls back to it otherwise.
-			gain += a.p.WeightedDelta(te.task, energy[te.task], te.de)
+			gain += a.p.WeightedDelta(int(te.task), energy[te.r], te.de)
 		}
 	}
 	return gain
 }
 
-// applyCommit folds charger from's session commit, covering covers, into
-// the matching samples of the local energy view.
+// applyCommit folds charger from's session commit, covering covers
+// (ascending, as every policy's are), into the matching samples of the
+// local energy view. Covered tasks outside the agent's row are skipped:
+// no gain of its ever reads them.
 func (a *agent) applyCommit(from int, covers []int) {
 	k := a.sessionSlot
+	a.commit = slices.Grow(a.commit[:0], min(len(covers), len(a.row)))
+	r := 0
+	for _, j := range covers {
+		for r < len(a.row) && int(a.row[r].Task) < j {
+			r++
+		}
+		if r == len(a.row) {
+			break
+		}
+		if int(a.row[r].Task) == j && a.p.In.Tasks[j].ActiveAt(k) {
+			a.commit = append(a.commit, taskEnergy{int32(j), int32(r), a.p.SlotEnergy(from, j)})
+		}
+	}
+	if len(a.commit) == 0 {
+		return
+	}
 	for s := 0; s < a.samples; s++ {
 		if colorAt(a.seed, s, from, k, a.colors) != a.sessionColor {
 			continue
 		}
-		for _, j := range covers {
-			t := &a.p.In.Tasks[j]
-			if t.ActiveAt(k) {
-				a.energy[s][j] += a.p.SlotEnergy(from, j)
-			}
+		energy := a.energy[s]
+		for _, te := range a.commit {
+			energy[te.r] += te.de
 		}
 	}
 }
@@ -264,13 +343,21 @@ func (a *agent) applyCommit(from int, covers []int) {
 // each sender's commit is applied at most once per session, which makes
 // duplicated, retransmitted and delay-reordered deliveries idempotent.
 func (a *agent) applyOnce(from int, covers []int) {
-	if a.applied == nil {
-		a.applied = make([]uint32, len(a.p.In.Chargers))
-	}
-	if a.applied[from] != a.session {
-		a.applied[from] = a.session
+	if nb := a.neighborIndex(from); a.applied[nb] != a.session {
+		a.applied[nb] = a.session
 		a.applyCommit(from, covers)
 	}
+}
+
+// neighborIndex returns sender from's position in the agent's neighbor
+// row. The round loop delivers only along the session topology, which is
+// symmetric, so every sender is there.
+func (a *agent) neighborIndex(from int) int {
+	nb, ok := slices.BinarySearch(a.neighbors, from)
+	if !ok {
+		panic("online: message from a charger outside the session topology")
+	}
+	return nb
 }
 
 // ours reports whether (slot, color) names the running session.
@@ -348,9 +435,11 @@ func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 			a.acks = append(a.acks, netsim.Ack{Slot: pkt.Slot, Color: pkt.Color, To: uint32(from), Seq: pkt.Seq})
 		}
 		for _, ack := range pkt.Acks {
-			if int(ack.To) == a.id && a.ours(ack.Slot, ack.Color) && a.fixed && ack.Seq == a.updSeq && a.unacked[from] {
-				a.unacked[from] = false
-				a.nUnacked--
+			if int(ack.To) == a.id && a.ours(ack.Slot, ack.Color) && a.fixed && ack.Seq == a.updSeq {
+				if nb := a.neighborIndex(from); a.unacked[nb] {
+					a.unacked[nb] = false
+					a.nUnacked--
+				}
 			}
 		}
 	}
@@ -387,13 +476,10 @@ func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 			}
 			if won {
 				a.commitOwn()
-				if a.unacked == nil {
-					a.unacked = make([]bool, len(a.p.In.Chargers))
-				}
-				for _, nb := range a.neighbors {
+				for nb := range a.unacked {
 					a.unacked[nb] = true
 				}
-				a.nUnacked = len(a.neighbors)
+				a.nUnacked = len(a.unacked)
 				a.retriesLeft = a.retryBudget
 				out.HasUpd = true
 			}
@@ -431,8 +517,8 @@ func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 func (a *agent) commitOwn() {
 	a.fixed = true
 	a.updSeq++
-	if a.q == nil {
-		a.q = make([]int, (a.hi-a.lo)*a.colors)
+	if len(a.q) == 0 {
+		a.q = slices.Grow(a.q, (a.hi-a.lo)*a.colors)[:(a.hi-a.lo)*a.colors]
 		for i := range a.q {
 			a.q[i] = -1
 		}
@@ -442,11 +528,11 @@ func (a *agent) commitOwn() {
 }
 
 // finalPlan samples one color per slot (lines 22–24 of Algorithm 3) and
-// returns the agent's orientation commands for its window [lo, hi).
-// Unassigned slots are NaN (keep the previous physical orientation).
-// With one color there is nothing to sample and rng may be nil.
-func (a *agent) finalPlan(rng *rand.Rand) []float64 {
-	plan := make([]float64, a.hi-a.lo)
+// writes the agent's orientation commands for its window [lo, hi) into
+// plan. Unassigned slots are NaN (keep the previous physical
+// orientation). With one color there is nothing to sample and rng may be
+// nil.
+func (a *agent) finalPlan(rng *rand.Rand, plan []float64) {
 	for i := range plan {
 		plan[i] = math.NaN()
 	}
@@ -464,7 +550,6 @@ func (a *agent) finalPlan(rng *rand.Rand) []float64 {
 			plan[i] = a.policies[pol].Orientation
 		}
 	}
-	return plan
 }
 
 // colorAt deterministically assigns sample s's color for partition (i,k).

@@ -18,10 +18,12 @@ var raceEnabled bool
 // in-memory engine, with the reliability layer off and on, and on the
 // mid-scale instance of the benchmark's online-tcp workload (12 chargers,
 // 40 tasks) over loopback TCP. Each sits 5% above its measured count:
-// 30 399, 40 786 and 6 065 once one driver served every negotiation of a
-// run and a socket round stopped spawning a goroutine per node (30 447,
-// 40 834 and 6 076 since each negotiation holds one buffer for the
-// known tasks of each charger's row). A driver
+// 2 689, 2 956 and 4 884 once each charger kept one agent, indexed by its
+// own row, for the whole run. Rebuilding every agent for every
+// negotiation took 30 447, 40 834 and 6 072 (30 399, 40 786 and 6 065
+// before each negotiation held one buffer for the known tasks of each
+// charger's row), once one driver served every negotiation of a run and
+// a socket round stopped spawning a goroutine per node. A driver
 // per negotiation took 37 428, 48 307 and 72 719 (the round loop regrew
 // its inboxes, and each TCP engine dialed its sockets, every time); boxing each message in an interface took 210 813
 // and 1 110 088; a fresh acks slice in every round that owed acks took
@@ -34,9 +36,9 @@ var allocBudgetOnlineRun = []struct {
 	opt    Options
 	budget float64
 }{
-	{"basic", paperHalf(), Options{Seed: 1}, 31_919},
-	{"reliable", paperHalf(), Options{Seed: 1, Reliable: true}, 42_826},
-	{"tcp", midScale(), Options{Seed: 1, Driver: transport.Factory}, 6_369},
+	{"basic", paperHalf(), Options{Seed: 1}, 2_824},
+	{"reliable", paperHalf(), Options{Seed: 1, Reliable: true}, 3_104},
+	{"tcp", midScale(), Options{Seed: 1, Driver: transport.Factory}, 5_129},
 }
 
 // paperHalf is workload.Default with 100 tasks.

@@ -378,13 +378,13 @@ func TestKnownNeighborsLocality(t *testing.T) {
 		},
 	}
 	p := mustProblem(t, in)
-	nb := knownNeighbors(p, []int{0, 1})
+	nb := knownNeighbors(p, knownSet(p, []int{0, 1}))
 	want := [][]int{{1}, {0}, {3}, {2}}
 	if !reflect.DeepEqual(nb, want) {
 		t.Fatalf("neighbors = %v, want %v", nb, want)
 	}
 	// With only task 0 known, the right cluster has no neighbors yet.
-	nb = knownNeighbors(p, []int{0})
+	nb = knownNeighbors(p, knownSet(p, []int{0}))
 	if len(nb[2]) != 0 || len(nb[3]) != 0 {
 		t.Fatalf("right cluster should be isolated: %v", nb)
 	}
@@ -495,6 +495,15 @@ func pairwiseNeighbors(p *core.Problem, known []int) [][]int {
 	return out
 }
 
+// knownSet marks the tasks ids names.
+func knownSet(p *core.Problem, ids []int) []bool {
+	known := make([]bool, len(p.In.Tasks))
+	for _, j := range ids {
+		known[j] = true
+	}
+	return known
+}
+
 // sameRelation compares two neighbor relations row by row, an empty row
 // matching a nil one.
 func sameRelation(a, b [][]int) bool {
@@ -509,7 +518,7 @@ func TestKnownNeighborsMatchesOracles(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		in := workload.Default().Generate(rand.New(rand.NewSource(seed)))
 		p := mustProblem(t, in)
-		all := knownNeighbors(p, allIDs(p))
+		all := knownNeighbors(p, knownSet(p, allIDs(p)))
 		if want := denseNeighbors(in); !sameRelation(all, want) {
 			t.Fatalf("seed %d, every task known: got %v, want %v", seed, all, want)
 		}
@@ -528,7 +537,7 @@ func TestKnownNeighborsMatchesOracles(t *testing.T) {
 			subsets = append(subsets, known)
 		}
 		for _, known := range subsets {
-			if got, want := knownNeighbors(p, known), pairwiseNeighbors(p, known); !sameRelation(got, want) {
+			if got, want := knownNeighbors(p, knownSet(p, known)), pairwiseNeighbors(p, known); !sameRelation(got, want) {
 				t.Fatalf("seed %d, known %v: got %v, want %v", seed, known, got, want)
 			}
 		}

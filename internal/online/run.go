@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"haste/internal/core"
+	"haste/internal/model"
 	"haste/internal/netsim"
 	"haste/internal/sim"
 )
@@ -138,11 +139,10 @@ type Result struct {
 func Run(p *core.Problem, opt Options) (res Result, err error) {
 	opt = opt.normalize()
 	in := p.In
-	n := len(in.Chargers)
 	tau := in.Params.Tau
 	K := p.K
 
-	orient := make([][]float64, n)
+	orient := make([][]float64, len(in.Chargers))
 	for i := range orient {
 		orient[i] = make([]float64, K)
 		for k := range orient[i] {
@@ -150,50 +150,26 @@ func Run(p *core.Problem, opt Options) (res Result, err error) {
 		}
 	}
 
-	// Group arrivals by release slot.
-	arrivals := map[int][]int{}
-	for _, t := range in.Tasks {
-		arrivals[t.Release] = append(arrivals[t.Release], t.ID)
-	}
-	slots := make([]int, 0, len(arrivals))
-	for s := range arrivals {
-		slots = append(slots, s)
-	}
-	sort.Ints(slots)
-
-	var stats Stats
-	var known []int
-	var driver netsim.Driver // built at the first negotiation, Reset for each later one
+	g := newNegotiator(p, opt)
 	defer func() {
-		if driver == nil {
-			return
-		}
-		if cerr := driver.Close(); cerr != nil && err == nil {
+		if cerr := g.close(); cerr != nil && err == nil {
 			res, err = Result{}, fmt.Errorf("online: closing driver: %w", cerr)
 		}
 	}()
+	var stats Stats
+	slots, arrivals := arrivalBatches(in)
 	for _, t := range slots {
-		known = append(known, arrivals[t]...)
-		sort.Ints(known)
-
-		lockUntil := t + tau
-		if lockUntil > K {
-			lockUntil = K
-		}
-		maxEnd := 0
-		for _, j := range known {
-			if in.Tasks[j].End > maxEnd {
-				maxEnd = in.Tasks[j].End
-			}
-		}
-		if maxEnd <= lockUntil {
+		g.learn(arrivals[t])
+		lockUntil := min(t+tau, K)
+		if g.maxEnd <= lockUntil {
 			stats.Negotiations = append(stats.Negotiations, NegotiationStats{
 				Slot: t, NewTasks: len(arrivals[t]),
 			})
 			continue
 		}
 
-		neg, err := negotiate(p, opt, &driver, known, orient, t, lockUntil, maxEnd)
+		// negotiate installs the new plan over the renegotiated horizon.
+		neg, err := g.negotiate(orient, t, lockUntil)
 		if err != nil {
 			return Result{}, fmt.Errorf("online: negotiation at slot %d: %w", t, err)
 		}
@@ -204,11 +180,6 @@ func Run(p *core.Problem, opt Options) (res Result, err error) {
 		stats.NonQuiescentSessions += neg.nonQuiescent
 		stats.UnackedCommits += neg.unackedCommits
 		stats.Retransmits += neg.retransmits
-
-		// Install the new plan over the renegotiated horizon.
-		for i := 0; i < n; i++ {
-			copy(orient[i][lockUntil:maxEnd], neg.plans[i])
-		}
 	}
 
 	return Result{
@@ -218,40 +189,109 @@ func Run(p *core.Problem, opt Options) (res Result, err error) {
 	}, nil
 }
 
+// arrivalBatches groups the tasks by release slot: slots ascending, and
+// the IDs released at each.
+func arrivalBatches(in *model.Instance) ([]int, map[int][]int) {
+	arrivals := map[int][]int{}
+	for _, t := range in.Tasks {
+		arrivals[t.Release] = append(arrivals[t.Release], t.ID)
+	}
+	slots := make([]int, 0, len(arrivals))
+	for s := range arrivals {
+		slots = append(slots, s)
+	}
+	sort.Ints(slots)
+	return slots, arrivals
+}
+
+// negotiator is a run's negotiation state: one agent per charger, the
+// substrate carrying their messages, and what the chargers know. Each
+// arrival-triggered negotiation resets the same agents.
+type negotiator struct {
+	p      *core.Problem
+	opt    Options
+	agents []agent
+	nodes  []netsim.Node // &agents[i], as the driver steps them
+	driver netsim.Driver // built at the first negotiation, Reset for each later one
+	known  []bool        // known[j]: task j has arrived
+	maxEnd int           // latest End over the known tasks
+	energy []float64     // perceivedEnergies' output, per task
+	rng    *rand.Rand    // final color sampling when Colors > 1
+
+	// perceivedEnergies' per-charger scratch.
+	reach   []core.CoverEntry
+	covered []bool
+}
+
+// newNegotiator returns the negotiation state of a run of p under the
+// normalized options opt. Its agents stay zero until the first
+// negotiation resets them.
+func newNegotiator(p *core.Problem, opt Options) *negotiator {
+	n := len(p.In.Chargers)
+	g := &negotiator{
+		p:      p,
+		opt:    opt,
+		agents: make([]agent, n),
+		nodes:  make([]netsim.Node, n),
+		known:  make([]bool, len(p.In.Tasks)),
+		energy: make([]float64, len(p.In.Tasks)),
+	}
+	for i := range g.agents {
+		g.nodes[i] = &g.agents[i]
+	}
+	if opt.Colors > 1 {
+		g.rng = rand.New(rand.NewSource(0))
+	}
+	return g
+}
+
+// learn makes an arrival batch known.
+func (g *negotiator) learn(batch []int) {
+	for _, j := range batch {
+		g.known[j] = true
+		g.maxEnd = max(g.maxEnd, g.p.In.Tasks[j].End)
+	}
+}
+
+// close closes the driver if one was built.
+func (g *negotiator) close() error {
+	if g.driver == nil {
+		return nil
+	}
+	return g.driver.Close()
+}
+
 // negotiation is the outcome of one arrival-triggered renegotiation.
 type negotiation struct {
 	NegotiationStats
 	net            netsim.Stats
-	nonQuiescent   int         // sessions that hit MaxRounds
-	unackedCommits int         // commits whose ack ledger was non-empty at session end
-	retransmits    int64       // reliability-layer UPD re-broadcasts
-	plans          [][]float64 // per charger, orientation commands for [lockUntil, maxEnd)
-	agents         []*agent    // retained for white-box consistency tests
+	nonQuiescent   int   // sessions that hit MaxRounds
+	unackedCommits int   // commits whose ack ledger was non-empty at session end
+	retransmits    int64 // reliability-layer UPD re-broadcasts
+}
+
+// prepare resets every agent for the negotiation of the window
+// [lockUntil, maxEnd) over the known tasks and returns the session
+// topology.
+func (g *negotiator) prepare(orient [][]float64, lockUntil int) [][]int {
+	g.perceivedEnergies(orient, lockUntil)
+	neighbors := knownNeighbors(g.p, g.known)
+	for i := range g.agents {
+		g.agents[i].reset(i, g.p, g.opt, g.known, g.energy, neighbors[i], lockUntil, g.maxEnd)
+	}
+	return neighbors
 }
 
 // negotiate runs the full Algorithm 3 loop (slots outer, colors inner)
-// over the network of agents and returns their sampled plans. The
-// substrate (in-memory engine or a real-socket driver from opt.Driver) is
-// the run's one *driver: negotiate builds it when it is nil and Resets it
-// to this negotiation's topology and options otherwise, and the caller
-// closes it. Only substrate failures are errors — non-quiescence is
-// degradation.
-func negotiate(p *core.Problem, opt Options, driver *netsim.Driver, known []int, orient [][]float64, now, lockUntil, maxEnd int) (negotiation, error) {
-	in := p.In
-	n := len(in.Chargers)
-
-	baseline := perceivedEnergies(p, orient, known, lockUntil)
-	neighbors := knownNeighbors(p, known)
-	agents := make([]*agent, n)
-	nodes := make([]netsim.Node, n)
-	// Γ_i is extracted from charger i's own known tasks, not from all of
-	// them; one buffer holds each charger's list in turn.
-	candidates := make([]int, 0, len(known))
-	for i := 0; i < n; i++ {
-		candidates = knownRow(candidates[:0], known, p.ChargerRow(i))
-		agents[i] = newAgent(i, p, opt, candidates, baseline, neighbors[i], lockUntil, maxEnd)
-		nodes[i] = agents[i]
-	}
+// over the network of agents and writes their sampled plans into
+// orient[i][lockUntil:maxEnd]. The substrate (in-memory engine or a
+// real-socket driver from opt.Driver) is the run's one driver: negotiate
+// builds it at the first negotiation and Resets it to this one's
+// topology and options otherwise. Only substrate failures are errors —
+// non-quiescence is degradation.
+func (g *negotiator) negotiate(orient [][]float64, now, lockUntil int) (negotiation, error) {
+	opt := g.opt
+	neighbors := g.prepare(orient, lockUntil)
 
 	nopt := netsim.Options{
 		DropRate:  opt.DropRate,
@@ -263,7 +303,7 @@ func negotiate(p *core.Problem, opt Options, driver *netsim.Driver, known []int,
 	if opt.failureInjection() {
 		nopt.Rng = rand.New(rand.NewSource(opt.Seed ^ int64(now)<<20))
 	}
-	if *driver == nil {
+	if g.driver == nil {
 		factory := opt.Driver
 		if factory == nil {
 			factory = netsim.MemFactory
@@ -272,16 +312,17 @@ func negotiate(p *core.Problem, opt Options, driver *netsim.Driver, known []int,
 		if err != nil {
 			return negotiation{}, fmt.Errorf("building driver: %w", err)
 		}
-		*driver = d
-	} else if err := (*driver).Reset(neighbors, nopt); err != nil {
+		g.driver = d
+	} else if err := g.driver.Reset(neighbors, nopt); err != nil {
 		return negotiation{}, fmt.Errorf("resetting driver: %w", err)
 	}
 
 	var out negotiation
-	for k := lockUntil; k < maxEnd; k++ {
+	for k := lockUntil; k < g.maxEnd; k++ {
 		for c := 0; c < opt.Colors; c++ {
 			anyBid := false
-			for _, a := range agents {
+			for i := range g.agents {
+				a := &g.agents[i]
 				a.startSession(k, c)
 				if a.myBid > 1e-15 {
 					anyBid = true
@@ -292,7 +333,7 @@ func negotiate(p *core.Problem, opt Options, driver *netsim.Driver, known []int,
 				// the session would be a single silent round.
 				continue
 			}
-			st, err := (*driver).Run(nodes)
+			st, err := g.driver.Run(g.nodes)
 			out.net.Add(st)
 			if err != nil {
 				if !errors.Is(err, netsim.ErrNoQuiescence) {
@@ -318,109 +359,81 @@ func negotiate(p *core.Problem, opt Options, driver *netsim.Driver, known []int,
 			if st.Rounds > 1 {
 				out.Sessions++
 			}
-			for _, a := range agents {
-				if a.nUnacked > 0 {
+			for i := range g.agents {
+				if g.agents[i].nUnacked > 0 {
 					out.unackedCommits++
 				}
 			}
 		}
 	}
 
-	for _, a := range agents {
+	for i := range g.agents {
+		a := &g.agents[i]
 		out.retransmits += a.retransmits
-	}
-	out.agents = agents
-	out.plans = make([][]float64, n)
-	for i, a := range agents {
-		// Each agent's sampling RNG is private and discarded after use,
-		// so skipping it when there is a single color changes no draw.
-		var rng *rand.Rand
-		if opt.Colors > 1 {
-			rng = rand.New(rand.NewSource(opt.Seed ^ int64(now)<<24 ^ int64(i)<<8))
+		// Each agent's sampling RNG is seeded afresh, so skipping it
+		// when there is a single color changes no draw.
+		if g.rng != nil {
+			g.rng.Seed(opt.Seed ^ int64(now)<<24 ^ int64(i)<<8)
 		}
-		out.plans[i] = a.finalPlan(rng)
+		a.finalPlan(g.rng, orient[i][lockUntil:g.maxEnd])
 	}
 	return out, nil
 }
 
-// perceivedEnergies computes, with relaxed (full-slot) accounting, the
-// energy each known task has harvested from the committed orientation
-// timeline during slots [0, upTo) — the baseline every agent starts its
-// local view from. Unknown tasks stay at zero: no agent can plan around
-// energy it does not know was delivered.
-func perceivedEnergies(p *core.Problem, orient [][]float64, known []int, upTo int) []float64 {
-	in := p.In
-	e := make([]float64, len(in.Tasks))
-	if upTo > p.K {
-		upTo = p.K
-	}
-	isKnown := make([]bool, len(in.Tasks))
-	for _, j := range known {
-		isKnown[j] = true
-	}
-	var reach []core.CoverEntry
+// perceivedEnergies computes into g.energy, with relaxed (full-slot)
+// accounting, the energy each known task has harvested from the committed
+// orientation timeline during slots [0, upTo) — the baseline every agent
+// starts its local view from. Unknown tasks stay at zero: no agent can
+// plan around energy it does not know was delivered.
+func (g *negotiator) perceivedEnergies(orient [][]float64, upTo int) {
+	p, in, e := g.p, g.p.In, g.energy
+	clear(e)
+	upTo = min(upTo, p.K)
+	reach, covered := g.reach, g.covered // covered[r]: the current orientation covers reach[r]
 	for i := range in.Chargers {
 		// Only this charger's chargeable known tasks can ever receive
 		// energy from it — read off the sparse charger row instead of
 		// scanning every task.
 		reach = reach[:0]
 		for _, ent := range p.ChargerRow(i) {
-			if ent.De > 0 && isKnown[ent.Task] {
+			if ent.De > 0 && g.known[ent.Task] {
 				reach = append(reach, ent)
 			}
 		}
 		if len(reach) == 0 {
 			continue
 		}
+		covered = slices.Grow(covered[:0], len(reach))[:len(reach)]
 		cur := math.NaN()
 		for k := 0; k < upTo; k++ {
-			if k < len(orient[i]) && !math.IsNaN(orient[i][k]) {
-				cur = orient[i][k]
+			// Coverage changes only with the orientation.
+			if o := orient[i][k]; !math.IsNaN(o) && math.Float64bits(o) != math.Float64bits(cur) {
+				cur = o
+				for r, ent := range reach {
+					covered[r] = in.Params.Covers(in.Chargers[i], cur, in.Tasks[ent.Task])
+				}
 			}
 			if math.IsNaN(cur) {
 				continue
 			}
-			for _, ent := range reach {
-				j := int(ent.Task)
-				if in.Tasks[j].ActiveAt(k) && in.Params.Covers(in.Chargers[i], cur, in.Tasks[j]) {
-					e[j] += ent.De
+			for r, ent := range reach {
+				if covered[r] && in.Tasks[ent.Task].ActiveAt(k) {
+					e[ent.Task] += ent.De
 				}
 			}
 		}
 	}
-	return e
+	g.reach, g.covered = reach, covered
 }
 
-// knownRow appends to dst the known tasks in a charger's sparse row — the
-// known tasks it can charge, ascending — by a two-pointer merge of the two
-// ascending lists.
-func knownRow(dst, known []int, row []core.CoverEntry) []int {
-	r := 0
-	for _, j := range known {
-		for r < len(row) && int(row[r].Task) < j {
-			r++
-		}
-		if r == len(row) {
-			break
-		}
-		if int(row[r].Task) == j {
-			dst = append(dst, j)
-		}
-	}
-	return dst
-}
-
-// knownNeighbors builds the neighbor relation over known tasks only: two
-// chargers are neighbors iff they share a known chargeable task. Each row
-// is the sorted, deduplicated union of the charger lists of its known
-// tasks, minus the charger itself; all rows share one backing array.
-func knownNeighbors(p *core.Problem, known []int) [][]int {
+// knownNeighbors builds the neighbor relation over known tasks only
+// (isKnown[j]: task j is known): two chargers are neighbors iff they
+// share a known chargeable task. Each row is the sorted, deduplicated
+// union of the charger lists of its known tasks, minus the charger
+// itself; all rows share one backing array.
+func knownNeighbors(p *core.Problem, isKnown []bool) [][]int {
 	in := p.In
 	n := len(in.Chargers)
-	isKnown := make([]bool, len(in.Tasks))
-	for _, j := range known {
-		isKnown[j] = true
-	}
 	// Invert the sparse rows once, counting then filling:
 	// byTask[start[j]:start[j+1]] lists the chargers that can deliver
 	// energy to known task j, ascending since chargers are walked in order.

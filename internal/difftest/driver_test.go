@@ -1,9 +1,13 @@
 package difftest
 
 import (
+	"slices"
+	"sync/atomic"
 	"testing"
 
+	"haste/internal/netsim"
 	"haste/internal/online"
+	"haste/internal/transport"
 )
 
 // TestDriverSweep is the headline cross-driver differential suite: every
@@ -25,6 +29,95 @@ func TestDriverSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// countingNode counts the steps of the node it wraps. The TCP engine
+// steps each node on its own goroutine, hence the atomic.
+type countingNode struct {
+	netsim.Node
+	steps *atomic.Int64
+}
+
+func (c countingNode) Step(inbox []netsim.Message) (netsim.Payload, bool) {
+	c.steps.Add(1)
+	return c.Node.Step(inbox)
+}
+
+// countingDriver runs every session with node i behind a countingNode
+// that adds to steps[i].
+type countingDriver struct {
+	netsim.Driver
+	steps   []atomic.Int64
+	wrapped []netsim.Node
+}
+
+func (d *countingDriver) Run(nodes []netsim.Node) (netsim.Stats, error) {
+	d.wrapped = d.wrapped[:0]
+	for i, nd := range nodes {
+		d.wrapped = append(d.wrapped, countingNode{nd, &d.steps[i]})
+	}
+	return d.Driver.Run(d.wrapped)
+}
+
+// stepCounts runs sc over factory and returns each charger's Step count
+// over the whole run, and the run's network Stats.
+func stepCounts(t *testing.T, sc DriverScenario, factory netsim.Factory) ([]int64, netsim.Stats) {
+	t.Helper()
+	p, err := ChaosProblem(sc.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d *countingDriver
+	opt := sc.Opt
+	opt.Seed = sc.Seed
+	opt.Driver = func(neighbors [][]int, nopt netsim.Options) (netsim.Driver, error) {
+		inner, err := factory(neighbors, nopt)
+		if err != nil {
+			return nil, err
+		}
+		d = &countingDriver{Driver: inner, steps: make([]atomic.Int64, len(neighbors))}
+		return d, nil
+	}
+	res, err := online.Run(p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int64, len(p.In.Chargers))
+	if d != nil {
+		for i := range counts {
+			counts[i] = d.steps[i].Load()
+		}
+	}
+	return counts, res.Stats.Net
+}
+
+// The TCP engine steps exactly the nodes the in-memory engine steps: on
+// every DriverSweep scenario, every failure mode included, each charger
+// takes the same number of Steps under both. The sweep must also skip
+// idle done agents somewhere — fewer steps than one per charger per
+// round — or the equality would hold for an engine that skips nothing.
+func TestDriverStepCounts(t *testing.T) {
+	scenarios := DriverSweep()
+	if testing.Short() {
+		scenarios = scenarios[:4]
+	}
+	var skipped int64
+	for _, sc := range scenarios {
+		t.Run(sc.Name, func(t *testing.T) {
+			mem, st := stepCounts(t, sc, netsim.MemFactory)
+			tcp, _ := stepCounts(t, sc, transport.Factory)
+			if !slices.Equal(mem, tcp) {
+				t.Fatalf("per-charger steps differ:\n mem %v\n tcp %v", mem, tcp)
+			}
+			skipped += int64(len(mem)) * int64(st.Rounds)
+			for _, k := range mem {
+				skipped -= k
+			}
+		})
+	}
+	if skipped <= 0 {
+		t.Fatal("every charger was stepped in every round of the sweep: no idle agent was skipped")
 	}
 }
 

@@ -14,6 +14,17 @@
 // supports optional failure injection to exercise the negotiation
 // protocol's tolerance.
 //
+// # Idle nodes
+//
+// Algorithm 3 is message-driven: a charger acts only while it still has
+// a bid to place or when a message reaches it. The round loop keeps that
+// shape. A node that returned done is stepped again in the session only
+// in a round that delivers it at least one message, so a round costs the
+// nodes still negotiating plus those being told something — over TCP, a
+// done node with nothing to read gets no frame at all. The Node contract
+// makes the skipped step a no-op, so skipping changes no round, delivery,
+// RNG draw or Stats counter.
+//
 // # Buffer reuse
 //
 // Every driver owns a Rounds: the per-node inboxes, outboxes, in-flight
@@ -97,8 +108,11 @@ type Message struct {
 // Node is a participant. Each round the engine hands it the messages
 // delivered this round; the node returns a payload to broadcast to all its
 // neighbors (one with no part for silence) and whether it considers its
-// work done. Done nodes keep being stepped (they may still need to answer)
-// until the whole network quiesces. The inbox is valid only during the
+// work done. A node that returned done is stepped again in the session
+// only in a round that delivers it a message (it may still need to
+// answer); until then the round loop skips it. A node must therefore make
+// Step on an empty inbox after it returned done a no-op: silence, done
+// again, and no change of state. The inbox is valid only during the
 // call: the round loop refills the same storage in later rounds, so a
 // node that needs a message after Step returns must copy it. The copy may
 // keep the message's Covers and Acks, which no sender mutates.
@@ -270,35 +284,39 @@ func MemFactory(neighbors [][]int, opt Options) (Driver, error) {
 	return &Engine{Neighbors: neighbors, Opt: opt}, nil
 }
 
-// stepSequential steps the session's nodes one by one on the calling
-// goroutine. outs is pre-cleared, so only a broadcast is stored: most
-// steps are silent, and storing a payload into the heap costs a copy.
-func (e *Engine) stepSequential(_ int, down []bool, inboxes [][]Message, outs []Payload) error {
+// stepSequential steps the session's unskipped nodes one by one on the
+// calling goroutine. outs is pre-cleared, so only a broadcast is stored:
+// most steps are silent, and storing a payload into the heap costs a copy.
+func (e *Engine) stepSequential(_ int, skip []bool, inboxes [][]Message, outs []Payload, done []bool) error {
 	for i, nd := range e.nodes {
-		if down != nil && down[i] {
+		if skip[i] {
 			continue
 		}
-		if out, _ := nd.Step(inboxes[i]); !out.Silent() {
+		out, d := nd.Step(inboxes[i])
+		if !out.Silent() {
 			outs[i] = out
 		}
+		done[i] = d
 	}
 	return nil
 }
 
-// StepFunc executes one round's stepping fan for Rounds.Run: for every up
-// node i (down == nil, or down[i] == false) it must run Step on node i's
-// inbox and store the broadcast payload in outs[i]. outs is pre-cleared to
-// silence, so down nodes need no action. A non-nil error aborts the session —
-// substrates use it for link failures the round loop itself cannot see.
-// The inboxes are valid only until the StepFunc returns: the round loop
-// refills the same storage in the next round.
-type StepFunc func(round int, down []bool, inboxes [][]Message, outs []Payload) error
+// StepFunc executes one round's stepping fan for Rounds.Run: for every
+// node i with skip[i] false it must run Step on node i's inbox and store
+// the broadcast payload in outs[i] and the done flag in done[i]. skip
+// covers the nodes crash injection holds down and the done nodes with an
+// empty inbox; a skipped node needs no action, since outs is pre-cleared
+// to silence and done[i] keeps the node's last report. A non-nil error
+// aborts the session — substrates use it for link failures the round loop
+// itself cannot see. The inboxes are valid only until the StepFunc
+// returns: the round loop refills the same storage in the next round.
+type StepFunc func(round int, skip []bool, inboxes [][]Message, outs []Payload, done []bool) error
 
 // Rounds holds the per-node state of the round loop: inboxes, outboxes,
-// in-flight delayed deliveries and crash bookkeeping. A driver owns one
-// and runs every session through it, across negotiations, so once the
-// buffers have grown to the traffic's high-water mark a round allocates
-// nothing.
+// done flags, in-flight delayed deliveries and crash bookkeeping. A
+// driver owns one and runs every session through it, across
+// negotiations, so once the buffers have grown to the traffic's
+// high-water mark a round allocates nothing.
 // Each Run resets them first: nothing a session left behind — undelivered
 // messages of a session that hit MaxRounds included — reaches the next.
 // The zero value is ready to use; a Rounds must not run two sessions at
@@ -306,9 +324,10 @@ type StepFunc func(round int, down []bool, inboxes [][]Message, outs []Payload) 
 type Rounds struct {
 	inboxes   [][]Message
 	outs      []Payload
+	done      []bool       // done[i]: node i's last Step reported done
+	skip      []bool       // this round's skip mask, handed to the StepFunc
 	pending   []delayedMsg // in-flight delayed deliveries, insertion-ordered
 	downUntil []int        // first round node i is up again (crash injection)
-	down      []bool       // this round's outage mask (crash injection)
 }
 
 // reset sizes the buffers for n nodes and empties them.
@@ -318,22 +337,24 @@ func (r *Rounds) reset(n int) {
 		r.inboxes[i] = r.inboxes[i][:0]
 	}
 	r.outs = slices.Grow(r.outs[:0], n)[:n]
+	r.done = slices.Grow(r.done[:0], n)[:n]
+	clear(r.done)
+	r.skip = slices.Grow(r.skip[:0], n)[:n]
 	r.pending = r.pending[:0]
 	r.downUntil = slices.Grow(r.downUntil[:0], n)[:n]
 	clear(r.downUntil)
-	r.down = slices.Grow(r.down[:0], n)[:n]
-	clear(r.down)
 }
 
 // bySender orders messages by sender, for a stable sort.
 func bySender(a, b Message) int { return cmp.Compare(a.From, b.From) }
 
 // Run is the substrate-independent session loop every Driver shares:
-// crash draws, delivery bookkeeping and all failure-injection RNG draws
-// happen here, single-threaded, in a fixed order — before (crash) and
-// after (drop/dup/delay) the stepping fan. A driver only supplies the fan,
-// so the sequential and socket drivers — and any fan that steps the up
-// nodes in any order or concurrently — consume the RNG identically and
+// crash draws, the skip mask, delivery bookkeeping and all
+// failure-injection RNG draws happen here, single-threaded, in a fixed
+// order — before (crash, skip) and after (drop/dup/delay) the stepping
+// fan. A driver only supplies the fan, so the sequential and socket
+// drivers — and any fan that steps the unskipped nodes in any order or
+// concurrently — consume the RNG identically, step the same nodes and
 // produce bit-identical Stats and inbox orderings by construction. It
 // runs until a round passes with no broadcasts and no in-flight delayed
 // messages (global quiescence), MaxRounds is hit (ErrNoQuiescence), or
@@ -358,19 +379,14 @@ func (r *Rounds) Run(neighbors [][]int, opt Options, step StepFunc) (Stats, erro
 
 	r.reset(n)
 	var stats Stats
-	inboxes, outs := r.inboxes, r.outs
-	var down []bool // nil without crash injection
-	if opt.CrashRate > 0 {
-		down = r.down
-	}
+	inboxes, outs, done, skip := r.inboxes, r.outs, r.done, r.skip
 
 	for round := 0; round < maxRounds; round++ {
 		stats.Rounds++
 
-		// Crash injection: decide this round's outages, then discard the
-		// inbox of every down node. Draws happen in node order in this
-		// single-threaded section, so every driver consumes the RNG
-		// identically.
+		// Crash injection: decide this round's outages. Draws happen in
+		// node order in this single-threaded section, so every driver
+		// consumes the RNG identically.
 		if opt.CrashRate > 0 {
 			for i := 0; i < n; i++ {
 				if r.downUntil[i] > round {
@@ -381,9 +397,12 @@ func (r *Rounds) Run(neighbors [][]int, opt Options, step StepFunc) (Stats, erro
 					r.downUntil[i] = round + downRounds
 				}
 			}
-			for i := 0; i < n; i++ {
-				down[i] = r.downUntil[i] > round
-				if down[i] && len(inboxes[i]) > 0 {
+		}
+		// The skip mask: a down node is not stepped and loses its inbox; a
+		// done node is stepped only to consume a delivery.
+		for i := 0; i < n; i++ {
+			if r.downUntil[i] > round {
+				if len(inboxes[i]) > 0 {
 					// These deliveries were counted as Messages when they
 					// entered the inbox but never reach the node: move
 					// them to CrashLost so the balance stays exact.
@@ -391,11 +410,14 @@ func (r *Rounds) Run(neighbors [][]int, opt Options, step StepFunc) (Stats, erro
 					stats.Messages -= int64(len(inboxes[i]))
 					inboxes[i] = inboxes[i][:0]
 				}
+				skip[i] = true
+				continue
 			}
+			skip[i] = done[i] && len(inboxes[i]) == 0
 		}
 
 		clear(outs)
-		if err := step(round, down, inboxes, outs); err != nil {
+		if err := step(round, skip, inboxes, outs, done); err != nil {
 			return stats, err
 		}
 

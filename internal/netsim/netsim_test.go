@@ -52,22 +52,22 @@ func line(n int) [][]int {
 	return nb
 }
 
-// concurrentStep is a StepFunc that steps every up node on its own
-// goroutine with a barrier — the concurrency a socket substrate imposes,
-// without the sockets. Rounds.Run promises identical results under any
-// such fan; the driver-equivalence tests hold it to that under the race
-// detector.
+// concurrentStep is a StepFunc that steps every unskipped node on its
+// own goroutine with a barrier — the concurrency a socket substrate
+// imposes, without the sockets. Rounds.Run promises identical results
+// under any such fan; the driver-equivalence tests hold it to that under
+// the race detector.
 func concurrentStep(nodes []Node) StepFunc {
-	return func(_ int, down []bool, inboxes [][]Message, outs []Payload) error {
+	return func(_ int, skip []bool, inboxes [][]Message, outs []Payload, done []bool) error {
 		var wg sync.WaitGroup
 		for i := range nodes {
-			if down != nil && down[i] {
+			if skip[i] {
 				continue
 			}
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				outs[i], _ = nodes[i].Step(inboxes[i])
+				outs[i], done[i] = nodes[i].Step(inboxes[i])
 			}(i)
 		}
 		wg.Wait()
@@ -341,6 +341,85 @@ func TestDelayedMessageDueOnQuietRoundIsConsumed(t *testing.T) {
 	}
 	if consumed != int(st.Messages) {
 		t.Errorf("nodes consumed %d of %d counted deliveries", consumed, st.Messages)
+	}
+}
+
+// stepCounter counts the steps of the node it wraps.
+type stepCounter struct {
+	Node
+	steps int
+}
+
+func (c *stepCounter) Step(inbox []Message) (Payload, bool) {
+	c.steps++
+	return c.Node.Step(inbox)
+}
+
+// counted wraps every node in a stepCounter.
+func counted(nodes ...Node) ([]Node, []*stepCounter) {
+	wrapped := make([]Node, len(nodes))
+	counters := make([]*stepCounter, len(nodes))
+	for i, nd := range nodes {
+		counters[i] = &stepCounter{Node: nd}
+		wrapped[i] = counters[i]
+	}
+	return wrapped, counters
+}
+
+// A done node is stepped only in a round that delivers it a message, on
+// either fan.
+//
+// Max-consensus on line(8) with values 3i: node i learns 3(i+r) in round
+// r, so it broadcasts in rounds 0..7−i and reports done in round 8−i.
+// Its left neighbor's last broadcast (round 8−i) reaches it in round
+// 9−i, after which nothing does: node i ≥ 1 steps 10−i times. Node 0
+// hears its last message in round 7 and reports done in round 8: 9
+// steps. The session ends after round 8, so stepping every node in every
+// round would take 9 steps each.
+//
+// Two onceNodes with every delivery delayed: each broadcasts in round 0,
+// reports done in round 1 and is stepped once more, in the round its
+// delayed message arrives — 3 steps each, however late that is.
+func TestDoneNodeSteppedOnlyOnDelivery(t *testing.T) {
+	for _, concurrent := range []bool{false, true} {
+		n := 8
+		nodes := make([]Node, n)
+		for i := range nodes {
+			nodes[i] = &maxNode{val: i * 3}
+		}
+		wrapped, counters := counted(nodes...)
+		st, err := runSession(line(n), Options{}, wrapped, concurrent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Rounds != 9 {
+			t.Fatalf("concurrent=%v: line(8) consensus took %d rounds, want 9", concurrent, st.Rounds)
+		}
+		for i, c := range counters {
+			want := 10 - i
+			if i == 0 {
+				want = 9
+			}
+			if c.steps != want {
+				t.Errorf("concurrent=%v: line(8) node %d stepped %d times, want %d", concurrent, i, c.steps, want)
+			}
+		}
+
+		opt := Options{DelayRate: 1, MaxDelay: 4, Rng: rand.New(rand.NewSource(3))}
+		wrapped, counters = counted(&onceNode{}, &onceNode{})
+		st, err = runSession(line(2), opt, wrapped, concurrent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reconcile(t, st)
+		if st.Rounds < 4 {
+			t.Fatalf("concurrent=%v: delayed pair took %d rounds: no delay outlasted a round, nothing to skip", concurrent, st.Rounds)
+		}
+		for i, c := range counters {
+			if c.steps != 3 {
+				t.Errorf("concurrent=%v: delayed pair node %d stepped %d times in %d rounds, want 3", concurrent, i, c.steps, st.Rounds)
+			}
+		}
 	}
 }
 

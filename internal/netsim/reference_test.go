@@ -9,12 +9,14 @@ import (
 )
 
 // referenceRunRounds is the round loop as it stood before the driver
-// buffers (Rounds) were introduced, kept verbatim as the oracle of
+// buffers (Rounds) were introduced, kept as the oracle of
 // TestRunRoundsMatchesReference and FuzzRunRounds: it rebuilds every
-// inbox from nil each round and stable-sorts every inbox by sender. The
-// one documented difference is the MaxRounds tail: this loop leaves the
-// final round's deliveries counted as Messages, Rounds.Run moves them to
-// Expired.
+// inbox from nil each round and stable-sorts every inbox by sender. Its
+// one later edit is the idle-node rule: it keeps each node's last done
+// report and skips a done node whose inbox is empty, as well as a down
+// one. The one documented difference is the MaxRounds tail: this loop
+// leaves the final round's deliveries counted as Messages, Rounds.Run
+// moves them to Expired.
 func referenceRunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {
 	n := len(neighbors)
 	maxRounds := opt.MaxRounds
@@ -36,6 +38,7 @@ func referenceRunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, e
 	var stats Stats
 	inboxes := make([][]Message, n)
 	outs := make([]Payload, n)
+	done := make([]bool, n)  // done[i]: node i's last Step reported done
 	var pending []delayedMsg // in-flight delayed deliveries, insertion-ordered
 	var downUntil []int      // first round node i is up again (crash injection)
 	var down []bool          // this round's outage mask, nil without crash injection
@@ -74,10 +77,15 @@ func referenceRunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, e
 			}
 		}
 
+		skip := make([]bool, n)
+		for i := range skip {
+			skip[i] = (down != nil && down[i]) || (done[i] && len(inboxes[i]) == 0)
+		}
+
 		for i := range outs {
 			outs[i] = Payload{}
 		}
-		if err := step(round, down, inboxes, outs); err != nil {
+		if err := step(round, skip, inboxes, outs, done); err != nil {
 			return stats, err
 		}
 
@@ -193,12 +201,12 @@ func (n *traceNode) Step(inbox []Message) (Payload, bool) {
 // referenceSequential is the in-memory engine's stepping fan for the
 // reference loop.
 func referenceSequential(nodes []Node) StepFunc {
-	return func(_ int, down []bool, inboxes [][]Message, outs []Payload) error {
+	return func(_ int, skip []bool, inboxes [][]Message, outs []Payload, done []bool) error {
 		for i, nd := range nodes {
-			if down != nil && down[i] {
+			if skip[i] {
 				continue
 			}
-			outs[i], _ = nd.Step(inboxes[i])
+			outs[i], done[i] = nd.Step(inboxes[i])
 		}
 		return nil
 	}

@@ -132,9 +132,15 @@ type agent struct {
 	updSeq      uint32 // sequence number of my last commit
 	retransmits int64  // UPD re-broadcasts sent
 
+	// active[k-lo] counts the known row tasks with energy that are active
+	// in slot k of the window, so startSession tells a slot with nothing
+	// to bid for in O(1).
+	active []int32
+
 	// sessionCovers[sessionOff[pol]:sessionOff[pol+1]] are the entries of
 	// policy pol's polCovers active in the session slot, so the per-round
-	// rebids only walk live tasks.
+	// rebids only walk live tasks. Both are empty in a session whose slot
+	// has no active known row task.
 	sessionCovers []taskEnergy
 	sessionOff    []int
 	// sessionSamples lists the samples whose color for (id, slot) equals
@@ -156,7 +162,8 @@ type taskEnergy struct {
 // [lo, hi); a zero agent becomes one on its first reset, and every later
 // reset names the same charger of the same problem. The agent learns
 // the row tasks isKnown (indexed by task ID) marks and re-extracts Γ_i
-// only when one of them is new to it, reloads its energy view from the
+// only when one of them is new to it, counts the known row tasks active
+// in each slot of the window, reloads its energy view from the
 // locked-prefix baseline energies (shared across samples: the locked past
 // does not depend on colors) and clears its per-negotiation state.
 // neighbors is the agent's row of the session topology, used by the
@@ -188,6 +195,24 @@ func (a *agent) reset(id int, p *core.Problem, opt Options, isKnown []bool, base
 	}
 	if grew || a.policies == nil {
 		a.extract()
+	}
+
+	// A difference array over the window, then its prefix sums.
+	w := max(hi-lo, 0)
+	a.active = slices.Grow(a.active[:0], w+1)[:w+1]
+	clear(a.active)
+	for r, ent := range a.row {
+		if !a.known[r] || ent.De <= 0 {
+			continue
+		}
+		t := &p.In.Tasks[ent.Task]
+		if from, to := max(t.Release, lo), min(t.End, hi); from < to {
+			a.active[from-lo]++
+			a.active[to-lo]--
+		}
+	}
+	for k := 1; k < w; k++ {
+		a.active[k] += a.active[k-1]
 	}
 
 	n := len(a.row)
@@ -254,9 +279,16 @@ func (a *agent) startSession(slot, color int) {
 	}
 	a.retriesLeft = 0
 	a.acks = a.acks[:0]
+	a.myPol, a.myBid = -1, 0
 
-	a.sessionCovers = slices.Grow(a.sessionCovers[:0], len(a.polCovers))
-	a.sessionOff = append(slices.Grow(a.sessionOff[:0], len(a.policies)+1), 0)
+	a.sessionCovers = a.sessionCovers[:0]
+	a.sessionOff = a.sessionOff[:0]
+	a.sessionSamples = a.sessionSamples[:0]
+	if a.active[slot-a.lo] == 0 {
+		return // no policy covers a live task: every gain is 0
+	}
+	a.sessionCovers = slices.Grow(a.sessionCovers, len(a.polCovers))
+	a.sessionOff = append(slices.Grow(a.sessionOff, len(a.policies)+1), 0)
 	for pol := range a.policies {
 		for _, te := range a.polCovers[a.polOff[pol]:a.polOff[pol+1]] {
 			if a.p.In.Tasks[te.task].ActiveAt(slot) {
@@ -265,7 +297,6 @@ func (a *agent) startSession(slot, color int) {
 		}
 		a.sessionOff = append(a.sessionOff, len(a.sessionCovers))
 	}
-	a.sessionSamples = a.sessionSamples[:0]
 	for s := 0; s < a.samples; s++ {
 		if colorAt(a.seed, s, a.id, slot, a.colors) == color {
 			a.sessionSamples = append(a.sessionSamples, s)
@@ -275,9 +306,13 @@ func (a *agent) startSession(slot, color int) {
 }
 
 // recompute refreshes the agent's best policy and marginal bid for the
-// current session from its local energy view.
+// current session from its local energy view. With no live cover every
+// gain is 0, which no policy beats.
 func (a *agent) recompute() {
 	a.myPol, a.myBid = -1, 0
+	if len(a.sessionCovers) == 0 {
+		return
+	}
 	for pol := range a.policies {
 		if a.policies[pol].Idle {
 			continue
@@ -444,45 +479,44 @@ func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 		}
 	}
 
-	switch a.phase {
-	case phaseBid:
+	// A fixed or passed agent has no bid left: its phase stops, so a
+	// done agent's step on an empty inbox changes nothing.
+	switch {
+	case a.fixed || a.passed:
+	case a.phase == phaseBid:
 		a.phase = phaseDecide
-		if !a.fixed && !a.passed {
-			a.recompute()
-			if a.myBid <= 1e-15 {
-				a.passed = true
-			} else {
-				out.HasBid, out.Delta = true, a.myBid
-			}
+		a.recompute()
+		if a.myBid <= 1e-15 {
+			a.passed = true
+		} else {
+			out.HasBid, out.Delta = true, a.myBid
 		}
 
-	case phaseDecide:
+	default: // phaseDecide
 		a.phase = phaseBid
-		if !a.fixed && !a.passed {
-			// Bids are read only in this decide round; a bid postponed by
-			// delay injection past it is intentionally dropped (unlike UPDs
-			// and acks, which are processed every round above). Two agents
-			// may then both conclude they won and commit overlapping tuples
-			// — safe because applyCommit is idempotent and the divergence
-			// only lowers utility, which is the documented degradation model
-			// the chaos sweeps measure. Retransmitting bids would instead
-			// stall every session for MaxDelay rounds.
-			won := true
-			for i := range inbox {
-				if m := &inbox[i]; m.Payload.HasBid && a.beatenBy(m) {
-					won = false
-					break
-				}
+		// Bids are read only in this decide round; a bid postponed by
+		// delay injection past it is intentionally dropped (unlike UPDs
+		// and acks, which are processed every round above). Two agents
+		// may then both conclude they won and commit overlapping tuples
+		// — safe because applyCommit is idempotent and the divergence
+		// only lowers utility, which is the documented degradation model
+		// the chaos sweeps measure. Retransmitting bids would instead
+		// stall every session for MaxDelay rounds.
+		won := true
+		for i := range inbox {
+			if m := &inbox[i]; m.Payload.HasBid && a.beatenBy(m) {
+				won = false
+				break
 			}
-			if won {
-				a.commitOwn()
-				for nb := range a.unacked {
-					a.unacked[nb] = true
-				}
-				a.nUnacked = len(a.unacked)
-				a.retriesLeft = a.retryBudget
-				out.HasUpd = true
+		}
+		if won {
+			a.commitOwn()
+			for nb := range a.unacked {
+				a.unacked[nb] = true
 			}
+			a.nUnacked = len(a.unacked)
+			a.retriesLeft = a.retryBudget
+			out.HasUpd = true
 		}
 	}
 

@@ -18,8 +18,10 @@ var raceEnabled bool
 // in-memory engine, with the reliability layer off and on, and on the
 // mid-scale instance of the benchmark's online-tcp workload (12 chargers,
 // 40 tasks) over loopback TCP. Each sits 5% above its measured count:
-// 2 689, 2 956 and 4 884 once each charger kept one agent, indexed by its
-// own row, for the whole run. Rebuilding every agent for every
+// 2 555, 2 822 and 4 858 once the neighbor relation grew with each
+// arrival batch instead of being rebuilt for every negotiation, which
+// took 2 689, 2 956 and 4 884 once each charger kept one agent, indexed
+// by its own row, for the whole run. Rebuilding every agent for every
 // negotiation took 30 447, 40 834 and 6 072 (30 399, 40 786 and 6 065
 // before each negotiation held one buffer for the known tasks of each
 // charger's row), once one driver served every negotiation of a run and
@@ -36,9 +38,9 @@ var allocBudgetOnlineRun = []struct {
 	opt    Options
 	budget float64
 }{
-	{"basic", paperHalf(), Options{Seed: 1}, 2_824},
-	{"reliable", paperHalf(), Options{Seed: 1, Reliable: true}, 3_104},
-	{"tcp", midScale(), Options{Seed: 1, Driver: transport.Factory}, 5_129},
+	{"basic", paperHalf(), Options{Seed: 1}, 2_683},
+	{"reliable", paperHalf(), Options{Seed: 1, Reliable: true}, 2_963},
+	{"tcp", midScale(), Options{Seed: 1, Driver: transport.Factory}, 5_101},
 }
 
 // paperHalf is workload.Default with 100 tasks.

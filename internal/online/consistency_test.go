@@ -2,14 +2,17 @@ package online
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"haste/internal/core"
 	"haste/internal/geom"
+	"haste/internal/netsim"
 	"haste/internal/workload"
 )
 
@@ -233,4 +236,97 @@ func allIDs(p *core.Problem) []int {
 		ids[j] = j
 	}
 	return ids
+}
+
+// deepCopy copies src into dst, two addressable values of one type, so
+// that they share no slice backing array: slices are copied element by
+// element, recursively, and pointers as they are, so a copied agent
+// still names the same Problem.
+func deepCopy(dst, src reflect.Value) {
+	dst, src = writable(dst), writable(src)
+	switch src.Kind() {
+	case reflect.Struct:
+		for i := 0; i < src.NumField(); i++ {
+			deepCopy(dst.Field(i), src.Field(i))
+		}
+	case reflect.Slice:
+		if src.IsNil() {
+			dst.SetZero()
+			return
+		}
+		dst.Set(reflect.MakeSlice(src.Type(), src.Len(), src.Cap()))
+		for i := 0; i < src.Len(); i++ {
+			deepCopy(dst.Index(i), src.Index(i))
+		}
+	default:
+		dst.Set(src)
+	}
+}
+
+// writable drops the read-only mark reflect puts on a value reached
+// through an unexported field.
+func writable(v reflect.Value) reflect.Value {
+	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+}
+
+// doneProbe steps its agent and, whenever the agent reports done, steps
+// it again on an empty inbox and checks that the second step was a
+// no-op: the contract that lets the round loop skip a done agent with
+// nothing to read.
+type doneProbe struct {
+	t      *testing.T
+	label  string
+	a      *agent
+	checks *int
+}
+
+func (d doneProbe) Step(inbox []netsim.Message) (netsim.Payload, bool) {
+	out, done := d.a.Step(inbox)
+	if done {
+		var snap agent
+		deepCopy(reflect.ValueOf(&snap).Elem(), reflect.ValueOf(d.a).Elem())
+		again, stillDone := d.a.Step(nil)
+		if !again.Silent() || !stillDone {
+			d.t.Errorf("%s: charger %d, done, answers an empty inbox with %+v, done %v", d.label, d.a.id, again, stillDone)
+		}
+		if !reflect.DeepEqual(*d.a, snap) {
+			d.t.Errorf("%s: charger %d, done, changes state on an empty inbox", d.label, d.a.id)
+		}
+		*d.checks++
+	}
+	return out, done
+}
+
+// Once an agent reports done, stepping it on an empty inbox returns
+// silence and done and leaves it reflect.DeepEqual to a snapshot, with
+// and without the reliability layer, on a clean and a lossy network.
+func TestDoneAgentStepIsNoop(t *testing.T) {
+	for _, opt := range []Options{{}, {DropRate: 0.2}, {Reliable: true}, {Reliable: true, DropRate: 0.2}} {
+		opt.Seed = 603
+		label := fmt.Sprintf("reliable=%v drop=%v", opt.Reliable, opt.DropRate)
+		checks := 0
+		p := chaosWorkload(opt.Seed)
+		g := newNegotiator(p, opt.normalize())
+		// The driver steps g.nodes: put a probe in front of each agent.
+		for i := range g.nodes {
+			g.nodes[i] = doneProbe{t, label, &g.agents[i], &checks}
+		}
+		orient := nanOrient(p)
+		slots, arrivals := arrivalBatches(p.In)
+		for _, now := range slots {
+			g.learn(arrivals[now])
+			if lockUntil := min(now+p.In.Params.Tau, p.K); g.maxEnd > lockUntil {
+				if _, err := g.negotiate(orient, now, lockUntil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := g.close(); err != nil {
+			t.Fatal(err)
+		}
+		if checks == 0 {
+			t.Fatalf("%s: no agent ever reported done: the check is vacuous", label)
+		}
+		t.Logf("%s: %d done steps checked", label, checks)
+	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // concurrentDriver is an in-memory netsim.Driver whose stepping fan runs
-// every up agent on its own goroutine through netsim.Rounds — the
+// every unskipped agent on its own goroutine through netsim.Rounds — the
 // concurrency the socket substrate imposes, without the sockets, so the
 // race detector can check that agents share no unsynchronized state.
 type concurrentDriver struct {
@@ -26,16 +26,16 @@ func concurrentFactory(neighbors [][]int, opt netsim.Options) (netsim.Driver, er
 }
 
 func (d *concurrentDriver) Run(nodes []netsim.Node) (netsim.Stats, error) {
-	return new(netsim.Rounds).Run(d.neighbors, d.opt, func(_ int, down []bool, inboxes [][]netsim.Message, outs []netsim.Payload) error {
+	return new(netsim.Rounds).Run(d.neighbors, d.opt, func(_ int, skip []bool, inboxes [][]netsim.Message, outs []netsim.Payload, done []bool) error {
 		var wg sync.WaitGroup
 		for i := range nodes {
-			if down != nil && down[i] {
+			if skip[i] {
 				continue
 			}
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				outs[i], _ = nodes[i].Step(inboxes[i])
+				outs[i], done[i] = nodes[i].Step(inboxes[i])
 			}(i)
 		}
 		wg.Wait()

@@ -495,6 +495,20 @@ func pairwiseNeighbors(p *core.Problem, known []int) [][]int {
 	return out
 }
 
+// knownNeighbors builds the neighbor relation over the tasks isKnown
+// marks from scratch, as one arrival batch.
+func knownNeighbors(p *core.Problem, isKnown []bool) [][]int {
+	var batch []int
+	for j, known := range isKnown {
+		if known {
+			batch = append(batch, j)
+		}
+	}
+	nr := newNeighborRelation(p)
+	nr.add(batch)
+	return nr.rows
+}
+
 // knownSet marks the tasks ids names.
 func knownSet(p *core.Problem, ids []int) []bool {
 	known := make([]bool, len(p.In.Tasks))
@@ -512,12 +526,34 @@ func sameRelation(a, b [][]int) bool {
 
 // knownNeighbors must equal the dense relation when every task is known,
 // and the brute-force pairwise relation on random known subsets, the
-// empty and one-task subsets included.
+// empty and one-task subsets included. The relation a run grows batch by
+// batch must equal knownNeighbors over the tasks known so far after
+// every arrival batch.
 func TestKnownNeighborsMatchesOracles(t *testing.T) {
-	edges := 0
+	edges, grown := 0, 0
 	for seed := int64(1); seed <= 6; seed++ {
 		in := workload.Default().Generate(rand.New(rand.NewSource(seed)))
 		p := mustProblem(t, in)
+		nr := newNeighborRelation(p)
+		var known []int
+		slots, arrivals := arrivalBatches(in)
+		size := 0 // entries of the relation so far
+		for b, now := range slots {
+			nr.add(arrivals[now])
+			known = append(known, arrivals[now]...)
+			want := knownNeighbors(p, knownSet(p, known))
+			if !sameRelation(nr.rows, want) {
+				t.Fatalf("seed %d, after batch %d (slot %d): grown %v, from scratch %v", seed, b, now, nr.rows, want)
+			}
+			was := size
+			size = 0
+			for _, row := range want {
+				size += len(row)
+			}
+			if b > 0 && size > was {
+				grown++
+			}
+		}
 		all := knownNeighbors(p, knownSet(p, allIDs(p)))
 		if want := denseNeighbors(in); !sameRelation(all, want) {
 			t.Fatalf("seed %d, every task known: got %v, want %v", seed, all, want)
@@ -544,5 +580,8 @@ func TestKnownNeighborsMatchesOracles(t *testing.T) {
 	}
 	if edges == 0 {
 		t.Fatal("no instance has a neighbor pair: the comparison is vacuous")
+	}
+	if grown == 0 {
+		t.Fatal("no later arrival batch grew the relation: the incremental path is untested")
 	}
 }

@@ -218,6 +218,8 @@ type negotiator struct {
 	energy []float64     // perceivedEnergies' output, per task
 	rng    *rand.Rand    // final color sampling when Colors > 1
 
+	neighbors *neighborRelation // over the known tasks; the session topology
+
 	// perceivedEnergies' per-charger scratch.
 	reach   []core.CoverEntry
 	covered []bool
@@ -229,12 +231,13 @@ type negotiator struct {
 func newNegotiator(p *core.Problem, opt Options) *negotiator {
 	n := len(p.In.Chargers)
 	g := &negotiator{
-		p:      p,
-		opt:    opt,
-		agents: make([]agent, n),
-		nodes:  make([]netsim.Node, n),
-		known:  make([]bool, len(p.In.Tasks)),
-		energy: make([]float64, len(p.In.Tasks)),
+		p:         p,
+		opt:       opt,
+		agents:    make([]agent, n),
+		nodes:     make([]netsim.Node, n),
+		known:     make([]bool, len(p.In.Tasks)),
+		energy:    make([]float64, len(p.In.Tasks)),
+		neighbors: newNeighborRelation(p),
 	}
 	for i := range g.agents {
 		g.nodes[i] = &g.agents[i]
@@ -245,12 +248,13 @@ func newNegotiator(p *core.Problem, opt Options) *negotiator {
 	return g
 }
 
-// learn makes an arrival batch known.
+// learn makes an arrival batch known, growing the neighbor relation.
 func (g *negotiator) learn(batch []int) {
 	for _, j := range batch {
 		g.known[j] = true
 		g.maxEnd = max(g.maxEnd, g.p.In.Tasks[j].End)
 	}
+	g.neighbors.add(batch)
 }
 
 // close closes the driver if one was built.
@@ -272,10 +276,10 @@ type negotiation struct {
 
 // prepare resets every agent for the negotiation of the window
 // [lockUntil, maxEnd) over the known tasks and returns the session
-// topology.
+// topology, whose rows the next arrival batch may grow.
 func (g *negotiator) prepare(orient [][]float64, lockUntil int) [][]int {
 	g.perceivedEnergies(orient, lockUntil)
-	neighbors := knownNeighbors(g.p, g.known)
+	neighbors := g.neighbors.rows
 	for i := range g.agents {
 		g.agents[i].reset(i, g.p, g.opt, g.known, g.energy, neighbors[i], lockUntil, g.maxEnd)
 	}
@@ -426,65 +430,88 @@ func (g *negotiator) perceivedEnergies(orient [][]float64, upTo int) {
 	g.reach, g.covered = reach, covered
 }
 
-// knownNeighbors builds the neighbor relation over known tasks only
-// (isKnown[j]: task j is known): two chargers are neighbors iff they
-// share a known chargeable task. Each row is the sorted, deduplicated
-// union of the charger lists of its known tasks, minus the charger
-// itself; all rows share one backing array.
-func knownNeighbors(p *core.Problem, isKnown []bool) [][]int {
-	in := p.In
-	n := len(in.Chargers)
-	// Invert the sparse rows once, counting then filling:
+// neighborRelation is a run's charger neighbor relation over the known
+// tasks: two chargers are neighbors iff they share a known task that
+// harvests energy from both. The relation only grows as tasks arrive, so
+// it is built once per run and each arrival batch inserts into the rows
+// its tasks touch.
+type neighborRelation struct {
 	// byTask[start[j]:start[j+1]] lists the chargers that can deliver
-	// energy to known task j, ascending since chargers are walked in order.
-	start := make([]int, len(in.Tasks)+1)
+	// energy to task j, ascending: the sparse rows inverted once.
+	start, byTask []int
+	// rows[i] is charger i's neighbors, sorted, without i itself. Each
+	// row is carved off one array with room for every neighbor it can
+	// ever have, so growing it never allocates.
+	rows [][]int
+}
+
+// newNeighborRelation inverts p's sparse charger rows into per-task
+// charger lists, sizes each charger's row for the relation over every
+// task and returns the relation with no task known.
+func newNeighborRelation(p *core.Problem) *neighborRelation {
+	n, m := len(p.In.Chargers), len(p.In.Tasks)
+	nr := &neighborRelation{start: make([]int, m+1), rows: make([][]int, n)}
 	for i := 0; i < n; i++ {
 		for _, ent := range p.ChargerRow(i) {
-			if ent.De > 0 && isKnown[ent.Task] {
-				start[ent.Task+1]++
+			if ent.De > 0 {
+				nr.start[ent.Task+1]++
 			}
 		}
 	}
-	for j := range in.Tasks {
-		start[j+1] += start[j]
+	for j := 0; j < m; j++ {
+		nr.start[j+1] += nr.start[j]
 	}
-	byTask := make([]int, start[len(in.Tasks)])
-	fill := slices.Clone(start)
+	nr.byTask = make([]int, nr.start[m])
+	fill := slices.Clone(nr.start[:m])
 	for i := 0; i < n; i++ {
 		for _, ent := range p.ChargerRow(i) {
-			if ent.De > 0 && isKnown[ent.Task] {
-				byTask[fill[ent.Task]] = i
+			if ent.De > 0 {
+				nr.byTask[fill[ent.Task]] = i
 				fill[ent.Task]++
 			}
 		}
 	}
-	// Row i gathers d_j entries for each of its known tasks j, d_j being
-	// task j's charger count, so sum_j d_j² entries hold every row before
-	// deduplication and flat never reallocates under the rows carved off it.
-	size := 0
-	for j := range in.Tasks {
-		d := start[j+1] - start[j]
-		size += d * d
-	}
-	flat := make([]int, 0, size)
-	out := make([][]int, n)
+	// degree[i] counts the chargers sharing some task with charger i:
+	// seen[c] == i+1 marks charger c as counted for i.
+	degree, seen := make([]int, n), make([]int, n)
+	total := 0
 	for i := 0; i < n; i++ {
-		lo := len(flat)
 		for _, ent := range p.ChargerRow(i) {
-			if ent.De > 0 && isKnown[ent.Task] {
-				flat = append(flat, byTask[start[ent.Task]:start[ent.Task+1]]...)
+			if ent.De <= 0 {
+				continue
+			}
+			for _, c := range nr.byTask[nr.start[ent.Task]:nr.start[ent.Task+1]] {
+				if c != i && seen[c] != i+1 {
+					seen[c] = i + 1
+					degree[i]++
+				}
 			}
 		}
-		row := flat[lo:]
-		slices.Sort(row)
-		row = slices.Compact(row)
-		if k, self := slices.BinarySearch(row, i); self {
-			row = slices.Delete(row, k, k+1)
-		}
-		flat = flat[:lo+len(row)]
-		if len(row) > 0 {
-			out[i] = row[:len(row):len(row)]
+		total += degree[i]
+	}
+	flat := make([]int, total)
+	for i, d := range degree {
+		nr.rows[i], flat = flat[:0:d], flat[d:]
+	}
+	return nr
+}
+
+// add makes the batch's tasks known: each one's chargers become pairwise
+// neighbors, inserted in order into the rows of those chargers only.
+func (nr *neighborRelation) add(batch []int) {
+	for _, j := range batch {
+		cs := nr.byTask[nr.start[j]:nr.start[j+1]]
+		for _, a := range cs {
+			row := nr.rows[a]
+			for _, b := range cs {
+				if b == a {
+					continue
+				}
+				if k, found := slices.BinarySearch(row, b); !found {
+					row = slices.Insert(row, k, b)
+				}
+			}
+			nr.rows[a] = row
 		}
 	}
-	return out
 }

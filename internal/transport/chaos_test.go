@@ -6,6 +6,7 @@ package transport_test
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -129,9 +130,13 @@ func (c *chatter) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 }
 
 // benchmarkRounds measures per-round latency of a driver: an 8-node full
-// mesh runs one session of b.N chatter rounds, so ns/op ≈ the cost of one
-// barrier-synchronized round (8 stepped nodes, 56 deliveries).
-func benchmarkRounds(b *testing.B, factory netsim.Factory) {
+// mesh runs one session of b.N rounds, so ns/op ≈ the cost of one
+// barrier-synchronized round. With every node active each one chatters
+// every round (8 stepped nodes, 56 deliveries). With one active node the
+// other seven report done in round 0 and every delivery of node 0 is
+// dropped, so no message wakes them: each later round steps node 0
+// alone, the round of a mesh where one charger is still negotiating.
+func benchmarkRounds(b *testing.B, factory netsim.Factory, active int) {
 	const n = 8
 	neighbors := make([][]int, n)
 	for i := range neighbors {
@@ -141,14 +146,28 @@ func benchmarkRounds(b *testing.B, factory netsim.Factory) {
 			}
 		}
 	}
-	driver, err := factory(neighbors, netsim.Options{MaxRounds: b.N + 2})
+	opt := netsim.Options{MaxRounds: b.N + 2}
+	if active < n {
+		opt.Rng = rand.New(rand.NewSource(1))
+		opt.LinkDropRate = func(from, _ int) float64 {
+			if from < active {
+				return 1
+			}
+			return 0
+		}
+	}
+	driver, err := factory(neighbors, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer driver.Close()
 	nodes := make([]netsim.Node, n)
 	for i := range nodes {
-		nodes[i] = &chatter{id: i, rounds: b.N}
+		c := &chatter{id: i}
+		if i < active {
+			c.rounds = b.N
+		}
+		nodes[i] = c
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -157,6 +176,10 @@ func benchmarkRounds(b *testing.B, factory netsim.Factory) {
 	}
 }
 
-func BenchmarkRoundMem(b *testing.B) { benchmarkRounds(b, netsim.MemFactory) }
+func BenchmarkRoundMem(b *testing.B) { benchmarkRounds(b, netsim.MemFactory, 8) }
 
-func BenchmarkRoundTCP(b *testing.B) { benchmarkRounds(b, transport.Factory) }
+func BenchmarkRoundTCP(b *testing.B) { benchmarkRounds(b, transport.Factory, 8) }
+
+func BenchmarkRoundMemOneActive(b *testing.B) { benchmarkRounds(b, netsim.MemFactory, 1) }
+
+func BenchmarkRoundTCPOneActive(b *testing.B) { benchmarkRounds(b, transport.Factory, 1) }

@@ -4,11 +4,15 @@
 // its own listener and serve goroutine — a process-shaped deployment of
 // the paper's distributed Algorithm 3 — while the coordinator runs the
 // shared netsim round loop (netsim.Rounds) and exchanges one framed
-// request/response pair per node per round (the round barrier). The
-// coordinator steps a round from its own goroutine: it writes every up
-// node's request, then reads the responses in node order, while the
-// nodes' serve goroutines step in parallel. A node writes only after it
-// has read its whole request, so neither side can block the other.
+// request/response pair per stepped node per round (the round barrier).
+// The loop skips down nodes and done nodes with nothing to read, so a
+// round's frames go only to the chargers still negotiating and to those
+// a message reaches; each response's done bit feeds the next round's
+// skip mask. The coordinator steps a round from its own goroutine: it
+// writes every stepped node's request, then reads the responses in node
+// order, while the nodes' serve goroutines step in parallel. A node
+// writes only after it has read its whole request, so neither side can
+// block the other.
 //
 // # Determinism and equivalence
 //
@@ -231,26 +235,26 @@ func (e *Engine) Reset(neighbors [][]int, opt netsim.Options) error {
 }
 
 // step is the socket stepping fan, run on the coordinator's goroutine:
-// it writes every up node's step frame in node order, then reads the
-// responses in node order, while the serve goroutines step the nodes in
-// parallel. Each inbox is encoded before step returns, as the StepFunc
-// contract requires. Down nodes are skipped entirely — their serve loop
-// never hears about the round, exactly like a crashed process. A node
-// whose request could not be sent is not read from; the errors are
-// joined in node order.
-func (e *Engine) step(round int, down []bool, inboxes [][]netsim.Message, outs []netsim.Payload) error {
+// it writes every unskipped node's step frame in node order, then reads
+// the responses in node order, while the serve goroutines step the nodes
+// in parallel. Each inbox is encoded before step returns, as the StepFunc
+// contract requires. Skipped nodes get no frame — the serve loop of a
+// down node never hears about the round, exactly like a crashed process,
+// and that of an idle done node has nothing to do. A node whose request
+// could not be sent is not read from; the errors are joined in node order.
+func (e *Engine) step(round int, skip []bool, inboxes [][]netsim.Message, outs []netsim.Payload, done []bool) error {
 	for i := range e.links {
 		e.errs[i] = nil
-		if down != nil && down[i] {
+		if skip[i] {
 			continue
 		}
 		e.errs[i] = e.send(i, round, inboxes[i])
 	}
 	for i := range e.links {
-		if (down != nil && down[i]) || e.errs[i] != nil {
+		if skip[i] || e.errs[i] != nil {
 			continue
 		}
-		outs[i], e.errs[i] = e.receive(i)
+		outs[i], done[i], e.errs[i] = e.receive(i)
 	}
 	return errors.Join(e.errs...)
 }
@@ -275,21 +279,22 @@ func (e *Engine) send(i, round int, inbox []netsim.Message) error {
 	return nil
 }
 
-// receive reads back node i's Step output for this round.
-func (e *Engine) receive(i int) (netsim.Payload, error) {
+// receive reads back node i's Step output for this round: its payload
+// and whether it is done.
+func (e *Engine) receive(i int) (netsim.Payload, bool, error) {
 	l := e.links[i]
 	typ, resp, err := readFrame(l.r, &l.in)
 	if err != nil {
-		return netsim.Payload{}, fmt.Errorf("transport: node %d recv: %w", i, err)
+		return netsim.Payload{}, false, fmt.Errorf("transport: node %d recv: %w", i, err)
 	}
 	if typ != frameOut {
-		return netsim.Payload{}, fmt.Errorf("transport: node %d: unexpected frame type %d in response", i, typ)
+		return netsim.Payload{}, false, fmt.Errorf("transport: node %d: unexpected frame type %d in response", i, typ)
 	}
-	out, _, err := decodeOut(resp)
+	out, done, err := decodeOut(resp)
 	if err != nil {
-		return netsim.Payload{}, fmt.Errorf("transport: node %d: %w", i, err)
+		return netsim.Payload{}, false, fmt.Errorf("transport: node %d: %w", i, err)
 	}
-	return out, nil
+	return out, done, nil
 }
 
 // serve is node i's process: a loop reading step frames, stepping the

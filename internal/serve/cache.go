@@ -33,14 +33,9 @@ import (
 // same instance miss the memo but still hit the problem cache.
 type problemCache struct {
 	mu       sync.Mutex
-	max      int
-	ll       *list.List // front = most recently used, values are *cacheEntry
-	byHash   map[string]*list.Element
+	problems *lru[string, *core.Problem] // canonical hash → compiled problem
+	memo     *lru[string, string]        // byte hash → canonical hash
 	inflight map[string]*compileCall
-
-	memoMax int
-	memoLL  *list.List // values are *memoEntry
-	memoBy  map[string]*list.Element
 
 	// Counters, guarded by mu. Every get() resolves to exactly one of
 	// hits / misses / compileErrors, so for any quiesced workload
@@ -53,31 +48,17 @@ type problemCache struct {
 	memoHits      int64
 }
 
-type cacheEntry struct {
-	hash string
-	p    *core.Problem
-}
-
 type compileCall struct {
 	done chan struct{}
 	p    *core.Problem
 	err  error
 }
 
-type memoEntry struct {
-	byteHash  string
-	canonHash string
-}
-
 func newProblemCache(max, memoMax int) *problemCache {
 	return &problemCache{
-		max:      max,
-		ll:       list.New(),
-		byHash:   make(map[string]*list.Element),
+		problems: newLRU[string, *core.Problem](max),
+		memo:     newLRU[string, string](memoMax),
 		inflight: make(map[string]*compileCall),
-		memoMax:  memoMax,
-		memoLL:   list.New(),
-		memoBy:   make(map[string]*list.Element),
 	}
 }
 
@@ -101,50 +82,23 @@ func (c *problemCache) stats() CacheStats {
 		CompileErrors: c.compileErrors,
 		Evictions:     c.evictions,
 		MemoHits:      c.memoHits,
-		Entries:       c.ll.Len(),
+		Entries:       c.problems.order.Len(),
 	}
-}
-
-// lookup returns the cached problem for canonical hash h if it is resident
-// or currently compiling (joining the in-flight compile), without the
-// ability to compile itself. ok = false means the caller must decode the
-// instance and call get with a compile function; nothing is counted in
-// that case, so the later get() still records exactly one outcome.
-func (c *problemCache) lookup(h string) (*core.Problem, bool, error) {
-	c.mu.Lock()
-	if el, ok := c.byHash[h]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		p := el.Value.(*cacheEntry).p
-		c.mu.Unlock()
-		return p, true, nil
-	}
-	call, ok := c.inflight[h]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false, nil
-	}
-	<-call.done
-	c.mu.Lock()
-	if call.err != nil {
-		c.compileErrors++
-	} else {
-		c.hits++
-	}
-	c.mu.Unlock()
-	return call.p, true, call.err
 }
 
 // get returns the compiled problem for canonical hash h, compiling it at
 // most once across concurrent callers. The leader counts as a miss (it
 // paid NewProblem); joiners count as hits. Failed compilations are not
 // cached — the instance is invalid and fails fast on revalidation.
+//
+// With a nil compile, get only finds a resident or in-flight problem:
+// when there is none it returns hit = false and counts nothing, so the
+// caller's later get with a compile function still records exactly one
+// outcome.
 func (c *problemCache) get(h string, compile func() (*core.Problem, error)) (*core.Problem, bool, error) {
 	c.mu.Lock()
-	if el, ok := c.byHash[h]; ok {
-		c.ll.MoveToFront(el)
+	if p, ok := c.problems.get(h); ok {
 		c.hits++
-		p := el.Value.(*cacheEntry).p
 		c.mu.Unlock()
 		return p, true, nil
 	}
@@ -160,6 +114,10 @@ func (c *problemCache) get(h string, compile func() (*core.Problem, error)) (*co
 		c.mu.Unlock()
 		return call.p, true, call.err
 	}
+	if compile == nil {
+		c.mu.Unlock()
+		return nil, false, nil
+	}
 	call := &compileCall{done: make(chan struct{})}
 	c.inflight[h] = call
 	c.mu.Unlock()
@@ -172,7 +130,7 @@ func (c *problemCache) get(h string, compile func() (*core.Problem, error)) (*co
 		c.compileErrors++
 	} else {
 		c.misses++
-		c.insertLocked(h, call.p)
+		c.evictions += int64(c.problems.add(h, call.p))
 	}
 	c.mu.Unlock()
 	close(call.done)
@@ -182,46 +140,69 @@ func (c *problemCache) get(h string, compile func() (*core.Problem, error)) (*co
 	return call.p, false, nil
 }
 
-// insertLocked adds a freshly compiled problem and evicts the LRU tail
-// beyond the bound. Callers hold mu.
-func (c *problemCache) insertLocked(h string, p *core.Problem) {
-	c.byHash[h] = c.ll.PushFront(&cacheEntry{hash: h, p: p})
-	for c.ll.Len() > c.max {
-		tail := c.ll.Back()
-		ent := tail.Value.(*cacheEntry)
-		c.ll.Remove(tail)
-		delete(c.byHash, ent.hash)
-		c.evictions++
-	}
-}
-
 // memoGet resolves a raw-bytes hash to the canonical hash of the instance
 // those bytes decode to, when this exact body has been seen before.
 func (c *problemCache) memoGet(byteHash string) (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.memoBy[byteHash]
-	if !ok {
-		return "", false
+	canon, ok := c.memo.get(byteHash)
+	if ok {
+		c.memoHits++
 	}
-	c.memoLL.MoveToFront(el)
-	c.memoHits++
-	return el.Value.(*memoEntry).canonHash, true
+	return canon, ok
 }
 
 // memoAdd records the byte-hash → canonical-hash mapping (bounded LRU).
 func (c *problemCache) memoAdd(byteHash, canonHash string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.memoBy[byteHash]; ok {
-		c.memoLL.MoveToFront(el)
-		return
+	c.memo.add(byteHash, canonHash)
+}
+
+// lru is a bounded map that evicts its least recently used key. It is
+// not safe for concurrent use; problemCache guards both of its LRUs with
+// its mutex.
+type lru[K comparable, V any] struct {
+	max   int
+	order *list.List // front = most recently used, values are *lruEntry
+	byKey map[K]*list.Element
+}
+
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
+}
+
+func newLRU[K comparable, V any](max int) *lru[K, V] {
+	return &lru[K, V]{max: max, order: list.New(), byKey: make(map[K]*list.Element)}
+}
+
+// get returns the value under k and marks it most recently used.
+func (l *lru[K, V]) get(k K) (V, bool) {
+	el, ok := l.byKey[k]
+	if !ok {
+		var zero V
+		return zero, false
 	}
-	c.memoBy[byteHash] = c.memoLL.PushFront(&memoEntry{byteHash: byteHash, canonHash: canonHash})
-	for c.memoLL.Len() > c.memoMax {
-		tail := c.memoLL.Back()
-		ent := tail.Value.(*memoEntry)
-		c.memoLL.Remove(tail)
-		delete(c.memoBy, ent.byteHash)
+	l.order.MoveToFront(el)
+	return el.Value.(*lruEntry[K, V]).val, true
+}
+
+// add stores v under k as the most recently used key and returns how
+// many keys it evicted to stay within the bound.
+func (l *lru[K, V]) add(k K, v V) int {
+	if el, ok := l.byKey[k]; ok {
+		el.Value.(*lruEntry[K, V]).val = v
+		l.order.MoveToFront(el)
+		return 0
 	}
+	l.byKey[k] = l.order.PushFront(&lruEntry[K, V]{key: k, val: v})
+	evicted := 0
+	for l.order.Len() > l.max {
+		tail := l.order.Back()
+		l.order.Remove(tail)
+		delete(l.byKey, tail.Value.(*lruEntry[K, V]).key)
+		evicted++
+	}
+	return evicted
 }

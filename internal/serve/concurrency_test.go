@@ -155,8 +155,7 @@ func TestConcurrentRequestsBitIdentical(t *testing.T) {
 	}
 
 	// No pooled state may stay checked out across the whole hammer.
-	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
-		p := el.Value.(*cacheEntry).p
+	for _, p := range cachedProblems(s) {
 		if n := p.StatesInUse(); n != 0 {
 			t.Fatalf("cached problem leaked %d pooled states", n)
 		}

@@ -37,10 +37,12 @@ func fuzzServer() *Server {
 	return fuzzSrv
 }
 
-// FuzzScheduleHandler: arbitrary bytes POSTed to /v1/schedule must never
-// panic the handler and must always yield a well-formed JSON document —
-// a schedule on 200, an {"error", "status"} object otherwise, with the
-// recorded status matching the wire status.
+// FuzzScheduleHandler: arbitrary bytes POSTed to /v1/schedule, and the
+// same bytes POSTed to /v1/session, must never panic the handler and must
+// always yield a well-formed JSON document — a schedule on 200/201, an
+// {"error", "status"} object otherwise, with the recorded status matching
+// the wire status. A session the input creates is deleted again, so the
+// session limit never fills.
 func FuzzScheduleHandler(f *testing.F) {
 	// Valid envelope around a real instance.
 	in := workload.SmallScale().Generate(rand.New(rand.NewSource(1)))
@@ -87,6 +89,18 @@ func FuzzScheduleHandler(f *testing.F) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader([]byte(body)))
 		s.ServeHTTP(rec, req) // must not panic — the fuzzer catches any
 		checkJSONResponse(t, rec, body)
+
+		rec = do(s, http.MethodPost, "/v1/session", []byte(body))
+		checkJSONResponse(t, rec, body)
+		if rec.Code == http.StatusCreated {
+			var created sessionResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil {
+				t.Fatal(err)
+			}
+			if del := do(s, http.MethodDelete, "/v1/session/"+created.SessionID, nil); del.Code != http.StatusOK {
+				t.Fatalf("delete of fuzz-created session: status %d", del.Code)
+			}
+		}
 	})
 }
 

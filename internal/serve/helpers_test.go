@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"haste/internal/core"
 	"haste/internal/instio"
 	"haste/internal/model"
 	"haste/internal/workload"
@@ -79,4 +80,16 @@ func schedulesEqual(a, b [][]int) error {
 		}
 	}
 	return nil
+}
+
+// cachedProblems returns the compiled problems resident in the server's
+// cache, most recently used first.
+func cachedProblems(s *Server) []*core.Problem {
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	var ps []*core.Problem
+	for el := s.cache.problems.order.Front(); el != nil; el = el.Next() {
+		ps = append(ps, el.Value.(*lruEntry[string, *core.Problem]).val)
+	}
+	return ps
 }

@@ -62,8 +62,9 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// Status returns the logged status: what WriteHeader recorded, or 200 if
-// the handler wrote nothing explicit.
+// Status returns the recorded status: what WriteHeader recorded (or
+// statusClientGone, which solveRoute sets for a request whose client went
+// away), or 200 if the handler wrote nothing explicit.
 func (w *statusWriter) Status() int {
 	if w.status == 0 {
 		return http.StatusOK
@@ -72,8 +73,10 @@ func (w *statusWriter) Status() int {
 }
 
 // serveLogged is the ServeHTTP body: assign the trace id, expose it on the
-// response, run the mux through the status-capturing writer, then emit one
-// access-log line.
+// response, run the mux through the status-capturing writer, then record
+// the status — once, for both /metrics and the access log — and emit one
+// access-log line. A server-sent event stream is therefore counted when
+// it ends.
 func (s *Server) serveLogged(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	id := obs.NewID()
@@ -81,11 +84,13 @@ func (s *Server) serveLogged(w http.ResponseWriter, r *http.Request) {
 	sw := &statusWriter{ResponseWriter: w}
 	r = r.WithContext(withTraceID(r.Context(), id))
 	s.mux.ServeHTTP(sw, r)
+	status := sw.Status()
+	s.met.recordStatus(status)
 	s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 		slog.String("trace_id", id),
 		slog.String("method", r.Method),
 		slog.String("path", r.URL.Path),
-		slog.Int("status", sw.Status()),
+		slog.Int("status", status),
 		slog.Float64("elapsed_ms", float64(time.Since(t0))/float64(time.Millisecond)),
 	)
 }

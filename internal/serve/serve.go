@@ -17,6 +17,12 @@
 // friends), which pins a mutable compiled problem server-side and turns
 // task churn into delta patches plus warm-started solves.
 //
+// One request path: POST /v1/schedule, POST /v1/session and PATCH
+// /v1/session/{id} all run the solve, so all three go through solveRoute
+// and the phase helpers of solveCall — decode, acquire_slot,
+// resolve_problem, [delta_patch], solve — and share one status mapping,
+// one Retry-After rule and one latency record.
+//
 // Load discipline: a bounded worker pool (Config.MaxConcurrent slots) with
 // a bounded wait queue (Config.QueueDepth) schedules at most MaxConcurrent
 // requests at once; a request arriving with the queue full is shed
@@ -35,6 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -69,7 +76,8 @@ type Config struct {
 	// and scheduling. Default 30s.
 	RequestTimeout time.Duration
 
-	// RetryAfter is the hint sent with 429/503 responses. Default 1s.
+	// RetryAfter is the hint sent with the 429, 503 and 504 responses of
+	// the solve endpoints. Default 1s.
 	RetryAfter time.Duration
 
 	// MaxBodyBytes caps the request body. Default 8 MiB.
@@ -171,7 +179,7 @@ func New(cfg Config) *Server {
 		sessions: make(map[string]*session),
 	}
 	s.registerSessionRoutes()
-	s.mux.HandleFunc("/v1/schedule", s.handleSchedule)
+	s.mux.HandleFunc("/v1/schedule", s.solveRoute(http.MethodPost, http.StatusOK, s.schedule))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/", s.handleNotFound)
@@ -206,13 +214,7 @@ type scheduleRequest struct {
 	// warm requests skip decoding it; see problemCache).
 	Instance json.RawMessage `json:"instance"`
 
-	Colors  int   `json:"colors,omitempty"`  // core.Options.Colors; default 1
-	Samples int   `json:"samples,omitempty"` // core.Options.Samples; default 8·Colors
-	Seed    int64 `json:"seed,omitempty"`    // RNG seed; 0 selects the default seed 1
-
-	// PreferStay mirrors core.Options.PreferStay; omitted means true
-	// (the paper's default).
-	PreferStay *bool `json:"prefer_stay,omitempty"`
+	solveParams
 
 	KernelStats bool `json:"kernel_stats,omitempty"` // include kernel counters in the response
 
@@ -222,6 +224,54 @@ type scheduleRequest struct {
 	// Tracing never changes the schedule — spans bracket phases, not
 	// inner loops.
 	Trace bool `json:"trace,omitempty"`
+}
+
+// solveParams are the scheduling options of /v1/schedule and of session
+// creation (a session fixes them for its lifetime).
+type solveParams struct {
+	Colors  int   `json:"colors,omitempty"`  // core.Options.Colors; default 1
+	Samples int   `json:"samples,omitempty"` // core.Options.Samples; default 8·Colors
+	Seed    int64 `json:"seed,omitempty"`    // RNG seed; 0 selects the default seed 1
+
+	// PreferStay mirrors core.Options.PreferStay; omitted means true
+	// (the paper's default).
+	PreferStay *bool `json:"prefer_stay,omitempty"`
+}
+
+// check refuses a request without an instance, or whose effective
+// Monte-Carlo sample count exceeds limit. The effective count mirrors
+// core.Options.normalize: 1 at C ≤ 1, the samples field otherwise,
+// defaulting to 8·C.
+func (sp solveParams) check(instance json.RawMessage, limit int) *httpError {
+	if len(instance) == 0 {
+		return fail(http.StatusBadRequest, `missing "instance"`)
+	}
+	eff := 1
+	if c := min(sp.Colors, 255); c > 1 {
+		eff = sp.Samples
+		if eff <= 0 {
+			eff = 8 * c
+		}
+	}
+	if eff > limit {
+		return fail(http.StatusBadRequest, "effective samples %d exceeds the limit %d", eff, limit)
+	}
+	return nil
+}
+
+// options returns the core.Options of one run, with a fresh RNG so that
+// every run under these parameters starts from the same seed.
+func (sp solveParams) options() core.Options {
+	seed := sp.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	return core.Options{
+		Colors:     sp.Colors,
+		Samples:    sp.Samples,
+		PreferStay: sp.PreferStay == nil || *sp.PreferStay,
+		Rng:        rand.New(rand.NewSource(seed)),
+	}
 }
 
 // scheduleResponse is the success body.
@@ -238,9 +288,13 @@ type scheduleResponse struct {
 	// run took the shard-and-stitch path (omitted for monolithic runs).
 	Shards int `json:"shards,omitempty"`
 
-	// TraceID and Trace are set when the request asked for tracing: the id
-	// matching the X-Trace-Id header and access log, and the recorded
-	// phase forest (root span durations sum to at most ElapsedMS).
+	tracePart
+}
+
+// tracePart is set in a success body when the request asked for tracing:
+// the id matching the X-Trace-Id header and access log, and the recorded
+// phase forest (root span durations sum to at most elapsed_ms).
+type tracePart struct {
 	TraceID string      `json:"trace_id,omitempty"`
 	Trace   []*obs.Node `json:"trace,omitempty"`
 }
@@ -252,9 +306,9 @@ type errorResponse struct {
 	Status int    `json:"status"`
 }
 
-// statusClientGone is the nginx-convention code recorded in metrics when
-// the client disconnected before the response (never actually written to
-// the wire — there is no client left to read it).
+// statusClientGone is the nginx-convention code recorded in metrics and
+// the access log when the client disconnected before the response (never
+// actually written to the wire — there is no client left to read it).
 const statusClientGone = 499
 
 // healthResponse is the GET /healthz body: liveness plus enough build
@@ -293,11 +347,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h.UptimeSeconds = time.Since(s.met.start).Seconds()
 	if s.draining.Load() {
 		h.Status = "draining"
-		s.writeJSON(w, http.StatusServiceUnavailable, h)
+		writeJSON(w, http.StatusServiceUnavailable, h)
 		return
 	}
 	h.Status = "ok"
-	s.writeJSON(w, http.StatusOK, h)
+	writeJSON(w, http.StatusOK, h)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -305,107 +359,207 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", prometheusContentType)
 		w.WriteHeader(http.StatusOK)
 		writePrometheus(w, s.Metrics())
-		s.met.recordStatus(http.StatusOK)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, s.Metrics())
+	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
 func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	s.writeError(w, http.StatusNotFound, fmt.Sprintf("no such route %s", r.URL.Path))
+	writeError(w, http.StatusNotFound, fmt.Sprintf("no such route %s", r.URL.Path))
 }
 
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	status, err := s.schedule(w, r, t0)
-	if err != nil {
-		if status == statusClientGone {
-			// The connection is gone; record for observability only.
-			s.met.recordStatus(status)
-		} else {
-			s.writeError(w, status, err.Error())
+// httpError is a request refused by a phase of the solve path: the
+// status to answer with and the message of its JSON error body.
+type httpError struct {
+	status int
+	msg    string
+}
+
+func fail(status int, format string, args ...any) *httpError {
+	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
+}
+
+// solveCall is one request on the solve path. solveRoute creates it, and
+// the endpoint runs it through the phase helpers below in order.
+type solveCall struct {
+	s  *Server
+	w  http.ResponseWriter
+	r  *http.Request
+	t0 time.Time
+	tr *obs.Trace // nil unless the body asked for tracing
+
+	ctx     context.Context // the request under its timeout, set by acquire
+	cancel  context.CancelFunc
+	holding bool // a worker slot is held
+}
+
+// solveRoute adapts a solve endpoint to the pipeline: it refuses other
+// methods and a draining server, runs the endpoint, writes its response
+// under the ok status or its JSON error, frees the worker slot and
+// records the latency. Every 429, 503 and 504 carries Retry-After.
+func (s *Server) solveRoute(method string, ok int, run func(*solveCall) (any, *httpError)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		c := &solveCall{s: s, w: w, r: r, t0: time.Now()}
+		var resp any
+		var e *httpError
+		switch {
+		case r.Method != method:
+			e = fail(http.StatusMethodNotAllowed, "use %s", method)
+		case s.draining.Load():
+			e = fail(http.StatusServiceUnavailable, "draining")
+		default:
+			resp, e = run(c)
+		}
+		switch {
+		case e == nil:
+			writeJSON(w, ok, resp)
+		case e.status == statusClientGone:
+			// Nobody is left to read a response: write none, and let
+			// serveLogged record the 499.
+			if sw, isSW := w.(*statusWriter); isSW {
+				sw.status = statusClientGone
+			}
+		default:
+			switch e.status {
+			case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+				w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+			}
+			writeError(w, e.status, e.msg)
+		}
+		if c.cancel != nil {
+			c.cancel()
+		}
+		if c.holding {
+			s.met.inFlight.Add(-1)
+			<-s.sem
+		}
+		s.met.recordLatency(time.Since(c.t0))
+	}
+}
+
+// decode caps the body, strictly decodes it into v and, when the decoded
+// trace flag is set, starts the request's trace. The decode finishes
+// before the trace can exist (the flag is inside the body), so its span
+// is retro-recorded; a nil trace keeps every later span call a no-op.
+func (c *solveCall) decode(v any, trace *bool) *httpError {
+	c.r.Body = http.MaxBytesReader(c.w, c.r.Body, c.s.cfg.MaxBodyBytes)
+	t := time.Now()
+	if e := decodeStrictBody(c.r.Body, v); e != nil {
+		return e
+	}
+	if *trace {
+		c.tr = obs.New()
+		c.tr.Span("decode", t, time.Since(t))
+	}
+	return nil
+}
+
+// acquire puts the request under its timeout, then takes a worker slot
+// at once or a bounded queue position, shedding with 429 beyond the
+// queue depth. solveRoute frees the slot once the response is written.
+func (c *solveCall) acquire() *httpError {
+	s := c.s
+	c.ctx, c.cancel = context.WithTimeout(c.r.Context(), s.cfg.RequestTimeout)
+	sp := c.tr.Start("acquire_slot")
+	defer sp.End()
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		if s.met.queued.Add(1) > int64(s.cfg.QueueDepth) {
+			s.met.queued.Add(-1)
+			return fail(http.StatusTooManyRequests,
+				"queue full (%d scheduling, %d queued)", s.cfg.MaxConcurrent, s.cfg.QueueDepth)
+		}
+		select {
+		case s.sem <- struct{}{}:
+			s.met.queued.Add(-1)
+		case <-c.ctx.Done():
+			s.met.queued.Add(-1)
+			if c.r.Context().Err() != nil {
+				return fail(statusClientGone, "client went away while queued")
+			}
+			return fail(http.StatusServiceUnavailable, "timed out waiting for a worker slot")
 		}
 	}
-	s.met.recordLatency(time.Since(t0))
+	s.met.inFlight.Add(1)
+	c.holding = true
+	return nil
 }
 
-// schedule runs one request end to end. It returns (0, nil) after writing
-// a success response itself, or the error status to write.
-func (s *Server) schedule(w http.ResponseWriter, r *http.Request, t0 time.Time) (int, error) {
-	if r.Method != http.MethodPost {
-		return http.StatusMethodNotAllowed, errors.New("use POST")
-	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		return http.StatusServiceUnavailable, errors.New("draining")
-	}
-
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req scheduleRequest
-	tDecode := time.Now()
-	if status, err := decodeStrictBody(r.Body, &req); err != nil {
-		return status, err
-	}
-	// The decode finishes before the trace can exist (the trace flag is
-	// inside the body), so its span is retro-recorded. A nil tr keeps
-	// every span call below a no-op.
-	var tr *obs.Trace
-	if req.Trace {
-		tr = obs.New()
-		tr.Span("decode", tDecode, time.Since(tDecode))
-	}
-	if len(req.Instance) == 0 {
-		return http.StatusBadRequest, errors.New("missing \"instance\"")
-	}
-	if eff := effectiveSamples(req.Colors, req.Samples); eff > s.cfg.MaxSamples {
-		return http.StatusBadRequest,
-			fmt.Errorf("effective samples %d exceeds the limit %d", eff, s.cfg.MaxSamples)
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	asp := tr.Start("acquire_slot")
-	release, status, err := s.acquireSlot(ctx, r, w)
-	asp.End()
+// resolve turns the raw instance bytes into a compiled Problem under the
+// resolve_problem span; hit reports whether NewProblem was skipped.
+func (c *solveCall) resolve(raw json.RawMessage) (p *core.Problem, hash string, hit bool, e *httpError) {
+	sp := c.tr.Start("resolve_problem")
+	p, hash, hit, err := c.s.resolveProblem(raw)
+	sp.Bool("cache_hit", hit).End()
 	if err != nil {
-		return status, err
+		return nil, "", false, fail(http.StatusBadRequest, "invalid instance: %v", err)
 	}
-	defer release()
+	return p, hash, hit, nil
+}
 
-	rsp := tr.Start("resolve_problem")
-	p, hash, hit, err := s.resolveProblem(req.Instance)
-	rsp.Bool("cache_hit", hit).End()
-	if err != nil {
-		return http.StatusBadRequest, fmt.Errorf("invalid instance: %v", err)
-	}
-
-	opt := core.Options{
-		Trace:       tr,
-		Colors:      req.Colors,
-		Samples:     req.Samples,
-		PreferStay:  req.PreferStay == nil || *req.PreferStay,
-		Workers:     s.cfg.CoreWorkers,
-		KernelStats: req.KernelStats,
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	opt.Rng = rand.New(rand.NewSource(seed))
-
+// solve runs the scheduler on p under the request timeout and records
+// the run's kernel and shard counters. A request that is already dead
+// (client gone, timeout spent waiting for a slot) gets no run at all. A
+// lost client maps to 499, an expired timeout to 504.
+func (c *solveCall) solve(p *core.Problem, opt core.Options) (core.Result, *httpError) {
+	s := c.s
+	opt.Trace = c.tr
+	opt.Workers = s.cfg.CoreWorkers
 	s.met.scheduled.Add(1)
-	res, err := core.TabularGreedyCtx(ctx, p, opt)
+	err := c.ctx.Err()
+	var res core.Result
+	if err == nil {
+		res, err = core.TabularGreedyCtx(c.ctx, p, opt)
+	}
 	if err != nil {
-		if r.Context().Err() != nil {
-			return statusClientGone, errors.New("client went away mid-schedule")
+		if c.r.Context().Err() != nil {
+			return res, fail(statusClientGone, "client went away mid-solve")
 		}
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		return http.StatusGatewayTimeout,
-			fmt.Errorf("scheduling exceeded the %s request timeout", s.cfg.RequestTimeout)
+		return res, fail(http.StatusGatewayTimeout,
+			"scheduling exceeded the %s request timeout", s.cfg.RequestTimeout)
 	}
 	s.met.recordKernel(res.Kernel)
 	s.met.recordShards(res.Shards)
+	return res, nil
+}
 
+// traced returns the trace part of a success body: empty unless the
+// request asked for tracing.
+func (c *solveCall) traced() tracePart {
+	if c.tr == nil {
+		return tracePart{}
+	}
+	return tracePart{TraceID: traceIDFrom(c.r.Context()), Trace: c.tr.Tree()}
+}
+
+func (c *solveCall) elapsedMS() float64 {
+	return float64(time.Since(c.t0)) / float64(time.Millisecond)
+}
+
+// schedule is the POST /v1/schedule endpoint: one solve of the request's
+// instance through the compiled-problem cache.
+func (s *Server) schedule(c *solveCall) (any, *httpError) {
+	var req scheduleRequest
+	if e := c.decode(&req, &req.Trace); e != nil {
+		return nil, e
+	}
+	if e := req.check(req.Instance, s.cfg.MaxSamples); e != nil {
+		return nil, e
+	}
+	if e := c.acquire(); e != nil {
+		return nil, e
+	}
+	p, hash, hit, e := c.resolve(req.Instance)
+	if e != nil {
+		return nil, e
+	}
+	opt := req.options()
+	opt.KernelStats = req.KernelStats
+	res, e := c.solve(p, opt)
+	if e != nil {
+		return nil, e
+	}
 	resp := scheduleResponse{
 		Shards:       res.Shards,
 		InstanceHash: hash,
@@ -413,7 +567,8 @@ func (s *Server) schedule(w http.ResponseWriter, r *http.Request, t0 time.Time) 
 		Slots:        res.Schedule.Slots(),
 		Schedule:     res.Schedule.Policy,
 		RUtility:     res.RUtility,
-		ElapsedMS:    float64(time.Since(t0)) / float64(time.Millisecond),
+		ElapsedMS:    c.elapsedMS(),
+		tracePart:    c.traced(),
 	}
 	if hit {
 		resp.Cache = "hit"
@@ -422,47 +577,7 @@ func (s *Server) schedule(w http.ResponseWriter, r *http.Request, t0 time.Time) 
 		ks := res.Kernel
 		resp.Kernel = &ks
 	}
-	if tr != nil {
-		resp.TraceID = traceIDFrom(r.Context())
-		resp.Trace = tr.Tree()
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-	return 0, nil
-}
-
-// acquireSlot is the admission control shared by the one-shot and session
-// scheduling paths: take a worker slot immediately or a bounded queue
-// position, shedding with 429 beyond the queue depth. On success the
-// returned release func must be deferred; on failure it returns the error
-// status to write (or statusClientGone when there is nobody left to read
-// it). ctx must already carry the request timeout.
-func (s *Server) acquireSlot(ctx context.Context, r *http.Request, w http.ResponseWriter) (release func(), status int, err error) {
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		if s.met.queued.Add(1) > int64(s.cfg.QueueDepth) {
-			s.met.queued.Add(-1)
-			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-			return nil, http.StatusTooManyRequests,
-				fmt.Errorf("queue full (%d scheduling, %d queued)", s.cfg.MaxConcurrent, s.cfg.QueueDepth)
-		}
-		select {
-		case s.sem <- struct{}{}:
-			s.met.queued.Add(-1)
-		case <-ctx.Done():
-			s.met.queued.Add(-1)
-			if r.Context().Err() != nil {
-				return nil, statusClientGone, errors.New("client went away while queued")
-			}
-			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-			return nil, http.StatusServiceUnavailable, errors.New("timed out waiting for a worker slot")
-		}
-	}
-	s.met.inFlight.Add(1)
-	return func() {
-		s.met.inFlight.Add(-1)
-		<-s.sem
-	}, 0, nil
+	return resp, nil
 }
 
 // resolveProblem turns the raw instance bytes into a compiled Problem via
@@ -473,7 +588,7 @@ func (s *Server) resolveProblem(raw json.RawMessage) (p *core.Problem, hash stri
 	sum := sha256.Sum256(raw)
 	byteHash := string(sum[:])
 	if canon, ok := s.cache.memoGet(byteHash); ok {
-		if p, found, err := s.cache.lookup(canon); found {
+		if p, hit, err := s.cache.get(canon, nil); hit {
 			return p, canon, true, err
 		}
 		// Compiled problem was evicted since the memo entry was written;
@@ -505,25 +620,6 @@ func (s *Server) resolveProblem(raw json.RawMessage) (p *core.Problem, hash stri
 	return p, canon, hit, nil
 }
 
-// effectiveSamples mirrors core.Options.normalize: the Monte-Carlo sample
-// count a request will actually run with — 1 at C ≤ 1, the explicit
-// samples field otherwise, defaulting to 8·C.
-func effectiveSamples(colors, samples int) int {
-	if colors < 1 {
-		colors = 1
-	}
-	if colors > 255 {
-		colors = 255
-	}
-	if colors == 1 {
-		return 1
-	}
-	if samples > 0 {
-		return samples
-	}
-	return 8 * colors
-}
-
 // strictUnmarshal decodes with the same strictness as instio.Load:
 // unknown fields and trailing data are errors.
 func strictUnmarshal(raw []byte, v any) error {
@@ -538,15 +634,32 @@ func strictUnmarshal(raw []byte, v any) error {
 	return nil
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-	s.met.recordStatus(status)
 }
 
-func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
-	s.writeJSON(w, status, errorResponse{Error: msg, Status: status})
+func writeError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, errorResponse{Error: msg, Status: status})
+}
+
+// decodeStrictBody decodes a JSON request body with unknown fields and
+// trailing data rejected, mapping oversized bodies to 413.
+func decodeStrictBody(body io.Reader, v any) *httpError {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fail(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+		}
+		return fail(http.StatusBadRequest, "malformed request: %v", err)
+	}
+	if dec.More() {
+		return fail(http.StatusBadRequest, "malformed request: trailing data after JSON body")
+	}
+	return nil
 }
 
 func retryAfterSeconds(d time.Duration) string {

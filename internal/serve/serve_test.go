@@ -161,18 +161,31 @@ func TestScheduleErrors(t *testing.T) {
 		{"get not allowed", http.MethodGet, "/v1/schedule", "", http.StatusMethodNotAllowed},
 		{"unknown route", http.MethodPost, "/v1/other", "", http.StatusNotFound},
 	}
+	check := func(t *testing.T, method, path, body string, status int) errorResponse {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		s.ServeHTTP(rec, req)
+		if rec.Code != status {
+			t.Fatalf("%s %s: status %d, want %d: %s", method, path, rec.Code, status, rec.Body.Bytes())
+		}
+		var er errorResponse
+		decodeResponse(t, rec.Body.Bytes(), &er)
+		if er.Error == "" || er.Status != status {
+			t.Fatalf("%s %s: malformed error body: %s", method, path, rec.Body.Bytes())
+		}
+		return er
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := httptest.NewRecorder()
-			req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
-			s.ServeHTTP(rec, req)
-			if rec.Code != tc.status {
-				t.Fatalf("status %d, want %d: %s", rec.Code, tc.status, rec.Body.Bytes())
+			er := check(t, tc.method, tc.path, tc.body, tc.status)
+			if tc.method != http.MethodPost || tc.path != "/v1/schedule" {
+				return
 			}
-			var er errorResponse
-			decodeResponse(t, rec.Body.Bytes(), &er)
-			if er.Error == "" || er.Status != tc.status {
-				t.Fatalf("malformed error body: %s", rec.Body.Bytes())
+			// Session creation runs the same request path: a body that
+			// /v1/schedule refuses is refused with the same status and text.
+			if got := check(t, http.MethodPost, "/v1/session", tc.body, tc.status); got.Error != er.Error {
+				t.Fatalf("POST /v1/session error %q, POST /v1/schedule error %q", got.Error, er.Error)
 			}
 		})
 	}
@@ -283,8 +296,7 @@ func TestRequestTimeout(t *testing.T) {
 	if resp.Cache != "hit" {
 		t.Fatalf("post-timeout request reported cache %q", resp.Cache)
 	}
-	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
-		p := el.Value.(*cacheEntry).p
+	for _, p := range cachedProblems(s) {
 		if n := p.StatesInUse(); n != 0 {
 			t.Fatalf("cached problem leaked %d pooled states after timeout", n)
 		}

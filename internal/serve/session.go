@@ -1,21 +1,16 @@
 package serve
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	mrand "math/rand"
 	"net/http"
 	"sync"
-	"time"
 
 	"haste/internal/core"
 	"haste/internal/instio"
 	"haste/internal/model"
-	"haste/internal/obs"
 )
 
 // This file is the session API: the streaming counterpart of the one-shot
@@ -63,10 +58,7 @@ import (
 type sessionCreateRequest struct {
 	Instance json.RawMessage `json:"instance"`
 
-	Colors     int   `json:"colors,omitempty"`
-	Samples    int   `json:"samples,omitempty"`
-	Seed       int64 `json:"seed,omitempty"`
-	PreferStay *bool `json:"prefer_stay,omitempty"`
+	solveParams
 
 	// Trace asks for the phase breakdown of this request (same contract
 	// as scheduleRequest.Trace).
@@ -113,20 +105,13 @@ type sessionResponse struct {
 	Refs      []int64 `json:"refs,omitempty"` // refs assigned to this PATCH's adds, in op order
 	ElapsedMS float64 `json:"elapsed_ms"`
 
-	// TraceID and Trace are set when the request asked for tracing (same
-	// contract as scheduleResponse).
-	TraceID string      `json:"trace_id,omitempty"`
-	Trace   []*obs.Node `json:"trace,omitempty"`
+	tracePart
 }
 
 // session is one resident scheduling session.
 type session struct {
-	id string
-
-	// Scheduling options, fixed at creation.
-	colors, samples int
-	preferStay      bool
-	seed            int64
+	id     string
+	params solveParams // fixed at creation
 
 	mu      sync.Mutex
 	p       *core.Problem
@@ -141,9 +126,9 @@ type session struct {
 
 // registerSessionRoutes mounts the session endpoints (called by New).
 func (s *Server) registerSessionRoutes() {
-	s.mux.HandleFunc("POST /v1/session", s.handleSessionCreate)
+	s.mux.HandleFunc("POST /v1/session", s.solveRoute(http.MethodPost, http.StatusCreated, s.sessionCreate))
 	s.mux.HandleFunc("GET /v1/session/{id}", s.handleSessionGet)
-	s.mux.HandleFunc("PATCH /v1/session/{id}", s.handleSessionPatch)
+	s.mux.HandleFunc("PATCH /v1/session/{id}", s.solveRoute(http.MethodPatch, http.StatusOK, s.sessionPatch))
 	s.mux.HandleFunc("GET /v1/session/{id}/subscribe", s.handleSessionSubscribe)
 	s.mux.HandleFunc("DELETE /v1/session/{id}", s.handleSessionDelete)
 }
@@ -169,41 +154,15 @@ func (s *Server) SessionCount() int {
 	return len(s.sessions)
 }
 
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	status, err := s.sessionCreate(w, r, t0)
-	if err != nil {
-		if status == statusClientGone {
-			s.met.recordStatus(status)
-		} else {
-			s.writeError(w, status, err.Error())
-		}
-	}
-	s.met.recordLatency(time.Since(t0))
-}
-
-func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request, t0 time.Time) (int, error) {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		return http.StatusServiceUnavailable, errors.New("draining")
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+// sessionCreate is the POST /v1/session endpoint: open a session on a
+// private copy of the cache-resident compiled problem and solve it.
+func (s *Server) sessionCreate(c *solveCall) (any, *httpError) {
 	var req sessionCreateRequest
-	tDecode := time.Now()
-	if status, err := decodeStrictBody(r.Body, &req); err != nil {
-		return status, err
+	if e := c.decode(&req, &req.Trace); e != nil {
+		return nil, e
 	}
-	var tr *obs.Trace
-	if req.Trace {
-		tr = obs.New()
-		tr.Span("decode", tDecode, time.Since(tDecode))
-	}
-	if len(req.Instance) == 0 {
-		return http.StatusBadRequest, errors.New("missing \"instance\"")
-	}
-	if eff := effectiveSamples(req.Colors, req.Samples); eff > s.cfg.MaxSamples {
-		return http.StatusBadRequest,
-			fmt.Errorf("effective samples %d exceeds the limit %d", eff, s.cfg.MaxSamples)
+	if e := req.check(req.Instance, s.cfg.MaxSamples); e != nil {
+		return nil, e
 	}
 	// Reserve the session's place under the limit before the solve, so
 	// concurrent creates cannot all pass the check; every return below
@@ -211,9 +170,7 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request, t0 time.T
 	s.sessMu.Lock()
 	if n := len(s.sessions) + s.sessReserved; n >= s.cfg.MaxSessions {
 		s.sessMu.Unlock()
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		return http.StatusTooManyRequests,
-			fmt.Errorf("session limit reached (%d open)", n)
+		return nil, fail(http.StatusTooManyRequests, "session limit reached (%d open)", n)
 	}
 	s.sessReserved++
 	s.sessMu.Unlock()
@@ -226,36 +183,19 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request, t0 time.T
 		}
 	}()
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	asp := tr.Start("acquire_slot")
-	release, status, err := s.acquireSlot(ctx, r, w)
-	asp.End()
-	if err != nil {
-		return status, err
+	if e := c.acquire(); e != nil {
+		return nil, e
 	}
-	defer release()
-
-	rsp := tr.Start("resolve_problem")
-	shared, _, hit, err := s.resolveProblem(req.Instance)
-	rsp.Bool("cache_hit", hit).End()
-	if err != nil {
-		return http.StatusBadRequest, fmt.Errorf("invalid instance: %v", err)
-	}
-
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
+	shared, _, _, e := c.resolve(req.Instance)
+	if e != nil {
+		return nil, e
 	}
 	sess := &session{
-		id:         newSessionID(),
-		colors:     req.Colors,
-		samples:    req.Samples,
-		preferStay: req.PreferStay == nil || *req.PreferStay,
-		seed:       seed,
-		p:          shared.CloneCompiled(),
-		denseOf:    make(map[int64]int, len(shared.In.Tasks)),
-		watch:      make(map[chan struct{}]struct{}),
+		id:      newSessionID(),
+		params:  req.solveParams,
+		p:       shared.CloneCompiled(),
+		denseOf: make(map[int64]int, len(shared.In.Tasks)),
+		watch:   make(map[chan struct{}]struct{}),
 	}
 	m := len(sess.p.In.Tasks)
 	sess.refOf = make([]int64, m)
@@ -268,9 +208,8 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request, t0 time.T
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	s.met.scheduled.Add(1)
-	if status, err := sess.solveLocked(ctx, s, r, tr); err != nil {
-		return status, err
+	if e := sess.solveLocked(c); e != nil {
+		return nil, e
 	}
 
 	s.sessMu.Lock()
@@ -280,115 +219,72 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request, t0 time.T
 	inserted = true
 	s.met.sessionsCreated.Add(1)
 	s.cfg.Logger.Info("session created",
-		"trace_id", traceIDFrom(r.Context()),
+		"trace_id", traceIDFrom(c.r.Context()),
 		"session_id", sess.id,
 		"tasks", len(sess.p.In.Tasks))
-
-	resp := sessionResponse{
+	return sessionResponse{
 		SessionID:   sess.id,
 		sessionView: sess.view,
-		ElapsedMS:   float64(time.Since(t0)) / float64(time.Millisecond),
-	}
-	if tr != nil {
-		resp.TraceID = traceIDFrom(r.Context())
-		resp.Trace = tr.Tree()
-	}
-	s.writeJSON(w, http.StatusCreated, resp)
-	return 0, nil
+		ElapsedMS:   c.elapsedMS(),
+		tracePart:   c.traced(),
+	}, nil
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookupSession(r.PathValue("id"))
 	if sess == nil {
-		s.writeError(w, http.StatusNotFound, "no such session")
+		writeError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	sess.mu.Lock()
 	view := sess.view
 	sess.mu.Unlock()
-	s.writeJSON(w, http.StatusOK, view)
+	writeJSON(w, http.StatusOK, view)
 }
 
-func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	status, err := s.sessionPatch(w, r, t0)
-	if err != nil {
-		if status == statusClientGone {
-			s.met.recordStatus(status)
-		} else {
-			s.writeError(w, status, err.Error())
-		}
-	}
-	s.met.recordLatency(time.Since(t0))
-}
-
-func (s *Server) sessionPatch(w http.ResponseWriter, r *http.Request, t0 time.Time) (int, error) {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		return http.StatusServiceUnavailable, errors.New("draining")
-	}
-	sess := s.lookupSession(r.PathValue("id"))
+// sessionPatch is the PATCH /v1/session/{id} endpoint: apply a mutation
+// batch through the delta operations, then re-solve warm.
+func (s *Server) sessionPatch(c *solveCall) (any, *httpError) {
+	sess := s.lookupSession(c.r.PathValue("id"))
 	if sess == nil {
-		return http.StatusNotFound, errors.New("no such session")
+		return nil, fail(http.StatusNotFound, "no such session")
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req sessionPatchRequest
-	tDecode := time.Now()
-	if status, err := decodeStrictBody(r.Body, &req); err != nil {
-		return status, err
+	if e := c.decode(&req, &req.Trace); e != nil {
+		return nil, e
 	}
-	var tr *obs.Trace
-	if req.Trace {
-		tr = obs.New()
-		tr.Span("decode", tDecode, time.Since(tDecode))
+	if e := c.acquire(); e != nil {
+		return nil, e
 	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	asp := tr.Start("acquire_slot")
-	release, status, err := s.acquireSlot(ctx, r, w)
-	asp.End()
-	if err != nil {
-		return status, err
-	}
-	defer release()
-
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed {
-		return http.StatusGone, errors.New("session closed")
+		return nil, fail(http.StatusGone, "session closed")
 	}
 
 	// Two-phase mutation handling: validate the whole batch against the
 	// session's current (plus batch-simulated) task set, then apply — the
 	// apply phase cannot fail, so a rejected batch changes nothing.
-	psp := tr.Start("delta_patch").Int("mutations", int64(len(req.Mutations)))
+	psp := c.tr.Start("delta_patch").Int("mutations", int64(len(req.Mutations)))
 	tasks, err := sess.validateMutationsLocked(req.Mutations, s.cfg.MaxSlots)
 	if err != nil {
 		psp.End()
-		return http.StatusBadRequest, err
+		return nil, fail(http.StatusBadRequest, "%v", err)
 	}
 	refs := sess.applyMutationsLocked(req.Mutations, tasks)
 	psp.End()
 	s.met.sessionMutations.Add(int64(len(req.Mutations)))
 
-	s.met.scheduled.Add(1)
-	if status, err := sess.solveLocked(ctx, s, r, tr); err != nil {
-		return status, err
+	if e := sess.solveLocked(c); e != nil {
+		return nil, e
 	}
-
-	resp := sessionResponse{
+	return sessionResponse{
 		SessionID:   sess.id,
 		sessionView: sess.view,
 		Refs:        refs,
-		ElapsedMS:   float64(time.Since(t0)) / float64(time.Millisecond),
-	}
-	if tr != nil {
-		resp.TraceID = traceIDFrom(r.Context())
-		resp.Trace = tr.Tree()
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-	return 0, nil
+		ElapsedMS:   c.elapsedMS(),
+		tracePart:   c.traced(),
+	}, nil
 }
 
 // validateMutationsLocked checks every mutation of a batch without
@@ -479,34 +375,16 @@ func (sess *session) applyMutationsLocked(muts []sessionMutation, tasks []model.
 // solveLocked runs one warm solve of the session's problem and, on
 // success, advances the revision and wakes subscribers. A cancelled or
 // timed-out solve leaves the revision untouched (the applied mutations
-// stay) and returns the same status mapping as /v1/schedule.
-func (sess *session) solveLocked(ctx context.Context, s *Server, r *http.Request, tr *obs.Trace) (int, error) {
-	opt := core.Options{
-		Trace:      tr,
-		Colors:     sess.colors,
-		Samples:    sess.samples,
-		PreferStay: sess.preferStay,
-		Workers:    s.cfg.CoreWorkers,
-		// Warm reuse is component-granular, so sessions always take the
-		// shard-and-stitch path — bit-identical utility by the stitching
-		// contract, -1 padding past each component's horizon.
-		Shard: core.ShardOn,
-		Rng:   mrand.New(mrand.NewSource(sess.seed)),
-	}
-	// A request that is already dead (client gone, timeout burned on queue
-	// wait) gets no solve at all — its mutations are applied, and the
-	// next PATCH picks them up.
-	err := ctx.Err()
-	var res core.Result
-	if err == nil {
-		res, err = core.TabularGreedyCtx(ctx, sess.p, opt)
-	}
-	if err != nil {
-		if r.Context().Err() != nil {
-			return statusClientGone, errors.New("client went away mid-solve")
-		}
-		return http.StatusGatewayTimeout,
-			fmt.Errorf("solve exceeded the %s request timeout", s.cfg.RequestTimeout)
+// stay) and answers like /v1/schedule.
+func (sess *session) solveLocked(c *solveCall) *httpError {
+	opt := sess.params.options()
+	// Warm reuse is component-granular, so sessions always take the
+	// shard-and-stitch path — bit-identical utility by the stitching
+	// contract, -1 padding past each component's horizon.
+	opt.Shard = core.ShardOn
+	res, e := c.solve(sess.p, opt)
+	if e != nil {
+		return e
 	}
 	sess.rev++
 	sess.view = sessionView{
@@ -518,17 +396,21 @@ func (sess *session) solveLocked(ctx context.Context, s *Server, r *http.Request
 		Shards:     res.Shards,
 		WarmReused: res.WarmReused,
 	}
+	sess.wakeLocked()
+	c.s.met.sessionSolves.Add(1)
+	c.s.met.sessionWarmReused.Add(int64(res.WarmReused))
+	return nil
+}
+
+// wakeLocked signals every subscriber; a subscriber already signalled
+// catches up on its next read.
+func (sess *session) wakeLocked() {
 	for ch := range sess.watch {
 		select {
 		case ch <- struct{}{}:
-		default: // already signalled; the subscriber will catch up
+		default:
 		}
 	}
-	s.met.sessionSolves.Add(1)
-	s.met.sessionWarmReused.Add(int64(res.WarmReused))
-	s.met.recordKernel(res.Kernel)
-	s.met.recordShards(res.Shards)
-	return 0, nil
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
@@ -538,25 +420,20 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	delete(s.sessions, id)
 	s.sessMu.Unlock()
 	if sess == nil {
-		s.writeError(w, http.StatusNotFound, "no such session")
+		writeError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	sess.mu.Lock()
 	sess.closed = true
 	rev := sess.rev
-	for ch := range sess.watch {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
+	sess.wakeLocked()
 	sess.mu.Unlock()
 	s.met.sessionsClosed.Add(1)
 	s.cfg.Logger.Info("session closed",
 		"trace_id", traceIDFrom(r.Context()),
 		"session_id", id,
 		"rev", rev)
-	s.writeJSON(w, http.StatusOK, map[string]any{"session_id": id, "closed": true})
+	writeJSON(w, http.StatusOK, map[string]any{"session_id": id, "closed": true})
 }
 
 // handleSessionSubscribe streams schedule revisions as server-sent
@@ -567,19 +444,19 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSessionSubscribe(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookupSession(r.PathValue("id"))
 	if sess == nil {
-		s.writeError(w, http.StatusNotFound, "no such session")
+		writeError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		s.writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	ch := make(chan struct{}, 1)
 	sess.mu.Lock()
 	if sess.closed {
 		sess.mu.Unlock()
-		s.writeError(w, http.StatusGone, "session closed")
+		writeError(w, http.StatusGone, "session closed")
 		return
 	}
 	sess.watch[ch] = struct{}{}
@@ -593,7 +470,6 @@ func (s *Server) handleSessionSubscribe(w http.ResponseWriter, r *http.Request) 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-	s.met.recordStatus(http.StatusOK)
 
 	enc := json.NewEncoder(w)
 	sent := int64(0) // last revision written; 0 = nothing yet
@@ -620,23 +496,4 @@ func (s *Server) handleSessionSubscribe(w http.ResponseWriter, r *http.Request) 
 		case <-ch:
 		}
 	}
-}
-
-// decodeStrictBody decodes a JSON request body with unknown fields and
-// trailing data rejected, mapping oversized bodies to 413.
-func decodeStrictBody(body interface{ Read([]byte) (int, error) }, v any) (int, error) {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
-		}
-		return http.StatusBadRequest, fmt.Errorf("malformed request: %v", err)
-	}
-	if dec.More() {
-		return http.StatusBadRequest, errors.New("malformed request: trailing data after JSON body")
-	}
-	return 0, nil
 }

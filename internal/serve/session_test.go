@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"haste/internal/core"
 	"haste/internal/instio"
@@ -388,6 +389,25 @@ func TestSessionCancelledPatch(t *testing.T) {
 	mirror := parseWire(t, instanceJSON(t, in))
 	mirror.Tasks = append(mirror.Tasks, instio.TaskFromFile(sessionTask(in, 1, 2), len(mirror.Tasks)))
 	requireSessionMatchesCold(t, s, pr.sessionView, mirror)
+}
+
+// TestSessionTimeoutRetryAfter: a session solve that cannot finish within
+// the request timeout answers 504 with Retry-After, like /v1/schedule.
+func TestSessionTimeoutRetryAfter(t *testing.T) {
+	s := New(Config{RequestTimeout: time.Nanosecond})
+	body := requestBody(t, instanceJSON(t, testInstance(t, 43)), nil)
+	rec := do(s, http.MethodPost, "/v1/session", body)
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body.Bytes())
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Fatal("session 504 missing Retry-After")
+	}
+	var er errorResponse
+	decodeResponse(t, rec.Body.Bytes(), &er)
+	if n := s.SessionCount(); n != 0 {
+		t.Fatalf("timed-out create left %d sessions open", n)
+	}
 }
 
 // TestSessionValidation pins the 4xx surface: malformed bodies, invalid

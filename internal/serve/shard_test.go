@@ -114,8 +114,7 @@ func TestShardedRequestTimeout(t *testing.T) {
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body.Bytes())
 	}
-	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
-		p := el.Value.(*cacheEntry).p
+	for _, p := range cachedProblems(s) {
 		if n := p.StatesInUse(); n != 0 {
 			t.Fatalf("cancelled sharded run leaked %d pooled states", n)
 		}
@@ -145,8 +144,7 @@ func TestShardedRequestTimeout(t *testing.T) {
 			t.Fatalf("sharded rerun after cancel not bit-identical: %v", err)
 		}
 	}
-	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
-		p := el.Value.(*cacheEntry).p
+	for _, p := range cachedProblems(s) {
 		if n := p.StatesInUse(); n != 0 {
 			t.Fatalf("cached problem leaked %d pooled states after rerun", n)
 		}

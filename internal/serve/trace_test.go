@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -122,5 +127,32 @@ func TestSessionTraced(t *testing.T) {
 	}
 	if rootNamed(patched.Trace, "solve") == nil {
 		t.Fatal("patch missing solve span")
+	}
+}
+
+// A request whose client went away reads 499 in both places that record
+// a status: the access-log line and requests_by_status on /metrics.
+func TestClientGoneAccessLog(t *testing.T) {
+	var logBuf bytes.Buffer
+	s := New(Config{Logger: slog.New(slog.NewJSONHandler(&logBuf, nil))})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	body := requestBody(t, instanceJSON(t, testInstance(t, 44)), nil)
+	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)).WithContext(ctx)
+	s.ServeHTTP(httptest.NewRecorder(), req)
+
+	var line struct {
+		Msg    string `json:"msg"`
+		Path   string `json:"path"`
+		Status int    `json:"status"`
+	}
+	if err := json.Unmarshal(logBuf.Bytes(), &line); err != nil {
+		t.Fatalf("access log is not one JSON line: %v\n%s", err, logBuf.Bytes())
+	}
+	if line.Msg != "request" || line.Path != "/v1/schedule" || line.Status != statusClientGone {
+		t.Fatalf("access line %s, want the /v1/schedule request with status 499", logBuf.Bytes())
+	}
+	if got := s.Metrics().ByStatus["499"]; got != 1 {
+		t.Fatalf("requests_by_status 499 = %d, want 1", got)
 	}
 }

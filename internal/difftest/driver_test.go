@@ -39,9 +39,9 @@ type countingNode struct {
 	steps *atomic.Int64
 }
 
-func (c countingNode) Step(inbox []netsim.Message) (netsim.Payload, bool) {
+func (c countingNode) Step(inbox []netsim.Message, out *netsim.Payload) bool {
 	c.steps.Add(1)
-	return c.Node.Step(inbox)
+	return c.Node.Step(inbox, out)
 }
 
 // countingDriver runs every session with node i behind a countingNode

@@ -19,35 +19,44 @@
 // Algorithm 3 is message-driven: a charger acts only while it still has
 // a bid to place or when a message reaches it. The round loop keeps that
 // shape. A node that returned done is stepped again in the session only
-// in a round that delivers it at least one message, so a round costs the
+// in a round that delivers it at least one message, so a round steps the
 // nodes still negotiating plus those being told something — over TCP, a
 // done node with nothing to read gets no frame at all. The Node contract
 // makes the skipped step a no-op, so skipping changes no round, delivery,
-// RNG draw or Stats counter.
+// RNG draw or Stats counter. The loop hands the StepFunc the round's
+// active list, the nodes to step in ascending order, read off a wake
+// bitset, and every other per-round pass — clearing outboxes, resetting
+// inboxes, delivering — walks that list or the nodes the last delivery
+// reached; only crash injection's draws visit every node.
 //
 // # Buffer reuse
 //
-// Every driver owns a Rounds: the per-node inboxes, outboxes, in-flight
-// delayed deliveries and crash bookkeeping of the round loop. It is
-// reset at the start of each session and reused across the rounds and
-// sessions of every negotiation the driver runs (one driver serves a
+// Every driver owns a Rounds: the per-node inboxes, the outbox banks,
+// in-flight delayed deliveries and crash bookkeeping of the round loop.
+// It is reset at the start of each session and reused across the rounds
+// and sessions of every negotiation the driver runs (one driver serves a
 // whole online run, see Driver.Reset), so a warm round loop allocates
 // nothing.
 // The price is a lifetime rule: an inbox handed to Node.Step or to a
-// StepFunc is valid only during that call. An inbox is sorted by sender
-// (stable, so a sender's messages keep their delivery order); the loop
-// sorts only in a round that delivered delayed messages, since sends are
-// appended in sender order already.
+// StepFunc, and every payload its messages point at, is valid only
+// during that call. An inbox is sorted by sender (stable, so a sender's
+// messages keep their delivery order); the loop sorts only in a round
+// that delivered delayed messages, since sends are appended in sender
+// order already.
 //
 // # Messages
 //
 // Payload is the one fixed layout of the paper's control message
 // msg(ID, TIM, COL, CMD, ΔF, e), with no message kinds: a bid, an UPD and
 // the reliability layer's acks are optional parts of the same payload,
-// and a payload with no part is silence. It travels by value from a
-// node's Step through the round loop, delayed deliveries included, into
-// the inboxes. The copies share only Covers and Acks, which a sender
-// never mutates after the send and receivers only read.
+// and a payload with no part is silence. A broadcast is stored once: a
+// node's Step writes its payload into its slot of the round's outbox
+// bank, and every recipient's Message points at that one slot, read-only.
+// The loop alternates two banks, so the payloads a round reads (the
+// previous round's) are never the ones it writes. A delayed delivery
+// outlives its bank: it keeps a copy of the payload until it is due and
+// is handed out from that copy. The copies share only Covers and Acks,
+// which a sender never mutates after the send and receivers only read.
 //
 // # Failure model
 //
@@ -72,6 +81,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 )
@@ -99,25 +109,30 @@ type Ack struct {
 	Slot, Color, To, Seq uint32
 }
 
-// Message is a delivered message with its sender.
+// Message is a delivered message: its sender and the payload it
+// broadcast. Payload points at the sender's one stored copy, which every
+// recipient of the broadcast shares: it is read-only, and valid only as
+// long as the inbox holding the message.
 type Message struct {
 	From    int
-	Payload Payload
+	Payload *Payload
 }
 
 // Node is a participant. Each round the engine hands it the messages
-// delivered this round; the node returns a payload to broadcast to all its
-// neighbors (one with no part for silence) and whether it considers its
-// work done. A node that returned done is stepped again in the session
-// only in a round that delivers it a message (it may still need to
-// answer); until then the round loop skips it. A node must therefore make
-// Step on an empty inbox after it returned done a no-op: silence, done
-// again, and no change of state. The inbox is valid only during the
-// call: the round loop refills the same storage in later rounds, so a
-// node that needs a message after Step returns must copy it. The copy may
-// keep the message's Covers and Acks, which no sender mutates.
+// delivered this round and a silent outbox slot; the node writes into
+// out the payload to broadcast to all its neighbors (leaving it silent
+// for silence) and returns whether it considers its work done. A node
+// that returned done is stepped again in the session only in a round
+// that delivers it a message (it may still need to answer); until then
+// the round loop skips it. A node must therefore make Step on an empty
+// inbox after it returned done a no-op: silence, done again, and no
+// change of state. The inbox, the payloads it points at and out are
+// valid only during the call: the round loop refills the same storage in
+// later rounds, so a node that needs a message after Step returns must
+// copy its payload. The copy may keep the payload's Covers and Acks,
+// which no sender mutates.
 type Node interface {
-	Step(inbox []Message) (out Payload, done bool)
+	Step(inbox []Message, out *Payload) (done bool)
 }
 
 // Driver is the execution-substrate contract of the negotiation protocol:
@@ -227,9 +242,10 @@ var ErrNoQuiescence = errors.New("netsim: session did not quiesce within MaxRoun
 // every chaos experiment a no-op.
 var ErrRngRequired = errors.New("netsim: Options.Rng is required when failure injection is enabled")
 
-// ErrNodeCount is returned by Driver.Reset for a topology whose node
-// count differs from the driver's.
-var ErrNodeCount = errors.New("netsim: reset to a different node count")
+// ErrNodeCount is returned by Driver.Run for a node set, and by
+// Driver.Reset for a topology, whose node count differs from the
+// driver's.
+var ErrNodeCount = errors.New("netsim: node count differs from the driver's")
 
 // Engine drives sessions over a topology, which Reset may swap for
 // another over the same node count. Neighbors[i] lists the node indices
@@ -245,17 +261,22 @@ type Engine struct {
 	step   StepFunc // e.stepSequential, bound once
 }
 
-// delayedMsg is an in-flight delivery postponed by delay injection.
+// delayedMsg is an in-flight delivery postponed by delay injection. It
+// holds its own copy of the payload: the outbox bank it was sent from is
+// rewritten two rounds later.
 type delayedMsg struct {
-	due int // round whose Step consumes it
-	to  int
-	msg Message
+	due      int // round whose Step consumes it
+	to, from int
+	payload  Payload
 }
 
 // Run drives the nodes until a round passes with no broadcasts and no
 // in-flight delayed messages (global quiescence) or MaxRounds is hit.
-// len(nodes) must equal len(Neighbors).
+// len(nodes) must equal len(Neighbors); another count is ErrNodeCount.
 func (e *Engine) Run(nodes []Node) (Stats, error) {
+	if len(nodes) != len(e.Neighbors) {
+		return Stats{}, fmt.Errorf("%w: %d nodes for a %d-node topology", ErrNodeCount, len(nodes), len(e.Neighbors))
+	}
 	if e.step == nil {
 		e.step = e.stepSequential
 	}
@@ -284,37 +305,30 @@ func MemFactory(neighbors [][]int, opt Options) (Driver, error) {
 	return &Engine{Neighbors: neighbors, Opt: opt}, nil
 }
 
-// stepSequential steps the session's unskipped nodes one by one on the
-// calling goroutine. outs is pre-cleared, so only a broadcast is stored:
-// most steps are silent, and storing a payload into the heap costs a copy.
-func (e *Engine) stepSequential(_ int, skip []bool, inboxes [][]Message, outs []Payload, done []bool) error {
-	for i, nd := range e.nodes {
-		if skip[i] {
-			continue
-		}
-		out, d := nd.Step(inboxes[i])
-		if !out.Silent() {
-			outs[i] = out
-		}
-		done[i] = d
+// stepSequential steps the round's active nodes one by one on the
+// calling goroutine, each writing its broadcast in place.
+func (e *Engine) stepSequential(_ int, active []int, inboxes [][]Message, outs []Payload, done []bool) error {
+	for _, i := range active {
+		done[i] = e.nodes[i].Step(inboxes[i], &outs[i])
 	}
 	return nil
 }
 
 // StepFunc executes one round's stepping fan for Rounds.Run: for every
-// node i with skip[i] false it must run Step on node i's inbox and store
-// the broadcast payload in outs[i] and the done flag in done[i]. skip
-// covers the nodes crash injection holds down and the done nodes with an
-// empty inbox; a skipped node needs no action, since outs is pre-cleared
-// to silence and done[i] keeps the node's last report. A non-nil error
-// aborts the session — substrates use it for link failures the round loop
-// itself cannot see. The inboxes are valid only until the StepFunc
-// returns: the round loop refills the same storage in the next round.
-type StepFunc func(round int, skip []bool, inboxes [][]Message, outs []Payload, done []bool) error
+// node i of active, which lists the round's nodes to step in ascending
+// order, it must run Step on node i's inbox with &outs[i] as the outbox
+// (pre-cleared to silence) and store the done flag in done[i]. A node
+// left out of active — held down by crash injection, or done with an
+// empty inbox — needs no action: done[i] keeps its last report. A non-nil
+// error aborts the session — substrates use it for link failures the
+// round loop itself cannot see. The inboxes and the payloads they point
+// at are valid only until the StepFunc returns: the round loop refills
+// the same storage in later rounds.
+type StepFunc func(round int, active []int, inboxes [][]Message, outs []Payload, done []bool) error
 
-// Rounds holds the per-node state of the round loop: inboxes, outboxes,
-// done flags, in-flight delayed deliveries and crash bookkeeping. A
-// driver owns one and runs every session through it, across
+// Rounds holds the per-node state of the round loop: inboxes, outbox
+// banks, done flags, in-flight delayed deliveries and crash bookkeeping.
+// A driver owns one and runs every session through it, across
 // negotiations, so once the buffers have grown to the traffic's
 // high-water mark a round allocates nothing.
 // Each Run resets them first: nothing a session left behind — undelivered
@@ -322,38 +336,71 @@ type StepFunc func(round int, skip []bool, inboxes [][]Message, outs []Payload, 
 // The zero value is ready to use; a Rounds must not run two sessions at
 // once.
 type Rounds struct {
-	inboxes   [][]Message
-	outs      []Payload
-	done      []bool       // done[i]: node i's last Step reported done
-	skip      []bool       // this round's skip mask, handed to the StepFunc
-	pending   []delayedMsg // in-flight delayed deliveries, insertion-ordered
-	downUntil []int        // first round node i is up again (crash injection)
+	inboxes [][]Message
+	// banks[round&1] holds the outboxes a round's nodes write; the
+	// inboxes that round delivers point into it. The next round reads
+	// them while its nodes write the other bank.
+	banks      [2][]Payload
+	done       []bool       // done[i]: node i's last Step reported done
+	wake       []uint64     // bit i: node i is stepped next round (not done, or has mail)
+	active     []int        // this round's nodes to step, ascending
+	recipients []int        // nodes the last delivery gave a message, each once
+	pending    []delayedMsg // in-flight delayed deliveries, insertion-ordered
+	due        []delayedMsg // the delayed deliveries this round handed out
+	downUntil  []int        // first round node i is up again (crash injection)
 }
 
-// reset sizes the buffers for n nodes and empties them.
+// reset sizes the buffers for n nodes and empties them: no inbox holds
+// a message and every node is stepped in the first round.
 func (r *Rounds) reset(n int) {
 	r.inboxes = slices.Grow(r.inboxes[:0], n)[:n]
 	for i := range r.inboxes {
 		r.inboxes[i] = r.inboxes[i][:0]
 	}
-	r.outs = slices.Grow(r.outs[:0], n)[:n]
+	for b := range r.banks {
+		r.banks[b] = slices.Grow(r.banks[b][:0], n)[:n]
+	}
 	r.done = slices.Grow(r.done[:0], n)[:n]
 	clear(r.done)
-	r.skip = slices.Grow(r.skip[:0], n)[:n]
+	words := (n + 63) / 64
+	r.wake = slices.Grow(r.wake[:0], words)[:words]
+	for i := range r.wake {
+		r.wake[i] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		r.wake[words-1] = 1<<(n%64) - 1
+	}
+	// Each node is active, and a recipient, at most once a round.
+	r.active = slices.Grow(r.active[:0], n)
+	r.recipients = slices.Grow(r.recipients[:0], n)
 	r.pending = r.pending[:0]
 	r.downUntil = slices.Grow(r.downUntil[:0], n)[:n]
 	clear(r.downUntil)
+}
+
+// wakeNext marks node i to be stepped next round.
+func (r *Rounds) wakeNext(i int) { r.wake[i>>6] |= 1 << (i & 63) }
+
+// deliver appends m to node to's inbox. The first message of a delivery
+// makes to a recipient, so its inbox is reset before the next delivery,
+// and wakes it for the next round.
+func (r *Rounds) deliver(to int, m Message) {
+	if len(r.inboxes[to]) == 0 {
+		r.recipients = append(r.recipients, to)
+		r.wakeNext(to)
+	}
+	r.inboxes[to] = append(r.inboxes[to], m)
 }
 
 // bySender orders messages by sender, for a stable sort.
 func bySender(a, b Message) int { return cmp.Compare(a.From, b.From) }
 
 // Run is the substrate-independent session loop every Driver shares:
-// crash draws, the skip mask, delivery bookkeeping and all
+// crash draws, the active list, delivery bookkeeping and all
 // failure-injection RNG draws happen here, single-threaded, in a fixed
-// order — before (crash, skip) and after (drop/dup/delay) the stepping
+// order — before (crash, active) and after (drop/dup/delay) the stepping
 // fan. A driver only supplies the fan, so the sequential and socket
-// drivers — and any fan that steps the unskipped nodes in any order or
+// drivers — and any fan that steps the active nodes in any order or
 // concurrently — consume the RNG identically, step the same nodes and
 // produce bit-identical Stats and inbox orderings by construction. It
 // runs until a round passes with no broadcasts and no in-flight delayed
@@ -379,7 +426,7 @@ func (r *Rounds) Run(neighbors [][]int, opt Options, step StepFunc) (Stats, erro
 
 	r.reset(n)
 	var stats Stats
-	inboxes, outs, done, skip := r.inboxes, r.outs, r.done, r.skip
+	inboxes, done := r.inboxes, r.done
 
 	for round := 0; round < maxRounds; round++ {
 		stats.Rounds++
@@ -398,78 +445,105 @@ func (r *Rounds) Run(neighbors [][]int, opt Options, step StepFunc) (Stats, erro
 				}
 			}
 		}
-		// The skip mask: a down node is not stepped and loses its inbox; a
-		// done node is stepped only to consume a delivery.
-		for i := 0; i < n; i++ {
-			if r.downUntil[i] > round {
-				if len(inboxes[i]) > 0 {
+		// The active list: the nodes woken for this round, ascending,
+		// less the down ones. A down node is not stepped and loses its
+		// inbox; one that is not done stays awake for when it is up.
+		active := r.active[:0]
+		for w, word := range r.wake {
+			r.wake[w] = 0
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				if opt.CrashRate > 0 && r.downUntil[i] > round {
 					// These deliveries were counted as Messages when they
 					// entered the inbox but never reach the node: move
 					// them to CrashLost so the balance stays exact.
 					stats.CrashLost += int64(len(inboxes[i]))
 					stats.Messages -= int64(len(inboxes[i]))
 					inboxes[i] = inboxes[i][:0]
+					if !done[i] {
+						r.wakeNext(i)
+					}
+					continue
 				}
-				skip[i] = true
-				continue
+				active = append(active, i)
 			}
-			skip[i] = done[i] && len(inboxes[i]) == 0
 		}
+		r.active = active
 
-		clear(outs)
-		if err := step(round, skip, inboxes, outs, done); err != nil {
+		outs := r.banks[round&1]
+		for _, i := range active {
+			outs[i] = Payload{}
+		}
+		if err := step(round, active, inboxes, outs, done); err != nil {
 			return stats, err
 		}
 
-		// Deliver. Inboxes are refilled from empty — due delayed messages
-		// first (in postponement order), then this round's sends. Sends
-		// are appended in ascending sender order (a duplicate right after
-		// its original), so an inbox is already sorted by sender unless a
-		// due delayed message went in ahead of them; only such a round
-		// stable-sorts. A stable sort by a key has exactly one result, so
-		// every driver sees the identical input order.
+		// Deliver. The inboxes the last delivery filled are emptied, then
+		// refilled — due delayed messages first (in postponement order),
+		// then this round's sends. Sends are appended in ascending sender
+		// order (a duplicate right after its original), so an inbox is
+		// already sorted by sender unless a due delayed message went in
+		// ahead of them; only such a round stable-sorts. A stable sort by
+		// a key has exactly one result, so every driver sees the
+		// identical input order.
 		sent, resort := false, false
-		for i := range inboxes {
+		for _, i := range r.recipients {
 			inboxes[i] = inboxes[i][:0]
 		}
+		r.recipients = r.recipients[:0]
 		if len(r.pending) > 0 {
-			kept := r.pending[:0]
+			kept, due := r.pending[:0], r.due[:0]
 			for _, d := range r.pending {
 				if d.due > round+1 {
 					kept = append(kept, d)
-					continue
+				} else {
+					due = append(due, d)
 				}
-				inboxes[d.to] = append(inboxes[d.to], d.msg)
-				stats.Messages++
-				// A due delayed delivery is traffic: the session must run one
-				// more round so its destination consumes it, even if no node
-				// broadcast this round.
+			}
+			r.pending, r.due = kept, due
+			for k := range due {
+				r.deliver(due[k].to, Message{From: due[k].from, Payload: &due[k].payload})
+			}
+			if len(due) > 0 {
+				stats.Messages += int64(len(due))
+				// A due delayed delivery is traffic: the session must run
+				// one more round so its destination consumes it, even if
+				// no node broadcast this round.
 				sent, resort = true, true
 			}
-			r.pending = kept
 		}
-		for from := range outs {
+		for _, from := range active {
+			if !done[from] {
+				r.wakeNext(from)
+			}
 			payload := &outs[from]
 			if payload.Silent() {
 				continue
 			}
 			sent = true
+			if opt.Rng == nil {
+				// A failure-free round: every link delivers exactly once.
+				for _, to := range neighbors[from] {
+					r.deliver(to, Message{From: from, Payload: payload})
+				}
+				stats.Attempted += int64(len(neighbors[from]))
+				stats.Messages += int64(len(neighbors[from]))
+				continue
+			}
 			for _, to := range neighbors[from] {
 				stats.Attempted++
 				deliveries := 1
-				if opt.Rng != nil {
-					dropRate := opt.DropRate
-					if opt.LinkDropRate != nil {
-						dropRate = opt.LinkDropRate(from, to)
-					}
-					if dropRate > 0 && opt.Rng.Float64() < dropRate {
-						stats.Dropped++
-						continue
-					}
-					if opt.DupRate > 0 && opt.Rng.Float64() < opt.DupRate {
-						deliveries = 2
-						stats.Duplicated++
-					}
+				dropRate := opt.DropRate
+				if opt.LinkDropRate != nil {
+					dropRate = opt.LinkDropRate(from, to)
+				}
+				if dropRate > 0 && opt.Rng.Float64() < dropRate {
+					stats.Dropped++
+					continue
+				}
+				if opt.DupRate > 0 && opt.Rng.Float64() < opt.DupRate {
+					deliveries = 2
+					stats.Duplicated++
 				}
 				for d := 0; d < deliveries; d++ {
 					if opt.DelayRate > 0 && opt.Rng.Float64() < opt.DelayRate {
@@ -478,20 +552,21 @@ func (r *Rounds) Run(neighbors [][]int, opt Options, step StepFunc) (Stats, erro
 						// of d ∈ [1, maxDelay] rounds pushes that to
 						// round+1+d.
 						r.pending = append(r.pending, delayedMsg{
-							due: round + 2 + opt.Rng.Intn(maxDelay),
-							to:  to,
-							msg: Message{From: from, Payload: *payload},
+							due:     round + 2 + opt.Rng.Intn(maxDelay),
+							to:      to,
+							from:    from,
+							payload: *payload,
 						})
 						continue
 					}
-					inboxes[to] = append(inboxes[to], Message{From: from, Payload: *payload})
+					r.deliver(to, Message{From: from, Payload: payload})
 					stats.Messages++
 				}
 			}
 		}
 		if resort {
-			for _, inbox := range inboxes {
-				slices.SortStableFunc(inbox, bySender)
+			for _, i := range r.recipients {
+				slices.SortStableFunc(inboxes[i], bySender)
 			}
 		}
 		if !sent && len(r.pending) == 0 {
@@ -500,9 +575,9 @@ func (r *Rounds) Run(neighbors [][]int, opt Options, step StepFunc) (Stats, erro
 	}
 	// The final round's deliveries were counted as Messages but no node
 	// will consume them: like the in-flight delayed ones, they expire.
-	for _, inbox := range inboxes {
-		stats.Messages -= int64(len(inbox))
-		stats.Expired += int64(len(inbox))
+	for _, i := range r.recipients {
+		stats.Messages -= int64(len(inboxes[i]))
+		stats.Expired += int64(len(inboxes[i]))
 	}
 	stats.Expired += int64(len(r.pending))
 	return stats, ErrNoQuiescence

@@ -17,7 +17,7 @@ type maxNode struct {
 	started bool
 }
 
-func (m *maxNode) Step(inbox []Message) (Payload, bool) {
+func (m *maxNode) Step(inbox []Message, out *Payload) bool {
 	changed := !m.started
 	if !m.started {
 		m.best = m.val
@@ -30,9 +30,10 @@ func (m *maxNode) Step(inbox []Message) (Payload, bool) {
 		}
 	}
 	if changed {
-		return intPayload(m.best), false
+		*out = intPayload(m.best)
+		return false
 	}
-	return Payload{}, true
+	return true
 }
 
 // intPayload carries v in a bid's Slot, for the test nodes that gossip
@@ -52,22 +53,19 @@ func line(n int) [][]int {
 	return nb
 }
 
-// concurrentStep is a StepFunc that steps every unskipped node on its
+// concurrentStep is a StepFunc that steps every active node on its
 // own goroutine with a barrier — the concurrency a socket substrate
 // imposes, without the sockets. Rounds.Run promises identical results
 // under any such fan; the driver-equivalence tests hold it to that under
 // the race detector.
 func concurrentStep(nodes []Node) StepFunc {
-	return func(_ int, skip []bool, inboxes [][]Message, outs []Payload, done []bool) error {
+	return func(_ int, active []int, inboxes [][]Message, outs []Payload, done []bool) error {
 		var wg sync.WaitGroup
-		for i := range nodes {
-			if skip[i] {
-				continue
-			}
+		for _, i := range active {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				outs[i], done[i] = nodes[i].Step(inboxes[i])
+				done[i] = nodes[i].Step(inboxes[i], &outs[i])
 			}(i)
 		}
 		wg.Wait()
@@ -155,12 +153,15 @@ func TestQuiescenceOnSilentNetwork(t *testing.T) {
 
 type silentNode struct{}
 
-func (*silentNode) Step([]Message) (Payload, bool) { return Payload{}, true }
+func (*silentNode) Step([]Message, *Payload) bool { return true }
 
 // A node that never stops talking must trip MaxRounds.
 type chattyNode struct{}
 
-func (*chattyNode) Step([]Message) (Payload, bool) { return intPayload(1), false }
+func (*chattyNode) Step(_ []Message, out *Payload) bool {
+	*out = intPayload(1)
+	return false
+}
 
 func TestMaxRoundsGuard(t *testing.T) {
 	nodes := []Node{&chattyNode{}, &chattyNode{}}
@@ -306,13 +307,14 @@ type onceNode struct {
 	consumed int
 }
 
-func (o *onceNode) Step(inbox []Message) (Payload, bool) {
+func (o *onceNode) Step(inbox []Message, out *Payload) bool {
 	o.consumed += len(inbox)
 	if !o.sent {
 		o.sent = true
-		return intPayload(1), false
+		*out = intPayload(1)
+		return false
 	}
-	return Payload{}, true
+	return true
 }
 
 // Regression: a delayed message becoming due on a round where nobody
@@ -350,9 +352,9 @@ type stepCounter struct {
 	steps int
 }
 
-func (c *stepCounter) Step(inbox []Message) (Payload, bool) {
+func (c *stepCounter) Step(inbox []Message, out *Payload) bool {
 	c.steps++
-	return c.Node.Step(inbox)
+	return c.Node.Step(inbox, out)
 }
 
 // counted wraps every node in a stepCounter.
@@ -496,9 +498,10 @@ func TestExpiredCountsInFlightAtMaxRounds(t *testing.T) {
 // it consumed.
 type countingNode struct{ consumed int64 }
 
-func (c *countingNode) Step(inbox []Message) (Payload, bool) {
+func (c *countingNode) Step(inbox []Message, out *Payload) bool {
 	c.consumed += int64(len(inbox))
-	return intPayload(1), false
+	*out = intPayload(1)
+	return false
 }
 
 // A session cut by MaxRounds delivers its final round's messages to no
@@ -533,12 +536,13 @@ func TestMaxRoundsTailExpires(t *testing.T) {
 // meshTalker broadcasts a bid for its first `rounds` steps.
 type meshTalker struct{ rounds, stepped int }
 
-func (m *meshTalker) Step([]Message) (Payload, bool) {
+func (m *meshTalker) Step(_ []Message, out *Payload) bool {
 	m.stepped++
 	if m.stepped > m.rounds {
-		return Payload{}, true
+		return true
 	}
-	return Payload{HasBid: true, Slot: 7, Color: 9, Delta: 0.5}, false
+	*out = Payload{HasBid: true, Slot: 7, Color: 9, Delta: 0.5}
+	return false
 }
 
 // A warm engine runs a session without allocating, however many rounds it
@@ -581,6 +585,67 @@ func TestRoundLoopAllocationFree(t *testing.T) {
 	}
 	if short != 0 {
 		t.Errorf("warm session allocates %v times, want 0", short)
+	}
+}
+
+// stamped is the payload node from broadcasts in round: every field
+// names the two, so a payload read from a rewritten slot shows.
+func stamped(round, from int) Payload {
+	return Payload{HasBid: true, Slot: uint32(round), Color: uint32(from), Delta: float64(round)*1e3 + float64(from)}
+}
+
+// A broadcast is stored once: within a round, every recipient's message
+// from a sender points at that sender's slot of the previous round's
+// outbox bank, which holds what it sent. A delayed delivery carries its
+// own copy, intact though both banks were rewritten since it was sent.
+func TestBroadcastByReference(t *testing.T) {
+	const n, talk = 6, 12
+	mesh := make([][]int, n)
+	for i := range mesh {
+		for j := 0; j < n; j++ {
+			if j != i {
+				mesh[i] = append(mesh[i], j)
+			}
+		}
+	}
+	for _, delayed := range []bool{false, true} {
+		opt := Options{}
+		if delayed {
+			opt = Options{DelayRate: 0.5, MaxDelay: 3, Rng: rand.New(rand.NewSource(9))}
+		}
+		var prev []Payload // the outbox bank of the previous round
+		late := 0          // deliveries consumed 3 or more rounds after their send
+		step := func(round int, active []int, inboxes [][]Message, outs []Payload, done []bool) error {
+			for _, i := range active {
+				for _, m := range inboxes[i] {
+					p := m.Payload
+					want := stamped(int(p.Slot), m.From)
+					if p.HasBid != want.HasBid || p.Color != want.Color || p.Delta != want.Delta || int(p.Slot) >= round {
+						t.Fatalf("delayed=%v round %d: node %d got %+v from %d", delayed, round, i, *p, m.From)
+					}
+					if !delayed && (int(p.Slot) != round-1 || p != &prev[m.From]) {
+						t.Fatalf("round %d: node %d's message from %d is not the sender's stored payload", round, i, m.From)
+					}
+					if round-int(p.Slot) >= 3 {
+						late++
+					}
+				}
+				done[i] = round >= talk
+				if !done[i] {
+					outs[i] = stamped(round, i)
+				}
+			}
+			prev = outs
+			return nil
+		}
+		st, err := new(Rounds).Run(mesh, opt, step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reconcile(t, st)
+		if delayed && late == 0 {
+			t.Fatal("no delayed delivery outlived both outbox banks: the check is vacuous")
+		}
 	}
 }
 

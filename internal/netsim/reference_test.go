@@ -12,9 +12,11 @@ import (
 // buffers (Rounds) were introduced, kept as the oracle of
 // TestRunRoundsMatchesReference and FuzzRunRounds: it rebuilds every
 // inbox from nil each round and stable-sorts every inbox by sender. Its
-// one later edit is the idle-node rule: it keeps each node's last done
+// later edits are the idle-node rule — it keeps each node's last done
 // report and skips a done node whose inbox is empty, as well as a down
-// one. The one documented difference is the MaxRounds tail: this loop
+// one — and the current types: it hands the StepFunc the unskipped nodes
+// as an active list, and gives every delivery a payload pointer of its
+// own. The one documented difference is the MaxRounds tail: this loop
 // leaves the final round's deliveries counted as Messages, Rounds.Run
 // moves them to Expired.
 func referenceRunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, error) {
@@ -77,15 +79,17 @@ func referenceRunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, e
 			}
 		}
 
-		skip := make([]bool, n)
-		for i := range skip {
-			skip[i] = (down != nil && down[i]) || (done[i] && len(inboxes[i]) == 0)
+		var active []int
+		for i := 0; i < n; i++ {
+			if !((down != nil && down[i]) || (done[i] && len(inboxes[i]) == 0)) {
+				active = append(active, i)
+			}
 		}
 
 		for i := range outs {
 			outs[i] = Payload{}
 		}
-		if err := step(round, skip, inboxes, outs, done); err != nil {
+		if err := step(round, active, inboxes, outs, done); err != nil {
 			return stats, err
 		}
 
@@ -103,7 +107,8 @@ func referenceRunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, e
 					kept = append(kept, d)
 					continue
 				}
-				inboxes[d.to] = append(inboxes[d.to], d.msg)
+				payload := d.payload
+				inboxes[d.to] = append(inboxes[d.to], Message{From: d.from, Payload: &payload})
 				stats.Messages++
 				// A due delayed delivery is traffic: the session must run one
 				// more round so its destination consumes it, even if no node
@@ -141,13 +146,15 @@ func referenceRunRounds(neighbors [][]int, opt Options, step StepFunc) (Stats, e
 						// of d ∈ [1, maxDelay] rounds pushes that to
 						// round+1+d.
 						pending = append(pending, delayedMsg{
-							due: round + 2 + opt.Rng.Intn(maxDelay),
-							to:  to,
-							msg: Message{From: from, Payload: payload},
+							due:     round + 2 + opt.Rng.Intn(maxDelay),
+							to:      to,
+							from:    from,
+							payload: payload,
 						})
 						continue
 					}
-					inboxes[to] = append(inboxes[to], Message{From: from, Payload: payload})
+					copied := payload
+					inboxes[to] = append(inboxes[to], Message{From: from, Payload: &copied})
 					stats.Messages++
 				}
 			}
@@ -177,36 +184,46 @@ type traceNode struct {
 	log        []tracedStep
 }
 
-// tracedStep is one inbox as a node consumed it. tick is the session's
-// step count when it was consumed: with sequential stepping it pins the
-// round and every outage before it.
+// tracedStep is one inbox as a node consumed it, each message's payload
+// copied out by value: the oracle compares what was delivered, not where
+// the round loop stored it. tick is the session's step count when it was
+// consumed: with sequential stepping it pins the round and every outage
+// before it.
 type tracedStep struct {
 	tick  int
-	inbox []Message
+	inbox []tracedMsg
 }
 
-func (n *traceNode) Step(inbox []Message) (Payload, bool) {
-	n.log = append(n.log, tracedStep{*n.clock, append([]Message(nil), inbox...)})
+// tracedMsg is a consumed message with its payload's value.
+type tracedMsg struct {
+	From    int
+	Payload Payload
+}
+
+func (n *traceNode) Step(inbox []Message, out *Payload) bool {
+	consumed := make([]tracedMsg, len(inbox))
+	for k, m := range inbox {
+		consumed[k] = tracedMsg{m.From, *m.Payload}
+	}
+	n.log = append(n.log, tracedStep{*n.clock, consumed})
 	*n.clock++
 	n.stepped++
 	for _, m := range inbox {
 		n.acc = (n.acc*31 + m.From*7 + int(m.Payload.Slot)) % 1_000_003
 	}
 	if n.stepped > n.budget || (n.stepped > 1 && len(inbox) == 0 && n.acc%3 == 0) {
-		return Payload{}, true
+		return true
 	}
-	return intPayload(n.acc + n.id), false
+	*out = intPayload(n.acc + n.id)
+	return false
 }
 
 // referenceSequential is the in-memory engine's stepping fan for the
 // reference loop.
 func referenceSequential(nodes []Node) StepFunc {
-	return func(_ int, skip []bool, inboxes [][]Message, outs []Payload, done []bool) error {
-		for i, nd := range nodes {
-			if skip[i] {
-				continue
-			}
-			outs[i], done[i] = nd.Step(inboxes[i])
+	return func(_ int, active []int, inboxes [][]Message, outs []Payload, done []bool) error {
+		for _, i := range active {
+			done[i] = nodes[i].Step(inboxes[i], &outs[i])
 		}
 		return nil
 	}

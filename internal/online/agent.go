@@ -110,6 +110,10 @@ type agent struct {
 	passed       bool
 	myBid        float64
 	myPol        int
+	// viewChanged: applyCommit changed the energy view since the last
+	// recompute, so (myPol, myBid) may be stale. A bid round recomputes
+	// only then: the same view gives the same bid.
+	viewChanged bool
 
 	// applied[nb] == session: the commit of neighbors[nb] in this session
 	// is folded in.
@@ -279,7 +283,7 @@ func (a *agent) startSession(slot, color int) {
 	}
 	a.retriesLeft = 0
 	a.acks = a.acks[:0]
-	a.myPol, a.myBid = -1, 0
+	a.myPol, a.myBid, a.viewChanged = -1, 0, false
 
 	a.sessionCovers = a.sessionCovers[:0]
 	a.sessionOff = a.sessionOff[:0]
@@ -309,7 +313,7 @@ func (a *agent) startSession(slot, color int) {
 // current session from its local energy view. With no live cover every
 // gain is 0, which no policy beats.
 func (a *agent) recompute() {
-	a.myPol, a.myBid = -1, 0
+	a.myPol, a.myBid, a.viewChanged = -1, 0, false
 	if len(a.sessionCovers) == 0 {
 		return
 	}
@@ -371,6 +375,7 @@ func (a *agent) applyCommit(from int, covers []int) {
 		for _, te := range a.commit {
 			energy[te.r] += te.de
 		}
+		a.viewChanged = true
 	}
 }
 
@@ -403,16 +408,17 @@ func (a *agent) ours(slot, color uint32) bool {
 // beatenBy reports whether m's bid is for the running session and beats
 // ours under the paper's rule, exact ties going to the lower charger ID.
 func (a *agent) beatenBy(m *netsim.Message) bool {
-	p := &m.Payload
+	p := m.Payload
 	return a.ours(p.Slot, p.Color) && (p.Delta > a.myBid || (p.Delta == a.myBid && m.From < a.id))
 }
 
-// Step implements netsim.Node for the current session. Without the
-// reliability layer it runs the paper's best-effort protocol, in which a
-// lost UPD silently diverges the loser's energy view.
-func (a *agent) Step(inbox []netsim.Message) (netsim.Payload, bool) {
+// Step implements netsim.Node for the current session, writing any
+// broadcast into the silent out. Without the reliability layer it runs
+// the paper's best-effort protocol, in which a lost UPD silently diverges
+// the loser's energy view.
+func (a *agent) Step(inbox []netsim.Message, out *netsim.Payload) bool {
 	if a.reliable {
-		return a.stepReliable(inbox)
+		return a.stepReliable(inbox, out)
 	}
 	switch a.phase {
 	case phaseBid:
@@ -423,46 +429,49 @@ func (a *agent) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 			}
 		}
 		if a.fixed || a.passed {
-			return netsim.Payload{}, true
+			return true
 		}
-		a.recompute()
+		if a.viewChanged {
+			a.recompute()
+		}
 		if a.myBid <= 1e-15 {
 			a.passed = true
-			return netsim.Payload{}, true
+			return true
 		}
 		a.phase = phaseDecide
-		return netsim.Payload{HasBid: true, Slot: uint32(a.sessionSlot), Color: uint32(a.sessionColor), Delta: a.myBid}, false
+		out.HasBid, out.Slot, out.Color, out.Delta = true, uint32(a.sessionSlot), uint32(a.sessionColor), a.myBid
+		return false
 
 	case phaseDecide:
 		a.phase = phaseBid
 		if a.fixed || a.passed {
-			return netsim.Payload{}, true
+			return true
 		}
 		// The paper's rule: commit iff our ΔF beats every competing
 		// neighbor's.
 		for i := range inbox {
 			if m := &inbox[i]; m.Payload.HasBid && a.beatenBy(m) {
-				return netsim.Payload{}, false // lost this round; rebid next round
+				return false // lost this round; rebid next round
 			}
 		}
 		a.commitOwn()
-		return netsim.Payload{HasUpd: true, Slot: uint32(a.sessionSlot), Color: uint32(a.sessionColor),
-			Seq: a.updSeq, Covers: a.policies[a.myPol].Covers}, true
+		out.HasUpd, out.Slot, out.Color = true, uint32(a.sessionSlot), uint32(a.sessionColor)
+		out.Seq, out.Covers = a.updSeq, a.policies[a.myPol].Covers
+		return true
 	}
-	return netsim.Payload{}, true
+	return true
 }
 
 // stepReliable is the ack/retransmit variant: identical negotiation
 // decisions, but commits are acknowledged and re-broadcast until every
 // neighbor confirmed receipt (or the retry budget ran out).
-func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
-	var out netsim.Payload
+func (a *agent) stepReliable(inbox []netsim.Message, out *netsim.Payload) bool {
 	sent := len(a.acks)
 	// Process UPDs and acks every round, whatever the phase: delayed or
 	// retransmitted UPDs may arrive in a decide round and must still be
 	// applied and (re-)acked.
 	for i := range inbox {
-		from, pkt := inbox[i].From, &inbox[i].Payload
+		from, pkt := inbox[i].From, inbox[i].Payload
 		if pkt.HasUpd && a.ours(pkt.Slot, pkt.Color) {
 			a.applyOnce(from, pkt.Covers)
 			// Ack every receipt: the previous ack may itself have been
@@ -485,7 +494,9 @@ func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 	case a.fixed || a.passed:
 	case a.phase == phaseBid:
 		a.phase = phaseDecide
-		a.recompute()
+		if a.viewChanged {
+			a.recompute()
+		}
 		if a.myBid <= 1e-15 {
 			a.passed = true
 		} else {
@@ -537,13 +548,13 @@ func (a *agent) stepReliable(inbox []netsim.Message) (netsim.Payload, bool) {
 	}
 	done := (a.fixed && a.nUnacked == 0) || a.passed
 	if out.Silent() {
-		return out, done
+		return done
 	}
 	out.Slot, out.Color = uint32(a.sessionSlot), uint32(a.sessionColor)
 	if out.HasUpd {
 		out.Seq, out.Covers = a.updSeq, a.policies[a.myPol].Covers
 	}
-	return out, done
+	return done
 }
 
 // commitOwn fixes the winning policy as the S-C tuple for the session,

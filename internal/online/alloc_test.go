@@ -19,7 +19,9 @@ var raceEnabled bool
 // mid-scale instance of the benchmark's online-tcp workload (12 chargers,
 // 40 tasks) over loopback TCP. Each sits 5% above its measured count:
 // 2 555, 2 822 and 4 858 once the neighbor relation grew with each
-// arrival batch instead of being rebuilt for every negotiation, which
+// arrival batch instead of being rebuilt for every negotiation (2 558,
+// 2 826 and 4 892 since a round stores each broadcast once: a second
+// outbox bank per run, and a payload bank per TCP node server), which
 // took 2 689, 2 956 and 4 884 once each charger kept one agent, indexed
 // by its own row, for the whole run. Rebuilding every agent for every
 // negotiation took 30 447, 40 834 and 6 072 (30 399, 40 786 and 6 065

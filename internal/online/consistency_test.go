@@ -280,12 +280,13 @@ type doneProbe struct {
 	checks *int
 }
 
-func (d doneProbe) Step(inbox []netsim.Message) (netsim.Payload, bool) {
-	out, done := d.a.Step(inbox)
+func (d doneProbe) Step(inbox []netsim.Message, out *netsim.Payload) bool {
+	done := d.a.Step(inbox, out)
 	if done {
 		var snap agent
 		deepCopy(reflect.ValueOf(&snap).Elem(), reflect.ValueOf(d.a).Elem())
-		again, stillDone := d.a.Step(nil)
+		var again netsim.Payload
+		stillDone := d.a.Step(nil, &again)
 		if !again.Silent() || !stillDone {
 			d.t.Errorf("%s: charger %d, done, answers an empty inbox with %+v, done %v", d.label, d.a.id, again, stillDone)
 		}
@@ -294,39 +295,92 @@ func (d doneProbe) Step(inbox []netsim.Message) (netsim.Payload, bool) {
 		}
 		*d.checks++
 	}
-	return out, done
+	return done
 }
 
 // Once an agent reports done, stepping it on an empty inbox returns
 // silence and done and leaves it reflect.DeepEqual to a snapshot, with
 // and without the reliability layer, on a clean and a lossy network.
 func TestDoneAgentStepIsNoop(t *testing.T) {
-	for _, opt := range []Options{{}, {DropRate: 0.2}, {Reliable: true}, {Reliable: true, DropRate: 0.2}} {
-		opt.Seed = 603
+	for _, opt := range probedOptions {
 		label := fmt.Sprintf("reliable=%v drop=%v", opt.Reliable, opt.DropRate)
 		checks := 0
-		p := chaosWorkload(opt.Seed)
-		g := newNegotiator(p, opt.normalize())
-		// The driver steps g.nodes: put a probe in front of each agent.
-		for i := range g.nodes {
-			g.nodes[i] = doneProbe{t, label, &g.agents[i], &checks}
-		}
-		orient := nanOrient(p)
-		slots, arrivals := arrivalBatches(p.In)
-		for _, now := range slots {
-			g.learn(arrivals[now])
-			if lockUntil := min(now+p.In.Params.Tau, p.K); g.maxEnd > lockUntil {
-				if _, err := g.negotiate(orient, now, lockUntil); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := g.close(); err != nil {
-			t.Fatal(err)
-		}
+		negotiateProbed(t, opt, func(a *agent) netsim.Node { return doneProbe{t, label, a, &checks} })
 		if checks == 0 {
 			t.Fatalf("%s: no agent ever reported done: the check is vacuous", label)
 		}
 		t.Logf("%s: %d done steps checked", label, checks)
+	}
+}
+
+// bidProbe steps its agent and then checks its cached bid: while the
+// agent's energy view is unchanged since its last recompute, (myPol,
+// myBid) must be what a fresh recompute gives — the condition under
+// which a bid round may resend it without recomputing.
+type bidProbe struct {
+	t      *testing.T
+	label  string
+	a      *agent
+	checks *int
+}
+
+func (d bidProbe) Step(inbox []netsim.Message, out *netsim.Payload) bool {
+	done := d.a.Step(inbox, out)
+	if a := d.a; !a.viewChanged {
+		pol, bid := a.myPol, a.myBid
+		a.recompute()
+		if a.myPol != pol || a.myBid != bid {
+			d.t.Errorf("%s: charger %d, session (%d, %d): cached bid (%d, %v), fresh recompute (%d, %v)",
+				d.label, a.id, a.sessionSlot, a.sessionColor, pol, bid, a.myPol, a.myBid)
+		}
+		a.myPol, a.myBid = pol, bid
+		*d.checks++
+	}
+	return done
+}
+
+// An agent reuses its bid only while its view is unchanged: after every
+// step, with and without the reliability layer, on a clean and a lossy
+// network, an agent whose view applyCommit left unchanged holds the bid
+// a fresh recompute gives.
+func TestReusedBidMatchesRecompute(t *testing.T) {
+	for _, opt := range probedOptions {
+		label := fmt.Sprintf("reliable=%v drop=%v", opt.Reliable, opt.DropRate)
+		checks := 0
+		negotiateProbed(t, opt, func(a *agent) netsim.Node { return bidProbe{t, label, a, &checks} })
+		if checks == 0 {
+			t.Fatalf("%s: no step left a view unchanged: the check is vacuous", label)
+		}
+		t.Logf("%s: %d cached bids checked", label, checks)
+	}
+}
+
+// probedOptions are the protocol settings the agent probes run under:
+// with and without the reliability layer, on a clean and a lossy network.
+var probedOptions = []Options{{}, {DropRate: 0.2}, {Reliable: true}, {Reliable: true, DropRate: 0.2}}
+
+// negotiateProbed runs every negotiation of an online run of the chaos
+// workload under opt (seed 603), with the driver stepping probe(a) in
+// place of each agent a.
+func negotiateProbed(t *testing.T, opt Options, probe func(a *agent) netsim.Node) {
+	t.Helper()
+	opt.Seed = 603
+	p := chaosWorkload(opt.Seed)
+	g := newNegotiator(p, opt.normalize())
+	for i := range g.nodes {
+		g.nodes[i] = probe(&g.agents[i])
+	}
+	orient := nanOrient(p)
+	slots, arrivals := arrivalBatches(p.In)
+	for _, now := range slots {
+		g.learn(arrivals[now])
+		if lockUntil := min(now+p.In.Params.Tau, p.K); g.maxEnd > lockUntil {
+			if _, err := g.negotiate(orient, now, lockUntil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := g.close(); err != nil {
+		t.Fatal(err)
 	}
 }

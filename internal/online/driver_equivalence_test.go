@@ -13,7 +13,7 @@ import (
 )
 
 // concurrentDriver is an in-memory netsim.Driver whose stepping fan runs
-// every unskipped agent on its own goroutine through netsim.Rounds — the
+// every active agent on its own goroutine through netsim.Rounds — the
 // concurrency the socket substrate imposes, without the sockets, so the
 // race detector can check that agents share no unsynchronized state.
 type concurrentDriver struct {
@@ -26,16 +26,13 @@ func concurrentFactory(neighbors [][]int, opt netsim.Options) (netsim.Driver, er
 }
 
 func (d *concurrentDriver) Run(nodes []netsim.Node) (netsim.Stats, error) {
-	return new(netsim.Rounds).Run(d.neighbors, d.opt, func(_ int, skip []bool, inboxes [][]netsim.Message, outs []netsim.Payload, done []bool) error {
+	return new(netsim.Rounds).Run(d.neighbors, d.opt, func(_ int, active []int, inboxes [][]netsim.Message, outs []netsim.Payload, done []bool) error {
 		var wg sync.WaitGroup
-		for i := range nodes {
-			if skip[i] {
-				continue
-			}
+		for _, i := range active {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				outs[i], done[i] = nodes[i].Step(inboxes[i])
+				done[i] = nodes[i].Step(inboxes[i], &outs[i])
 			}(i)
 		}
 		wg.Wait()

@@ -395,13 +395,15 @@ type solveCall struct {
 
 // solveRoute adapts a solve endpoint to the pipeline: it refuses other
 // methods and a draining server, runs the endpoint, writes its response
-// under the ok status or its JSON error, frees the worker slot and
-// records the latency. Every 429, 503 and 504 carries Retry-After.
+// under the ok status or its JSON error, frees the worker slot and, for
+// a request it ran, records the latency: a refused one never reached
+// scheduling. Every 429, 503 and 504 carries Retry-After.
 func (s *Server) solveRoute(method string, ok int, run func(*solveCall) (any, *httpError)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		c := &solveCall{s: s, w: w, r: r, t0: time.Now()}
 		var resp any
 		var e *httpError
+		ran := false
 		switch {
 		case r.Method != method:
 			e = fail(http.StatusMethodNotAllowed, "use %s", method)
@@ -409,6 +411,7 @@ func (s *Server) solveRoute(method string, ok int, run func(*solveCall) (any, *h
 			e = fail(http.StatusServiceUnavailable, "draining")
 		default:
 			resp, e = run(c)
+			ran = true
 		}
 		switch {
 		case e == nil:
@@ -433,7 +436,9 @@ func (s *Server) solveRoute(method string, ok int, run func(*solveCall) (any, *h
 			s.met.inFlight.Add(-1)
 			<-s.sem
 		}
-		s.met.recordLatency(time.Since(c.t0))
+		if ran {
+			s.met.recordLatency(time.Since(c.t0))
+		}
 	}
 }
 

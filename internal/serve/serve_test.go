@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -225,6 +226,27 @@ func TestHealthzAndDrain(t *testing.T) {
 	}
 	var er errorResponse
 	decodeResponse(t, rec.Body.Bytes(), &er)
+}
+
+// A request refused before any scheduling — a wrong method, or a
+// draining server — counts under its status but records no sample in the
+// scheduling-request latency histogram.
+func TestRefusedRequestsRecordNoLatency(t *testing.T) {
+	s := New(Config{})
+	if rec := get(s, "/v1/schedule"); rec.Code != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /v1/schedule status %d, want 405", rec.Code)
+	}
+	s.BeginDrain()
+	if rec := post(s, "/v1/schedule", requestBody(t, instanceJSON(t, testInstance(t, 5)), nil)); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("draining POST status %d, want 503", rec.Code)
+	}
+	m := s.Metrics()
+	if m.Latency.Count != 0 {
+		t.Errorf("latency count = %d after two refused requests, want 0", m.Latency.Count)
+	}
+	if want := map[string]int64{"405": 1, "503": 1}; !reflect.DeepEqual(m.ByStatus, want) {
+		t.Errorf("requests_by_status = %v, want %v", m.ByStatus, want)
+	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {

@@ -121,12 +121,13 @@ type chatter struct {
 	id, rounds, stepped int
 }
 
-func (c *chatter) Step(inbox []netsim.Message) (netsim.Payload, bool) {
+func (c *chatter) Step(_ []netsim.Message, out *netsim.Payload) bool {
 	c.stepped++
 	if c.stepped > c.rounds {
-		return netsim.Payload{}, true
+		return true
 	}
-	return netsim.Payload{HasBid: true, Slot: uint32(c.stepped), Color: uint32(c.id), Delta: 0.5}, false
+	*out = netsim.Payload{HasBid: true, Slot: uint32(c.stepped), Color: uint32(c.id), Delta: 0.5}
+	return false
 }
 
 // benchmarkRounds measures per-round latency of a driver: an 8-node full

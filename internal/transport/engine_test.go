@@ -70,12 +70,41 @@ func TestRunUninstallsNodes(t *testing.T) {
 	}
 }
 
+// Both engines refuse a node set of the wrong size with ErrNodeCount,
+// before running a round, and still run the right one afterwards.
+func TestRunRejectsWrongNodeCount(t *testing.T) {
+	const n = 3
+	for _, f := range []struct {
+		name    string
+		factory netsim.Factory
+	}{{"mem", netsim.MemFactory}, {"tcp", Factory}} {
+		t.Run(f.name, func(t *testing.T) {
+			d, err := f.factory(fullMesh(n), netsim.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			for _, k := range []int{0, n - 1, n + 1} {
+				st, err := d.Run(chatterNodes(k, 2))
+				if !errors.Is(err, netsim.ErrNodeCount) || st != (netsim.Stats{}) {
+					t.Errorf("%d nodes on a %d-node topology: %+v, %v; want no round and ErrNodeCount", k, n, st, err)
+				}
+			}
+			if st, err := d.Run(chatterNodes(n, 2)); err != nil || st.Rounds != 3 {
+				t.Errorf("%d nodes after the refusals: %+v, %v", n, st, err)
+			}
+		})
+	}
+	assertNoEngineGoroutines(t)
+}
+
 // badPayloadNode returns a payload the codec has no encoding for: an UPD
 // covering a negative task index, which no u32 field can carry.
 type badPayloadNode struct{}
 
-func (badPayloadNode) Step([]netsim.Message) (netsim.Payload, bool) {
-	return netsim.Payload{HasUpd: true, Covers: []int{-1}}, false
+func (badPayloadNode) Step(_ []netsim.Message, out *netsim.Payload) bool {
+	*out = netsim.Payload{HasUpd: true, Covers: []int{-1}}
+	return false
 }
 
 // A Step result the node's serve loop cannot encode ends that loop; its
@@ -108,21 +137,30 @@ func TestUnencodableStepResultAbortsSession(t *testing.T) {
 }
 
 // logNode broadcasts a bid for its first talk rounds and keeps a copy of
-// every inbox it consumes, each behind a tick message (From −1) carrying
-// the step number.
+// every inbox it consumes, payloads by value, each behind a tick message
+// (From −1) carrying the step number.
 type logNode struct {
 	id, talk, stepped int
-	log               []netsim.Message
+	log               []loggedMsg
 }
 
-func (n *logNode) Step(inbox []netsim.Message) (netsim.Payload, bool) {
+// loggedMsg is a consumed message with its payload's value.
+type loggedMsg struct {
+	From    int
+	Payload netsim.Payload
+}
+
+func (n *logNode) Step(inbox []netsim.Message, out *netsim.Payload) bool {
 	n.stepped++
-	n.log = append(n.log, netsim.Message{From: -1, Payload: netsim.Payload{Seq: uint32(n.stepped)}})
-	n.log = append(n.log, inbox...)
-	if n.stepped > n.talk {
-		return netsim.Payload{}, true
+	n.log = append(n.log, loggedMsg{From: -1, Payload: netsim.Payload{Seq: uint32(n.stepped)}})
+	for _, m := range inbox {
+		n.log = append(n.log, loggedMsg{m.From, *m.Payload})
 	}
-	return netsim.Payload{HasBid: true, Slot: uint32(n.stepped), Color: uint32(n.id), Delta: float64(len(inbox))}, false
+	if n.stepped > n.talk {
+		return true
+	}
+	*out = netsim.Payload{HasBid: true, Slot: uint32(n.stepped), Color: uint32(n.id), Delta: float64(len(inbox))}
+	return false
 }
 
 func logNodes(n, talk int) ([]*logNode, []netsim.Node) {

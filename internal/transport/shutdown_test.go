@@ -58,12 +58,13 @@ type chatterNode struct {
 	id, rounds, stepped int
 }
 
-func (c *chatterNode) Step(inbox []netsim.Message) (netsim.Payload, bool) {
+func (c *chatterNode) Step(_ []netsim.Message, out *netsim.Payload) bool {
 	c.stepped++
 	if c.stepped > c.rounds {
-		return netsim.Payload{}, true
+		return true
 	}
-	return netsim.Payload{HasBid: true, Slot: uint32(c.stepped), Color: uint32(c.id), Delta: float64(c.stepped)}, false
+	*out = netsim.Payload{HasBid: true, Slot: uint32(c.stepped), Color: uint32(c.id), Delta: float64(c.stepped)}
+	return false
 }
 
 func chatterNodes(n, rounds int) []netsim.Node {
@@ -130,12 +131,13 @@ type sabotageNode struct {
 	stepped int
 }
 
-func (n *sabotageNode) Step(inbox []netsim.Message) (netsim.Payload, bool) {
+func (n *sabotageNode) Step(_ []netsim.Message, out *netsim.Payload) bool {
 	n.stepped++
 	if n.stepped == n.at {
 		n.e.servers[n.idx].conn.Close()
 	}
-	return netsim.Payload{HasBid: true, Slot: uint32(n.stepped), Color: uint32(n.idx), Delta: 1}, false
+	*out = netsim.Payload{HasBid: true, Slot: uint32(n.stepped), Color: uint32(n.idx), Delta: 1}
+	return false
 }
 
 func TestNodeCrashMidRoundAbortsSession(t *testing.T) {

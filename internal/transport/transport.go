@@ -5,14 +5,17 @@
 // the paper's distributed Algorithm 3 — while the coordinator runs the
 // shared netsim round loop (netsim.Rounds) and exchanges one framed
 // request/response pair per stepped node per round (the round barrier).
-// The loop skips down nodes and done nodes with nothing to read, so a
-// round's frames go only to the chargers still negotiating and to those
-// a message reaches; each response's done bit feeds the next round's
-// skip mask. The coordinator steps a round from its own goroutine: it
-// writes every stepped node's request, then reads the responses in node
-// order, while the nodes' serve goroutines step in parallel. A node
-// writes only after it has read its whole request, so neither side can
-// block the other.
+// The loop leaves down nodes and done nodes with nothing to read out of
+// a round's active list, so a round's frames go only to the chargers
+// still negotiating and to those a message reaches; each response's done
+// bit feeds the next round's active list. The coordinator steps a round
+// from its own goroutine: it writes the request of every node on the
+// active list, then reads the responses in node order, decoding each
+// into the node's outbox slot, while the nodes' serve goroutines step in
+// parallel. A node writes only after it has read its whole request, so
+// neither side can block the other. A serve goroutine decodes each
+// request's payloads into one bank it reuses, and its messages point into
+// that bank, as the round loop's do into its outboxes.
 //
 // # Determinism and equivalence
 //
@@ -67,7 +70,7 @@ type Engine struct {
 
 	links   []*link       // coordinator side: one dialed conn per node
 	servers []*nodeServer // node side: listener + accepted conn + goroutine
-	errs    []error       // per-node scratch for the stepping fan
+	errs    []error       // per-active-node scratch for the stepping fan
 	rounds  netsim.Rounds // round-loop buffers, reused by every session
 
 	ctx       context.Context
@@ -185,8 +188,8 @@ func Factory(neighbors [][]int, opt netsim.Options) (netsim.Driver, error) {
 // in-memory engine it may be called once per session until Close.
 func (e *Engine) Run(nodes []netsim.Node) (netsim.Stats, error) {
 	if len(nodes) != len(e.neighbors) {
-		return netsim.Stats{}, fmt.Errorf("transport: %d nodes for a %d-node topology",
-			len(nodes), len(e.neighbors))
+		return netsim.Stats{}, fmt.Errorf("transport: %w: %d nodes for a %d-node topology",
+			netsim.ErrNodeCount, len(nodes), len(e.neighbors))
 	}
 	if e.closed.Load() {
 		return netsim.Stats{}, ErrClosed
@@ -235,28 +238,25 @@ func (e *Engine) Reset(neighbors [][]int, opt netsim.Options) error {
 }
 
 // step is the socket stepping fan, run on the coordinator's goroutine:
-// it writes every unskipped node's step frame in node order, then reads
-// the responses in node order, while the serve goroutines step the nodes
-// in parallel. Each inbox is encoded before step returns, as the StepFunc
-// contract requires. Skipped nodes get no frame — the serve loop of a
-// down node never hears about the round, exactly like a crashed process,
-// and that of an idle done node has nothing to do. A node whose request
+// it writes the step frame of every node on the active list, in node
+// order, then reads the responses in node order into the nodes' outbox
+// slots, while the serve goroutines step the nodes in parallel. Each
+// inbox is encoded before step returns, as the StepFunc contract
+// requires. Nodes off the list get no frame — the serve loop of a down
+// node never hears about the round, exactly like a crashed process, and
+// that of an idle done node has nothing to do. A node whose request
 // could not be sent is not read from; the errors are joined in node order.
-func (e *Engine) step(round int, skip []bool, inboxes [][]netsim.Message, outs []netsim.Payload, done []bool) error {
-	for i := range e.links {
-		e.errs[i] = nil
-		if skip[i] {
-			continue
-		}
-		e.errs[i] = e.send(i, round, inboxes[i])
+func (e *Engine) step(round int, active []int, inboxes [][]netsim.Message, outs []netsim.Payload, done []bool) error {
+	errs := e.errs[:len(active)]
+	for k, i := range active {
+		errs[k] = e.send(i, round, inboxes[i])
 	}
-	for i := range e.links {
-		if skip[i] || e.errs[i] != nil {
-			continue
+	for k, i := range active {
+		if errs[k] == nil {
+			done[i], errs[k] = e.receive(i, &outs[i])
 		}
-		outs[i], done[i], e.errs[i] = e.receive(i)
 	}
-	return errors.Join(e.errs...)
+	return errors.Join(errs...)
 }
 
 // send writes node i its inbox for this round as one step frame. The
@@ -279,22 +279,22 @@ func (e *Engine) send(i, round int, inbox []netsim.Message) error {
 	return nil
 }
 
-// receive reads back node i's Step output for this round: its payload
-// and whether it is done.
-func (e *Engine) receive(i int) (netsim.Payload, bool, error) {
+// receive reads back node i's Step output for this round: its payload,
+// decoded into out, and whether it is done.
+func (e *Engine) receive(i int, out *netsim.Payload) (bool, error) {
 	l := e.links[i]
 	typ, resp, err := readFrame(l.r, &l.in)
 	if err != nil {
-		return netsim.Payload{}, false, fmt.Errorf("transport: node %d recv: %w", i, err)
+		return false, fmt.Errorf("transport: node %d recv: %w", i, err)
 	}
 	if typ != frameOut {
-		return netsim.Payload{}, false, fmt.Errorf("transport: node %d: unexpected frame type %d in response", i, typ)
+		return false, fmt.Errorf("transport: node %d: unexpected frame type %d in response", i, typ)
 	}
-	out, done, err := decodeOut(resp)
+	done, err := decodeOut(resp, out)
 	if err != nil {
-		return netsim.Payload{}, false, fmt.Errorf("transport: node %d: %w", i, err)
+		return false, fmt.Errorf("transport: node %d: %w", i, err)
 	}
-	return out, done, nil
+	return done, nil
 }
 
 // serve is node i's process: a loop reading step frames, stepping the
@@ -308,7 +308,8 @@ func (e *Engine) serve(s *nodeServer) {
 	defer s.conn.Close()
 	r := bufio.NewReader(s.conn)
 	var scratch, body, frame []byte
-	var inbox []netsim.Message // reused by every round's decodeStep
+	var inbox stepInbox    // reused by every round's decodeStep
+	var out netsim.Payload // Step's outbox, cleared each round: one escapes once, not per step
 	for {
 		typ, req, err := readFrame(r, &scratch)
 		if err != nil {
@@ -316,18 +317,18 @@ func (e *Engine) serve(s *nodeServer) {
 		}
 		switch typ {
 		case frameStep:
-			if _, inbox, err = decodeStep(req, inbox); err != nil {
+			if _, err = decodeStep(req, &inbox); err != nil {
 				return
 			}
 			s.mu.Lock()
 			node := s.node
 			s.mu.Unlock()
-			var out netsim.Payload
-			var done bool
+			out = netsim.Payload{}
+			done := false
 			if node != nil {
-				out, done = node.Step(inbox)
+				done = node.Step(inbox.msgs, &out)
 			}
-			if body, err = encodeOut(body[:0], out, done); err != nil {
+			if body, err = encodeOut(body[:0], &out, done); err != nil {
 				return
 			}
 			if frame, err = appendFrame(frame[:0], frameOut, body); err != nil {

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"haste/internal/netsim"
 )
@@ -310,24 +311,25 @@ func decodeAck(c *cursor) netsim.Ack {
 	return netsim.Ack{Slot: c.u32(), Color: c.u32(), To: c.u32(), Seq: c.u32()}
 }
 
-// decodePayload decodes one payload at the cursor. Only an UPD's covers
-// and the acks allocate.
-func decodePayload(c *cursor) (p netsim.Payload) {
+// decodePayload decodes one payload at the cursor into p, overwriting
+// all of it. Only an UPD's covers and the acks allocate.
+func decodePayload(c *cursor, p *netsim.Payload) {
+	*p = netsim.Payload{}
 	flags := c.u8()
 	if c.err != nil {
-		return p
+		return
 	}
 	if flags == 0 || flags&^(partBid|partUpd|partAcks) != 0 {
 		c.fail(fmt.Errorf("%w: payload flags %#x", ErrMalformed, flags))
-		return p
+		return
 	}
 	p.HasBid, p.HasUpd = flags&partBid != 0, flags&partUpd != 0
 	if p.HasBid {
-		decodeBid(c, &p)
+		decodeBid(c, p)
 	}
 	if p.HasUpd {
 		slot, color := p.Slot, p.Color
-		decodeUpd(c, &p)
+		decodeUpd(c, p)
 		if p.HasBid && (p.Slot != slot || p.Color != color) {
 			c.fail(fmt.Errorf("%w: bid and upd disagree on (slot, color)", ErrMalformed))
 		}
@@ -344,7 +346,6 @@ func decodePayload(c *cursor) (p netsim.Payload) {
 			}
 		}
 	}
-	return p
 }
 
 // encodeStep appends a step frame body (round + inbox) to dst.
@@ -354,41 +355,53 @@ func encodeStep(dst []byte, round int, inbox []netsim.Message) ([]byte, error) {
 	w.u32i(len(inbox))
 	for i := range inbox {
 		w.u32i(inbox[i].From)
-		appendPayload(&w, &inbox[i].Payload)
+		appendPayload(&w, inbox[i].Payload)
 	}
 	return w.b, w.err
 }
 
-// decodeStep parses a step frame body back into (round, inbox), appending
-// the messages to inbox[:0] so a caller that passes the previous inbox
-// back in reuses its storage.
-func decodeStep(body []byte, inbox []netsim.Message) (round int, _ []netsim.Message, err error) {
-	inbox = inbox[:0]
+// stepInbox is a decoded step frame's inbox: msgs[k].Payload points at
+// payloads[k], the bank its payload was decoded into. decodeStep refills
+// both in place, so a node server that decodes every round into one
+// stepInbox allocates only for the UPD covers and acks it receives.
+type stepInbox struct {
+	msgs     []netsim.Message
+	payloads []netsim.Payload
+}
+
+// decodeStep parses a step frame body into its round and in's messages,
+// replacing what in held.
+func decodeStep(body []byte, in *stepInbox) (round int, err error) {
+	in.msgs = in.msgs[:0]
 	c := cursor{b: body}
 	round = int(c.u32())
 	// A message is at least its 4-byte sender, the 1-byte payload flags
 	// and its smallest part (the 16-byte bid or count-only upd), so 21
 	// bytes/message is a safe floor for the count guard.
 	n := c.count(21)
-	for i := 0; i < n; i++ {
+	// The bank is sized before any message points into it.
+	in.payloads = slices.Grow(in.payloads[:0], n)[:n]
+	for k := 0; k < n; k++ {
 		from := int(c.u32())
-		p := decodePayload(&c)
+		decodePayload(&c, &in.payloads[k])
 		if c.err != nil {
-			return 0, nil, c.err
+			in.msgs = in.msgs[:0]
+			return 0, c.err
 		}
-		inbox = append(inbox, netsim.Message{From: from, Payload: p})
+		in.msgs = append(in.msgs, netsim.Message{From: from, Payload: &in.payloads[k]})
 	}
 	if c.err != nil {
-		return 0, nil, c.err
+		return 0, c.err
 	}
 	if c.remaining() != 0 {
-		return 0, nil, ErrTrailingBytes
+		in.msgs = in.msgs[:0]
+		return 0, ErrTrailingBytes
 	}
-	return round, inbox, nil
+	return round, nil
 }
 
 // encodeOut appends an out frame body (Step's result) to dst.
-func encodeOut(dst []byte, out netsim.Payload, done bool) ([]byte, error) {
+func encodeOut(dst []byte, out *netsim.Payload, done bool) ([]byte, error) {
 	w := writer{b: dst}
 	var flags byte
 	if !out.Silent() {
@@ -399,26 +412,28 @@ func encodeOut(dst []byte, out netsim.Payload, done bool) ([]byte, error) {
 	}
 	w.u8(flags)
 	if flags&outHasPayload != 0 {
-		appendPayload(&w, &out)
+		appendPayload(&w, out)
 	}
 	return w.b, w.err
 }
 
-// decodeOut parses an out frame body back into Step's (payload, done).
-func decodeOut(body []byte) (out netsim.Payload, done bool, err error) {
+// decodeOut parses an out frame body back into Step's result: it
+// decodes the payload into out, which must be silent and stays so when
+// the frame carries none, and returns the done flag.
+func decodeOut(body []byte, out *netsim.Payload) (done bool, err error) {
 	c := cursor{b: body}
 	flags := c.u8()
 	if c.err == nil && flags&^(outHasPayload|outDone) != 0 {
 		c.fail(fmt.Errorf("%w: unknown out flags %#x", ErrMalformed, flags))
 	}
 	if c.err == nil && flags&outHasPayload != 0 {
-		out = decodePayload(&c)
+		decodePayload(&c, out)
 	}
 	if c.err != nil {
-		return netsim.Payload{}, false, c.err
+		return false, c.err
 	}
 	if c.remaining() != 0 {
-		return netsim.Payload{}, false, ErrTrailingBytes
+		return false, ErrTrailingBytes
 	}
-	return out, flags&outDone != 0, nil
+	return flags&outDone != 0, nil
 }

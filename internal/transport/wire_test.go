@@ -46,7 +46,7 @@ func samplePayloads() []netsim.Payload {
 
 // payloadEqual compares payloads with float64 fields bit for bit (NaN
 // included) — the equivalence contract is bitwise, not semantic.
-func payloadEqual(a, b netsim.Payload) bool {
+func payloadEqual(a, b *netsim.Payload) bool {
 	ab, errA := encodeOut(nil, a, false)
 	bb, errB := encodeOut(nil, b, false)
 	return errA == nil && errB == nil && bytes.Equal(ab, bb)
@@ -55,7 +55,7 @@ func payloadEqual(a, b netsim.Payload) bool {
 func TestStepFrameRoundTrip(t *testing.T) {
 	var inbox []netsim.Message
 	for i, p := range samplePayloads() {
-		inbox = append(inbox, netsim.Message{From: i, Payload: p})
+		inbox = append(inbox, netsim.Message{From: i, Payload: &p})
 	}
 	for _, msgs := range [][]netsim.Message{nil, inbox[:1], inbox} {
 		body, err := encodeStep(nil, 41, msgs)
@@ -71,19 +71,21 @@ func TestStepFrameRoundTrip(t *testing.T) {
 		if err != nil || typ != frameStep {
 			t.Fatalf("readFrame: typ=%d err=%v", typ, err)
 		}
-		round, decoded, err := decodeStep(got, nil)
+		var in stepInbox
+		round, err := decodeStep(got, &in)
 		if err != nil {
 			t.Fatalf("decodeStep: %v", err)
 		}
 		if round != 41 {
 			t.Errorf("round = %d, want 41", round)
 		}
+		decoded := in.msgs
 		if len(decoded) != len(msgs) {
 			t.Fatalf("decoded %d messages, want %d", len(decoded), len(msgs))
 		}
 		for i := range msgs {
 			if decoded[i].From != msgs[i].From || !payloadEqual(decoded[i].Payload, msgs[i].Payload) {
-				t.Errorf("message %d does not round-trip: %#v != %#v", i, decoded[i], msgs[i])
+				t.Errorf("message %d does not round-trip: %#v != %#v", i, *decoded[i].Payload, *msgs[i].Payload)
 			}
 		}
 	}
@@ -93,11 +95,12 @@ func TestOutFrameRoundTrip(t *testing.T) {
 	cases := append(samplePayloads(), netsim.Payload{})
 	for _, done := range []bool{false, true} {
 		for i, p := range cases {
-			body, err := encodeOut(nil, p, done)
+			body, err := encodeOut(nil, &p, done)
 			if err != nil {
 				t.Fatalf("case %d: encodeOut: %v", i, err)
 			}
-			got, gotDone, err := decodeOut(body)
+			var got netsim.Payload
+			gotDone, err := decodeOut(body, &got)
 			if err != nil {
 				t.Fatalf("case %d: decodeOut: %v", i, err)
 			}
@@ -105,7 +108,7 @@ func TestOutFrameRoundTrip(t *testing.T) {
 				t.Errorf("case %d: done = %v, want %v", i, gotDone, done)
 			}
 			silent := p.Silent()
-			if silent != got.Silent() || (!silent && !payloadEqual(got, p)) {
+			if silent != got.Silent() || (!silent && !payloadEqual(&got, &p)) {
 				t.Errorf("case %d: payload does not round-trip: %#v != %#v", i, got, p)
 			}
 		}
@@ -114,23 +117,23 @@ func TestOutFrameRoundTrip(t *testing.T) {
 
 // With warm buffers the codec allocates nothing but each decoded UPD's
 // covers: encoding a step or an out frame and reading a frame into a
-// grown scratch allocate 0, and decoding a step into a reused inbox
-// allocates once per UPD it carries.
+// grown scratch allocate 0, and decoding a step into a reused inbox and
+// payload bank allocates once per UPD it carries.
 func TestCodecAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts need a non-race build")
 	}
 	var bids, mixed []netsim.Message
 	for i := 0; i < 8; i++ {
-		bids = append(bids, netsim.Message{From: i, Payload: netsim.Payload{HasBid: true, Slot: 3, Color: 1, Delta: float64(i)}})
+		bids = append(bids, netsim.Message{From: i, Payload: &netsim.Payload{HasBid: true, Slot: 3, Color: 1, Delta: float64(i)}})
 	}
 	mixed = append(mixed, bids...)
 	for i := 0; i < 3; i++ {
-		mixed = append(mixed, netsim.Message{From: 8 + i, Payload: netsim.Payload{
+		mixed = append(mixed, netsim.Message{From: 8 + i, Payload: &netsim.Payload{
 			HasUpd: true, Slot: 3, Color: 1, Seq: uint32(i), Covers: []int{4, 8, 15}}})
 	}
 	var body []byte
-	var inbox []netsim.Message
+	var inbox stepInbox
 	var err error
 	for _, c := range []struct {
 		name   string
@@ -138,7 +141,7 @@ func TestCodecAllocationFree(t *testing.T) {
 		allocs float64
 	}{{"bid-only", bids, 0}, {"three upds", mixed, 3}} {
 		encode := func() { body, err = encodeStep(body[:0], 7, c.msgs) }
-		decode := func() { _, inbox, err = decodeStep(body, inbox) }
+		decode := func() { _, err = decodeStep(body, &inbox) }
 		encode()
 		decode()
 		if err != nil {
@@ -150,12 +153,12 @@ func TestCodecAllocationFree(t *testing.T) {
 		if got := testing.AllocsPerRun(100, decode); got != c.allocs {
 			t.Errorf("%s: decodeStep allocates %v times, want %v", c.name, got, c.allocs)
 		}
-		if err != nil || len(inbox) != len(c.msgs) || !payloadEqual(inbox[len(inbox)-1].Payload, c.msgs[len(c.msgs)-1].Payload) {
-			t.Errorf("%s: decoded %d messages (%v), want %d", c.name, len(inbox), err, len(c.msgs))
+		if err != nil || len(inbox.msgs) != len(c.msgs) || !payloadEqual(inbox.msgs[len(inbox.msgs)-1].Payload, c.msgs[len(c.msgs)-1].Payload) {
+			t.Errorf("%s: decoded %d messages (%v), want %d", c.name, len(inbox.msgs), err, len(c.msgs))
 		}
 	}
 	for i, p := range samplePayloads() {
-		encode := func() { body, err = encodeOut(body[:0], p, true) }
+		encode := func() { body, err = encodeOut(body[:0], &p, true) }
 		encode()
 		if got := testing.AllocsPerRun(100, encode); got != 0 || err != nil {
 			t.Errorf("case %d: encodeOut allocates %v times (%v), want 0", i, got, err)
@@ -187,7 +190,7 @@ func TestCodecAllocationFree(t *testing.T) {
 func TestReadFrameAcrossWriteBoundaries(t *testing.T) {
 	var frames [][]byte
 	for _, p := range samplePayloads()[3:6] {
-		body, err := encodeOut(nil, p, true)
+		body, err := encodeOut(nil, &p, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,11 +230,11 @@ func TestReadFrameAcrossWriteBoundaries(t *testing.T) {
 }
 
 func TestEncodeRejectsUnsupportedPayloads(t *testing.T) {
-	silent := []netsim.Message{{From: 1}}
+	silent := []netsim.Message{{From: 1, Payload: &netsim.Payload{}}}
 	if _, err := encodeStep(nil, 2, silent); !errors.Is(err, ErrUnsupportedPayload) {
 		t.Errorf("silent message in an inbox: err = %v, want ErrUnsupportedPayload", err)
 	}
-	if _, err := encodeOut(nil, netsim.Payload{HasUpd: true, Covers: []int{-1}}, false); !errors.Is(err, ErrUnsupportedPayload) {
+	if _, err := encodeOut(nil, &netsim.Payload{HasUpd: true, Covers: []int{-1}}, false); !errors.Is(err, ErrUnsupportedPayload) {
 		t.Errorf("negative int field: err = %v, want ErrUnsupportedPayload", err)
 	}
 	if _, err := encodeStep(nil, -3, nil); !errors.Is(err, ErrUnsupportedPayload) {
@@ -254,7 +257,7 @@ func TestRelBidAndUpdShareSession(t *testing.T) {
 		appendUpd(&w, &netsim.Payload{Slot: c.slot, Color: c.color, Seq: 2, Covers: []int{6}})
 		w.u32(1)
 		appendAck(&w, netsim.Ack{Slot: 3, Color: 1, To: 5, Seq: 4})
-		_, _, err := decodeOut(w.b)
+		_, err := decodeOut(w.b, new(netsim.Payload))
 		if c.ok && err != nil {
 			t.Errorf("upd at (%d, %d): %v", c.slot, c.color, err)
 		}
@@ -277,7 +280,7 @@ func TestPayloadFlagsRejected(t *testing.T) {
 		{"every bit", []byte{outHasPayload, 0xFF}},
 		{"empty acks", []byte{outHasPayload, partAcks, 0, 0, 0, 0}},
 	} {
-		if _, _, err := decodeOut(c.body); !errors.Is(err, ErrMalformed) {
+		if _, err := decodeOut(c.body, new(netsim.Payload)); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", c.name, err)
 		}
 	}
@@ -341,19 +344,19 @@ func validFrame(t testing.TB, typ byte, body []byte) []byte {
 // every accept path and every reject path of the decoder.
 func corpusFrames(t testing.TB) map[string][]byte {
 	stepBody, err := encodeStep(nil, 5, []netsim.Message{
-		{From: 0, Payload: netsim.Payload{HasBid: true, Slot: 1, Delta: 0.5}},
-		{From: 2, Payload: netsim.Payload{HasUpd: true, Slot: 1, Seq: 3, Covers: []int{7}}},
-		{From: 3, Payload: netsim.Payload{Acks: []netsim.Ack{{Slot: 1, To: 2, Seq: 3}}}},
+		{From: 0, Payload: &netsim.Payload{HasBid: true, Slot: 1, Delta: 0.5}},
+		{From: 2, Payload: &netsim.Payload{HasUpd: true, Slot: 1, Seq: 3, Covers: []int{7}}},
+		{From: 3, Payload: &netsim.Payload{Acks: []netsim.Ack{{Slot: 1, To: 2, Seq: 3}}}},
 	})
 	if err != nil {
 		t.Fatalf("encodeStep: %v", err)
 	}
-	relBody, err := encodeOut(nil, netsim.Payload{HasBid: true, Slot: 9, Color: 1, Delta: -2.25,
+	relBody, err := encodeOut(nil, &netsim.Payload{HasBid: true, Slot: 9, Color: 1, Delta: -2.25,
 		Acks: []netsim.Ack{{To: 1, Seq: 4}}}, true)
 	if err != nil {
 		t.Fatalf("encodeOut: %v", err)
 	}
-	outBody, err := encodeOut(nil, netsim.Payload{}, false)
+	outBody, err := encodeOut(nil, &netsim.Payload{}, false)
 	if err != nil {
 		t.Fatalf("encodeOut: %v", err)
 	}
@@ -435,9 +438,9 @@ func TestDecodeErrorsAreTyped(t *testing.T) {
 		if err == nil {
 			switch typ {
 			case frameStep:
-				_, _, err = decodeStep(body, nil)
+				_, err = decodeStep(body, new(stepInbox))
 			case frameOut:
-				_, _, err = decodeOut(body)
+				_, err = decodeOut(body, new(netsim.Payload))
 			}
 		}
 		valid := len(name) > 5 && name[:5] == "valid"
@@ -473,14 +476,15 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		switch typ {
 		case frameStep:
-			round, inbox, err := decodeStep(body, nil)
+			var in stepInbox
+			round, err := decodeStep(body, &in)
 			if err != nil {
 				if !typedDecodeError(err) {
 					t.Fatalf("decodeStep: untyped error %v", err)
 				}
 				return
 			}
-			re, err := encodeStep(nil, round, inbox)
+			re, err := encodeStep(nil, round, in.msgs)
 			if err != nil {
 				t.Fatalf("decoded step frame does not re-encode: %v", err)
 			}
@@ -488,14 +492,15 @@ func FuzzFrameDecode(f *testing.F) {
 				t.Fatalf("step frame is not canonical: decoded %x, re-encoded %x", body, re)
 			}
 		case frameOut:
-			out, done, err := decodeOut(body)
+			var out netsim.Payload
+			done, err := decodeOut(body, &out)
 			if err != nil {
 				if !typedDecodeError(err) {
 					t.Fatalf("decodeOut: untyped error %v", err)
 				}
 				return
 			}
-			re, err := encodeOut(nil, out, done)
+			re, err := encodeOut(nil, &out, done)
 			if err != nil {
 				t.Fatalf("decoded out frame does not re-encode: %v", err)
 			}

@@ -202,7 +202,8 @@ func tabularGreedy(done <-chan struct{}, p *Problem, opt Options) (Result, bool)
 	if shard {
 		res, ok = shardedGreedy(done, p, opt, root)
 	} else {
-		res, ok = monolithicGreedy(done, p, opt, nil, root)
+		plan := drawColorPlan(opt.Rng, len(p.In.Chargers), p.K, opt.Colors, opt.Samples)
+		res, ok = monolithicGreedy(done, p, opt, &plan, false, root)
 	}
 	if !ok {
 		root.End()
@@ -237,37 +238,20 @@ func endSolve(root obs.SpanRef, opt Options, res *Result) {
 }
 
 // monolithicGreedy is the classic single-problem body of Algorithm 2.
-// opt must already be normalized. plan, when non-nil, supplies every
-// random draw of the run (see colorPlan) and marks a component run: the
-// sharded path uses it to hand each component its slice of the globally
-// drawn color tables, and such a run also records its cell gains for the
-// stitch. A nil plan draws from opt.Rng exactly as before. parent is the
-// span the run's greedy/evaluate phases are recorded under (the run's
-// root for a monolithic solve, the component span for a sharded
-// sub-run); the zero SpanRef disables recording.
-func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *colorPlan, parent obs.SpanRef) (Result, bool) {
+// opt must already be normalized. plan supplies every random draw of the
+// run (see colorPlan): the monolithic route draws it from opt.Rng, the
+// sharded path hands each component its slice of the globally drawn
+// tables. cellGains marks a component run, which also records its cell
+// gains for the stitch. parent is the span the run's greedy/evaluate
+// phases are recorded under (the run's root for a monolithic solve, the
+// component span for a sharded sub-run); the zero SpanRef disables
+// recording.
+func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *colorPlan, cellGains bool, parent obs.SpanRef) (Result, bool) {
 	n, K, C, N := len(p.In.Chargers), p.K, opt.Colors, opt.Samples
 
 	sched := NewSchedule(n, K)
 	if K == 0 || n == 0 {
 		return Result{Schedule: sched}, true
-	}
-
-	// colorOf[(i*K+k)*N+s]: the color sample s assigns to partition (i,k),
-	// stored partition-major so the per-step affected scan reads N
-	// consecutive bytes instead of striding across N sample vectors. The
-	// draws stay sample-major — the exact RNG consumption order of the
-	// original layout, so schedules are unchanged.
-	var colorOf []uint8
-	if plan != nil {
-		colorOf = plan.colorOf
-	} else {
-		colorOf = make([]uint8, N*n*K)
-		for s := 0; s < N; s++ {
-			for idx := 0; idx < n*K; idx++ {
-				colorOf[idx*N+s] = uint8(opt.Rng.Intn(C))
-			}
-		}
 	}
 
 	states := make([]*EnergyState, N)
@@ -319,7 +303,7 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 				}
 				affected = affected[:0]
 				cc := uint8(c)
-				for s, col := range colorOf[(i*K+k)*N : (i*K+k+1)*N] {
+				for s, col := range plan.colorOf[(i*K+k)*N : (i*K+k+1)*N] {
 					if col == cc {
 						affected = append(affected, s)
 					}
@@ -355,19 +339,13 @@ func monolithicGreedy(done <-chan struct{}, p *Problem, opt Options, plan *color
 	// Line 6–8 of Algorithm 2: sample one color per partition.
 	for i := 0; i < n; i++ {
 		for k := 0; k < K; k++ {
-			var c int
-			if plan != nil {
-				c = int(plan.final[i*K+k])
-			} else {
-				c = opt.Rng.Intn(C)
-			}
-			sched.Policy[i][k] = int(q[i][k*C+c])
+			sched.Policy[i][k] = int(q[i][k*C+int(plan.final[i*K+k])])
 		}
 	}
 	gsp.End()
 	esp := parent.Start("evaluate")
 	res := Result{Schedule: sched}
-	if plan != nil {
+	if cellGains {
 		res.gains = make([]float64, n*K)
 	}
 	res.RUtility = evaluate(p, sched, res.gains)

@@ -49,14 +49,14 @@ import (
 //
 // The key mechanism behind cell-for-cell identity at Colors > 1 is the
 // colorPlan: the sharded runner draws the full Monte-Carlo color table
-// and the final color samples from Options.Rng in exactly the monolithic
-// consumption order, then hands every component the slices belonging to
-// its chargers. Each component then performs, on its own tasks, exactly
-// the subsequence of greedy selections and state updates the monolithic
-// run performs on them — selections for chargers of other components
-// cannot touch this component's task energies, and the monolithic
-// iteration order (color-major, then slot, then charger) restricts to
-// the component's own iteration order.
+// and the final color samples from Options.Rng through the same
+// drawColorPlan as the monolithic run, then hands every component the
+// slices belonging to its chargers. Each component then performs, on its
+// own tasks, exactly the subsequence of greedy selections and state
+// updates the monolithic run performs on them — selections for chargers
+// of other components cannot touch this component's task energies, and
+// the monolithic iteration order (color-major, then slot, then charger)
+// restricts to the component's own iteration order.
 
 // ShardMode selects whether TabularGreedy decomposes the instance into
 // connected components of the charger–task coverage graph and schedules
@@ -328,15 +328,16 @@ func sliceRows(rows [][]CoverEntry, comp Component, parent obs.SpanRef) [][]Cove
 	return out
 }
 
-// colorPlan fixes every random draw of a monolithic greedy run up front:
-// colorOf is the partition-major Monte-Carlo color table and final the
-// per-partition color sampled at the end (Algorithm 2 line 6–8). A run
-// handed a plan consumes no randomness from Options.Rng at all, which is
-// what lets concurrent component runs share one global plan without
-// contending on (or reordering draws from) a single rand.Rand.
+// colorPlan fixes every random draw of a greedy run up front: colorOf is
+// the Monte-Carlo color table, stored partition-major so the per-step
+// affected scan reads N consecutive bytes, and final the per-partition
+// color sampled at the end (Algorithm 2 line 6–8). The greedy body
+// consumes no randomness from Options.Rng itself, which is what lets
+// concurrent component runs share one global plan without contending on
+// (or reordering draws from) a single rand.Rand.
 type colorPlan struct {
 	colorOf []uint8 // [(i*K+k)*N+s]: color of partition (i,k) in sample s
-	final   []int32 // [i*K+k]: color sampled for partition (i,k)
+	final   []uint8 // [i*K+k]: color sampled for partition (i,k)
 }
 
 // shardedGreedy is the shard-and-stitch execution of Algorithm 2:
@@ -456,14 +457,14 @@ func shardedGreedy(done <-chan struct{}, p *Problem, opt Options, parent obs.Spa
 	return res, true
 }
 
-// drawColorPlan draws every random decision of a greedy run up front, in
-// exactly the monolithic consumption order (samples-major color table,
-// then the final colors), so a sharded run spends rng draws identically
-// to the monolithic run it must reproduce.
+// drawColorPlan draws every random decision of a greedy run over n
+// chargers and K slots from rng: the color table sample-major, then the
+// final colors. Both routes draw through it, so a sharded run spends rng
+// draws identically to the monolithic run it must reproduce.
 func drawColorPlan(rng *rand.Rand, n, K, C, N int) colorPlan {
 	plan := colorPlan{
 		colorOf: make([]uint8, N*n*K),
-		final:   make([]int32, n*K),
+		final:   make([]uint8, n*K),
 	}
 	for s := 0; s < N; s++ {
 		for idx := 0; idx < n*K; idx++ {
@@ -471,7 +472,7 @@ func drawColorPlan(rng *rand.Rand, n, K, C, N int) colorPlan {
 		}
 	}
 	for idx := range plan.final {
-		plan.final[idx] = int32(rng.Intn(C))
+		plan.final[idx] = uint8(rng.Intn(C))
 	}
 	return plan
 }
@@ -488,7 +489,7 @@ func runComponent(done <-chan struct{}, sub *Problem, comp Component, K int, opt
 	Kc := sub.K
 	subPlan := &colorPlan{
 		colorOf: make([]uint8, N*len(comp.Chargers)*Kc),
-		final:   make([]int32, len(comp.Chargers)*Kc),
+		final:   make([]uint8, len(comp.Chargers)*Kc),
 	}
 	for li, gi := range comp.Chargers {
 		for k := 0; k < Kc; k++ {
@@ -506,7 +507,7 @@ func runComponent(done <-chan struct{}, sub *Problem, comp Component, K int, opt
 	subOpt := opt
 	subOpt.Shard = ShardOff
 	subOpt.Rng = nil // every draw comes from the plan
-	res, ok = monolithicGreedy(done, sub, subOpt, subPlan, parent)
+	res, ok = monolithicGreedy(done, sub, subOpt, subPlan, true, parent)
 	if ok && sub.keepRuns {
 		sub.lastRun.Store(&componentRun{
 			colors: opt.Colors, samples: N, preferStay: opt.PreferStay,

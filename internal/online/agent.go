@@ -33,9 +33,12 @@
 // every round until all neighbors have acked or a retry budget is
 // exhausted. Applying a commit is idempotent
 // (deduplicated per session by sender), so retransmissions and duplicated
-// deliveries never double-count energy. On a failure-free network the
-// reliable protocol commits exactly the same tuples as the base protocol;
-// the only extra traffic is the acks.
+// deliveries never double-count energy. The layer is a set of optional
+// parts of the agent's one Step, not a second protocol. On a failure-free
+// network the reliable protocol commits exactly the same tuples as the
+// base protocol. The extra traffic is the acks plus one re-broadcast of
+// each commit: the epilogue runs every round, so it re-sends a commit
+// once before its acks can arrive.
 package online
 
 import (
@@ -48,6 +51,9 @@ import (
 	"haste/internal/dominant"
 	"haste/internal/netsim"
 )
+
+// retryBudget caps the reliability layer's retransmissions of one commit.
+const retryBudget = 6
 
 // agentPhase tracks the bid/decide alternation within a session.
 type agentPhase int
@@ -70,10 +76,8 @@ type agent struct {
 	samples int
 	seed    int64
 
-	// Reliability layer configuration (Options.Reliable).
-	reliable    bool
-	retryBudget int
-	neighbors   []int // session-topology neighbors, for the ack ledger
+	reliable  bool  // Options.Reliable: the commit-reliability layer
+	neighbors []int // session-topology neighbors, for the ack ledger
 
 	row []core.CoverEntry // p.ChargerRow(id); "row task r" is row[r]
 
@@ -178,7 +182,7 @@ func (a *agent) reset(id int, p *core.Problem, opt Options, isKnown []bool, base
 		*a = agent{id: id, p: p, row: row, known: make([]bool, len(row)), candidates: make([]int, 0, len(row))}
 	}
 	a.colors, a.samples, a.seed = opt.Colors, opt.Samples, opt.Seed
-	a.reliable, a.retryBudget = opt.Reliable, opt.RetryBudget
+	a.reliable = opt.Reliable
 	a.neighbors = neighbors
 	// applied and unacked are indexed by position in neighbors. A stale
 	// stamp names an earlier session, so applied needs no clearing.
@@ -281,7 +285,6 @@ func (a *agent) startSession(slot, color int) {
 		clear(a.unacked)
 		a.nUnacked = 0
 	}
-	a.retriesLeft = 0
 	a.acks = a.acks[:0]
 	a.myPol, a.myBid, a.viewChanged = -1, 0, false
 
@@ -405,101 +408,63 @@ func (a *agent) ours(slot, color uint32) bool {
 	return int(slot) == a.sessionSlot && int(color) == a.sessionColor
 }
 
-// beatenBy reports whether m's bid is for the running session and beats
-// ours under the paper's rule, exact ties going to the lower charger ID.
-func (a *agent) beatenBy(m *netsim.Message) bool {
+// beatenBy reports whether m carries a bid for the running session that
+// beats ours under the paper's rule, exact ties going to the lower
+// charger ID.
+func (a *agent) beatenBy(m netsim.Message) bool {
 	p := m.Payload
-	return a.ours(p.Slot, p.Color) && (p.Delta > a.myBid || (p.Delta == a.myBid && m.From < a.id))
+	return p.HasBid && a.ours(p.Slot, p.Color) && (p.Delta > a.myBid || (p.Delta == a.myBid && m.From < a.id))
 }
 
 // Step implements netsim.Node for the current session, writing any
-// broadcast into the silent out. Without the reliability layer it runs
-// the paper's best-effort protocol, in which a lost UPD silently diverges
-// the loser's energy view.
+// broadcast into the silent out. A bid round folds in the UPDs of last
+// round's winners and bids; a decide round commits iff our bid beats
+// every competing neighbor's. Without the reliability layer that is the
+// paper's best-effort protocol, in which a lost UPD silently diverges the
+// loser's energy view. The layer folds in and acks UPDs in every round
+// and re-broadcasts a commit until every neighbor acked it or the retry
+// budget ran out.
 func (a *agent) Step(inbox []netsim.Message, out *netsim.Payload) bool {
-	if a.reliable {
-		return a.stepReliable(inbox, out)
-	}
-	switch a.phase {
-	case phaseBid:
-		// Fold in UPDs from last round's winners, then rebid.
-		for i := range inbox {
-			if m := &inbox[i]; m.Payload.HasUpd && a.ours(m.Payload.Slot, m.Payload.Color) {
-				a.applyOnce(m.From, m.Payload.Covers)
-			}
-		}
-		if a.fixed || a.passed {
-			return true
-		}
-		if a.viewChanged {
-			a.recompute()
-		}
-		if a.myBid <= 1e-15 {
-			a.passed = true
-			return true
-		}
-		a.phase = phaseDecide
-		out.HasBid, out.Slot, out.Color, out.Delta = true, uint32(a.sessionSlot), uint32(a.sessionColor), a.myBid
-		return false
-
-	case phaseDecide:
-		a.phase = phaseBid
-		if a.fixed || a.passed {
-			return true
-		}
-		// The paper's rule: commit iff our ΔF beats every competing
-		// neighbor's.
-		for i := range inbox {
-			if m := &inbox[i]; m.Payload.HasBid && a.beatenBy(m) {
-				return false // lost this round; rebid next round
-			}
-		}
-		a.commitOwn()
-		out.HasUpd, out.Slot, out.Color = true, uint32(a.sessionSlot), uint32(a.sessionColor)
-		out.Seq, out.Covers = a.updSeq, a.policies[a.myPol].Covers
-		return true
-	}
-	return true
-}
-
-// stepReliable is the ack/retransmit variant: identical negotiation
-// decisions, but commits are acknowledged and re-broadcast until every
-// neighbor confirmed receipt (or the retry budget ran out).
-func (a *agent) stepReliable(inbox []netsim.Message, out *netsim.Payload) bool {
 	sent := len(a.acks)
-	// Process UPDs and acks every round, whatever the phase: delayed or
-	// retransmitted UPDs may arrive in a decide round and must still be
-	// applied and (re-)acked.
-	for i := range inbox {
-		from, pkt := inbox[i].From, inbox[i].Payload
-		if pkt.HasUpd && a.ours(pkt.Slot, pkt.Color) {
-			a.applyOnce(from, pkt.Covers)
-			// Ack every receipt: the previous ack may itself have been
-			// lost, and retransmissions stop only on a received ack.
-			a.acks = append(a.acks, netsim.Ack{Slot: pkt.Slot, Color: pkt.Color, To: uint32(from), Seq: pkt.Seq})
-		}
-		for _, ack := range pkt.Acks {
-			if int(ack.To) == a.id && a.ours(ack.Slot, ack.Color) && a.fixed && ack.Seq == a.updSeq {
-				if nb := a.neighborIndex(from); a.unacked[nb] {
-					a.unacked[nb] = false
-					a.nUnacked--
+	// The paper's protocol folds in UPDs only in a bid round. With the
+	// layer, delayed or retransmitted UPDs may arrive in a decide round
+	// and must still be applied and (re-)acked, so it folds every round.
+	if a.reliable || a.phase == phaseBid {
+		for i := range inbox {
+			from, pkt := inbox[i].From, inbox[i].Payload
+			if pkt.HasUpd && a.ours(pkt.Slot, pkt.Color) {
+				a.applyOnce(from, pkt.Covers)
+				if a.reliable {
+					// Ack every receipt: the previous ack may itself have
+					// been lost, and retransmissions stop only on a
+					// received ack.
+					a.acks = append(a.acks, netsim.Ack{Slot: pkt.Slot, Color: pkt.Color, To: uint32(from), Seq: pkt.Seq})
+				}
+			}
+			for _, ack := range pkt.Acks {
+				if int(ack.To) == a.id && a.ours(ack.Slot, ack.Color) && a.fixed && ack.Seq == a.updSeq {
+					if nb := a.neighborIndex(from); a.unacked[nb] {
+						a.unacked[nb] = false
+						a.nUnacked--
+					}
 				}
 			}
 		}
 	}
 
-	// A fixed or passed agent has no bid left: its phase stops, so a
-	// done agent's step on an empty inbox changes nothing.
+	// A fixed or passed agent has no bid left. It stays in phaseBid, so
+	// the paper's protocol keeps folding in later UPDs, and its step on
+	// an empty inbox changes nothing.
 	switch {
 	case a.fixed || a.passed:
 	case a.phase == phaseBid:
-		a.phase = phaseDecide
 		if a.viewChanged {
 			a.recompute()
 		}
 		if a.myBid <= 1e-15 {
 			a.passed = true
 		} else {
+			a.phase = phaseDecide
 			out.HasBid, out.Delta = true, a.myBid
 		}
 
@@ -507,26 +472,22 @@ func (a *agent) stepReliable(inbox []netsim.Message, out *netsim.Payload) bool {
 		a.phase = phaseBid
 		// Bids are read only in this decide round; a bid postponed by
 		// delay injection past it is intentionally dropped (unlike UPDs
-		// and acks, which are processed every round above). Two agents
+		// and acks, which the layer processes every round). Two agents
 		// may then both conclude they won and commit overlapping tuples
 		// — safe because applyCommit is idempotent and the divergence
 		// only lowers utility, which is the documented degradation model
 		// the chaos sweeps measure. Retransmitting bids would instead
-		// stall every session for MaxDelay rounds.
+		// stall every session for MaxDelay rounds. A loser still sends
+		// the acks it owes.
 		won := true
-		for i := range inbox {
-			if m := &inbox[i]; m.Payload.HasBid && a.beatenBy(m) {
+		for _, m := range inbox {
+			if a.beatenBy(m) {
 				won = false
 				break
 			}
 		}
 		if won {
 			a.commitOwn()
-			for nb := range a.unacked {
-				a.unacked[nb] = true
-			}
-			a.nUnacked = len(a.unacked)
-			a.retriesLeft = a.retryBudget
 			out.HasUpd = true
 		}
 	}
@@ -537,7 +498,8 @@ func (a *agent) stepReliable(inbox []netsim.Message, out *netsim.Payload) bool {
 	// wait for in-flight acks would let the session die under total loss.
 	// A retransmission racing an in-flight ack is harmless: applying a
 	// commit is idempotent and the re-ack it triggers carries no reply.
-	if a.fixed && !out.HasUpd && a.nUnacked > 0 && a.retriesLeft > 0 {
+	// Without the layer nUnacked stays 0 and this does nothing.
+	if !out.HasUpd && a.nUnacked > 0 && a.retriesLeft > 0 {
 		a.retriesLeft--
 		a.retransmits++
 		out.HasUpd = true
@@ -546,22 +508,28 @@ func (a *agent) stepReliable(inbox []netsim.Message, out *netsim.Payload) bool {
 	if n := len(a.acks); n > sent {
 		out.Acks = a.acks[sent:n:n]
 	}
-	done := (a.fixed && a.nUnacked == 0) || a.passed
-	if out.Silent() {
-		return done
+	if !out.Silent() {
+		out.Slot, out.Color = uint32(a.sessionSlot), uint32(a.sessionColor)
+		if out.HasUpd {
+			out.Seq, out.Covers = a.updSeq, a.policies[a.myPol].Covers
+		}
 	}
-	out.Slot, out.Color = uint32(a.sessionSlot), uint32(a.sessionColor)
-	if out.HasUpd {
-		out.Seq, out.Covers = a.updSeq, a.policies[a.myPol].Covers
-	}
-	return done
+	return a.passed || (a.fixed && a.nUnacked == 0)
 }
 
 // commitOwn fixes the winning policy as the S-C tuple for the session,
-// numbers the commit and applies it to the agent's own matching samples.
+// numbers the commit, applies it to the agent's own matching samples and,
+// with the reliability layer, arms the ack ledger and the retry budget.
 func (a *agent) commitOwn() {
 	a.fixed = true
 	a.updSeq++
+	if a.reliable {
+		for nb := range a.unacked {
+			a.unacked[nb] = true
+		}
+		a.nUnacked = len(a.unacked)
+		a.retriesLeft = retryBudget
+	}
 	if len(a.q) == 0 {
 		a.q = slices.Grow(a.q, (a.hi-a.lo)*a.colors)[:(a.hi-a.lo)*a.colors]
 		for i := range a.q {

@@ -1,6 +1,11 @@
 package online
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -150,7 +155,8 @@ func TestReliabilityRecoversUtility(t *testing.T) {
 
 // With zero failure rates the reliability layer must commit exactly the
 // same tuples as the base protocol: same schedule, same utility — the
-// only difference is the ack traffic.
+// only difference is the traffic, acks plus one re-broadcast per commit
+// (the every-round epilogue re-sends a commit before its acks arrive).
 func TestReliableFailureFreeMatchesBaseline(t *testing.T) {
 	for _, seed := range []int64{603, 111} {
 		var p *core.Problem
@@ -226,6 +232,89 @@ func TestChaosDriverEquivalence(t *testing.T) {
 						t.Fatalf("grid[%d] reliable=%v: schedule diverges at charger %d slot %d: %v vs %v",
 							gi, reliable, i, k, sv, pv)
 					}
+				}
+			}
+		}
+	}
+}
+
+// outcomeDigest hashes everything a run commits and counts: the
+// orientation bits, the utility bits, the switch count, the network
+// stats and the reliability layer's degradation counters.
+func outcomeDigest(res Result) string {
+	h := sha256.New()
+	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	for _, row := range res.Orientations {
+		for _, o := range row {
+			put(math.Float64bits(o))
+		}
+	}
+	put(math.Float64bits(res.Outcome.Utility))
+	put(uint64(res.Outcome.Switches))
+	n := res.Stats.Net
+	for _, v := range []int64{int64(n.Rounds), n.Attempted, n.Messages, n.Dropped, n.Duplicated, n.Delayed, n.Crashes, n.CrashLost, n.Expired} {
+		put(uint64(v))
+	}
+	put(uint64(res.Stats.Retransmits))
+	put(uint64(res.Stats.UnackedCommits))
+	put(uint64(res.Stats.NonQuiescentSessions))
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// chaosOutcomePins are the digests of the chaos workload's seed-603 runs,
+// failure-free and in every mode of the full grid, with the reliability
+// layer off and on, at one and three colors. They pin the negotiation
+// step's exact behaviour, acks and retransmissions included: a step that
+// commits the same tuples but sends different traffic moves a digest.
+var chaosOutcomePins = map[string]string{
+	"drop=0 dup=0 delay=0 crash=0 reliable=false C=1":          "8f866e258db7f86e",
+	"drop=0 dup=0 delay=0 crash=0 reliable=false C=3":          "4e63b8fd59b0b989",
+	"drop=0 dup=0 delay=0 crash=0 reliable=true C=1":           "01388fb27518d4e4",
+	"drop=0 dup=0 delay=0 crash=0 reliable=true C=3":           "eb2f6d70082a5329",
+	"drop=0.05 dup=0 delay=0 crash=0 reliable=false C=1":       "36b51afd1cec9d1e",
+	"drop=0.05 dup=0 delay=0 crash=0 reliable=false C=3":       "fd8a1b6554a14205",
+	"drop=0.05 dup=0 delay=0 crash=0 reliable=true C=1":        "80c47e20633b9b08",
+	"drop=0.05 dup=0 delay=0 crash=0 reliable=true C=3":        "e04f4e0e2f00856c",
+	"drop=0.1 dup=0 delay=0 crash=0 reliable=false C=1":        "498d329ecbc86406",
+	"drop=0.1 dup=0 delay=0 crash=0 reliable=false C=3":        "7ad198869c9fca7b",
+	"drop=0.1 dup=0 delay=0 crash=0 reliable=true C=1":         "f12f4d3359d91f24",
+	"drop=0.1 dup=0 delay=0 crash=0 reliable=true C=3":         "3c09897ce3d0ea39",
+	"drop=0.3 dup=0 delay=0 crash=0 reliable=false C=1":        "65b28860bbf5f8be",
+	"drop=0.3 dup=0 delay=0 crash=0 reliable=false C=3":        "31669736451cc35c",
+	"drop=0.3 dup=0 delay=0 crash=0 reliable=true C=1":         "17dde40947c16a97",
+	"drop=0.3 dup=0 delay=0 crash=0 reliable=true C=3":         "c9c447b2c2f08bc8",
+	"drop=0 dup=0.2 delay=0 crash=0 reliable=false C=1":        "936e8bbc37110e8e",
+	"drop=0 dup=0.2 delay=0 crash=0 reliable=false C=3":        "85de858559cf6be6",
+	"drop=0 dup=0.2 delay=0 crash=0 reliable=true C=1":         "5e697580f8affaf0",
+	"drop=0 dup=0.2 delay=0 crash=0 reliable=true C=3":         "df73f34bcc92615a",
+	"drop=0 dup=0 delay=0.3 crash=0 reliable=false C=1":        "fc9404d09692cb8f",
+	"drop=0 dup=0 delay=0.3 crash=0 reliable=false C=3":        "13d7b58a3bc17a51",
+	"drop=0 dup=0 delay=0.3 crash=0 reliable=true C=1":         "383ea319760ee7e4",
+	"drop=0 dup=0 delay=0.3 crash=0 reliable=true C=3":         "4d71964eb1960574",
+	"drop=0 dup=0 delay=0 crash=0.03 reliable=false C=1":       "8ccb62f33ca9064e",
+	"drop=0 dup=0 delay=0 crash=0.03 reliable=false C=3":       "d3cfaacadb4a3df4",
+	"drop=0 dup=0 delay=0 crash=0.03 reliable=true C=1":        "65f9d72c6024c1a4",
+	"drop=0 dup=0 delay=0 crash=0.03 reliable=true C=3":        "4617e19fe9fa742e",
+	"drop=0.2 dup=0.1 delay=0.2 crash=0.02 reliable=false C=1": "fcd88c8aa5ad5b71",
+	"drop=0.2 dup=0.1 delay=0.2 crash=0.02 reliable=false C=3": "f079f2fa7f4f526b",
+	"drop=0.2 dup=0.1 delay=0.2 crash=0.02 reliable=true C=1":  "ca54712f74fe8abd",
+	"drop=0.2 dup=0.1 delay=0.2 crash=0.02 reliable=true C=3":  "c7a866bdbf63f83a",
+}
+
+func TestChaosOutcomePins(t *testing.T) {
+	const seed = 603
+	p := chaosWorkload(seed)
+	modes := append([]Options{{}}, chaosGrid(false)...)
+	for _, mode := range modes {
+		for _, reliable := range []bool{false, true} {
+			for _, colors := range []int{1, 3} {
+				o := mode
+				o.Seed, o.Reliable, o.Colors = seed, reliable, colors
+				label := fmt.Sprintf("drop=%g dup=%g delay=%g crash=%g reliable=%v C=%d",
+					o.DropRate, o.DupRate, o.DelayRate, o.CrashRate, reliable, colors)
+				got := outcomeDigest(mustRun(t, p, o))
+				if want := chaosOutcomePins[label]; got != want {
+					t.Errorf("%s: outcome digest %s, pinned %s", label, got, want)
 				}
 			}
 		}

@@ -384,3 +384,22 @@ func negotiateProbed(t *testing.T, opt Options, probe func(a *agent) netsim.Node
 		t.Fatal(err)
 	}
 }
+
+// Only a bid for the running session can beat the agent's bid: a payload
+// without one never does, whatever its Delta.
+func TestBeatenByRequiresBid(t *testing.T) {
+	a := &agent{id: 5, sessionSlot: 2, sessionColor: 1, myBid: 1}
+	upd := netsim.Payload{HasUpd: true, Slot: 2, Color: 1, Delta: 2}
+	if a.beatenBy(netsim.Message{From: 0, Payload: &upd}) {
+		t.Error("a UPD with a higher Delta beat the bid")
+	}
+	bid := upd
+	bid.HasBid = true
+	if !a.beatenBy(netsim.Message{From: 0, Payload: &bid}) {
+		t.Error("a higher bid for the session did not beat the bid")
+	}
+	bid.Slot = 3
+	if a.beatenBy(netsim.Message{From: 0, Payload: &bid}) {
+		t.Error("a bid for another session beat the bid")
+	}
+}

@@ -46,9 +46,6 @@ type Options struct {
 	// neighbors' energy views. Failure-free runs commit the same tuples
 	// with or without it; the acks and retransmissions cost messages.
 	Reliable bool
-	// RetryBudget caps per-commit retransmissions (default 6 when
-	// Reliable).
-	RetryBudget int
 	// MaxRounds caps each negotiation session's rounds (default: the
 	// netsim default). A session that hits the cap is recorded in
 	// Stats.NonQuiescentSessions; mainly a chaos-testing knob.
@@ -63,9 +60,6 @@ func (o Options) normalize() Options {
 		o.Samples = 1
 	} else if o.Samples <= 0 {
 		o.Samples = 8 * o.Colors
-	}
-	if o.Reliable && o.RetryBudget <= 0 {
-		o.RetryBudget = 6
 	}
 	return o
 }

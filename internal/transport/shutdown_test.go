@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -234,19 +236,25 @@ func TestOnlineRunLeavesNoEngineGoroutines(t *testing.T) {
 	assertNoEngineGoroutines(t)
 }
 
-func TestListenerCloseDoesNotDisturbEstablishedSession(t *testing.T) {
+// Each node's listener closes once it has accepted the coordinator's
+// connection: a dial to a node's former address is refused, and the
+// established connections still carry a session.
+func TestNodeRefusesDialsAfterAccept(t *testing.T) {
 	e, err := New(fullMesh(3), netsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The per-node connections are established in New; the listeners only
-	// matter for new dials, so closing one mid-life must not affect the
-	// session traffic.
-	if err := e.servers[0].ln.Close(); err != nil {
-		t.Fatal(err)
+	for i, s := range e.servers {
+		addr := s.conn.LocalAddr().String()
+		if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			c.Close()
+			t.Errorf("node %d: dial to its former listener %s succeeded", i, addr)
+		} else if !errors.Is(err, syscall.ECONNREFUSED) {
+			t.Errorf("node %d: dial to %s: %v, want connection refused", i, addr, err)
+		}
 	}
 	if _, err := e.Run(chatterNodes(3, 4)); err != nil {
-		t.Fatalf("Run after listener close: %v", err)
+		t.Fatalf("Run after the listeners closed: %v", err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -281,7 +289,7 @@ func TestNodeAddrIsLoopback(t *testing.T) {
 	}
 	defer e.Close()
 	for i := 0; i < 2; i++ {
-		addr := e.servers[i].ln.Addr().String()
+		addr := e.servers[i].conn.LocalAddr().String()
 		if !strings.HasPrefix(addr, "127.0.0.1:") {
 			t.Errorf("node %d bound to %s, want loopback", i, addr)
 		}

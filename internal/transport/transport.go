@@ -1,7 +1,7 @@
 // Package transport is the real-socket execution substrate for the online
 // negotiation: a netsim.Driver that carries every protocol message over
 // loopback TCP connections instead of in-memory channels. Each node gets
-// its own listener and serve goroutine — a process-shaped deployment of
+// its own connection and serve goroutine — a process-shaped deployment of
 // the paper's distributed Algorithm 3 — while the coordinator runs the
 // shared netsim round loop (netsim.Rounds) and exchanges one framed
 // request/response pair per stepped node per round (the round barrier).
@@ -35,13 +35,14 @@
 // # Lifecycle
 //
 // New dials one loopback connection per node up front, each read through
-// a bufio.Reader at both ends; Run installs the session's nodes, drives
-// rounds and uninstalls them; Reset points the engine at another
-// topology over the same nodes and keeps every connection, so one engine
-// serves every negotiation of an online run; Close (idempotent) sends
-// best-effort shutdown frames, tears down every connection and listener,
-// and waits for all goroutines to exit — the shutdown-path tests assert
-// zero leaked goroutines. NewContext additionally aborts a running
+// a bufio.Reader at both ends, and closes each node's listener as soon as
+// it has accepted that connection, so no later dial reaches a node; Run
+// installs the session's nodes, drives rounds and uninstalls them; Reset
+// points the engine at another topology over the same nodes and keeps
+// every connection, so one engine serves every negotiation of an online
+// run; Close (idempotent) sends best-effort shutdown frames, tears down
+// every connection, and waits for all goroutines to exit — the
+// shutdown-path tests assert zero leaked goroutines. NewContext additionally aborts a running
 // session when the context is cancelled.
 package transport
 
@@ -90,28 +91,27 @@ type link struct {
 	in   []byte        // response frame scratch
 }
 
-// nodeServer is the remote end: it owns node i's listener and accepted
-// connection and runs the serve loop. The installed node is guarded by mu
-// so installation in Run happens-before the serve goroutine steps it.
+// nodeServer is the remote end: it owns node i's accepted connection and
+// runs the serve loop. The installed node is guarded by mu so
+// installation in Run happens-before the serve goroutine steps it.
 type nodeServer struct {
 	idx  int
-	ln   net.Listener
 	conn net.Conn
 
 	mu   sync.Mutex
 	node netsim.Node
 }
 
-// New builds an engine over the topology: one loopback listener plus one
-// established TCP connection per node. The returned engine holds sockets
-// and goroutines — Close it.
+// New builds an engine over the topology: one established loopback TCP
+// connection per node, whose listener is closed once it has accepted it.
+// The returned engine holds sockets and goroutines — Close it.
 func New(neighbors [][]int, opt netsim.Options) (*Engine, error) {
 	return NewContext(context.Background(), neighbors, opt)
 }
 
 // NewContext is New with a cancellation context: when ctx is cancelled,
-// every connection and listener is torn down, which aborts an in-flight
-// Run with an error wrapping ctx.Err().
+// every connection is torn down, which aborts an in-flight Run with an
+// error wrapping ctx.Err().
 func NewContext(ctx context.Context, neighbors [][]int, opt netsim.Options) (*Engine, error) {
 	if err := netsim.ValidateTopology(neighbors); err != nil {
 		return nil, err
@@ -134,7 +134,6 @@ func NewContext(ctx context.Context, neighbors [][]int, opt netsim.Options) (*En
 			e.Close()
 			return nil, fmt.Errorf("transport: listen node %d: %w", i, err)
 		}
-		s.ln = ln
 		type accepted struct {
 			conn net.Conn
 			err  error
@@ -146,11 +145,15 @@ func NewContext(ctx context.Context, neighbors [][]int, opt netsim.Options) (*En
 		}()
 		cc, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
+			ln.Close() // fails the pending Accept
 			e.Close()
 			return nil, fmt.Errorf("transport: dial node %d: %w", i, err)
 		}
 		e.links[i] = &link{conn: cc, r: bufio.NewReader(cc)}
 		a := <-ch
+		// The node serves this one connection: nothing may handshake
+		// into its port afterwards.
+		ln.Close()
 		if a.err != nil {
 			e.Close()
 			return nil, fmt.Errorf("transport: accept node %d: %w", i, a.err)
@@ -345,7 +348,7 @@ func (e *Engine) serve(s *nodeServer) {
 	}
 }
 
-// teardown closes every connection and listener, unblocking all reads.
+// teardown closes every connection, unblocking all reads.
 func (e *Engine) teardown() {
 	for _, l := range e.links {
 		if l != nil && l.conn != nil {
@@ -353,14 +356,8 @@ func (e *Engine) teardown() {
 		}
 	}
 	for _, s := range e.servers {
-		if s == nil {
-			continue
-		}
-		if s.conn != nil {
+		if s != nil && s.conn != nil {
 			s.conn.Close()
-		}
-		if s.ln != nil {
-			s.ln.Close()
 		}
 	}
 }

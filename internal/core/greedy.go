@@ -46,11 +46,11 @@ type Options struct {
 	// KernelStats collects flat-kernel work counters (calls, cover
 	// entries visited, entries skipped by windows and saturation pruning)
 	// into Result.Kernel. The run counts each greedy step's work from the
-	// policy windows and the samples' live-list lengths, so the schedule
+	// policy windows and the samples' saturation bits, so the schedule
 	// and the scan taken are those of an uncounted run. Sharded runs
 	// aggregate per-component counters in canonical component order, so
 	// the counts do not depend on Workers either. Counting stays opt-in
-	// because it costs a loop over the step's policies and samples.
+	// because it walks the step's cover entries once per sample.
 	KernelStats bool
 
 	// Shard selects the shard-and-stitch decomposition (shard.go): the

@@ -198,10 +198,8 @@ func (p *Problem) RemoveTask(id int) error {
 			}
 		}
 		if hasMoved && id != last {
-			at := searchEntry(nrow, id32)
-			nrow = append(nrow, CoverEntry{})
-			copy(nrow[at+1:], nrow[at:])
-			nrow[at] = CoverEntry{Task: id32, De: movedDe}
+			at := sort.Search(len(nrow), func(x int) bool { return nrow[x].Task >= id32 })
+			nrow = slices.Insert(nrow, at, CoverEntry{Task: id32, De: movedDe})
 		}
 		p.rows[i] = nrow
 	}

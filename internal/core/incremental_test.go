@@ -94,14 +94,6 @@ func requireProblemsEqual(t *testing.T, got, want *Problem) {
 	if !reflect.DeepEqual(gm.winLo, wm.winLo) || !reflect.DeepEqual(gm.winHi, wm.winHi) {
 		t.Fatalf("policy windows differ")
 	}
-	for j := range wm.taskPols {
-		if len(gm.taskPols[j]) == 0 && len(wm.taskPols[j]) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(gm.taskPols[j], wm.taskPols[j]) {
-			t.Fatalf("taskPols[%d] differs", j)
-		}
-	}
 	for _, cmp := range []struct {
 		name string
 		g, w any

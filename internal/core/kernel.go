@@ -1,18 +1,16 @@
 package core
 
 import (
-	"sort"
-
 	"haste/internal/dominant"
 	"haste/internal/model"
 	"haste/internal/obs"
 )
 
 // This file is the flat marginal-evaluation kernel: the precompiled data
-// layout and the inlined inner loops behind EnergyState.Marginal,
-// MarginalScaled and ApplyScaled. The reference semantics are the generic
-// loops in problem.go (pointer-chased Gamma covers + interface-dispatched
-// Utility); the kernel must reproduce them bit for bit, which
+// layout and the inlined inner loops behind EnergyState.Marginal and
+// Apply. The reference semantics are the generic loops in problem.go
+// (pointer-chased Gamma covers + interface-dispatched Utility); the
+// kernel must reproduce them bit for bit, which
 // internal/difftest's kernel sweep and the property tests in
 // kernel_test.go enforce. DESIGN.md §4 documents the layout and the
 // bit-identity argument.
@@ -32,12 +30,12 @@ import (
 //  3. Work skipping that cannot change results. Per-policy slot windows
 //     [winLo, winHi) skip whole scans in slots where no compiled task is
 //     active (every term of the reference sum would be skipped by its
-//     ActiveAt check), and per-EnergyState saturation pruning removes a
-//     task from the scan lists of every policy covering it the moment its
-//     energy reaches E_j (its utility delta is exactly +0.0 from then on,
-//     and x + 0.0 == x for every x ≥ 0 in IEEE 754; gains are sums of
-//     non-negative terms, so -0.0 never occurs). Removal preserves the
-//     ascending-task scan order, so the surviving terms accumulate in the
+//     ActiveAt check), and each EnergyState's saturation bitmap skips a
+//     task the moment its energy reaches E_j (its utility delta is exactly
+//     +0.0 from then on, and x + 0.0 == x for every x ≥ 0 in IEEE 754;
+//     gains are sums of non-negative terms, so -0.0 never occurs). Both
+//     scans walk the shared compiled list in ascending task order and only
+//     drop the skipped terms, so the surviving terms accumulate in the
 //     reference order and not a single rounding step can differ.
 
 // CoverEntry is one compiled (task, per-slot energy) pair of a policy's
@@ -58,9 +56,9 @@ type CoverEntry struct {
 // (policy, affected sample) of every greedy step — whichever scan ran.
 type KernelStats struct {
 	Calls   int64 // per-state marginal evaluations
-	Visited int64 // cover entries left to scan after windows and pruning
-	Offered int64 // entries a scan without windows/pruning would visit
-	Pruned  int64 // live-list removals of the tasks saturated at run end
+	Visited int64 // unsaturated cover entries scanned inside the windows
+	Offered int64 // entries a scan without windows/saturation would visit
+	Pruned  int64 // compiled entries whose task is saturated at run end
 }
 
 func (s *KernelStats) add(o KernelStats) {
@@ -73,30 +71,40 @@ func (s *KernelStats) add(o KernelStats) {
 // countStep adds the work a per-state scan does in the greedy step of
 // charger i at slot k: every policy is one call per affected sample, each
 // offered the policy's whole compiled list and, when k lies in the
-// policy's window, visiting the sample's live list.
+// policy's window, visiting its entries of tasks the sample has not
+// saturated.
 func (s *KernelStats) countStep(p *Problem, states []*EnergyState, affected []int, i, k int) {
 	m, k32, a := &p.mono, int32(k), int64(len(affected))
 	for fp := int(m.polOff[i]); fp < int(m.polOff[i])+len(m.gamma[i]); fp++ {
+		list := m.entries[fp]
 		s.Calls += a
-		s.Offered += a * int64(len(m.entries[fp]))
+		s.Offered += a * int64(len(list))
 		if k32 < m.winLo[fp] || k32 >= m.winHi[fp] {
 			continue
 		}
 		for _, smp := range affected {
-			s.Visited += int64(len(states[smp].scanList(fp)))
+			s.Visited += int64(len(list) - states[smp].saturated(list))
 		}
 	}
 }
 
-// countPruned adds the live-list removals standing on es: one per
-// compiled list that holds a saturated task.
+// countPruned adds the entries es skips at run end: one per compiled
+// entry whose task es has saturated.
 func (s *KernelStats) countPruned(es *EnergyState) {
-	taskPols := es.mono().taskPols
-	for j, sat := range es.satur {
-		if sat {
-			s.Pruned += int64(len(taskPols[j]))
+	for _, list := range es.mono().entries {
+		s.Pruned += int64(es.saturated(list))
+	}
+}
+
+// saturated counts the entries of list whose task es has saturated.
+func (es *EnergyState) saturated(list []CoverEntry) int {
+	n := 0
+	for _, e := range list {
+		if es.satur[e.Task] {
+			n++
 		}
 	}
+	return n
 }
 
 // kernel is the per-task half of the flat evaluation kernel, built by
@@ -148,10 +156,6 @@ type monolith struct {
 	entries [][]CoverEntry
 	winLo   []int32
 	winHi   []int32
-
-	// taskPols[j]: the flat policies whose compiled list contains task j —
-	// the reverse index saturation pruning walks when task j crosses E_j.
-	taskPols [][]int32
 }
 
 // monolith returns the problem's field-wide dominant sets and compiled
@@ -239,14 +243,6 @@ func compileMonolith(p *Problem, parent obs.SpanRef) monolith {
 			}
 			m.entries[fp] = arena[start:len(arena):len(arena)]
 			fp++
-		}
-	}
-	// taskPols[j] lists, ascending, every flat policy whose compiled list
-	// contains task j.
-	m.taskPols = make([][]int32, len(in.Tasks))
-	for fp, list := range m.entries {
-		for _, e := range list {
-			m.taskPols[e.Task] = append(m.taskPols[e.Task], int32(fp))
 		}
 	}
 	return m
@@ -345,14 +341,13 @@ func (p *Problem) WeightedDelta(j int, e, de float64) float64 {
 // churn; NewEnergyState remains the plain allocating constructor.
 func (p *Problem) AcquireState() *EnergyState {
 	p.statesOut.Add(1)
-	m := p.monolith()
+	p.monolith()
 	if v := p.statePool.Get(); v != nil {
 		es := v.(*EnergyState)
 		// A pooled state that predates a delta operation (incremental.go)
-		// is sized for the old task count or the old flat-policy space —
-		// drop it and allocate fresh instead of resurrecting stale caches.
-		if len(es.energy) == len(p.In.Tasks) &&
-			(es.live == nil || len(es.live) == len(m.entries)) {
+		// may be sized for the old task count — drop it and allocate
+		// fresh instead of resurrecting stale caches.
+		if len(es.energy) == len(p.In.Tasks) {
 			es.p = p
 			es.Reset()
 			es.pooled = true
@@ -375,7 +370,6 @@ func (p *Problem) ReleaseState(es *EnergyState) {
 			p.statesOut.Add(-1)
 		}
 		es.p = nil
-		clear(es.live) // copy-on-write rows may alias the compiled cover lists
 		p.statePool.Put(es)
 	}
 }
@@ -399,50 +393,31 @@ func (p *Problem) StatesInUse() int64 {
 	return out
 }
 
-// scanList returns the list the flat kernel should scan for flat policy
-// fp: the state's saturation-pruned live list when one was materialized,
-// the problem's shared compiled list otherwise.
-func (es *EnergyState) scanList(fp int) []CoverEntry {
-	if es.live != nil {
-		if row := es.live[fp]; row != nil {
-			return row
-		}
-	}
-	return es.mono().entries[fp]
-}
-
-// marginalFlat is Marginal/MarginalScaled on the flat kernel. frac scales
-// every per-slot contribution; scaled is false on the frac == 1 path,
-// which skips the multiply and the de == 0 re-check (compiled entries are
-// nonzero, and the reference only re-checks after scaling).
-func (es *EnergyState) marginalFlat(i, k, pol int, frac float64, scaled bool) float64 {
+// marginalFlat is Marginal on the flat kernel. It scans the shared
+// compiled list and skips the tasks the state has saturated — the filter
+// gainsBatchFlat applies — and needs no de == 0 check: compiled entries
+// are nonzero.
+func (es *EnergyState) marginalFlat(i, k, pol int) float64 {
 	kn, m := &es.p.kern, es.mono()
 	fp := m.flatPol(i, pol)
 	k32 := int32(k)
 	if k32 < m.winLo[fp] || k32 >= m.winHi[fp] {
 		return 0
 	}
-	energy, uval := es.energy, es.uval
+	energy, uval, satur := es.energy, es.uval, es.satur
 	var gain float64
-	for _, e := range es.scanList(fp) {
+	for _, e := range m.entries[fp] {
 		j := e.Task
-		if k32 < kn.release[j] || k32 >= kn.end[j] {
+		if k32 < kn.release[j] || k32 >= kn.end[j] || satur[j] {
 			continue
-		}
-		de := e.De
-		if scaled {
-			de *= frac
-			if de == 0 {
-				continue
-			}
 		}
 		// Inlined LinearBounded.Of delta. U(energy[j]) comes from the
 		// uval cache (maintained branch-exactly at apply/restore time),
-		// so only U(energy[j]+de) costs a division. Live entries are
-		// unsaturated (energy < req), so x = energy+de > 0 always.
+		// so only U(energy[j]+de) costs a division. Unsaturated tasks
+		// have energy < req, so x = energy+de > 0 always.
 		req := kn.req[j]
 		u2 := 1.0
-		if x := energy[j] + de; x < req {
+		if x := energy[j] + e.De; x < req {
 			u2 = x / req
 		}
 		gain += kn.weight[j] * (u2 - uval[j])
@@ -450,12 +425,12 @@ func (es *EnergyState) marginalFlat(i, k, pol int, frac float64, scaled bool) fl
 	return gain
 }
 
-// applyScaledFlat is ApplyScaled on the flat kernel. It walks the full
-// compiled list — not the pruned one — because energy keeps accruing past
-// saturation in the reference semantics (only the utility delta is zero),
-// and Energy exposes those energies. Saturation crossings
-// trigger the pruning of the task from every policy's live list.
-func (es *EnergyState) applyScaledFlat(i, k, pol int, frac float64) float64 {
+// applyFlat is Apply on the flat kernel. It walks every compiled entry,
+// saturated or not, because energy keeps accruing past saturation in the
+// reference semantics (only the utility delta is zero), and Energy
+// exposes those energies. A task whose energy reaches E_j gets its
+// saturation bit.
+func (es *EnergyState) applyFlat(i, k, pol int) float64 {
 	kn, m := &es.p.kern, es.mono()
 	fp := m.flatPol(i, pol)
 	k32 := int32(k)
@@ -466,86 +441,31 @@ func (es *EnergyState) applyScaledFlat(i, k, pol int, frac float64) float64 {
 			if k32 < kn.release[j] || k32 >= kn.end[j] {
 				continue
 			}
-			de := e.De * frac
-			if de == 0 {
-				continue
-			}
-			ej := es.energy[j]
 			req := kn.req[j]
-			x := ej + de
+			x := es.energy[j] + e.De
 			u2 := 1.0
 			if x < req {
 				u2 = x / req
+			} else {
+				es.satur[j] = true
 			}
-			// uval holds U(ej) exactly (1 while saturated — set at the
-			// crossing and constant from then on).
+			// uval holds U(energy[j]) exactly (1 while saturated — set at
+			// the crossing and constant from then on).
 			gain += kn.weight[j] * (u2 - es.uval[j])
 			es.energy[j] = x
 			es.uval[j] = u2
-			if ej < req && x >= req {
-				es.saturate(j)
-			}
 		}
 	}
 	es.total += gain
 	return gain
 }
 
-// saturate removes task j from the live scan list of every policy whose
-// compiled list contains it. Removal keeps ascending task order, so the
-// surviving entries still accumulate in the reference order. Lists are
-// materialized copy-on-write: a nil live row means "no contained task has
-// ever saturated", so the problem's shared list is still exact for it.
-func (es *EnergyState) saturate(j int32) {
-	m := es.mono()
-	if es.satur == nil {
-		es.satur = make([]bool, len(es.energy))
-	}
-	es.satur[j] = true
-	if es.live == nil {
-		es.live = make([][]CoverEntry, len(m.entries))
-	}
-	for _, fp := range m.taskPols[j] {
-		row := es.live[fp]
-		if row == nil {
-			shared := m.entries[fp]
-			row = make([]CoverEntry, 0, len(shared)-1)
-			for _, e := range shared {
-				if e.Task != j {
-					row = append(row, e)
-				}
-			}
-		} else {
-			idx := searchEntry(row, j)
-			row = append(row[:idx], row[idx+1:]...)
-		}
-		es.live[fp] = row
-	}
-}
-
-// unsaturate reinserts task j into every live list it was pruned from —
-// Restore can rewind a task's energy back below its requirement (the
-// branch-and-bound solver does exactly that when backtracking).
-func (es *EnergyState) unsaturate(j int) {
-	m := es.mono()
-	es.satur[j] = false
-	j32 := int32(j)
-	for _, fp := range m.taskPols[j] {
-		shared := m.entries[fp]
-		e := shared[searchEntry(shared, j32)]
-		row := es.live[fp]
-		idx := searchEntry(row, j32)
-		row = append(row, CoverEntry{})
-		copy(row[idx+1:], row[idx:])
-		row[idx] = e
-		es.live[fp] = row
-	}
-}
-
 // resyncSaturation re-establishes the flat kernel's caches for the given
 // tasks after their energies changed by fiat (Restore): uval must again
-// equal U(energy_j) branch-exactly, and live lists must contain exactly
-// the tasks with energy below their requirement.
+// equal U(energy_j) branch-exactly, and satur[j] must again say whether
+// energy_j ≥ E_j — Restore can rewind a task below its requirement (the
+// branch-and-bound solver does exactly that when backtracking) or, on an
+// upward restore, past it.
 func (es *EnergyState) resyncSaturation(ids []int) {
 	kn := &es.p.kern
 	if !kn.linear {
@@ -560,21 +480,8 @@ func (es *EnergyState) resyncSaturation(ids []int) {
 			u = ej / req
 		}
 		es.uval[j] = u
-		sat := es.satur != nil && es.satur[j]
-		now := ej >= req
-		switch {
-		case sat && !now:
-			es.unsaturate(j)
-		case !sat && now:
-			es.saturate(int32(j))
-		}
+		es.satur[j] = ej >= req
 	}
-}
-
-// searchEntry returns the position of (or insertion point for) task j in
-// a compiled list sorted by ascending task.
-func searchEntry(row []CoverEntry, j int32) int {
-	return sort.Search(len(row), func(i int) bool { return row[i].Task >= j })
 }
 
 // gainsBatchFlat fills gains[pol] with the summed marginal of every policy
@@ -587,10 +494,10 @@ func searchEntry(row []CoverEntry, j int32) int {
 // Bit-identity with the per-state reference (selectPolicy): a sample's
 // contribution accumulates over the shared compiled list in order,
 // skipping saturated tasks via the satur bitmap — exactly the terms, in
-// exactly the order, of a live-list scan (live lists are order-preserving
-// filtrations of the shared list by the same bitmap). Each sample gets a
-// private accumulator in acc, and gains[pol] then reduces acc in affected
-// order — the canonical reduction order of the per-state scan.
+// exactly the order, of marginalFlat, which walks the same list with the
+// same filter. Each sample gets a private accumulator in acc, and
+// gains[pol] then reduces acc in affected order — the canonical reduction
+// order of the per-state scan.
 func gainsBatchFlat(p *Problem, states []*EnergyState, affected []int, i, k, nPol int, gains, acc []float64) {
 	kn, m := &p.kern, &p.mono // built: the states exist
 	base := int(m.polOff[i])
@@ -613,7 +520,7 @@ func gainsBatchFlat(p *Problem, states []*EnergyState, affected []int, i, k, nPo
 			de, req, w := e.De, kn.req[j], kn.weight[j]
 			for idx, smp := range affected {
 				st := states[smp]
-				if st.satur != nil && st.satur[j] {
+				if st.satur[j] {
 					continue
 				}
 				u2 := 1.0
@@ -633,7 +540,7 @@ func gainsBatchFlat(p *Problem, states []*EnergyState, affected []int, i, k, nPo
 
 // applyBatchFlat commits policy pol of charger i at slot k to every
 // affected sample state in one entry-major pass — the batched counterpart
-// of applyScaledFlat with frac = 1. Like it, the pass walks the full
+// of applyFlat. Like it, the pass walks the full
 // compiled list (energy accrues past saturation), realizes each sample's
 // gain in shared-list order into a private acc slot, and adds it to the
 // sample's total exactly once — the same single addition the per-state
@@ -657,18 +564,16 @@ func applyBatchFlat(p *Problem, states []*EnergyState, affected []int, i, k, pol
 		de, req, w := e.De, kn.req[j], kn.weight[j]
 		for idx, smp := range affected {
 			st := states[smp]
-			ej := st.energy[j]
-			x := ej + de
+			x := st.energy[j] + de
 			u2 := 1.0
 			if x < req {
 				u2 = x / req
+			} else {
+				st.satur[j] = true
 			}
 			acc[idx] += w * (u2 - st.uval[j])
 			st.energy[j] = x
 			st.uval[j] = u2
-			if ej < req && x >= req {
-				st.saturate(j)
-			}
 		}
 	}
 	for idx, smp := range affected {

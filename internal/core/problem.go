@@ -285,13 +285,11 @@ type EnergyState struct {
 	// model.LinearBounded.Of — so the hot marginal loops pay one division
 	// per scanned entry (for U(e+Δe)) instead of two. U(0) = 0 is the
 	// zero value, so a fresh or Reset state is already consistent.
+	uval []float64
 
-	// Saturation pruning (flat kernel only, kernel.go). live[fp] is the
-	// copy-on-write scan list of flat policy fp with saturated tasks
-	// removed; nil row ⇒ no contained task has saturated, scan the shared
-	// compiled list. satur[j] records whether task j is currently pruned.
-	uval  []float64
-	live  [][]CoverEntry
+	// satur[j] records energy_j ≥ E_j (flat kernel only, kernel.go): the
+	// task's utility delta is exactly zero from then on, so both marginal
+	// scans skip it. Like uval it is kept at apply/restore time.
 	satur []bool
 
 	// pooled marks states handed out by AcquireState and not yet
@@ -307,7 +305,7 @@ type EnergyState struct {
 func NewEnergyState(p *Problem) *EnergyState {
 	m := len(p.In.Tasks)
 	p.monolith()
-	return &EnergyState{p: p, energy: make([]float64, m), uval: make([]float64, m)}
+	return &EnergyState{p: p, energy: make([]float64, m), uval: make([]float64, m), satur: make([]bool, m)}
 }
 
 // mono returns the policy space of the state's problem, which
@@ -316,43 +314,10 @@ func (es *EnergyState) mono() *monolith { return &es.p.mono }
 
 // Reset clears accumulated energy, reusing the allocations.
 func (es *EnergyState) Reset() {
-	for j := range es.energy {
-		es.energy[j] = 0
-	}
-	for j := range es.uval {
-		es.uval[j] = 0
-	}
+	clear(es.energy)
+	clear(es.uval)
+	clear(es.satur)
 	es.total = 0
-	for fp := range es.live {
-		es.live[fp] = nil
-	}
-	for j := range es.satur {
-		es.satur[j] = false
-	}
-}
-
-// CopyFrom makes es an exact copy of src (same Problem) without
-// allocating the energy vector anew. The pruning structures are rebuilt
-// from src's saturated set; because pruned lists are order-preserving
-// filtrations of the shared compiled lists, the rebuild is equal to src's
-// lists element for element.
-func (es *EnergyState) CopyFrom(src *EnergyState) {
-	copy(es.energy, src.energy)
-	copy(es.uval, src.uval)
-	es.total = src.total
-	for fp := range es.live {
-		es.live[fp] = nil
-	}
-	for j := range es.satur {
-		es.satur[j] = false
-	}
-	if src.satur != nil {
-		for j, sat := range src.satur {
-			if sat {
-				es.saturate(int32(j))
-			}
-		}
-	}
 }
 
 // Total returns the current objective value Σ_j w_j·U(e_j).
@@ -365,14 +330,14 @@ func (es *EnergyState) Energy(j int) float64 { return es.energy[j] }
 // charger i at slot k on top of the current state: only tasks covered by
 // the policy AND active during slot k accrue energy.
 //
-// Marginal, MarginalScaled and ApplyScaled dispatch to the flat kernel
-// (kernel.go) when the instance uses the default linear-and-bounded
-// utility; the *Generic bodies below are the reference semantics, kept
-// verbatim as the fallback for custom utilities and as the oracle of the
-// differential kernel sweep. Both paths are bit-identical by contract.
+// Marginal and Apply dispatch to the flat kernel (kernel.go) when the
+// instance uses the default linear-and-bounded utility; the *Generic
+// bodies below are the reference semantics, kept verbatim as the fallback
+// for custom utilities and as the oracle of the differential kernel
+// sweep. Both paths are bit-identical by contract.
 func (es *EnergyState) Marginal(i, k, pol int) float64 {
 	if es.p.kern.linear {
-		return es.marginalFlat(i, k, pol, 1, false)
+		return es.marginalFlat(i, k, pol)
 	}
 	return es.marginalGeneric(i, k, pol)
 }
@@ -394,48 +359,16 @@ func (es *EnergyState) marginalGeneric(i, k, pol int) float64 {
 	return gain
 }
 
-// MarginalScaled is Marginal with the per-slot energy contribution scaled
-// by frac ∈ [0,1]; used by the switching-delay-aware simulation where a
-// rotating charger only radiates for the trailing 1−ρ of a slot.
-func (es *EnergyState) MarginalScaled(i, k, pol int, frac float64) float64 {
-	if es.p.kern.linear {
-		return es.marginalFlat(i, k, pol, frac, true)
-	}
-	return es.marginalScaledGeneric(i, k, pol, frac)
-}
-
-func (es *EnergyState) marginalScaledGeneric(i, k, pol int, frac float64) float64 {
-	u := es.p.In.U()
-	var gain float64
-	for _, j := range es.mono().gamma[i][pol].Covers {
-		t := &es.p.In.Tasks[j]
-		if !t.ActiveAt(k) {
-			continue
-		}
-		de := es.p.SlotEnergy(i, j) * frac
-		if de == 0 {
-			continue
-		}
-		gain += t.Weight * (u.Of(es.energy[j]+de, t.Energy) - u.Of(es.energy[j], t.Energy))
-	}
-	return gain
-}
-
 // Apply commits policy pol for charger i at slot k, updating energies and
 // the objective, and returns the realized gain.
 func (es *EnergyState) Apply(i, k, pol int) float64 {
-	return es.ApplyScaled(i, k, pol, 1)
-}
-
-// ApplyScaled commits the policy with its per-slot energy scaled by frac.
-func (es *EnergyState) ApplyScaled(i, k, pol int, frac float64) float64 {
 	if es.p.kern.linear {
-		return es.applyScaledFlat(i, k, pol, frac)
+		return es.applyFlat(i, k, pol)
 	}
-	return es.applyScaledGeneric(i, k, pol, frac)
+	return es.applyGeneric(i, k, pol)
 }
 
-func (es *EnergyState) applyScaledGeneric(i, k, pol int, frac float64) float64 {
+func (es *EnergyState) applyGeneric(i, k, pol int) float64 {
 	u := es.p.In.U()
 	var gain float64
 	for _, j := range es.mono().gamma[i][pol].Covers {
@@ -443,7 +376,7 @@ func (es *EnergyState) applyScaledGeneric(i, k, pol int, frac float64) float64 {
 		if !t.ActiveAt(k) {
 			continue
 		}
-		de := es.p.SlotEnergy(i, j) * frac
+		de := es.p.SlotEnergy(i, j)
 		if de == 0 {
 			continue
 		}
@@ -464,8 +397,8 @@ func (es *EnergyState) Restore(ids []int, vals []float64, total float64) {
 	}
 	es.total = total
 	// A rewind can pull a task back below its requirement (or, on an
-	// upward restore, past it) — re-establish the saturation-pruning
-	// invariant for exactly the touched tasks.
+	// upward restore, past it) — re-establish the saturation bits for
+	// exactly the touched tasks.
 	es.resyncSaturation(ids)
 }
 

@@ -138,27 +138,30 @@ func TestMarginalMatchesApply(t *testing.T) {
 	}
 }
 
-func TestMarginalScaled(t *testing.T) {
-	p := mustProblem(t, oneTaskInstance(480, 0, 2))
+// One task needing 480 J at 240 J per slot: each slot's marginal is half
+// its weight until the task saturates, and exactly zero afterwards while
+// energy keeps accruing.
+func TestMarginalOneTask(t *testing.T) {
+	p := mustProblem(t, oneTaskInstance(480, 0, 3))
 	es := NewEnergyState(p)
-	full := es.Marginal(0, 0, 0)
-	half := es.MarginalScaled(0, 0, 0, 0.5)
-	if !almostEq(full, 0.5) || !almostEq(half, 0.25) {
-		t.Errorf("marginals full=%v half=%v", full, half)
-	}
-	es.ApplyScaled(0, 0, 0, 0.5)
-	if !almostEq(es.Energy(0), 120) {
-		t.Errorf("scaled energy = %v, want 120", es.Energy(0))
-	}
-	if zero := es.MarginalScaled(0, 1, 0, 0); zero != 0 {
-		t.Errorf("zero-frac marginal = %v", zero)
+	for k, want := range []float64{0.5, 0.5, 0} {
+		if got := es.Marginal(0, k, 0); !almostEq(got, want) {
+			t.Errorf("slot %d marginal = %v, want %v", k, got, want)
+		}
+		es.Apply(0, k, 0)
+		if want := 240 * float64(k+1); !almostEq(es.Energy(0), want) {
+			t.Errorf("slot %d energy = %v, want %v", k, es.Energy(0), want)
+		}
 	}
 }
 
 // cloneState deep-copies es into a fresh state of the same Problem.
 func cloneState(es *EnergyState) *EnergyState {
 	c := NewEnergyState(es.p)
-	c.CopyFrom(es)
+	copy(c.energy, es.energy)
+	copy(c.uval, es.uval)
+	copy(c.satur, es.satur)
+	c.total = es.total
 	return c
 }
 

@@ -249,8 +249,8 @@ func TestTraceScheduleSharded(t *testing.T) {
 	}
 }
 
-// The disabled-trace marginal loop must stay allocation-free: Marginal and
-// MarginalScaled at 0 allocs/op.
+// The disabled-trace marginal loop must stay allocation-free: Marginal at
+// 0 allocs/op.
 func TestTraceDisabledMarginalAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	in := kernelProneInstance(rng, 3, 12)
@@ -261,7 +261,6 @@ func TestTraceDisabledMarginalAllocFree(t *testing.T) {
 		for i := range p.Gamma() {
 			for pol := range p.Gamma()[i] {
 				_ = es.Marginal(i, 0, pol)
-				_ = es.MarginalScaled(i, 0, pol, 0.5)
 			}
 		}
 	})

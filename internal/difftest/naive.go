@@ -26,13 +26,13 @@ func NewNaiveState(p *core.Problem) *NaiveState {
 	return &NaiveState{p: p, energy: make([]float64, len(p.In.Tasks))}
 }
 
-// Total returns Σ_j w_j·U(e_j) as accumulated by ApplyScaled calls.
+// Total returns Σ_j w_j·U(e_j) as accumulated by Apply calls.
 func (ns *NaiveState) Total() float64 { return ns.total }
 
 // Energy returns task j's accumulated energy.
 func (ns *NaiveState) Energy(j int) float64 { return ns.energy[j] }
 
-// Marginal is the pre-PR EnergyState.Marginal, verbatim.
+// Marginal is the pre-compilation EnergyState.Marginal, verbatim.
 func (ns *NaiveState) Marginal(i, k, pol int) float64 {
 	u := ns.p.In.U()
 	var gain float64
@@ -50,8 +50,8 @@ func (ns *NaiveState) Marginal(i, k, pol int) float64 {
 	return gain
 }
 
-// MarginalScaled is the pre-PR EnergyState.MarginalScaled, verbatim.
-func (ns *NaiveState) MarginalScaled(i, k, pol int, frac float64) float64 {
+// Apply is the pre-compilation EnergyState.Apply, verbatim.
+func (ns *NaiveState) Apply(i, k, pol int) float64 {
 	u := ns.p.In.U()
 	var gain float64
 	for _, j := range ns.p.Gamma()[i][pol].Covers {
@@ -59,25 +59,7 @@ func (ns *NaiveState) MarginalScaled(i, k, pol int, frac float64) float64 {
 		if !t.ActiveAt(k) {
 			continue
 		}
-		de := ns.p.SlotEnergy(i, j) * frac
-		if de == 0 {
-			continue
-		}
-		gain += t.Weight * (u.Of(ns.energy[j]+de, t.Energy) - u.Of(ns.energy[j], t.Energy))
-	}
-	return gain
-}
-
-// ApplyScaled is the pre-PR EnergyState.ApplyScaled, verbatim.
-func (ns *NaiveState) ApplyScaled(i, k, pol int, frac float64) float64 {
-	u := ns.p.In.U()
-	var gain float64
-	for _, j := range ns.p.Gamma()[i][pol].Covers {
-		t := &ns.p.In.Tasks[j]
-		if !t.ActiveAt(k) {
-			continue
-		}
-		de := ns.p.SlotEnergy(i, j) * frac
+		de := ns.p.SlotEnergy(i, j)
 		if de == 0 {
 			continue
 		}
@@ -88,7 +70,7 @@ func (ns *NaiveState) ApplyScaled(i, k, pol int, frac float64) float64 {
 	return gain
 }
 
-// Restore is the pre-PR EnergyState.Restore, verbatim.
+// Restore is the pre-compilation EnergyState.Restore, verbatim.
 func (ns *NaiveState) Restore(ids []int, vals []float64, total float64) {
 	for idx, j := range ids {
 		ns.energy[j] = vals[idx]
@@ -100,22 +82,20 @@ func (ns *NaiveState) Restore(ids []int, vals []float64, total float64) {
 // core.EnergyState and NaiveState satisfy it.
 type kernelOps interface {
 	Marginal(i, k, pol int) float64
-	MarginalScaled(i, k, pol int, frac float64) float64
-	ApplyScaled(i, k, pol int, frac float64) float64
+	Apply(i, k, pol int) float64
 	Restore(ids []int, vals []float64, total float64)
 	Total() float64
 	Energy(j int) float64
 }
 
 // KernelSweep drives the flat kernel, the generic interface-dispatch
-// fallback and the naive pre-PR scan through the same seeded random walk
-// of kernel operations — Marginal, MarginalScaled, ApplyScaled and
-// snapshot/Restore cycles (including restores that
-// un-saturate tasks) — and returns an error on the first bitwise
-// disagreement in a returned gain, a per-task energy, or the
-// running total. Applies repeat on random partitions, so tasks cross
-// their requirement during the walk and the flat kernel's saturation
-// pruning and utility cache are live for the later operations.
+// fallback and the naive pre-compilation scan through the same seeded
+// random walk of kernel operations — Marginal, Apply and snapshot/Restore
+// cycles (including restores that un-saturate tasks) — and returns an
+// error on the first bitwise disagreement in a returned gain, a per-task
+// energy, or the running total. Applies repeat on random partitions, so
+// tasks cross their requirement during the walk and the flat kernel's
+// saturation bitmap and utility cache are live for the later operations.
 func KernelSweep(p *core.Problem, seed int64, steps int) error {
 	if !p.FlatKernel() {
 		return fmt.Errorf("kernel sweep: flat kernel unavailable for this instance")
@@ -167,24 +147,19 @@ func KernelSweep(p *core.Problem, seed int64, steps int) error {
 		}
 		pol := rng.Intn(len(gamma[i]))
 		k := rng.Intn(p.K + 1) // may land one past the horizon: never active
-		frac := float64(rng.Intn(5)) / 4.0
 		var name string
 		var err error
 		switch op := rng.Intn(10); {
-		case op < 4:
+		case op < 5:
 			name = fmt.Sprintf("Marginal(i=%d,k=%d,pol=%d)", i, k, pol)
 			a, b, c := each(func(st kernelOps) float64 { return st.Marginal(i, k, pol) })
-			err = check(name, a, b, c)
-		case op < 5:
-			name = fmt.Sprintf("MarginalScaled(i=%d,k=%d,pol=%d,frac=%v)", i, k, pol, frac)
-			a, b, c := each(func(st kernelOps) float64 { return st.MarginalScaled(i, k, pol, frac) })
 			err = check(name, a, b, c)
 		case op < 9 || !haveSnap:
 			if op >= 9 {
 				k = rng.Intn(p.K) // bias the fallback apply into the horizon
 			}
-			name = fmt.Sprintf("ApplyScaled(i=%d,k=%d,pol=%d,frac=%v)", i, k, pol, frac)
-			a, b, c := each(func(st kernelOps) float64 { return st.ApplyScaled(i, k, pol, frac) })
+			name = fmt.Sprintf("Apply(i=%d,k=%d,pol=%d)", i, k, pol)
+			a, b, c := each(func(st kernelOps) float64 { return st.Apply(i, k, pol) })
 			err = check(name, a, b, c)
 			if err == nil && rng.Intn(3) == 0 {
 				// Snapshot the touched tasks for a later Restore; rewinding
